@@ -18,14 +18,14 @@ points = draw_test_points(2, 5000, seed=2024)
 f_true, _ = get_benchmark("line_singularity")
 truth = np.array([f_true(p) for p in points])
 
+# one config for both builds: the driver called is what selects the method
+cfg = AdaptiveConfig(dimension=2, epsilon=epsilon, max_level=MAX_LEVEL, init_level=2)
+
 plain_f, _ = get_benchmark("line_singularity")
-plain = run_asgc(plain_f, AdaptiveConfig(dimension=2, epsilon=epsilon,
-                                         max_level=MAX_LEVEL, init_level=2))
+plain = run_asgc(plain_f, cfg)
 
 spline_f, _ = get_benchmark("line_singularity")
-accelerated = run_easgc(spline_f, AdaptiveConfig(dimension=2, epsilon=epsilon,
-                                                 max_level=MAX_LEVEL, init_level=2,
-                                                 use_splines=True))
+accelerated = run_easgc(spline_f, cfg)
 
 err_plain = np.abs(plain.model.interpolate_many(points) - truth).max()
 err_accel = np.abs(accelerated.model.interpolate_many(points) - truth).max()

@@ -27,9 +27,7 @@ from .core import (
     basis_1d,
     basis_nd,
     children_1d,
-    compute_surplus,
     coord_1d,
-    interpolate,
     make_sons,
     root_point,
 )
@@ -39,13 +37,16 @@ from .errors import (
     EmptyModelError,
     EvaluationError,
     InvalidNodeError,
+    OutOfDomainError,
     PersistenceError,
     SparseGridError,
 )
 from .harness import (
+    METHODS,
     MonteCarloEstimate,
     StudyReport,
     StudyRow,
+    build,
     config_from_mapping,
     draw_test_points,
     max_abs_error,
@@ -64,8 +65,6 @@ from .smooth import (
     SmoothRegion,
     derivative_scan,
     group_lines,
-    lookup,
     run_easgc,
     spline_value,
-    store_region,
 )

@@ -43,13 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Every knob the construction algorithms expose.
+    """Every knob the adaptive construction algorithms expose.
 
     Levels are counted from 0 at the root point.  `init_level` is the last
-    conventionally swept level; `max_level` caps refinement.  The line-scan
-    parameters (`min_line_points`, `slope_tol`) only matter when
-    `use_splines` is on; `min_line_points` may be math.inf to disable
-    certification entirely.
+    conventionally swept level; `max_level` caps refinement.  The method is
+    chosen by the driver, not by the config: the line-scan parameters
+    (`min_line_points`, `slope_tol`) are read only by run_easgc, and
+    `min_line_points` may be math.inf to disable certification entirely.
     """
 
     dimension: int
@@ -58,7 +58,6 @@ class AdaptiveConfig:
     init_level: int = 2
     min_line_points: float = 9
     slope_tol: float = 0.25
-    use_splines: bool = False
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -80,8 +79,8 @@ class AdaptiveConfig:
 class ModelFunction:
     """Deterministic model over the unit cube with an evaluation counter.
 
-    The counter increments exactly once per full evaluation; failures are
-    wrapped with the offending coordinate.
+    The counter increments exactly once per full evaluation; failures and
+    non-finite outputs raise EvaluationError with the offending coordinate.
     """
 
     def __init__(self, func, dimension: int, name: str = "model"):
@@ -93,12 +92,18 @@ class ModelFunction:
     def __call__(self, x) -> float:
         self.evaluations += 1
         try:
-            return float(self.func(x))
+            value = float(self.func(x))
         except Exception as exc:
             raise EvaluationError(
                 f"model '{self.name}' failed at {np.asarray(x)}: {exc}",
                 coordinate=np.asarray(x, dtype=float),
             ) from exc
+        if not math.isfinite(value):
+            raise EvaluationError(
+                f"model '{self.name}' returned {value} at {np.asarray(x)}",
+                coordinate=np.asarray(x, dtype=float),
+            )
+        return value
 
 
 @dataclass
@@ -238,7 +243,5 @@ def run_csc(f: ModelFunction, d: int, q_max: int, on_level=None) -> BuildResult:
 
 def run_asgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResult:
     """Adaptive build: conventional sweeps, then surplus-thresholded sons."""
-    if cfg.use_splines:
-        raise ValueError("run_asgc requires use_splines=False; use run_easgc")
     return _drive(f, cfg.dimension, cfg.epsilon, cfg.init_level, cfg.max_level,
                   on_level=on_level)

@@ -13,51 +13,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import run_asgc, run_csc
 from .errors import SparseGridError
-from .harness import config_from_mapping, parse_config, run_study
+from .harness import METHODS, build, config_from_mapping, parse_config, run_study
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
 from .moments import moments
-from .smooth import run_easgc
 
-_METHOD_ALIASES = {"csc": "CSC", "asgc": "ASGC", "easgc": "EASGC"}
-
-
-def _load_settings(config_path):
-    settings = parse_config(config_path) if config_path else {}
-    return settings
+_METHOD_CHOICES = [m.lower() for m in METHODS]
 
 
-def _check_dimension(settings: dict, f) -> None:
+def _benchmark_params(settings: dict, benchmark: str):
+    params = settings.get(benchmark)
+    return params if isinstance(params, dict) else None
+
+
+def _benchmark_and_config(settings: dict, benchmark: str):
+    """The benchmark model, its parameter echo and the config for its dimension."""
+    f, echo = get_benchmark(benchmark, _benchmark_params(settings, benchmark))
     stated = settings.get("dimension")
     if stated is not None and int(stated) != f.dimension:
         raise SparseGridError(
             f"config dimension {stated} != benchmark dimension {f.dimension}"
         )
-
-
-def _build_one(method: str, benchmark: str, settings: dict):
-    import dataclasses
-
-    params = settings.get(benchmark)
-    params = dict(params) if isinstance(params, dict) else None
-    f, echo = get_benchmark(benchmark, params)
-    _check_dimension(settings, f)
-    cfg = config_from_mapping(settings, f.dimension)
-    if method == "CSC":
-        result = run_csc(f, f.dimension, cfg.max_level)
-    elif method == "ASGC":
-        result = run_asgc(f, cfg)
-    else:
-        result = run_easgc(f, dataclasses.replace(cfg, use_splines=True))
-    return f, cfg, echo, result
+    return f, echo, config_from_mapping(settings, f.dimension)
 
 
 def _cmd_build(args) -> int:
-    method = _METHOD_ALIASES[args.method]
-    settings = _load_settings(args.config)
-    f, cfg, echo, result = _build_one(method, args.benchmark, settings)
+    method = args.method.upper()
+    settings = parse_config(args.config) if args.config else {}
+    f, echo, cfg = _benchmark_and_config(settings, args.benchmark)
+    result = build(f, cfg, method)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.benchmark}_{args.method}.surrogate"
@@ -102,28 +87,27 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    settings = _load_settings(args.config)
-    methods = [_METHOD_ALIASES[m.strip()] for m in args.methods.split(",") if m.strip()]
-    params = settings.get(args.benchmark)
-    params = dict(params) if isinstance(params, dict) else None
-    f, _ = get_benchmark(args.benchmark, dict(params) if params else None)
-    _check_dimension(settings, f)
-    cfg = config_from_mapping(settings, f.dimension)
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in _METHOD_CHOICES]
+    if unknown:
+        raise SparseGridError(f"unknown methods {unknown}; expected a subset of {_METHOD_CHOICES}")
+    settings = parse_config(args.config) if args.config else {}
+    _, _, cfg = _benchmark_and_config(settings, args.benchmark)
     seed = int(settings.get("seed", 0))
     n_test_points = int(settings.get("n_test_points", 10_000))
     written = []
     for method in methods:
         report = run_study(
             method, args.benchmark, cfg,
-            benchmark_params=dict(params) if params else None,
+            benchmark_params=_benchmark_params(settings, args.benchmark),
             seed=seed, n_test_points=n_test_points,
             output_dir=args.output_dir,
             persist_surrogate=args.persist,
         )
-        written.append(f"{args.benchmark}_{method.lower()}.csv")
+        written.append(f"{args.benchmark}_{method}.csv")
         last = report.rows[-1]
         print(json.dumps({
-            "method": method,
+            "method": report.method,
             "levels": len(report.rows),
             "full_evals": last.full_evals,
             "spline_evals": last.spline_evals,
@@ -141,12 +125,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="build one surrogate and persist it")
-    build.add_argument("--method", choices=sorted(_METHOD_ALIASES), required=True)
-    build.add_argument("--benchmark", choices=benchmark_names(), required=True)
-    build.add_argument("--config", help="flat key=value config file")
-    build.add_argument("--output-dir", required=True)
-    build.set_defaults(func=_cmd_build)
+    build_cmd = sub.add_parser("build", help="build one surrogate and persist it")
+    build_cmd.add_argument("--method", choices=_METHOD_CHOICES, required=True)
+    build_cmd.add_argument("--benchmark", choices=benchmark_names(), required=True)
+    build_cmd.add_argument("--config", help="flat key=value config file")
+    build_cmd.add_argument("--output-dir", required=True)
+    build_cmd.set_defaults(func=_cmd_build)
 
     mom = sub.add_parser("moments", help="analytic mean/variance of a surrogate file")
     mom.add_argument("surrogate")
@@ -162,7 +146,7 @@ def _parser() -> argparse.ArgumentParser:
     study.add_argument("--config", help="flat key=value config file")
     study.add_argument("--output-dir", required=True)
     study.add_argument("--methods", default="csc,asgc,easgc",
-                       help="comma-separated subset of csc,asgc,easgc")
+                       help=f"comma-separated subset of {','.join(_METHOD_CHOICES)}")
     study.add_argument("--persist", action="store_true",
                        help="also persist each method's surrogate")
     study.set_defaults(func=_cmd_study)

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyModelError,
     InvalidNodeError,
+    OutOfDomainError,
 )
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "children_1d",
     "make_sons",
     "root_point",
-    "interpolate",
-    "compute_surplus",
 ]
 
 
@@ -274,21 +273,12 @@ class SurrogateModel:
         """Nodes in insertion (level-major) order."""
         return self._node_list
 
-    def node_at(self, point: GridPoint) -> HierarchicalNode:
-        return self._node_list[self._index[point.key]]
-
-    def points(self):
-        return [node.point for node in self._node_list]
-
     @property
     def depth(self) -> int:
         """Highest reported level present (root counts as level 0)."""
         if not self._node_list:
             raise EmptyModelError("model has no nodes")
         return max(self._level_start)
-
-    def levels_present(self) -> list[int]:
-        return sorted(self._level_start)
 
     def nodes_on_level(self, level: int) -> list[HierarchicalNode]:
         start = self._level_start.get(level)
@@ -355,12 +345,10 @@ class SurrogateModel:
             self._arrays = (centers, inv_hw, w, v)
         return self._arrays
 
-    def _evaluate_sum(self, x_many: np.ndarray, coeff: str = "w", prefix: int | None = None) -> np.ndarray:
-        """Sum of coeff * basis over the first `prefix` nodes, at many points."""
+    def _evaluate_sum(self, x_many: np.ndarray, coeff: str = "w") -> np.ndarray:
+        """Sum of coeff * basis over all nodes, at many points."""
         centers, inv_hw, w, v = self._dense()
         c = w if coeff == "w" else v
-        if prefix is not None:
-            centers, inv_hw, c = centers[:prefix], inv_hw[:prefix], c[:prefix]
         n = centers.shape[0]
         out = np.zeros(x_many.shape[0])
         if n == 0:
@@ -377,7 +365,7 @@ class SurrogateModel:
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
-        """Evaluate the surrogate at a batch of points, shape (n, d)."""
+        """Evaluate the surrogate at a batch of points in [0, 1]^d, shape (n, d)."""
         if not self._node_list:
             raise EmptyModelError("cannot interpolate an empty model")
         x_many = np.asarray(x_many, dtype=float)
@@ -385,6 +373,7 @@ class SurrogateModel:
             raise DimensionMismatchError(
                 f"expected shape (n, {self.dimension}), got {x_many.shape}"
             )
+        _check_domain(x_many)
         return self._evaluate_sum(x_many, coeff=coeff)
 
     def interpolate(self, x) -> float:
@@ -396,6 +385,7 @@ class SurrogateModel:
             )
         if not self._node_list:
             raise EmptyModelError("cannot interpolate an empty model")
+        _check_domain(x[None, :])
         return float(self._evaluate_sum(x[None, :])[0])
 
     def surpluses_against_prefix(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,28 +401,13 @@ class SurrogateModel:
         return w, v
 
 
-def interpolate(m: SurrogateModel, x) -> float:
-    """Module-level alias for SurrogateModel.interpolate."""
-    return m.interpolate(x)
+def _check_domain(x_many: np.ndarray) -> None:
+    """Refuse query rows outside the closed unit cube or containing NaN.
 
-
-def compute_surplus(m: SurrogateModel, p: GridPoint, value: float) -> float:
-    """Hierarchical surplus of `value` at point `p` against model `m`.
-
-    `m` must contain only levels strictly below p's (or be empty, in which
-    case the surplus is the value itself: the level-0 interpolant is zero).
-    A node at p's level or deeper whose basis covers p violates the contract.
+    The hat basis would otherwise extend the surrogate outside the cube with
+    plausible-looking values.
     """
-    if len(m) == 0:
-        return float(value)
-    if p.dimension != m.dimension:
-        raise DimensionMismatchError(
-            f"point dimension {p.dimension} != model dimension {m.dimension}"
-        )
-    coord = p.coordinate()
-    for node in m.nodes():
-        if node.point.level >= p.level and basis_nd(node.point, coord) != 0.0:
-            raise ContractViolationError(
-                f"model contains covering node at level {node.point.level} >= {p.level}"
-            )
-    return float(value) - m.interpolate(coord)
+    inside = (x_many >= 0.0) & (x_many <= 1.0)  # False for NaN
+    if not inside.all():
+        row = int(np.flatnonzero(~inside.all(axis=1))[0])
+        raise OutOfDomainError(f"query {x_many[row].tolist()} lies outside [0, 1]^d")

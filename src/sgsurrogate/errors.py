@@ -13,6 +13,10 @@ class DimensionMismatchError(SparseGridError):
     """Query vector dimension differs from the model dimension."""
 
 
+class OutOfDomainError(SparseGridError):
+    """Query coordinate outside the closed unit cube, or NaN."""
+
+
 class EmptyModelError(SparseGridError):
     """Operation requires a model with at least one node."""
 

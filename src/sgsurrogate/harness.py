@@ -9,7 +9,6 @@ configuration, so runs are reproducible from their artifacts alone.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -27,6 +26,8 @@ from .moments import moments
 from .smooth import run_easgc
 
 __all__ = [
+    "METHODS",
+    "build",
     "StudyRow",
     "StudyReport",
     "draw_test_points",
@@ -192,7 +193,6 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         raise SparseGridError(
             f"config dimension {cfg.dimension} != benchmark dimension {f.dimension}"
         )
-    cfg = dataclasses.replace(cfg, use_splines=(method == "EASGC"))
     points = _study_test_points(benchmark, f.dimension, n_test_points, seed)
     true_values = np.array([f(x) for x in points])
     f.evaluations = 0
@@ -224,7 +224,7 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
             wall_time=time.perf_counter() - start,
         ))
 
-    result = _run_method(f, cfg, method, on_level)
+    result = build(f, cfg, method, on_level)
 
     report.metadata = {
         "method": method,
@@ -255,13 +255,20 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     return report
 
 
-def _run_method(f: ModelFunction, cfg: AdaptiveConfig, method: str, on_level) -> BuildResult:
-    """Dispatch one build with a per-level reporting hook."""
+def build(f: ModelFunction, cfg: AdaptiveConfig, method: str, on_level=None) -> BuildResult:
+    """Build a surrogate of `f` with one of METHODS, the only method switch.
+
+    CSC sweeps every level up to `cfg.max_level`; ASGC and EASGC run the
+    adaptive drivers with `cfg`.  `on_level(model, record)` observes each
+    level as it is inserted.
+    """
     if method == "CSC":
         return run_csc(f, cfg.dimension, cfg.max_level, on_level=on_level)
     if method == "ASGC":
         return run_asgc(f, cfg, on_level=on_level)
-    return run_easgc(f, cfg, on_level=on_level)
+    if method == "EASGC":
+        return run_easgc(f, cfg, on_level=on_level)
+    raise SparseGridError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 # ---------------------------------------------------------------------------

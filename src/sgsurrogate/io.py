@@ -22,7 +22,7 @@ from .core import (
     Provenance,
     SurrogateModel,
 )
-from .errors import PersistenceError
+from .errors import PersistenceError, SparseGridError
 from .smooth import RegionDatabase, SmoothRegion
 
 __all__ = ["save_surrogate", "load_surrogate"]
@@ -76,25 +76,25 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
 
 
 def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
-    """Read a surrogate file back; the inverse of save_surrogate."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Read a surrogate file back; the inverse of save_surrogate.
+
+    Parsing is strict: any line that is not a well-formed node or region
+    line, including a blank one, raises PersistenceError.
+    """
+    lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(_MAGIC + " "):
         raise PersistenceError(f"{path}: not a surrogate file")
-    header = dict(
-        item.split("=") for item in lines[0].split()[1:]
-    )
     try:
-        dimension = int(header["d"])
+        header = dict(item.split("=") for item in lines[0].split()[1:])
+        model = SurrogateModel(int(header["d"]))
         full = int(header["full"])
         spline = int(header["spline"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: malformed header: {lines[0]!r}") from exc
-    model = SurrogateModel(dimension)
     provenance_by_flag = {p.value: p for p in Provenance}
     i = 1
     try:
-        while i < len(lines) and lines[i] and not lines[i].startswith("regions "):
+        while i < len(lines) and not lines[i].startswith("regions "):
             token, output, w, v, flag = lines[i].split()
             model.add_node(HierarchicalNode(
                 point=_parse_dims(token),
@@ -104,29 +104,31 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
                 provenance=provenance_by_flag[flag],
             ))
             i += 1
-    except (ValueError, KeyError) as exc:
-        raise PersistenceError(f"{path}: bad node line {i}: {lines[i]!r}") from exc
+    except (ValueError, KeyError, SparseGridError) as exc:
+        raise PersistenceError(f"{path}: bad node line {i + 1}: {lines[i]!r}") from exc
     model.full_evaluations = full
     model.spline_interpolations = spline
     model.freeze()
-    db = None
-    if i < len(lines) and lines[i].startswith("regions "):
-        db = RegionDatabase()
-        try:
-            for line in lines[i + 1:]:
-                if not line:
-                    continue
-                dim, anchor_tok, knots_tok, outputs_tok, _mid, _half = line.split()
-                anchor = tuple(
-                    (int(num), int(exp))
-                    for num, exp in (p.split(":") for p in anchor_tok.split(","))
-                ) if anchor_tok != "-" else ()
-                db.store(SmoothRegion(
-                    dim=int(dim),
-                    anchor=anchor,
-                    knots=np.array([float(k) for k in knots_tok.split(",")]),
-                    outputs=np.array([float(o) for o in outputs_tok.split(",")]),
-                ))
-        except (ValueError, KeyError) as exc:
-            raise PersistenceError(f"{path}: bad region line: {line!r}") from exc
+    if i == len(lines):
+        return model, None
+    db = RegionDatabase()
+    line, region_lines = lines[i], lines[i + 1:]
+    try:
+        _, count = line.split()
+        if int(count) != len(region_lines):
+            raise ValueError(f"{len(region_lines)} region lines follow")
+        for line in region_lines:
+            dim, anchor_tok, knots_tok, outputs_tok, _mid, _half = line.split()
+            anchor = tuple(
+                (int(num), int(exp))
+                for num, exp in (p.split(":") for p in anchor_tok.split(","))
+            ) if anchor_tok != "-" else ()
+            db.store(SmoothRegion(
+                dim=int(dim),
+                anchor=anchor,
+                knots=np.array([float(k) for k in knots_tok.split(",")]),
+                outputs=np.array([float(o) for o in outputs_tok.split(",")]),
+            ))
+    except (ValueError, KeyError, SparseGridError) as exc:
+        raise PersistenceError(f"{path}: bad region line: {line!r}") from exc
     return model, db

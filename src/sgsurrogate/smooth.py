@@ -37,8 +37,6 @@ __all__ = [
     "RegionDatabase",
     "group_lines",
     "derivative_scan",
-    "store_region",
-    "lookup",
     "spline_value",
     "run_easgc",
 ]
@@ -269,7 +267,6 @@ class RegionDatabase:
     def __init__(self):
         self._lines: dict[tuple, list[SmoothRegion]] = {}
         self._counter = 0
-        self.created_total = 0
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._lines.values())
@@ -309,7 +306,6 @@ class RegionDatabase:
             kept.append(old)
         region.created_at = self._counter
         self._counter += 1
-        self.created_total += 1
         kept.append(region)
         kept.sort(key=lambda r: r.lo)
         self._lines[key] = kept
@@ -340,17 +336,6 @@ class RegionDatabase:
         return best, best_t
 
 
-def store_region(db: RegionDatabase, r: SmoothRegion) -> RegionDatabase:
-    """Function-style alias for RegionDatabase.store."""
-    db.store(r)
-    return db
-
-
-def lookup(db: RegionDatabase, p: GridPoint):
-    """Function-style alias for RegionDatabase.lookup."""
-    return db.lookup(p)
-
-
 # ---------------------------------------------------------------------------
 # the spline-accelerated adaptive driver
 # ---------------------------------------------------------------------------
@@ -374,14 +359,15 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
 def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResult:
     """Adaptive build with cubic-spline substitution in certified regions.
 
-    Control flow is identical to run_asgc except that every candidate is
-    first checked against the region database: hits take the spline value
-    (without touching the evaluation counter), misses get full evaluations,
-    and both feed the same surplus threshold.  After each adaptive level the
-    line scan refreshes the database for the next level's candidates.
+    Takes the same config as run_asgc; calling this driver is what selects
+    the spline-backed method, and only it reads the line-scan settings
+    `min_line_points` and `slope_tol`.  Control flow is identical to
+    run_asgc except that every candidate is first checked against the region
+    database: hits take the spline value (without touching the evaluation
+    counter), misses get full evaluations, and both feed the same surplus
+    threshold.  After each adaptive level the line scan refreshes the
+    database for the next level's candidates.
     """
-    if not cfg.use_splines:
-        raise ValueError("run_easgc requires use_splines=True; use run_asgc")
     db = RegionDatabase()
 
     def value_source(point: GridPoint):

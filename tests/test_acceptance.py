@@ -62,8 +62,7 @@ def test_01_interpolation_property_suite():
         models = [
             run_csc(f, f.dimension, csc_level).model,
             run_asgc(get_benchmark(name, dict(params) if params else None)[0], cfg).model,
-            run_easgc(get_benchmark(name, dict(params) if params else None)[0],
-                      dataclasses.replace(cfg, use_splines=True)).model,
+            run_easgc(get_benchmark(name, dict(params) if params else None)[0], cfg).model,
         ]
         for m in models:
             assert _reproduces_all_nodes(m, rel=1e-12), name
@@ -336,7 +335,7 @@ def test_10_flow_equivalence_degenerate_splines(tmp_path):
         fe, _ = get_benchmark(name, dict(params) if params else None)
         plain = run_asgc(fa, cfg)
         degenerate = run_easgc(
-            fe, dataclasses.replace(cfg, use_splines=True, min_line_points=math.inf)
+            fe, dataclasses.replace(cfg, min_line_points=math.inf)
         )
         assert degenerate.model.spline_interpolations == 0, name
         a_path = tmp_path / f"{name}_a.surrogate"

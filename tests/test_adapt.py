@@ -128,10 +128,22 @@ class TestRunAsgc:
         assert res.stopped_by == "tolerance"
         assert all(n.w == 0.0 for n in res.model.nodes() if n.point.level > 0)
 
-    def test_spline_toggle_rejected(self):
-        f = ModelFunction(lambda x: 1.0, 1, "c")
-        with pytest.raises(ValueError):
-            run_asgc(f, AdaptiveConfig(dimension=1, use_splines=True))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_output_fails_loudly(self, bad):
+        # NaN >= eps is False, so a NaN surplus would otherwise end the
+        # build as if the tolerance were met
+        calls = []
+
+        def func(x):
+            calls.append(float(x[0]))
+            return bad if x[0] > 0.6 else float(x[0]) ** 2
+
+        f = ModelFunction(func, 1, "holey")
+        with pytest.raises(EvaluationError) as err:
+            run_asgc(f, AdaptiveConfig(dimension=1, epsilon=1e-3, max_level=8, init_level=2))
+        assert err.value.coordinate.shape == (1,)
+        assert err.value.coordinate[0] == calls[-1] and calls[-1] > 0.6
+        assert f.evaluations == len(calls)
 
     def test_kink_refines_fewer_than_conventional(self):
         f = ModelFunction(lambda x: abs(x[0] - 0.5), 1, "kink")

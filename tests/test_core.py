@@ -14,10 +14,9 @@ from sgsurrogate import (
     SurrogateModel,
     basis_1d,
     basis_nd,
+    OutOfDomainError,
     children_1d,
-    compute_surplus,
     coord_1d,
-    interpolate,
     make_sons,
     root_point,
 )
@@ -194,8 +193,8 @@ class TestSurrogateModel:
     def test_root_only_model_is_constant(self):
         m = SurrogateModel(2)
         m.add_node(HierarchicalNode(root_point(2), 3.7, 3.7, 3.7 ** 2))
-        assert interpolate(m, [0.123, 0.9]) == 3.7
-        assert interpolate(m, [0.5, 0.5]) == 3.7
+        assert m.interpolate([0.123, 0.9]) == 3.7
+        assert m.interpolate([0.5, 0.5]) == 3.7
 
     def test_linear_exact_in_1d(self):
         m = SurrogateModel(1)
@@ -203,14 +202,14 @@ class TestSurrogateModel:
         m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(1, 0),)), 0.5, 0.5, 0.25))
         m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.5, -0.25))
         m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.5, 0.75))
-        assert interpolate(m, [0.25]) == pytest.approx(0.25, abs=1e-15)
+        assert m.interpolate([0.25]) == pytest.approx(0.25, abs=1e-15)
         for x in np.linspace(0, 1, 11):
-            assert interpolate(m, [x]) == pytest.approx(x, abs=1e-15)
+            assert m.interpolate([x]) == pytest.approx(x, abs=1e-15)
 
     def test_empty_model_errors(self):
         m = SurrogateModel(2)
         with pytest.raises(EmptyModelError):
-            interpolate(m, [0.5, 0.5])
+            m.interpolate([0.5, 0.5])
         with pytest.raises(EmptyModelError):
             m.depth
 
@@ -234,40 +233,51 @@ class TestSurrogateModel:
         with pytest.raises(ContractViolationError):
             m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, 0.0, 0.0))
 
+    def test_queries_outside_cube_rejected(self):
+        # x^2 on {0.5, 0, 1}: the hats would extend it with 0.25 outside
+        m = SurrogateModel(1)
+        m.add_node(HierarchicalNode(root_point(1), 0.25, 0.25, 0.0625))
+        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.25, -0.0625))
+        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.75, 0.9375))
+        for bad in (1.5, -3.0, np.nextafter(1.0, 2.0), -0.0 - 1e-300, np.nan, np.inf):
+            with pytest.raises(OutOfDomainError):
+                m.interpolate([bad])
+            with pytest.raises(OutOfDomainError):
+                m.interpolate_many([[0.5], [bad]])
+        # the closed cube, boundary included, is accepted
+        assert m.interpolate([0.0]) == 0.0 and m.interpolate([1.0]) == 1.0
+        np.testing.assert_array_equal(m.interpolate_many([[0.0], [1.0]]), [0.0, 1.0])
+
+
+def surplus(m, p, value):
+    """w surplus of one value at p against the model, via the batch kernel."""
+    w, _ = m.surpluses_against_prefix(p.coordinate()[None, :], np.array([value]))
+    return float(w[0])
+
 
 class TestComputeSurplus:
     def test_root_against_empty(self):
         m = SurrogateModel(3)
-        assert compute_surplus(m, root_point(3), 4.2) == 4.2
+        assert surplus(m, root_point(3), 4.2) == 4.2
 
     def test_level2_against_root_model(self):
         m = SurrogateModel(1)
         m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
         p = GridPoint((NodeIndex1D(2, 0),))
-        assert compute_surplus(m, p, 0.0) == -0.5
+        assert surplus(m, p, 0.0) == -0.5
 
     def test_zero_when_on_interpolant(self):
         m = SurrogateModel(1)
         m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
         p = GridPoint((NodeIndex1D(2, 1),))
-        assert compute_surplus(m, p, 0.5) == 0.0
-
-    def test_covering_node_violates_contract(self):
-        m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.5, -0.25))
-        # the model already covers these points at depth >= theirs
-        with pytest.raises(ContractViolationError):
-            compute_surplus(m, root_point(1), 1.0)
-        with pytest.raises(ContractViolationError):
-            compute_surplus(m, GridPoint((NodeIndex1D(2, 0),)), 1.0)
+        assert surplus(m, p, 0.5) == 0.0
 
     def test_same_level_sibling_is_not_covered(self):
         m = SurrogateModel(1)
         m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
         m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.5, -0.25))
         # same-level bases vanish at each other's nodes, so this is legal
-        assert compute_surplus(m, GridPoint((NodeIndex1D(2, 1),)), 1.0) == 0.5
+        assert surplus(m, GridPoint((NodeIndex1D(2, 1),)), 1.0) == 0.5
 
 
 class TestTelescoping:

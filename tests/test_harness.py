@@ -2,15 +2,23 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsurrogate import (
+    METHODS,
     AdaptiveConfig,
     ModelFunction,
     PersistenceError,
+    RegionDatabase,
+    SmoothRegion,
     SparseGridError,
+    build,
     draw_test_points,
     load_surrogate,
     max_abs_error,
@@ -154,7 +162,7 @@ class TestPersistence:
         func = lambda x: float(np.sin(2 * np.pi * x[0]) + x[1])
         f = ModelFunction(func, 2, "s")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=7, init_level=2,
-                             use_splines=True, min_line_points=5)
+                             min_line_points=5)
         res = run_easgc(f, cfg)
         path = tmp_path / "model.surrogate"
         save_surrogate(path, res.model, res.region_db)
@@ -194,6 +202,73 @@ class TestPersistence:
         p.write_text("surrogate d=1 depth=0 full=1 spline=0\nbroken line here x\n")
         with pytest.raises(PersistenceError):
             load_surrogate(p)
+
+        # 9-node 1-D x^2 build, with and without a region section
+        good = tmp_path / "good.surrogate"
+        save_surrogate(good, csc_model(lambda x: x[0] ** 2, 1, 3))
+        nodes = good.read_text().splitlines()
+        assert len(nodes) == 10
+        with_regions = tmp_path / "regions.surrogate"
+        db = RegionDatabase()
+        for knots in ([0.0, 0.125, 0.25, 0.375], [0.5, 0.625, 0.75, 1.0]):
+            knots = np.array(knots)
+            db.store(SmoothRegion(dim=0, anchor=(), knots=knots, outputs=knots ** 2))
+        save_surrogate(with_regions, csc_model(lambda x: x[0] ** 2, 1, 3), db)
+        regions = with_regions.read_text().splitlines()
+        assert regions[10] == "regions 2" and len(regions) == 13
+        for path in (good, with_regions):
+            model, _ = load_surrogate(path)
+            assert len(model) == 9
+
+        bad_inputs = [
+            ["surrogate d=1 depth garbage full=9 spline=0"] + nodes[1:],  # header item without '='
+            ["surrogate d=0 depth=3 full=9 spline=0"] + nodes[1:],
+            nodes[:5] + [""] + nodes[5:],  # blank line after node 4
+            nodes[:5] + ["# a comment"] + nodes[5:],
+            nodes[:5] + [nodes[5] + " extra"] + nodes[6:],
+            nodes[:5] + [nodes[5].replace(" F", " Q")] + nodes[6:],  # unknown provenance
+            nodes[:5] + ["9:999 0 0 0 F"] + nodes[6:],  # index out of range for its level
+            nodes[:6] + [nodes[4]] + nodes[6:],  # duplicate node
+            regions[:11] + [""] + regions[11:],  # blank line between regions
+            regions[:12],  # one region line missing
+            regions[:10] + ["regions two"] + regions[11:],
+            regions[:11] + [regions[11].replace(",", ";", 1)] + regions[12:],
+        ]
+        for lines in bad_inputs:
+            p.write_text("\n".join(lines) + "\n")
+            with pytest.raises(PersistenceError):
+                load_surrogate(p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        dimension=st.integers(1, 2),
+        amplitude=st.floats(-5.0, 5.0, allow_nan=False),
+        frequency=st.floats(0.0, 12.0, allow_nan=False),
+        kink=st.floats(0.0, 1.0),
+        max_level=st.integers(1, 7),
+        epsilon=st.sampled_from([1e-1, 1e-2, 1e-4]),
+        query_seed=st.integers(0, 2 ** 16),
+    )
+    def test_random_builds_round_trip(self, method, dimension, amplitude, frequency,
+                                      kink, max_level, epsilon, query_seed):
+        def func(x):
+            return amplitude * math.sin(frequency * x[0]) + abs(x[-1] - kink)
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=epsilon, max_level=max_level,
+                             init_level=min(2, max_level - 1), min_line_points=5)
+        res = build(ModelFunction(func, dimension, "random"), cfg, method)
+        queries = draw_test_points(dimension, 50, query_seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.surrogate", Path(tmp) / "second.surrogate"
+            save_surrogate(first, res.model, res.region_db)
+            loaded, db = load_surrogate(first)
+            save_surrogate(second, loaded, db)
+            assert first.read_bytes() == second.read_bytes()
+        assert len(db or ()) == len(res.region_db or ())
+        np.testing.assert_array_equal(
+            loaded.interpolate_many(queries), res.model.interpolate_many(queries)
+        )
 
 
 class TestConfigFiles:
@@ -290,3 +365,39 @@ class TestCli:
                          "--point", "0.3,0.4"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "SparseGridError"
+
+    @pytest.mark.parametrize("point", ["1.5", "-3", "nan"])
+    def test_query_outside_cube(self, tmp_path, capsys, point):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        cli_main(["build", "--method", "csc", "--benchmark", "kink",
+                  "--config", str(cfg), "--output-dir", str(out)])
+        capsys.readouterr()
+        code = cli_main(["query", str(out / "kink_csc.surrogate"), "--point", point])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OutOfDomainError"
+
+    @pytest.mark.parametrize("method", ["csc", "asgc", "easgc"])
+    def test_build_matches_study_surrogate(self, tmp_path, capsys, method):
+        # the CLI and the study harness share one method dispatch
+        cfg = self.write_cfg(tmp_path)
+        assert cli_main(["build", "--method", method, "--benchmark", "kink",
+                         "--config", str(cfg), "--output-dir", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        run_study(method.upper(), "kink", config_from_mapping(parse_config(cfg), 1),
+                  seed=3, n_test_points=500, output_dir=tmp_path / "study",
+                  persist_surrogate=True)
+        built = (tmp_path / "cli" / f"kink_{method}.surrogate").read_bytes()
+        studied = (tmp_path / "study" / f"kink_{method}.surrogate").read_bytes()
+        assert built == studied
+
+    def test_unknown_study_method(self, tmp_path, capsys):
+        code = cli_main(["study", "--benchmark", "kink", "--output-dir", str(tmp_path),
+                         "--methods", "csc,nope"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SparseGridError"
+        assert not (tmp_path / "kink_csc.csv").exists()

@@ -19,13 +19,11 @@ from sgsurrogate import (
     SparseGridError,
     derivative_scan,
     group_lines,
-    lookup,
     root_point,
     run_asgc,
     run_csc,
     run_easgc,
     spline_value,
-    store_region,
 )
 from sgsurrogate.smooth import LineGroup, _endpoint_slope
 
@@ -178,7 +176,7 @@ def region(knots, outputs=None, dim=0, anchor=()):
 class TestRegionDatabase:
     def test_store_and_size(self):
         db = RegionDatabase()
-        store_region(db, region([0.0, 0.25, 0.5, 0.75, 1.0]))
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0]))
         assert len(db) == 1
 
     def test_idempotent_restore(self):
@@ -227,9 +225,9 @@ class TestRegionDatabase:
     def test_lookup_empty_and_hit_and_miss(self):
         db = RegionDatabase()
         p_mid = GridPoint((NodeIndex1D(1, 0), NodeIndex1D(2, 0)))  # (0.5, 0)
-        assert lookup(db, p_mid) is None
+        assert db.lookup(p_mid) is None
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((0, 0),)))
-        hit = lookup(db, p_mid)
+        hit = db.lookup(p_mid)
         assert hit is not None
         r, t = hit
         assert t == 0.5
@@ -237,7 +235,7 @@ class TestRegionDatabase:
         db2 = RegionDatabase()
         db2.store(region([0.0, 0.125, 0.25, 0.375], dim=0, anchor=((0, 0),)))
         p_out = GridPoint((NodeIndex1D(2, 1), NodeIndex1D(2, 0)))  # (1, 0)
-        assert lookup(db2, p_out) is None
+        assert db2.lookup(p_out) is None
 
     def test_lookup_earliest_created_wins(self):
         db = RegionDatabase()
@@ -246,7 +244,7 @@ class TestRegionDatabase:
                         outputs=np.ones(5)))
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((1, 1),),
                         outputs=np.full(5, 2.0)))
-        r, t = lookup(db, root_point(2))
+        r, t = db.lookup(root_point(2))
         assert r.dim == 1  # stored first
 
     def test_spline_value_contract(self):
@@ -266,17 +264,12 @@ class TestRegionDatabase:
 
 
 class TestRunEasgc:
-    def test_toggle_enforced(self):
-        f = ModelFunction(lambda x: 1.0, 1, "c")
-        with pytest.raises(ValueError):
-            run_easgc(f, AdaptiveConfig(dimension=1, use_splines=False))
-
     def test_constant_identical_to_asgc(self):
         fa = ModelFunction(lambda x: 2.0, 2, "c")
         fe = ModelFunction(lambda x: 2.0, 2, "c")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=8, init_level=0)
         ra = run_asgc(fa, cfg)
-        re_ = run_easgc(fe, AdaptiveConfig(**{**cfg.__dict__, "use_splines": True}))
+        re_ = run_easgc(fe, cfg)
         assert [n.point.key for n in ra.model.nodes()] == [n.point.key for n in re_.model.nodes()]
         assert re_.model.spline_interpolations == 0
 
@@ -286,7 +279,7 @@ class TestRunEasgc:
         func = lambda x: float(x[0] + x[1])
         fe = ModelFunction(func, 2, "plane")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-9, max_level=7, init_level=2,
-                             use_splines=True, min_line_points=5)
+                             min_line_points=5)
         res = run_easgc(fe, cfg)
         assert res.stopped_by == "tolerance"
         assert res.model.spline_interpolations == 0
@@ -297,7 +290,7 @@ class TestRunEasgc:
         func = lambda x: float(np.sin(2 * np.pi * x[0]) + x[1])
         fe = ModelFunction(func, 2, "s")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=8, init_level=2,
-                             use_splines=True, min_line_points=5)
+                             min_line_points=5)
         res = run_easgc(fe, cfg)
         fa = ModelFunction(func, 2, "s")
         ra = run_asgc(fa, AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=8, init_level=2))
@@ -309,7 +302,7 @@ class TestRunEasgc:
         func = lambda x: float(np.sin(2 * np.pi * x[0]) + x[1])
         fe = ModelFunction(func, 2, "s")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=8, init_level=2,
-                             use_splines=True, min_line_points=5)
+                             min_line_points=5)
         res = run_easgc(fe, cfg)
         m = res.model
         assert m.full_evaluations + m.spline_interpolations == len(m)
@@ -324,7 +317,7 @@ class TestRunEasgc:
         func = lambda x: float(np.exp(x[0]) * np.cos(3 * x[1]))
         fe = ModelFunction(func, 2, "e")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-5, max_level=7, init_level=2,
-                             use_splines=True, min_line_points=math.inf)
+                             min_line_points=math.inf)
         res = run_easgc(fe, cfg)
         fa = ModelFunction(func, 2, "e")
         ra = run_asgc(fa, AdaptiveConfig(dimension=2, epsilon=1e-5, max_level=7, init_level=2))
@@ -339,7 +332,7 @@ class TestRunEasgc:
         f4max = (2 * np.pi) ** 4
         fe = ModelFunction(func, 2, "s")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-5, max_level=9, init_level=2,
-                             use_splines=True, min_line_points=9)
+                             min_line_points=9)
         res = run_easgc(fe, cfg)
         n_spline = res.model.spline_interpolations
         assert n_spline > 0
