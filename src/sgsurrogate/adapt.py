@@ -124,7 +124,7 @@ class BuildResult:
 
     model: SurrogateModel
     records: list[LevelRecord] = field(default_factory=list)
-    stopped_by: str = "level_cap"  # "tolerance" or "level_cap"
+    stopped_by: str = "level_cap"  # "tolerance", "level_cap" or "evaluation_error"
     region_db: object | None = None  # populated by the spline-backed driver
 
 
@@ -152,7 +152,8 @@ def refine_candidates(active, model: SurrogateModel | None = None) -> list[GridP
 def _evaluate_candidates(model, f, candidates, value_source):
     """Evaluate a level's candidates, via region lookup when available.
 
-    Returns (values, provenance list); bumps the model's counters.
+    Returns (values, provenance list); bumps the model's counters once the
+    whole level is evaluated, so after a failure they still match its nodes.
     """
     values = np.empty(len(candidates))
     provenance = []
@@ -161,16 +162,18 @@ def _evaluate_candidates(model, f, candidates, value_source):
         if cheap is None:
             values[i] = f(point.coordinate())
             provenance.append(Provenance.FULL_MODEL)
-            model.full_evaluations += 1
         else:
             values[i] = cheap
             provenance.append(Provenance.SPLINE_INTERPOLATED)
-            model.spline_interpolations += 1
+    spline = provenance.count(Provenance.SPLINE_INTERPOLATED)
+    model.full_evaluations += len(provenance) - spline
+    model.spline_interpolations += spline
     return values, provenance
 
 
 def _drive(f, dimension, epsilon, init_level, max_level,
-           value_source=None, after_level=None, on_level=None) -> BuildResult:
+           value_source=None, after_level=None, on_level=None,
+           region_db=None) -> BuildResult:
     """Shared level loop for conventional, adaptive and spline-backed builds.
 
     Levels 0..init_level are swept conventionally; from init_level on, only
@@ -179,13 +182,23 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     `after_level(model, level)` runs after each adaptive level is inserted,
     before the next level's candidates are evaluated; `on_level(model,
     record)` observes every level for reporting.
+
+    When a full evaluation fails, the EvaluationError carries the completed
+    levels as `.partial`: a BuildResult with stopped_by="evaluation_error"
+    whose frozen model holds every level inserted before the failing one.
     """
     model = SurrogateModel(dimension)
-    result = BuildResult(model=model)
+    result = BuildResult(model=model, region_db=region_db)
     candidates = [root_point(dimension)]
     level = 0
     while candidates:
-        values, provenance = _evaluate_candidates(model, f, candidates, value_source)
+        try:
+            values, provenance = _evaluate_candidates(model, f, candidates, value_source)
+        except EvaluationError as exc:
+            model.freeze()
+            result.stopped_by = "evaluation_error"
+            exc.partial = result
+            raise
         coords = np.array([p.coordinate() for p in candidates])
         w, v = model.surpluses_against_prefix(coords, values)
         for i, point in enumerate(candidates):

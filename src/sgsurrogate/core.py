@@ -12,6 +12,16 @@ basis functions weighted by hierarchical surpluses: the surplus of a node is
 the model output there minus the interpolant built from all strictly coarser
 levels, so the interpolant reproduces every stored output exactly.
 
+Evaluation costs one basis lookup per level vector, not one per node.  The
+nodes that share a level vector have disjoint supports, so at any x at most
+one of them has a non-zero basis: per dimension, the node of index
+min(floor(x * n_l), n_l - 1) among the level's n_l nodes.  The model groups its
+nodes by level vector under integer codes and finds each group's candidate
+with one binary search, so a batch of queries costs
+O(queries * level vectors * (d + log nodes)) instead of O(queries * nodes * d)
+(Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
+"Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
+
 Node identity is exact: coordinates are dyadic rationals stored as
 (numerator, power-of-two exponent) pairs, so deduplication never depends on
 floating-point tolerances.
@@ -258,7 +268,7 @@ class SurrogateModel:
         self.full_evaluations = 0
         self.spline_interpolations = 0
         self._frozen = False
-        self._arrays = None  # lazily built dense view, invalidated on insert
+        self._table = None  # lazily built lookup table, invalidated on insert
 
     # -- container basics ----------------------------------------------------
 
@@ -312,7 +322,7 @@ class SurrogateModel:
             self._level_start[level] = len(self._node_list)
         self._index[key] = len(self._node_list)
         self._node_list.append(node)
-        self._arrays = None
+        self._table = None
 
     def freeze(self) -> None:
         self._frozen = True
@@ -321,47 +331,80 @@ class SurrogateModel:
     def frozen(self) -> bool:
         return self._frozen
 
-    # -- dense evaluation kernel ----------------------------------------------
+    # -- level-vector-indexed evaluation kernel ---------------------------------
 
-    def _dense(self):
-        """Per-node arrays: centres (N,d), inverse half-widths (N,d), w, v.
+    def _lookup(self):
+        """Node table grouped by level vector, built lazily, reset on insert.
 
-        Level-1 dimensions get inverse half-width 0 so the shared hat formula
-        1 - |x - c| * inv collapses to the constant basis.
+        Within one level vector the nodes' supports are disjoint (up to their
+        zero-valued edges), so a query needs one candidate per group.  Groups
+        are ordered fine to coarse: by total level, then by level vector, both
+        descending.  Returns (keys, coeffs, cols, strides, offsets, per_level):
+
+        - keys (N + 1,): sorted node keys, group offset + code, where a node's
+          code reads its per-dimension indices as a mixed-radix number; a
+          sentinel above every key ends the array;
+        - coeffs (N + 1, 2): w and v in key order; the sentinel's are 0;
+        - cols, strides (G, K): per group, its dimensions above level 1 in
+          ascending order as columns (dimension * n_levels + level - 1) of
+          the per-query tables of `_hat_tables`, with their radix strides;
+          short rows are padded with column 0 (level 1: hat 1, index 0) and
+          stride 0;
+        - offsets (G,): each group's first key;
+        - per_level: the `_per_level` constants of levels 1 .. n_levels.
         """
-        if self._arrays is None:
+        if self._table is None:
             nodes = self._node_list
-            n, d = len(nodes), self.dimension
-            centers = np.empty((n, d))
-            inv_hw = np.empty((n, d))
-            w = np.empty(n)
-            v = np.empty(n)
-            for i, node in enumerate(nodes):
-                for s, idx in enumerate(node.point.dims):
-                    centers[i, s] = coord_1d(idx)
-                    inv_hw[i, s] = 0.0 if idx.level == 1 else float(1 << (idx.level - 1))
-                w[i] = node.w
-                v[i] = node.v
-            self._arrays = (centers, inv_hw, w, v)
-        return self._arrays
+            levels = np.array([[n.level for n in node.point.dims] for node in nodes])
+            indices = np.array([[n.index for n in node.point.dims] for node in nodes])
+            coeffs = np.array([(node.w, node.v) for node in nodes] + [(0.0, 0.0)])
+            groups, member = np.unique(levels, axis=0, return_inverse=True)
+            rank = np.lexsort(np.vstack([groups.T[::-1], groups.sum(axis=1)]))[::-1]
+            groups = groups[rank]
+            member = np.argsort(rank)[member.ravel()]
+            radix = _nodes_per_level(groups)
+            span = np.cumprod(radix, axis=1)
+            strides = span // radix
+            offsets = np.concatenate([[0], np.cumsum(span[:, -1])[:-1]])
+            keys = offsets[member] + (indices * strides[member]).sum(axis=1)
+            order = np.append(np.argsort(keys), len(nodes))
+            keys = np.append(keys, np.iinfo(np.int64).max)
+            n_levels = int(groups.max())
+            refined = groups > 1
+            width = max(1, int(refined.sum(axis=1).max()))
+            dims = np.argsort(~refined, axis=1, kind="stable")[:, :width]
+            used = np.take_along_axis(refined, dims, axis=1)
+            lv = np.take_along_axis(groups, dims, axis=1)
+            cols = np.where(used, dims * n_levels + lv - 1, 0)
+            strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
+            self._table = (keys[order], coeffs[order], cols, strides, offsets,
+                           _per_level(n_levels))
+        return self._table
 
-    def _evaluate_sum(self, x_many: np.ndarray, coeff: str = "w") -> np.ndarray:
-        """Sum of coeff * basis over all nodes, at many points."""
-        centers, inv_hw, w, v = self._dense()
-        c = w if coeff == "w" else v
-        n = centers.shape[0]
-        out = np.zeros(x_many.shape[0])
-        if n == 0:
-            return out
-        chunk = max(1, int(4_000_000 // n))
-        for lo in range(0, x_many.shape[0], chunk):
-            xs = x_many[lo:lo + chunk]
-            prod = np.ones((xs.shape[0], n))
-            for s in range(self.dimension):
-                t = 1.0 - np.abs(xs[:, s:s + 1] - centers[None, :, s]) * inv_hw[None, :, s]
-                np.maximum(t, 0.0, out=t)
-                prod *= t
-            out[lo:lo + chunk] = prod @ c
+    def _evaluate_sum(self, x_many: np.ndarray, columns) -> np.ndarray:
+        """Sums of coeff * basis over all nodes, shape (n, len(columns)).
+
+        `columns` picks coefficients: 0 for w, 1 for v.  Per query and group
+        the one candidate node's hat product is formed dimension by dimension
+        in ascending order, then the groups' terms are added one by one, fine
+        to coarse: the small fine-level terms meet each other before the large
+        coarse ones, which keeps piecewise-linear data's surpluses exactly 0
+        more often than coarse-to-fine or pairwise summation does.
+        """
+        keys, coeffs, cols, strides, offsets, per_level = self._lookup()
+        out = np.empty((x_many.shape[0], len(columns)))
+        block = max(1, _BLOCK // len(offsets))
+        for lo in range(0, x_many.shape[0], block):
+            hat, index = _hat_tables(x_many[lo:lo + block], per_level)
+            prod = hat[:, cols[:, 0]]
+            code = index[:, cols[:, 0]] * strides[:, 0] + offsets
+            for k in range(1, cols.shape[1]):
+                prod *= hat[:, cols[:, k]]
+                code += index[:, cols[:, k]] * strides[:, k]
+            pos = np.searchsorted(keys, code)
+            prod *= keys[pos] == code  # 0 where no node of the group holds x
+            for j, c in enumerate(columns):
+                out[lo:lo + block, j] = np.cumsum(coeffs[pos, c] * prod, axis=1)[:, -1]
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
@@ -374,7 +417,7 @@ class SurrogateModel:
                 f"expected shape (n, {self.dimension}), got {x_many.shape}"
             )
         _check_domain(x_many)
-        return self._evaluate_sum(x_many, coeff=coeff)
+        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0]
 
     def interpolate(self, x) -> float:
         """Evaluate the surrogate at a single point in [0, 1]^d."""
@@ -386,7 +429,7 @@ class SurrogateModel:
         if not self._node_list:
             raise EmptyModelError("cannot interpolate an empty model")
         _check_domain(x[None, :])
-        return float(self._evaluate_sum(x[None, :])[0])
+        return float(self._evaluate_sum(x[None, :], (0,))[0, 0])
 
     def surpluses_against_prefix(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w and v surpluses of new values against the current model state.
@@ -396,9 +439,50 @@ class SurrogateModel:
         """
         if len(self._node_list) == 0:
             return values.copy(), values.copy() ** 2
-        w = values - self._evaluate_sum(points, coeff="w")
-        v = values ** 2 - self._evaluate_sum(points, coeff="v")
-        return w, v
+        sums = self._evaluate_sum(points, (0, 1))
+        return values - sums[:, 0], values ** 2 - sums[:, 1]
+
+
+# queries x groups per kernel block: bounds the kernel's scratch arrays
+_BLOCK = 1 << 16
+
+
+def _nodes_per_level(levels):
+    """Array form of _new_nodes_on_level: 1, 2, then 2**(i-2)."""
+    return np.where(levels <= 2, levels, np.left_shift(1, np.maximum(levels - 2, 0)))
+
+
+def _per_level(n_levels: int) -> tuple[np.ndarray, ...]:
+    """Constants of levels 1 .. n_levels for _hat_tables.
+
+    (count, shift, scale, slope): the level's node count n_l; the centre of
+    its node `index` as (index + shift) / scale, which is exact and equals
+    coord_1d; and basis_1d's slope 2**(l-1), 0 on level 1.
+    """
+    level = np.arange(1, n_levels + 1)
+    count = _nodes_per_level(level).astype(float)
+    shift = np.where(level == 2, 0.0, 0.5)
+    scale = np.where(level == 2, 1.0, count)
+    slope = np.where(level == 1, 0.0, np.ldexp(1.0, level - 1))
+    return count, shift, scale, slope
+
+
+def _hat_tables(xs: np.ndarray, per_level) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, dimension and level: the one node whose support holds x.
+
+    Returns (hat, index), both (n, d * n_levels) with column
+    dimension * n_levels + level - 1.  The index is
+    min(floor(x * n_l), n_l - 1) for the level's n_l nodes, so x = 1 falls to
+    the last node; level 2 picks node 0 on [0, 1/2) and node 1 on [1/2, 1].
+    The hat is basis_1d's 1 - |x - c| * 2**(l-1), bitwise, without its clamp
+    at 0: x lies in the node's support, so the value is never negative.
+    """
+    count, shift, scale, slope = per_level
+    x = xs[:, :, None]
+    index = np.minimum(np.floor(x * count), count - 1)
+    hat = 1.0 - np.abs(x - (index + shift) / scale) * slope
+    n = xs.shape[0]
+    return hat.reshape(n, -1), index.astype(np.int64).reshape(n, -1)
 
 
 def _check_domain(x_many: np.ndarray) -> None:

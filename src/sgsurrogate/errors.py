@@ -26,11 +26,16 @@ class ContractViolationError(SparseGridError):
 
 
 class EvaluationError(SparseGridError):
-    """Full model evaluation failed; carries the offending coordinate."""
+    """Full model evaluation failed; carries the offending coordinate.
+
+    Raised out of a build, `.partial` is the BuildResult of the levels
+    completed before the failure; otherwise it is None.
+    """
 
     def __init__(self, message, coordinate=None):
         super().__init__(message)
         self.coordinate = coordinate
+        self.partial = None
 
 
 class PersistenceError(SparseGridError):

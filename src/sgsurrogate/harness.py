@@ -61,20 +61,31 @@ def _true_values(f, points: np.ndarray) -> np.ndarray:
     return np.array([f(x) for x in points])
 
 
+def _deviation(m, f, test_points) -> np.ndarray:
+    """surrogate - model at every test point."""
+    test_points = np.asarray(test_points, dtype=float)
+    return m.interpolate_many(test_points) - _true_values(f, test_points)
+
+
+def _max_abs(dev: np.ndarray) -> float:
+    return float(np.abs(dev).max())
+
+
+def _rms(dev: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(dev * dev)))
+
+
 def max_abs_error(m, f, test_points) -> float:
     """Max |surrogate - model| over the test set.
 
     `f` may be a callable or an array of precomputed model values.
     """
-    test_points = np.asarray(test_points, dtype=float)
-    return float(np.abs(m.interpolate_many(test_points) - _true_values(f, test_points)).max())
+    return _max_abs(_deviation(m, f, test_points))
 
 
 def rmse(m, f, test_points) -> float:
     """Root mean squared deviation over the test set."""
-    test_points = np.asarray(test_points, dtype=float)
-    dev = m.interpolate_many(test_points) - _true_values(f, test_points)
-    return float(np.sqrt(np.mean(dev * dev)))
+    return _rms(_deviation(m, f, test_points))
 
 
 @dataclass(frozen=True)
@@ -203,6 +214,7 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
 
     def on_level(model, record):
         est = moments(model)
+        dev = _deviation(model, true_values, points)  # once for both errors
         mean_delta = (
             float("nan") if previous["mean"] is None else abs(est.mean - previous["mean"])
         )
@@ -215,8 +227,8 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
             level=record.level,
             full_evals=record.full_evaluations,
             spline_evals=record.spline_interpolations,
-            max_abs_error=max_abs_error(model, true_values, points),
-            rmse=rmse(model, true_values, points),
+            max_abs_error=_max_abs(dev),
+            rmse=_rms(dev),
             mean=est.mean,
             variance=est.variance,
             mean_delta=mean_delta,

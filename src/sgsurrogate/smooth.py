@@ -380,9 +380,8 @@ def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResu
     def after_level(model: SurrogateModel, level: int) -> None:
         _scan_and_store(db, model, cfg.slope_tol, cfg.min_line_points)
 
-    result = _drive(
+    return _drive(
         f, cfg.dimension, cfg.epsilon, cfg.init_level, cfg.max_level,
         value_source=value_source, after_level=after_level, on_level=on_level,
+        region_db=db,
     )
-    result.region_db = db
-    return result

@@ -144,6 +144,14 @@ class TestRunAsgc:
         assert err.value.coordinate.shape == (1,)
         assert err.value.coordinate[0] == calls[-1] and calls[-1] > 0.6
         assert f.evaluations == len(calls)
+        # the completed levels survive: level 1 (x = 0, 1) failed at x = 1,
+        # so only the root is stored, and its counters match its nodes
+        partial = err.value.partial
+        assert partial.stopped_by == "evaluation_error"
+        assert [r.level for r in partial.records] == [0]
+        assert len(partial.model) == 1 and partial.model.frozen
+        assert partial.model.full_evaluations == 1
+        assert partial.model.interpolate([0.3]) == 0.25
 
     def test_kink_refines_fewer_than_conventional(self):
         f = ModelFunction(lambda x: abs(x[0] - 0.5), 1, "kink")

@@ -1,24 +1,34 @@
 """Node hierarchy, basis functions, surpluses and the interpolation property."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsurrogate import (
+    METHODS,
+    AdaptiveConfig,
     ContractViolationError,
     DimensionMismatchError,
     EmptyModelError,
     GridPoint,
     HierarchicalNode,
     InvalidNodeError,
+    ModelFunction,
     NodeIndex1D,
     SurrogateModel,
     basis_1d,
     basis_nd,
     OutOfDomainError,
+    build,
     children_1d,
     coord_1d,
     make_sons,
     root_point,
+    run_csc,
 )
 from sgsurrogate.core import cumulative_nodes, dyadic_1d, node_from_dyadic
 
@@ -320,3 +330,76 @@ class TestTelescoping:
         for node in m.nodes():
             err = abs(m.interpolate(node.point.coordinate()) - node.output)
             assert err <= 8 * np.finfo(float).eps * max(1.0, abs(node.output))
+
+
+def brute_force(m, x, coeff):
+    """Reference sum of coeff * basis_nd over every stored node, and the sum
+    of the terms' magnitudes, which bounds any summation-order difference."""
+    terms = np.array([getattr(n, coeff) * basis_nd(n.point, x) for n in m.nodes()])
+    return terms.sum(), np.abs(terms).sum()
+
+
+class TestEvaluationKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        dimension=st.integers(1, 3),
+        amplitude=st.floats(-5.0, 5.0, allow_nan=False),
+        frequency=st.floats(0.0, 12.0, allow_nan=False),
+        kink=st.floats(0.0, 1.0),
+        max_level=st.integers(1, 5),
+        epsilon=st.sampled_from([1e-1, 1e-2, 1e-4]),
+        data=st.data(),
+    )
+    def test_matches_brute_force_sum(self, method, dimension, amplitude, frequency,
+                                     kink, max_level, epsilon, data):
+        def func(x):
+            return amplitude * math.sin(frequency * x[0]) + abs(x[-1] - kink)
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=epsilon, max_level=max_level,
+                             init_level=min(2, max_level - 1), min_line_points=5)
+        m = build(ModelFunction(func, dimension, "random"), cfg, method).model
+        # support edges: the cube's ends and centre, and every node coordinate
+        edges = sorted({0.0, 0.5, 1.0} | {c for n in m.nodes() for c in n.point.coordinate()})
+        coordinate = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+        queries = np.array(data.draw(st.lists(
+            st.lists(coordinate, min_size=dimension, max_size=dimension),
+            min_size=1, max_size=20)))
+        for coeff in ("w", "v"):
+            got = m.interpolate_many(queries, coeff=coeff)
+            for x, value in zip(queries, got):
+                ref, scale = brute_force(m, x, coeff)
+                assert abs(value - ref) <= 1e-12 * scale, (x, coeff, value, ref)
+        for x, value in zip(queries, m.interpolate_many(queries)):
+            assert m.interpolate(x) == value
+
+    def test_lookup_rebuilt_after_insert(self):
+        # x^2 on {0.5, 0, 1}, then the finer node 0.25
+        m = SurrogateModel(1)
+        m.add_node(HierarchicalNode(root_point(1), 0.25, 0.25, 0.0625))
+        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.25, -0.0625))
+        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.75, 0.9375))
+        assert m.interpolate([0.25]) == 0.125
+        np.testing.assert_array_equal(m.interpolate_many([[0.125], [0.25]]), [0.0625, 0.125])
+        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(3, 0),)), 0.0625, -0.0625, 0.0))
+        assert m.interpolate([0.25]) == 0.0625
+        np.testing.assert_array_equal(m.interpolate_many([[0.125], [0.25]]), [0.03125, 0.0625])
+
+    def test_batch_memory_stays_small(self):
+        # a dense sum over every node held a 4M-float (32 MB) block of hat
+        # products; one lookup per level vector needs far less
+        f = ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s")
+        m = run_csc(f, 2, 10).model
+        assert len(m) == 7169
+        queries = np.random.default_rng(3).random((2000, 2))
+        tracemalloc.start()
+        try:
+            got = m.interpolate_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+        # queries are processed in blocks; rows on either side of every
+        # block edge must not depend on the blocking
+        for i in range(len(queries)):
+            assert m.interpolate(queries[i]) == got[i]
