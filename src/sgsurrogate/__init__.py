@@ -28,8 +28,11 @@ from .core import (
     basis_nd,
     children_1d,
     coord_1d,
+    coordinates,
+    join_codes,
     make_sons,
     root_point,
+    split_codes,
 )
 from .errors import (
     ContractViolationError,

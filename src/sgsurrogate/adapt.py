@@ -16,19 +16,13 @@ the level-ordered surplus contract of the core module holds by construction.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    GridPoint,
-    HierarchicalNode,
-    Provenance,
-    SurrogateModel,
-    make_sons,
-    root_point,
-)
-from .errors import EvaluationError
+from .core import MAX_LEVEL, SurrogateModel, coordinates, dyadic_keys, split_codes
+from .errors import EvaluationError, InvalidNodeError
 
 __all__ = [
     "AdaptiveConfig",
@@ -108,7 +102,13 @@ class ModelFunction:
 
 @dataclass
 class LevelRecord:
-    """Per-level progress emitted to the harness."""
+    """Per-level progress emitted to the harness.
+
+    `phase_s` holds the seconds the level cost, by phase: "evaluate" (model
+    or spline values of its candidates), "surplus", "insert", and the
+    "refine" and "after_level" work (EASGC's line scan) that produced its
+    candidates from the level before; those two are 0 on level 0.
+    """
 
     level: int
     candidates: int
@@ -116,6 +116,7 @@ class LevelRecord:
     spline_interpolations: int
     max_abs_surplus: float
     active: int
+    phase_s: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -128,47 +129,57 @@ class BuildResult:
     region_db: object | None = None  # populated by the spline-backed driver
 
 
-def refine_candidates(active, model: SurrogateModel | None = None) -> list[GridPoint]:
-    """Deduplicated sons of the active points, minus points already stored.
+def refine_candidates(active, model: SurrogateModel | None = None) -> np.ndarray:
+    """Deduplicated sons of the active nodes, minus nodes already stored.
 
-    Candidates are returned sorted by their (level, index) tuples so the
-    construction order, and hence the persisted file, is deterministic.
+    `active` and the result are (n, d) arrays of per-dimension codes (see
+    core).  Candidates are sorted lexicographically by code, which sorts
+    them by their (level, index) tuples, so the construction order, and
+    hence the persisted file, is deterministic.
     """
-    seen = set()
-    out = []
-    for point in active:
-        for son in make_sons(point):
-            key = son.key
-            if key in seen:
-                continue
-            if model is not None and key in model:
-                continue
-            seen.add(key)
-            out.append(son)
-    out.sort(key=lambda p: p.dims)
-    return out
+    active = np.asarray(active, dtype=np.int64)
+    split_codes(active)  # refuses codes of no node
+    parts = [active[:0]]
+    for s in range(active.shape[1]):
+        code = active[:, s]
+        first = np.where(code == 1, 2, np.where(code < 4, code + 2, 2 * code))
+        second = (code == 1) | (code >= 4)  # level 2 has one son: 2 -> 4, 3 -> 5
+        for son, rows in ((first, slice(None)), (first + 1, second)):
+            sons = active[rows].copy()
+            sons[:, s] = son[rows]
+            parts.append(sons)
+    sons = np.concatenate(parts)
+    if (sons >> MAX_LEVEL).any():
+        raise InvalidNodeError(f"refinement past level {MAX_LEVEL}")
+    sons = sons[np.lexsort(sons.T[::-1])]
+    fresh = np.ones(len(sons), dtype=bool)
+    fresh[1:] = (sons[1:] != sons[:-1]).any(axis=1)
+    sons = sons[fresh]
+    if model is not None:
+        sons = sons[~model.stored(sons)]
+    return sons
 
 
-def _evaluate_candidates(model, f, candidates, value_source):
+def _evaluate_candidates(model, f, codes, coords, value_source):
     """Evaluate a level's candidates, via region lookup when available.
 
-    Returns (values, provenance list); bumps the model's counters once the
-    whole level is evaluated, so after a failure they still match its nodes.
+    Returns (values, spline mask); bumps the model's counters once the whole
+    level is evaluated, so after a failure they still match its nodes.
     """
-    values = np.empty(len(candidates))
-    provenance = []
-    for i, point in enumerate(candidates):
-        cheap = None if value_source is None else value_source(point)
+    values = np.empty(len(coords))
+    spline = np.zeros(len(coords), dtype=bool)
+    keys = None if value_source is None else dyadic_keys(codes)
+    for i, x in enumerate(coords):
+        cheap = None if keys is None else value_source(keys[i])
         if cheap is None:
-            values[i] = f(point.coordinate())
-            provenance.append(Provenance.FULL_MODEL)
+            values[i] = f(x.copy())
         else:
             values[i] = cheap
-            provenance.append(Provenance.SPLINE_INTERPOLATED)
-    spline = provenance.count(Provenance.SPLINE_INTERPOLATED)
-    model.full_evaluations += len(provenance) - spline
-    model.spline_interpolations += spline
-    return values, provenance
+            spline[i] = True
+    hits = int(spline.sum())
+    model.full_evaluations += len(values) - hits
+    model.spline_interpolations += hits
+    return values, spline
 
 
 def _drive(f, dimension, epsilon, init_level, max_level,
@@ -177,8 +188,10 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     """Shared level loop for conventional, adaptive and spline-backed builds.
 
     Levels 0..init_level are swept conventionally; from init_level on, only
-    sons of nodes with |w| >= epsilon are generated.  `value_source(point)`
-    may return a cheap value (None means do a full evaluation);
+    sons of nodes with |w| >= epsilon are generated.  Each level is one code
+    array: evaluated, given its surpluses, inserted and refined as a whole.
+    `value_source(key)` may return a cheap value for the node of exact
+    dyadic key `key` (GridPoint.key; None means do a full evaluation);
     `after_level(model, level)` runs after each adaptive level is inserted,
     before the next level's candidates are evaluated; `on_level(model,
     record)` observes every level for reporting.
@@ -187,35 +200,29 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     levels as `.partial`: a BuildResult with stopped_by="evaluation_error"
     whose frozen model holds every level inserted before the failing one.
     """
+    clock = time.perf_counter
     model = SurrogateModel(dimension)
     result = BuildResult(model=model, region_db=region_db)
-    candidates = [root_point(dimension)]
+    candidates = np.ones((1, dimension), dtype=np.int64)  # the root
+    prepared = {"refine": 0.0, "after_level": 0.0}
     level = 0
-    while candidates:
+    while len(candidates):
+        start = clock()
+        coords = coordinates(candidates)
         try:
-            values, provenance = _evaluate_candidates(model, f, candidates, value_source)
+            values, spline = _evaluate_candidates(model, f, candidates, coords, value_source)
         except EvaluationError as exc:
             model.freeze()
             result.stopped_by = "evaluation_error"
             exc.partial = result
             raise
-        coords = np.array([p.coordinate() for p in candidates])
+        evaluated = clock()
         w, v = model.surpluses_against_prefix(coords, values)
-        for i, point in enumerate(candidates):
-            model.add_node(
-                HierarchicalNode(
-                    point=point,
-                    output=float(values[i]),
-                    w=float(w[i]),
-                    v=float(v[i]),
-                    provenance=provenance[i],
-                )
-            )
+        surplused = clock()
+        model.add_level(candidates, values, w, v, spline)
+        inserted = clock()
         abs_w = np.abs(w)
-        if level < init_level:
-            active = list(candidates)
-        else:
-            active = [p for i, p in enumerate(candidates) if abs_w[i] >= epsilon]
+        active = candidates if level < init_level else candidates[abs_w >= epsilon]
         record = LevelRecord(
             level=level,
             candidates=len(candidates),
@@ -223,21 +230,25 @@ def _drive(f, dimension, epsilon, init_level, max_level,
             spline_interpolations=model.spline_interpolations,
             max_abs_surplus=float(abs_w.max()),
             active=len(active),
+            phase_s={"evaluate": evaluated - start, "surplus": surplused - evaluated,
+                     "insert": inserted - surplused, **prepared},
         )
         result.records.append(record)
         if on_level is not None:
             on_level(model, record)
         if level >= max_level:
             result.stopped_by = "level_cap"
-            candidates = []
-        elif level >= init_level and not active:
+            break
+        if level >= init_level and not len(active):
             result.stopped_by = "tolerance"
-            candidates = []
-        else:
-            if after_level is not None and level > init_level:
-                after_level(model, level)
-            candidates = refine_candidates(active, model)
-            level += 1
+            break
+        start = clock()
+        if after_level is not None and level > init_level:
+            after_level(model, level)
+        scanned = clock()
+        candidates = refine_candidates(active, model)
+        prepared = {"refine": clock() - scanned, "after_level": scanned - start}
+        level += 1
     model.freeze()
     return result
 

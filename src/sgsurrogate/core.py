@@ -22,9 +22,32 @@ O(queries * level vectors * (d + log nodes)) instead of O(queries * nodes * d)
 (Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
 "Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
 
-Node identity is exact: coordinates are dyadic rationals stored as
-(numerator, power-of-two exponent) pairs, so deduplication never depends on
-floating-point tolerances.
+A model stores its nodes as a struct of arrays, in insertion order: one
+(N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
+surpluses; a boolean provenance array, True where the output came from a
+spline; and a dict from each code row's bytes to its row, which rejects
+duplicates and answers membership.  The code of the 1-D node of level l and
+index i is c = 2**(l-1) + i:
+
+- level 1 is code 1, level 2 codes 2 and 3, and level l >= 3 the codes
+  2**(l-1) .. 2**(l-1) + 2**(l-2) - 1, so a code's bit length is its level;
+- the sons of c are 2c and 2c + 1, except on level 2, whose nodes have one
+  son each: 2 -> 4 and 3 -> 5;
+- sorting rows lexicographically by code sorts them by (level, index) in
+  each dimension, the order of GridPoint;
+- the coordinate is 0.5 on level 1, i on level 2 and (2i + 1) / 2**(l-1)
+  above;
+- levels stop at MAX_LEVEL = 62, so every code and every son fits in an
+  int64.
+
+The drivers evaluate, insert and refine whole levels as code arrays.
+GridPoint, NodeIndex1D and HierarchicalNode remain the public value types and
+are built only on request (Murarasu et al., "Compact data structure and
+scalable algorithms for the sparse grid technique", PPoPP 2011).
+
+Node identity is exact: codes are integers, and coordinates are dyadic
+rationals (GridPoint.key holds them as (numerator, power-of-two exponent)
+pairs), so deduplication never depends on floating-point tolerances.
 
 A finished model is immutable and safe for concurrent evaluation; construction
 is single-writer and proceeds level by level.
@@ -59,7 +82,17 @@ __all__ = [
     "children_1d",
     "make_sons",
     "root_point",
+    "MAX_LEVEL",
+    "join_codes",
+    "split_codes",
+    "coordinates",
+    "dyadic_codes",
+    "dyadic_keys",
 ]
+
+# deepest 1-D level a model stores: the sons of level 63 would pass 2**63,
+# beyond int64, while those of level 62 still fit and read as level 63
+MAX_LEVEL = 62
 
 
 @dataclass(frozen=True, order=True)
@@ -227,6 +260,95 @@ def make_sons(p: GridPoint) -> list[GridPoint]:
     return sons
 
 
+# ---------------------------------------------------------------------------
+# integer node codes: c = 2**(level-1) + index (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _bit_length(codes: np.ndarray) -> np.ndarray:
+    """Elementwise bit length of int64 codes by integer shifts (0 for c <= 0)."""
+    c = codes.copy()
+    n = np.zeros_like(c)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = (c >> shift) > 0
+        n += high * shift
+        c = np.where(high, c >> shift, c)
+    return n + (c > 0)
+
+
+def _check_nodes(levels: np.ndarray, indices: np.ndarray) -> None:
+    """NodeIndex1D's checks on arrays, plus the MAX_LEVEL cap."""
+    capped = np.clip(levels, 1, MAX_LEVEL)
+    bad = (levels != capped) | (indices < 0) | (indices >= _nodes_per_level(capped))
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise InvalidNodeError(
+            f"invalid node (level {levels[at]}, index {indices[at]}); levels run "
+            f"1 .. {MAX_LEVEL} with 1, 2, then 2**(level-2) indices"
+        )
+
+
+def join_codes(levels, indices) -> np.ndarray:
+    """Codes 2**(level-1) + index of (level, index) arrays of equal shape.
+
+    Raises InvalidNodeError for any pair NodeIndex1D would refuse and for
+    levels above MAX_LEVEL.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    _check_nodes(levels, indices)
+    return np.left_shift(np.int64(1), levels - 1) + indices
+
+
+def split_codes(codes) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, indices) of an array of codes: the inverse of join_codes.
+
+    Raises InvalidNodeError if any code belongs to no node of levels
+    1 .. MAX_LEVEL.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    levels = _bit_length(codes)
+    indices = codes - np.left_shift(np.int64(1), np.maximum(levels - 1, 0))
+    _check_nodes(levels, indices)
+    return levels, indices
+
+
+def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coordinates of codes as dyadic_1d's (numerator, exponent) arrays."""
+    levels, indices = split_codes(codes)
+    level2 = levels == 2
+    num = np.where(levels == 1, 1, np.where(level2, indices, 2 * indices + 1))
+    exp = np.where(levels == 1, 1, np.where(level2, 0, levels - 1))
+    return num, exp
+
+
+def coordinates(codes) -> np.ndarray:
+    """Coordinates of codes, elementwise; bitwise equal to coord_1d."""
+    num, exp = dyadic_codes(codes)
+    return num / np.left_shift(np.int64(1), exp)
+
+
+def dyadic_keys(codes) -> list[tuple]:
+    """GridPoint.key of every row of an (N, d) code array."""
+    num, exp = dyadic_codes(codes)
+    return [tuple(zip(n, e)) for n, e in zip(num.tolist(), exp.tolist())]
+
+
+def _point_codes(p: GridPoint) -> np.ndarray:
+    return join_codes([n.level for n in p.dims], [n.index for n in p.dims])
+
+
+def _row_keys(codes: np.ndarray) -> list[bytes]:
+    """The bytes of each row of an (N, d) int64 code array: the store's keys."""
+    buf = np.ascontiguousarray(codes, dtype=np.int64).tobytes()
+    step = 8 * codes.shape[1]
+    return [buf[k:k + step] for k in range(0, len(buf), step)]
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Provenance(enum.Enum):
     """How a node's output was obtained."""
 
@@ -252,19 +374,22 @@ class HierarchicalNode:
 class SurrogateModel:
     """A hierarchical sparse grid interpolant under construction or finished.
 
-    Nodes are held in insertion order, which is always non-decreasing in
-    level: surpluses at a level are computed against the prefix of strictly
-    coarser nodes.  Keys are exact dyadic identifiers and must be unique.
-    Once frozen the model is immutable; evaluation is read-only throughout.
+    Nodes are stored as arrays (see the module docstring) in insertion order,
+    which is always non-decreasing in level: surpluses at a level are
+    computed against the prefix of strictly coarser nodes.  Code rows must
+    be unique.  Once frozen the model is immutable; evaluation is read-only
+    throughout.
     """
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise InvalidNodeError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
-        self._node_list: list[HierarchicalNode] = []
-        self._index: dict[tuple, int] = {}
-        self._level_start: dict[int, int] = {}  # level -> index of first node
+        self._codes = _readonly(np.empty((0, dimension), dtype=np.int64))
+        self._outputs = self._w = self._v = _readonly(np.empty(0))
+        self._spline = _readonly(np.empty(0, dtype=bool))
+        self._rows: dict[bytes, int] = {}  # code row bytes -> row
+        self._level_start: dict[int, int] = {}  # level -> row of its first node
         self.full_evaluations = 0
         self.spline_interpolations = 0
         self._frozen = False
@@ -273,20 +398,58 @@ class SurrogateModel:
     # -- container basics ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._node_list)
+        return len(self._outputs)
 
     def __contains__(self, item) -> bool:
-        key = item.key if isinstance(item, GridPoint) else item
-        return key in self._index
+        """Whether a GridPoint, or a row of d codes, is stored."""
+        if isinstance(item, GridPoint):
+            codes = _point_codes(item)
+        else:
+            codes = np.asarray(item, dtype=np.int64)
+        if codes.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"expected {self.dimension} codes, got shape {codes.shape}"
+            )
+        return codes.tobytes() in self._rows
 
-    def nodes(self):
-        """Nodes in insertion (level-major) order."""
-        return self._node_list
+    def stored(self, codes) -> np.ndarray:
+        """Boolean mask of the rows of an (n, d) code array already stored."""
+        rows = self._rows
+        return np.array([key in rows for key in _row_keys(codes)], dtype=bool)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(N, d) per-dimension codes in insertion order (read-only)."""
+        return self._codes
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """Model outputs (or spline values), in insertion order (read-only)."""
+        return self._outputs
+
+    @property
+    def w(self) -> np.ndarray:
+        """Surpluses of the outputs, in insertion order (read-only)."""
+        return self._w
+
+    @property
+    def v(self) -> np.ndarray:
+        """Surpluses of the squared outputs, in insertion order (read-only)."""
+        return self._v
+
+    @property
+    def spline(self) -> np.ndarray:
+        """Provenance: True where the output came from a spline (read-only)."""
+        return self._spline
+
+    def nodes(self) -> list[HierarchicalNode]:
+        """Nodes in insertion (level-major) order, built on request."""
+        return self._nodes_between(0, len(self))
 
     @property
     def depth(self) -> int:
         """Highest reported level present (root counts as level 0)."""
-        if not self._node_list:
+        if not self._level_start:
             raise EmptyModelError("model has no nodes")
         return max(self._level_start)
 
@@ -296,33 +459,87 @@ class SurrogateModel:
             return []
         end = min(
             (s for s in self._level_start.values() if s > start),
-            default=len(self._node_list),
+            default=len(self),
         )
-        return self._node_list[start:end]
+        return self._nodes_between(start, end)
+
+    def _nodes_between(self, start: int, stop: int) -> list[HierarchicalNode]:
+        levels, indices = split_codes(self._codes[start:stop])
+        provenance = (Provenance.FULL_MODEL, Provenance.SPLINE_INTERPOLATED)
+        return [
+            HierarchicalNode(GridPoint(tuple(map(NodeIndex1D, lv, ix))), out, w, v,
+                             provenance[spline])
+            for lv, ix, out, w, v, spline in zip(
+                levels.tolist(), indices.tolist(), self._outputs[start:stop].tolist(),
+                self._w[start:stop].tolist(), self._v[start:stop].tolist(),
+                self._spline[start:stop].tolist(),
+            )
+        ]
 
     # -- construction ---------------------------------------------------------
 
-    def add_node(self, node: HierarchicalNode) -> None:
-        """Insert a node.  Levels must arrive in non-decreasing order."""
+    def add_level(self, codes, outputs, w, v, spline=None) -> None:
+        """Insert one level's nodes; row k of `codes` holds node k's codes.
+
+        Every row must lie on one level, not below the deepest stored one,
+        and no row may be stored already or repeat another.  `spline` marks
+        the rows whose output came from a spline (default: none).  When a
+        check fails nothing is inserted.
+        """
         if self._frozen:
             raise ContractViolationError("model is frozen")
-        if node.point.dimension != self.dimension:
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or codes.shape[1] != self.dimension:
             raise DimensionMismatchError(
-                f"node dimension {node.point.dimension} != model dimension {self.dimension}"
+                f"node codes of shape {codes.shape} for model dimension {self.dimension}"
             )
-        key = node.point.key
-        if key in self._index:
-            raise ContractViolationError(f"duplicate node key {key}")
-        level = node.point.level
-        if self._node_list and level < max(self._level_start):
+        if codes.size and codes.dtype.kind not in "iu":
+            raise InvalidNodeError(f"node codes must be integers, got {codes.dtype}")
+        codes = codes.astype(np.int64, copy=False)
+        n = codes.shape[0]
+        spline = np.zeros(n, dtype=bool) if spline is None else spline
+        columns = [np.array(a, dtype=t) for a, t in
+                   ((outputs, float), (w, float), (v, float), (spline, bool))]
+        if any(a.shape != (n,) for a in columns):
+            raise DimensionMismatchError(
+                f"{n} nodes need outputs, w, v and spline of length {n}"
+            )
+        if n == 0:
+            return
+        levels, _ = split_codes(codes)
+        level = levels.sum(axis=1) - self.dimension
+        keys = _row_keys(codes)
+        rows = dict(zip(keys, range(len(self), len(self) + n)))
+        if len(rows) < n or not self._rows.keys().isdisjoint(rows):
+            seen = set(self._rows)
+            for k, key in enumerate(keys):
+                if key in seen:
+                    raise ContractViolationError(
+                        f"duplicate node key {dyadic_keys(codes[k:k + 1])[0]}"
+                    )
+                seen.add(key)
+        if level.min() != level.max():
             raise ContractViolationError(
-                f"level {level} inserted after level {max(self._level_start)}"
+                f"one level per call, got levels {level.min()} .. {level.max()}"
             )
-        if level not in self._level_start:
-            self._level_start[level] = len(self._node_list)
-        self._index[key] = len(self._node_list)
-        self._node_list.append(node)
+        level = int(level[0])
+        if self._level_start and level < self.depth:
+            raise ContractViolationError(f"level {level} inserted after level {self.depth}")
+        self._level_start.setdefault(level, len(self))
+        self._rows.update(rows)
+        self._codes = _readonly(np.concatenate([self._codes, codes]))
+        self._outputs, self._w, self._v, self._spline = (
+            _readonly(np.concatenate([old, new])) for old, new in
+            zip((self._outputs, self._w, self._v, self._spline), columns)
+        )
         self._table = None
+
+    def add_node(self, node: HierarchicalNode) -> None:
+        """Insert one node: a one-row add_level."""
+        self.add_level(
+            _point_codes(node.point)[None, :], [node.output], [node.w], [node.v],
+            [node.provenance is Provenance.SPLINE_INTERPOLATED],
+        )
 
     def freeze(self) -> None:
         self._frozen = True
@@ -354,10 +571,10 @@ class SurrogateModel:
         - per_level: the `_per_level` constants of levels 1 .. n_levels.
         """
         if self._table is None:
-            nodes = self._node_list
-            levels = np.array([[n.level for n in node.point.dims] for node in nodes])
-            indices = np.array([[n.index for n in node.point.dims] for node in nodes])
-            coeffs = np.array([(node.w, node.v) for node in nodes] + [(0.0, 0.0)])
+            levels, indices = split_codes(self._codes)
+            coeffs = np.zeros((len(self) + 1, 2))
+            coeffs[:-1, 0] = self._w
+            coeffs[:-1, 1] = self._v
             groups, member = np.unique(levels, axis=0, return_inverse=True)
             rank = np.lexsort(np.vstack([groups.T[::-1], groups.sum(axis=1)]))[::-1]
             groups = groups[rank]
@@ -367,7 +584,7 @@ class SurrogateModel:
             strides = span // radix
             offsets = np.concatenate([[0], np.cumsum(span[:, -1])[:-1]])
             keys = offsets[member] + (indices * strides[member]).sum(axis=1)
-            order = np.append(np.argsort(keys), len(nodes))
+            order = np.append(np.argsort(keys), len(self))
             keys = np.append(keys, np.iinfo(np.int64).max)
             n_levels = int(groups.max())
             refined = groups > 1
@@ -408,8 +625,14 @@ class SurrogateModel:
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
-        """Evaluate the surrogate at a batch of points in [0, 1]^d, shape (n, d)."""
-        if not self._node_list:
+        """Evaluate the surrogate at a batch of points in [0, 1]^d, shape (n, d).
+
+        `coeff` picks the surpluses summed: "w" for the surrogate of the
+        output, "v" for that of the squared output.
+        """
+        if coeff not in ("w", "v"):
+            raise ValueError(f"coeff must be 'w' or 'v', got {coeff!r}")
+        if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
         x_many = np.asarray(x_many, dtype=float)
         if x_many.ndim != 2 or x_many.shape[1] != self.dimension:
@@ -426,7 +649,7 @@ class SurrogateModel:
             raise DimensionMismatchError(
                 f"expected shape ({self.dimension},), got {x.shape}"
             )
-        if not self._node_list:
+        if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
         _check_domain(x[None, :])
         return float(self._evaluate_sum(x[None, :], (0,))[0, 0])
@@ -437,7 +660,7 @@ class SurrogateModel:
         Caller guarantees the model holds only strictly coarser levels (the
         level-ordered drivers do this by construction).
         """
-        if len(self._node_list) == 0:
+        if len(self) == 0:
             return values.copy(), values.copy() ** 2
         sums = self._evaluate_sum(points, (0, 1))
         return values - sums[:, 0], values ** 2 - sums[:, 1]

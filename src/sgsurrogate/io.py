@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    GridPoint,
-    HierarchicalNode,
-    NodeIndex1D,
-    Provenance,
-    SurrogateModel,
-)
+from .core import Provenance, SurrogateModel, join_codes, split_codes
 from .errors import PersistenceError, SparseGridError
 from .smooth import RegionDatabase, SmoothRegion
 
@@ -32,18 +26,6 @@ _MAGIC = "surrogate"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _dims_token(point: GridPoint) -> str:
-    return ",".join(f"{n.level}:{n.index}" for n in point.dims)
-
-
-def _parse_dims(token: str) -> GridPoint:
-    dims = []
-    for part in token.split(","):
-        level, index = part.split(":")
-        dims.append(NodeIndex1D(int(level), int(index)))
-    return GridPoint(tuple(dims))
 
 
 def _region_lines(db: RegionDatabase):
@@ -64,11 +46,15 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
         f"{_MAGIC} d={model.dimension} depth={model.depth} "
         f"full={model.full_evaluations} spline={model.spline_interpolations}"
     ]
-    for node in model.nodes():
-        lines.append(
-            f"{_dims_token(node.point)} {_fmt(node.output)} {_fmt(node.w)} "
-            f"{_fmt(node.v)} {node.provenance.value}"
-        )
+    levels, indices = split_codes(model.codes)
+    flags = np.where(model.spline, Provenance.SPLINE_INTERPOLATED.value,
+                     Provenance.FULL_MODEL.value)
+    for lv, ix, output, w, v, flag in zip(
+        levels.tolist(), indices.tolist(), model.outputs.tolist(), model.w.tolist(),
+        model.v.tolist(), flags.tolist(),
+    ):
+        token = ",".join(f"{level}:{index}" for level, index in zip(lv, ix))
+        lines.append(f"{token} {_fmt(output)} {_fmt(w)} {_fmt(v)} {flag}")
     if region_db is not None and len(region_db) > 0:
         lines.append(f"regions {len(region_db)}")
         lines.extend(_region_lines(region_db))
@@ -91,21 +77,33 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
         spline = int(header["spline"])
     except (KeyError, ValueError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: malformed header: {lines[0]!r}") from exc
-    provenance_by_flag = {p.value: p for p in Provenance}
+    levels, indices, values = [], [], []
     i = 1
     try:
         while i < len(lines) and not lines[i].startswith("regions "):
             token, output, w, v, flag = lines[i].split()
-            model.add_node(HierarchicalNode(
-                point=_parse_dims(token),
-                output=float(output),
-                w=float(w),
-                v=float(v),
-                provenance=provenance_by_flag[flag],
-            ))
+            pairs = [part.split(":") for part in token.split(",")]
+            if len(pairs) != model.dimension:
+                raise ValueError(f"{len(pairs)} dimensions, header says {model.dimension}")
+            levels.append([int(level) for level, _ in pairs])
+            indices.append([int(index) for _, index in pairs])
+            from_spline = Provenance(flag) is Provenance.SPLINE_INTERPOLATED
+            values.append((float(output), float(w), float(v), from_spline))
             i += 1
-    except (ValueError, KeyError, SparseGridError) as exc:
+    except ValueError as exc:
         raise PersistenceError(f"{path}: bad node line {i + 1}: {lines[i]!r}") from exc
+    if values:
+        try:
+            codes = join_codes(levels, indices)
+            outputs, w, v, is_spline = (np.array(column) for column in zip(*values))
+            # one add_level per run of lines on one level, in file order
+            depth = np.array(levels).sum(axis=1)
+            bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                model.add_level(codes[lo:hi], outputs[lo:hi], w[lo:hi], v[lo:hi],
+                                is_spline[lo:hi])
+        except SparseGridError as exc:
+            raise PersistenceError(f"{path}: bad node lines: {exc}") from exc
     model.full_evaluations = full
     model.spline_interpolations = spline
     model.freeze()

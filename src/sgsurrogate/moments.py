@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPoint, SurrogateModel
+from .core import GridPoint, SurrogateModel, split_codes
 from .errors import EmptyModelError, InvalidNodeError
 
 __all__ = ["MomentEstimate", "weight_1d", "weight_nd", "moments"]
@@ -52,7 +52,9 @@ def weight_nd(p: GridPoint) -> float:
 
 
 def _weights_vector(m: SurrogateModel) -> np.ndarray:
-    return np.array([weight_nd(node.point) for node in m.nodes()])
+    """weight_nd of every node, from the code array; exact (powers of 2)."""
+    levels, _ = split_codes(m.codes)
+    return np.prod(np.where(levels == 2, 0.25, np.ldexp(1.0, 1 - levels)), axis=1)
 
 
 def moments(m: SurrogateModel) -> MomentEstimate:
@@ -65,10 +67,8 @@ def moments(m: SurrogateModel) -> MomentEstimate:
     if len(m) == 0:
         raise EmptyModelError("cannot take moments of an empty model")
     weights = _weights_vector(m)
-    w = np.array([node.w for node in m.nodes()])
-    v = np.array([node.v for node in m.nodes()])
-    mean = float(w @ weights)
-    mean_square = float(v @ weights)
+    mean = float(m.w @ weights)
+    mean_square = float(m.v @ weights)
     variance = mean_square - mean * mean
     if variance < 0.0:
         if variance >= -_VARIANCE_TOL * abs(mean_square):

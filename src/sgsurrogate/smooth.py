@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
-from .core import GridPoint, SurrogateModel
+from .core import GridPoint, SurrogateModel, coordinates, dyadic_codes
 from .errors import SparseGridError
 
 __all__ = [
@@ -157,19 +157,23 @@ def group_lines(m: SurrogateModel, dim: int) -> list[LineGroup]:
     """
     if not 0 <= dim < m.dimension:
         raise ValueError(f"dim {dim} out of range for dimension {m.dimension}")
-    buckets: dict[tuple, list[tuple[float, float]]] = {}
-    for node in m.nodes():
-        key = node.point.key
-        anchor = key[:dim] + key[dim + 1:]
-        num, exp = key[dim]
-        buckets.setdefault(anchor, []).append((num / (1 << exp), node.output))
-    groups = []
-    for anchor in sorted(buckets):
-        samples = sorted(buckets[anchor])
-        positions = np.array([s[0] for s in samples])
-        outputs = np.array([s[1] for s in samples])
-        groups.append(LineGroup(dim=dim, anchor=anchor, positions=positions, outputs=outputs))
-    return groups
+    if len(m) == 0:
+        return []
+    num, exp = dyadic_codes(m.codes)
+    others = [k for k in range(m.dimension) if k != dim]
+    positions = coordinates(m.codes[:, dim])
+    # anchors compare as tuples of (num, exp) pairs; the position sorts last
+    order = np.lexsort([positions] + [a[:, k] for k in reversed(others) for a in (exp, num)])
+    anchors = np.stack([num[:, others], exp[:, others]], axis=2)[order]
+    starts = np.flatnonzero(np.append(True, (anchors[1:] != anchors[:-1]).any(axis=(1, 2))))
+    stops = np.append(starts[1:], len(order))
+    positions = positions[order]
+    outputs = m.outputs[order]
+    return [
+        LineGroup(dim=dim, anchor=tuple(map(tuple, anchor)),
+                  positions=positions[lo:hi], outputs=outputs[lo:hi])
+        for anchor, lo, hi in zip(anchors[starts].tolist(), starts.tolist(), stops.tolist())
+    ]
 
 
 def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[tuple[int, int]]:
@@ -310,17 +314,18 @@ class RegionDatabase:
         kept.sort(key=lambda r: r.lo)
         self._lines[key] = kept
 
-    def lookup(self, p: GridPoint):
-        """Region containing `p` along some dimension, or None.
+    def lookup(self, p):
+        """Region containing node `p` along some dimension, or None.
 
-        Matches require exact dyadic equality of all other coordinates and
-        interval containment along the region's dimension.  Among several
-        matches the earliest-created region wins.
+        `p` is a GridPoint or its exact dyadic key (GridPoint.key).  Matches
+        require exact dyadic equality of all other coordinates and interval
+        containment along the region's dimension.  Among several matches the
+        earliest-created region wins.
         """
-        key = p.key
+        key = p.key if isinstance(p, GridPoint) else p
         best = None
         best_t = None
-        for dim in range(p.dimension):
+        for dim in range(len(key)):
             anchor = key[:dim] + key[dim + 1:]
             regions = self._lines.get((dim, anchor))
             if not regions:
@@ -370,8 +375,8 @@ def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResu
     """
     db = RegionDatabase()
 
-    def value_source(point: GridPoint):
-        hit = db.lookup(point)
+    def value_source(key):
+        hit = db.lookup(key)
         if hit is None:
             return None
         region, t = hit

@@ -5,16 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsurrogate import (
     AdaptiveConfig,
     EvaluationError,
     GridPoint,
+    HierarchicalNode,
+    InvalidNodeError,
     ModelFunction,
     NodeIndex1D,
+    SurrogateModel,
+    coordinates,
+    make_sons,
     refine_candidates,
     run_asgc,
     run_csc,
+    run_easgc,
     root_point,
 )
 from sgsurrogate.io import save_surrogate
@@ -213,29 +221,88 @@ class TestRunAsgc:
         assert paths[0] == paths[1]
 
 
+def codes(*points):
+    return np.array([[(1 << (n.level - 1)) + n.index for n in p.dims] for p in points])
+
+
 class TestRefineCandidates:
     def test_root_sons(self):
-        got = refine_candidates([root_point(1)])
-        assert sorted(float(p.coordinate()[0]) for p in got) == [0.0, 1.0]
+        got = refine_candidates(codes(root_point(1)))
+        assert sorted(float(x) for x in coordinates(got)[:, 0]) == [0.0, 1.0]
 
     def test_adjacent_nodes_disjoint_sons(self):
         quarter = GridPoint((NodeIndex1D(3, 0),))
         three_quarter = GridPoint((NodeIndex1D(3, 1),))
-        got = refine_candidates([quarter, three_quarter])
-        assert sorted(float(p.coordinate()[0]) for p in got) == [0.125, 0.375, 0.625, 0.875]
+        got = refine_candidates(codes(quarter, three_quarter))
+        assert sorted(float(x) for x in coordinates(got)[:, 0]) == [0.125, 0.375, 0.625, 0.875]
 
     def test_shared_son_deduplicated(self):
         # (0, 0.5) and (0.5, 0) both spawn the corner (0, 0)
         a = GridPoint((NodeIndex1D(2, 0), NodeIndex1D(1, 0)))
         b = GridPoint((NodeIndex1D(1, 0), NodeIndex1D(2, 0)))
-        got = refine_candidates([a, b])
-        keys = [p.key for p in got]
+        got = refine_candidates(codes(a, b))
+        keys = [tuple(row) for row in got.tolist()]
         assert len(keys) == len(set(keys))
-        corner = [p for p in got if tuple(p.coordinate()) == (0.0, 0.0)]
+        corner = [row for row in coordinates(got).tolist() if tuple(row) == (0.0, 0.0)]
         assert len(corner) == 1
 
     def test_existing_model_points_excluded(self):
         f = ModelFunction(lambda x: float(x[0]), 1, "l")
         res = run_csc(f, 1, 2)
-        got = refine_candidates([root_point(1)], res.model)
-        assert got == []
+        got = refine_candidates(codes(root_point(1)), res.model)
+        assert got.shape == (0, 1)
+
+    def test_refinement_capped_at_level_62(self):
+        deepest = (1 << 61) + (1 << 60) - 1  # last node of level 62
+        with pytest.raises(InvalidNodeError):
+            refine_candidates(np.array([[deepest]]))
+        assert refine_candidates(np.array([[1 << 60]])).tolist() == [[1 << 61], [(1 << 61) + 1]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_make_sons_reference(self, data):
+        """Order and content equal the object form: make_sons, dedupe by key,
+        drop stored points, sort by dims."""
+        dimension = data.draw(st.integers(1, 4))
+        node = st.integers(1, 7).flatmap(lambda level: st.integers(
+            0, (1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)) - 1,
+        ).map(lambda index: NodeIndex1D(level, index)))
+        point = st.tuples(*[node] * dimension).map(GridPoint)
+        active = data.draw(st.lists(point, max_size=30))
+        sons = [s for p in active for s in make_sons(p)]
+        stored = data.draw(st.lists(st.sampled_from(sons), unique=True)) if sons else []
+        stored += data.draw(st.lists(point, max_size=5))
+        model = SurrogateModel(dimension)
+        by_key = {p.key: p for p in stored}
+        for level in sorted({p.level for p in by_key.values()}):
+            for p in by_key.values():
+                if p.level == level:
+                    model.add_node(HierarchicalNode(p, 0.0, 0.0, 0.0))
+        seen, want = set(), []
+        for p in active:
+            for son in make_sons(p):
+                if son.key not in seen and son.key not in by_key:
+                    seen.add(son.key)
+                    want.append(son)
+        want.sort(key=lambda p: p.dims)
+        got = refine_candidates(codes(*active).reshape(-1, dimension), model)
+        assert got.tolist() == codes(*want).reshape(-1, dimension).tolist()
+        unfiltered = refine_candidates(codes(*active).reshape(-1, dimension))
+        assert not model.stored(got).any()
+        assert len(unfiltered) == len({son.key for son in sons})
+
+
+def test_level_records_carry_phase_timings():
+    f = ModelFunction(lambda x: float(abs(x[0] - 0.3) + x[1]), 2, "k")
+    cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=6, init_level=2,
+                         min_line_points=5)
+    for result in (run_csc(f, 2, 3), run_asgc(f, cfg), run_easgc(f, cfg)):
+        for record in result.records:
+            assert list(record.phase_s) == ["evaluate", "surplus", "insert", "refine",
+                                            "after_level"]
+            assert all(t >= 0.0 for t in record.phase_s.values())
+        first = result.records[0].phase_s
+        assert first["refine"] == first["after_level"] == 0.0
+        assert sum(r.phase_s["refine"] for r in result.records) > 0.0
+    # only the spline-backed driver scans lines, after each adaptive level
+    assert sum(r.phase_s["after_level"] for r in result.records) > 0.0

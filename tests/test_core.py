@@ -23,14 +23,24 @@ from sgsurrogate import (
     basis_1d,
     basis_nd,
     OutOfDomainError,
+    Provenance,
     build,
     children_1d,
     coord_1d,
+    coordinates,
+    join_codes,
     make_sons,
     root_point,
     run_csc,
+    split_codes,
 )
-from sgsurrogate.core import cumulative_nodes, dyadic_1d, node_from_dyadic
+from sgsurrogate.core import (
+    MAX_LEVEL,
+    cumulative_nodes,
+    dyadic_1d,
+    dyadic_keys,
+    node_from_dyadic,
+)
 
 
 def level_coords(level):
@@ -258,6 +268,15 @@ class TestSurrogateModel:
         assert m.interpolate([0.0]) == 0.0 and m.interpolate([1.0]) == 1.0
         np.testing.assert_array_equal(m.interpolate_many([[0.0], [1.0]]), [0.0, 1.0])
 
+    def test_unknown_coeff_rejected(self):
+        # x^2 on CSC level 3: w-sum 0.09375 and v-sum 0.01025390625 at 0.3
+        m = run_csc(ModelFunction(lambda x: x[0] ** 2, 1, "sq"), 1, 3).model
+        assert m.interpolate_many([[0.3]], coeff="w")[0] == pytest.approx(0.09375)
+        assert m.interpolate_many([[0.3]], coeff="v")[0] == pytest.approx(0.01025390625)
+        for bad in ("W", "", "wv"):
+            with pytest.raises(ValueError):
+                m.interpolate_many([[0.3]], coeff=bad)
+
 
 def surplus(m, p, value):
     """w surplus of one value at p against the model, via the batch kernel."""
@@ -403,3 +422,159 @@ class TestEvaluationKernel:
         # block edge must not depend on the blocking
         for i in range(len(queries)):
             assert m.interpolate(queries[i]) == got[i]
+
+
+# ---------------------------------------------------------------------------
+# the integer code layout and the array store
+# ---------------------------------------------------------------------------
+
+@st.composite
+def nodes_1d(draw, max_level=8):
+    level = draw(st.integers(1, max_level))
+    return NodeIndex1D(level, draw(st.integers(0, _count(level) - 1)))
+
+
+def _count(level):
+    return 1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)
+
+
+def points(dimension, max_level=6):
+    return st.tuples(*[nodes_1d(max_level)] * dimension).map(GridPoint)
+
+
+def point_codes(p):
+    return [(1 << (n.level - 1)) + n.index for n in p.dims]
+
+
+class TestNodeCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(nodes_1d(MAX_LEVEL), min_size=1, max_size=8))
+    def test_codes_match_the_node_functions(self, nodes):
+        levels = [n.level for n in nodes]
+        indices = [n.index for n in nodes]
+        codes = join_codes(levels, indices)
+        assert codes.tolist() == [(1 << (n.level - 1)) + n.index for n in nodes]
+        back = split_codes(codes)
+        assert back[0].tolist() == levels and back[1].tolist() == indices
+        assert coordinates(codes).tolist() == [coord_1d(n) for n in nodes]
+        assert dyadic_keys(codes[None, :]) == [GridPoint(tuple(nodes)).key]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(nodes_1d(10), min_size=2, max_size=30))
+    def test_code_order_is_node_order(self, nodes):
+        codes = join_codes([n.level for n in nodes], [n.index for n in nodes])
+        assert [nodes[i] for i in np.argsort(codes, kind="stable")] == sorted(nodes)
+
+    def test_sons_are_2c_and_2c_plus_1_except_on_level_2(self):
+        for level in range(1, 7):
+            for index in range(_count(level)):
+                c = (1 << (level - 1)) + index
+                sons = [(1 << (s.level - 1)) + s.index for s in children_1d(NodeIndex1D(level, index))]
+                assert sons == ([c + 2] if level == 2 else [2 * c, 2 * c + 1])
+
+    def test_levels_capped(self):
+        top = (1 << (MAX_LEVEL - 1)) + (1 << (MAX_LEVEL - 2)) - 1  # last code of level 62
+        assert split_codes([top])[0].tolist() == [MAX_LEVEL]
+        for bad in (0, -1, 6, 1 << MAX_LEVEL, np.iinfo(np.int64).max):
+            with pytest.raises(InvalidNodeError):
+                split_codes([bad])
+        with pytest.raises(InvalidNodeError):
+            join_codes([MAX_LEVEL + 1], [0])
+        with pytest.raises(InvalidNodeError):
+            SurrogateModel(1).add_node(
+                HierarchicalNode(GridPoint((NodeIndex1D(MAX_LEVEL + 1, 0),)), 0.0, 0.0, 0.0))
+
+
+def _insert_levels(m, rows):
+    """add_level once per level of (point, output, w, v, spline) rows."""
+    rows = sorted(rows, key=lambda r: r[0].level)
+    for level in sorted({r[0].level for r in rows}):
+        batch = [r for r in rows if r[0].level == level]
+        m.add_level([point_codes(r[0]) for r in batch], *zip(*[r[1:] for r in batch]))
+
+
+class TestArrayStore:
+    @settings(max_examples=60, deadline=None)
+    @given(dimension=st.integers(1, 4), data=st.data())
+    def test_nodes_round_trip(self, dimension, data):
+        pts = data.draw(st.lists(points(dimension), max_size=25, unique=True))
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        rows = [(p, data.draw(values), data.draw(values), data.draw(values),
+                 data.draw(st.booleans())) for p in pts]
+        m = SurrogateModel(dimension)
+        _insert_levels(m, rows)
+        want = [HierarchicalNode(p, out, w, v,
+                                 Provenance.SPLINE_INTERPOLATED if s else Provenance.FULL_MODEL)
+                for p, out, w, v, s in sorted(rows, key=lambda r: r[0].level)]
+        assert m.nodes() == want
+        assert len(m) == len(want) and all(p in m for p in pts)
+        for level in {p.level for p in pts}:
+            assert m.nodes_on_level(level) == [n for n in want if n.point.level == level]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_add_level_fails_where_add_node_did(self, data):
+        """Batches of one level, against the row-by-row rules of add_node.
+
+        add_node refused a frozen model, a point of another dimension, a key
+        already stored and a level below the deepest one; add_level refuses
+        the same batches, and a batch that fails inserts nothing.
+        """
+        dimension = data.draw(st.integers(1, 3))
+        m = SurrogateModel(dimension)
+        keys, deepest, frozen = set(), None, False
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.integers(0, 9)) == 0:
+                m.freeze()
+                frozen = True
+            width = dimension + (data.draw(st.integers(0, 5)) == 0)
+            first = data.draw(points(width, max_level=4))
+            batch = [first] + [p for p in data.draw(st.lists(points(width, max_level=4), max_size=6))
+                               if p.level == first.level]
+            if data.draw(st.integers(0, 5)) == 0:
+                batch.append(batch[0])  # a repeat inside the batch
+            batch_keys = {p.key for p in batch}
+            if frozen:
+                expected = ContractViolationError
+            elif width != dimension:
+                expected = DimensionMismatchError
+            elif (len(batch_keys) < len(batch) or keys & batch_keys
+                  or (deepest is not None and first.level < deepest)):
+                expected = ContractViolationError
+            else:
+                expected = None
+            size = len(m)
+            codes = [point_codes(p) for p in batch]
+            zeros = [0.0] * len(batch)
+            if expected is None:
+                m.add_level(codes, zeros, zeros, zeros)
+                keys |= batch_keys
+                deepest = first.level
+                assert len(m) == size + len(batch)
+                continue
+            with pytest.raises(expected):
+                m.add_level(codes, zeros, zeros, zeros)
+            assert len(m) == size
+            # node by node, into a copy of the model, fails by the same rule
+            twin = SurrogateModel(dimension)
+            for node in m.nodes():
+                twin.add_node(node)
+            if frozen:
+                twin.freeze()
+            with pytest.raises(expected):
+                for p in batch:
+                    twin.add_node(HierarchicalNode(p, 0.0, 0.0, 0.0))
+
+    def test_mixed_levels_and_non_integer_codes_rejected(self):
+        m = SurrogateModel(1)
+        with pytest.raises(ContractViolationError):
+            m.add_level([[1], [2]], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(InvalidNodeError):
+            m.add_level([[1.5]], [0.0], [0.0], [0.0])
+        assert len(m) == 0
+
+    def test_arrays_are_read_only(self):
+        m = run_csc(ModelFunction(lambda x: x[0], 1, "x"), 1, 2).model
+        for a in (m.codes, m.outputs, m.w, m.v, m.spline):
+            with pytest.raises(ValueError):
+                a[0] = 0
