@@ -9,8 +9,11 @@ Construction stops when no surplus passes the threshold or when the level cap
 is hit; the result records which criterion fired.
 
 Within a level all candidate evaluations are independent (the model is
-read-only until the batch is inserted); insertion happens once per level, so
-the level-ordered surplus contract of the core module holds by construction.
+read-only until the batch is inserted), so each level makes its region
+lookups first and then evaluates every miss in one `ModelFunction.many` call:
+one call of the model's batch form when it has one, else one scalar call per
+point.  Insertion happens once per level, so the level-ordered surplus
+contract of the core module holds by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MAX_LEVEL, SurrogateModel, coordinates, dyadic_keys, split_codes
-from .errors import EvaluationError, InvalidNodeError
+from .errors import DimensionMismatchError, EvaluationError, InvalidNodeError
 
 __all__ = [
     "AdaptiveConfig",
@@ -73,14 +76,20 @@ class AdaptiveConfig:
 class ModelFunction:
     """Deterministic model over the unit cube with an evaluation counter.
 
-    The counter increments exactly once per full evaluation; failures and
-    non-finite outputs raise EvaluationError with the offending coordinate.
+    `func` maps one point to a float.  The optional `batch` maps an (n, d)
+    array to n floats and must equal `func` row by row, bit for bit; `many`
+    calls it, and without it loops over `func`.  The counter rises exactly
+    once per full evaluation, by n for a batch.  Failures and non-finite
+    outputs raise EvaluationError with the offending coordinate: the point
+    for a scalar call or a non-finite batch row, the whole (n, d) batch for
+    an exception raised inside `batch`, which cannot name its row.
     """
 
-    def __init__(self, func, dimension: int, name: str = "model"):
+    def __init__(self, func, dimension: int, name: str = "model", batch=None):
         self.func = func
         self.dimension = dimension
         self.name = name
+        self.batch = batch
         self.evaluations = 0
 
     def __call__(self, x) -> float:
@@ -98,6 +107,38 @@ class ModelFunction:
                 coordinate=np.asarray(x, dtype=float),
             )
         return value
+
+    def many(self, points) -> np.ndarray:
+        """Values at each row of an (n, d) array, through `batch` if there is one."""
+        points = np.array(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise DimensionMismatchError(
+                f"model '{self.name}' takes (n, {self.dimension}) points, got {points.shape}"
+            )
+        if self.batch is None:
+            return np.array([self(x) for x in points], dtype=float)
+        if not len(points):
+            return np.empty(0)
+        self.evaluations += len(points)
+        try:
+            values = np.asarray(self.batch(points), dtype=float)
+        except Exception as exc:
+            raise EvaluationError(
+                f"model '{self.name}' failed on a batch of {len(points)} points: {exc}",
+                coordinate=points,
+            ) from exc
+        if values.shape != (len(points),):
+            raise EvaluationError(
+                f"model '{self.name}' returned shape {values.shape} for {len(points)} points",
+                coordinate=points,
+            )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            row = points[bad[0]]
+            raise EvaluationError(
+                f"model '{self.name}' returned {values[bad[0]]} at {row}", coordinate=row,
+            )
+        return values
 
 
 @dataclass
@@ -163,19 +204,20 @@ def refine_candidates(active, model: SurrogateModel | None = None) -> np.ndarray
 def _evaluate_candidates(model, f, codes, coords, value_source):
     """Evaluate a level's candidates, via region lookup when available.
 
-    Returns (values, spline mask); bumps the model's counters once the whole
-    level is evaluated, so after a failure they still match its nodes.
+    Every lookup is made first; the misses then go to the model in one
+    `f.many` call.  Returns (values, spline mask); bumps the model's counters
+    once the whole level is evaluated, so after a failure they still match
+    its nodes.
     """
     values = np.empty(len(coords))
     spline = np.zeros(len(coords), dtype=bool)
-    keys = None if value_source is None else dyadic_keys(codes)
-    for i, x in enumerate(coords):
-        cheap = None if keys is None else value_source(keys[i])
-        if cheap is None:
-            values[i] = f(x.copy())
-        else:
-            values[i] = cheap
-            spline[i] = True
+    if value_source is not None:
+        for i, key in enumerate(dyadic_keys(codes)):
+            cheap = value_source(key)
+            if cheap is not None:
+                values[i] = cheap
+                spline[i] = True
+    values[~spline] = f.many(coords[~spline])
     hits = int(spline.sum())
     model.full_evaluations += len(values) - hits
     model.spline_interpolations += hits

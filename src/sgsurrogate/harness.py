@@ -105,11 +105,14 @@ def mc_reference(f, n_samples: int, seed: int) -> MonteCarloEstimate:
     """Plain Monte Carlo moments of `f` under uniform inputs.
 
     The variance standard error uses the fourth central moment, so it stays
-    honest for skewed outputs.
+    honest for skewed outputs.  Needs at least 2 samples; the samples are
+    evaluated in one `f.many` call.
     """
+    if n_samples < 2:
+        raise ValueError(f"mc_reference needs n_samples >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = rng.random((n_samples, f.dimension))
-    values = np.array([f(xi) for xi in x])
+    values = f.many(x)
     mean = float(values.mean())
     var = float(values.var(ddof=1))
     centered = values - mean
@@ -205,7 +208,7 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
             f"config dimension {cfg.dimension} != benchmark dimension {f.dimension}"
         )
     points = _study_test_points(benchmark, f.dimension, n_test_points, seed)
-    true_values = np.array([f(x) for x in points])
+    true_values = f.many(points)
     f.evaluations = 0
 
     report = StudyReport(method=method, benchmark=benchmark)

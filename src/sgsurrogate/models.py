@@ -8,7 +8,15 @@ diagonal can buckle and drop out of the load path.  All models map the unit
 cube to a scalar and are pure, so they are safe to evaluate concurrently.
 
 `get_benchmark` wires each family to the unit cube under a registered string
-name and echoes every parameter for reproducible reports.
+name and echoes every parameter for reproducible reports.  The kink, line
+singularity and Poisson benchmarks also register a batch form that maps
+(n, d) inputs to n outputs, bitwise equal to the scalar form row by row.  The
+Poisson batch builds its conductivity fields with the same elementwise
+operations as `diffusion_field`, in blocks of `POISSON_BLOCK` rows, and calls
+LAPACK's tridiagonal `dgtsv` once per row; the scalar `poisson_solve` is a
+one-row call of the same code.  The Genz and truss benchmarks have no batch
+form: their vectorised dot products and solves need not round as the scalar
+ones do.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .adapt import ModelFunction
 from .errors import SparseGridError
@@ -33,6 +41,7 @@ __all__ = [
     "xi_coefficient",
     "diffusion_field",
     "poisson_solve",
+    "POISSON_BLOCK",
     "TrussSpec",
     "solve_member_forces",
     "truss_member4_force",
@@ -45,8 +54,11 @@ __all__ = [
 # 2-D line singularity
 # ---------------------------------------------------------------------------
 
-def line_singularity(x: float, y: float) -> float:
-    """1 / (|0.3 - x^2 - y^2| + 0.1): smooth except on a circular arc."""
+def line_singularity(x, y):
+    """1 / (|0.3 - x^2 - y^2| + 0.1): smooth except on a circular arc.
+
+    Elementwise on arrays, with the same operations as on scalars.
+    """
     return 1.0 / (abs(0.3 - x * x - y * y) + 0.1)
 
 
@@ -152,6 +164,36 @@ def xi_coefficient(n: int, decay_ratio: float) -> float:
     )
 
 
+def _weighted_modes(x: np.ndarray, spec: PoissonSpec) -> np.ndarray:
+    """Rows xi_n * mode_n(x), n = 2..n_random: the draw-independent factors.
+
+    Term n >= 2 is the sine (even n) or cosine (odd n) of frequency
+    floor(n/2) over the period, weighted by its expansion coefficient.
+    """
+    ratio = spec.decay_ratio
+    modes = np.empty((spec.n_random - 1, x.size))
+    for n in range(2, spec.n_random + 1):
+        k = n // 2
+        phase = k * math.pi * x / spec.period
+        mode = np.sin(phase) if n % 2 == 0 else np.cos(phase)
+        modes[n - 2] = xi_coefficient(n, ratio) * mode
+    return modes
+
+
+def _conductivity(draws: np.ndarray, modes: np.ndarray, spec: PoissonSpec) -> np.ndarray:
+    """0.5 + exp(expansion), one row per draw, at the positions of `modes`.
+
+    Term 1 is the constant mode y_1 * sqrt(sqrt(pi) L / 2).  The terms are
+    added in order, each as (xi_n * mode_n) * y_n, so every row is bitwise
+    the field of its draw alone.
+    """
+    expo = np.empty((len(draws), modes.shape[1]))
+    expo[:] = 1.0 + draws[:, :1] * math.sqrt(math.sqrt(math.pi) * spec.decay_ratio / 2.0)
+    for n in range(2, spec.n_random + 1):
+        expo += modes[n - 2] * draws[:, n - 1:n]
+    return 0.5 + np.exp(expo)
+
+
 def diffusion_field(x, y, spec: PoissonSpec) -> np.ndarray:
     """Conductivity 0.5 + exp(expansion) at positions x for unit-cube draw y.
 
@@ -165,14 +207,69 @@ def diffusion_field(x, y, spec: PoissonSpec) -> np.ndarray:
         raise SparseGridError(
             f"expected {spec.n_random} random inputs, got shape {y.shape}"
         )
-    ratio = spec.decay_ratio
-    expo = np.full_like(x, 1.0 + y[0] * math.sqrt(math.sqrt(math.pi) * ratio / 2.0))
-    for n in range(2, spec.n_random + 1):
-        k = n // 2
-        phase = k * math.pi * x / spec.period
-        mode = np.sin(phase) if n % 2 == 0 else np.cos(phase)
-        expo += xi_coefficient(n, ratio) * mode * y[n - 1]
-    return 0.5 + np.exp(expo)
+    return _conductivity(y[None], _weighted_modes(x.ravel(), spec), spec)[0].reshape(x.shape)
+
+
+POISSON_BLOCK = 128  # rows per block: bounds the (rows, n_cells + 1) scratch arrays
+
+
+class _PoissonGrid:
+    """The finite-difference grid of one PoissonSpec and its draw-free parts.
+
+    `solve` takes conductivity rows, `many` unit-cube draws; both return
+    u(x_obs) per row.  `poisson_solve` and the registered benchmark are
+    calls of these, so there is one discretisation.
+    """
+
+    def __init__(self, spec: PoissonSpec):
+        n = spec.n_cells
+        self.spec = spec
+        self.x = np.linspace(0.0, 1.0, n + 1)
+        self.modes = _weighted_modes(self.x, spec)
+        h = 1.0 / n
+        self.rhs = -2.0 * self.x[1:-1] * h * h
+
+    def solve(self, kappa: np.ndarray) -> np.ndarray:
+        """Solve -(kappa u')' = 2x, u(0) = u(1) = 0, per row of nodal kappa.
+
+        Conservative second-order finite differences on n_cells cells with
+        harmonic-mean face conductivities; u(x_obs) is linearly interpolated
+        from the nodal solution.
+        """
+        if np.any(kappa <= 0.0):
+            raise SparseGridError("conductivity must be positive everywhere")
+        face = 2.0 * kappa[:, :-1] * kappa[:, 1:] / (kappa[:, :-1] + kappa[:, 1:])
+        # tridiagonal system over interior nodes, off-diagonals face[1:-1]
+        off = face[:, 1:-1]
+        diag = -(face[:, :-1] + face[:, 1:])
+        if not np.isfinite(diag).all():
+            raise SparseGridError("linear solve failed: array must not contain infs or NaNs")
+        u = np.zeros(self.x.size)
+        out = np.empty(len(kappa))
+        for r in range(len(kappa)):
+            *_, interior, info = dgtsv(off[r], diag[r], off[r], self.rhs)
+            if info:
+                raise SparseGridError(f"linear solve failed: singular matrix (dgtsv info {info})")
+            u[1:-1] = interior
+            out[r] = np.interp(self.spec.x_obs, self.x, u)
+        return out
+
+    def many(self, draws: np.ndarray) -> np.ndarray:
+        """u(x_obs) for each row of (n, n_random) draws, POISSON_BLOCK rows at a time."""
+        out = np.empty(len(draws))
+        for lo in range(0, len(draws), POISSON_BLOCK):
+            block = draws[lo:lo + POISSON_BLOCK]
+            out[lo:lo + POISSON_BLOCK] = self.solve(_conductivity(block, self.modes, self.spec))
+        return out
+
+    def one(self, y) -> float:
+        """u(x_obs) for one draw y of shape (n_random,)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.spec.n_random,):
+            raise SparseGridError(
+                f"expected {self.spec.n_random} random inputs, got shape {y.shape}"
+            )
+        return float(self.many(y[None])[0])
 
 
 def poisson_solve(y, spec: PoissonSpec, kappa_fn=None) -> float:
@@ -181,33 +278,16 @@ def poisson_solve(y, spec: PoissonSpec, kappa_fn=None) -> float:
     Conservative second-order finite differences on n_cells cells with
     harmonic-mean face conductivities; the observation value is linearly
     interpolated from the nodal solution.  `kappa_fn` overrides the random
-    field (test hook for manufactured solutions).
+    field (test hook for manufactured solutions).  One row of the batched
+    solver the `poisson` benchmark registers.
     """
-    n = spec.n_cells
-    x = np.linspace(0.0, 1.0, n + 1)
-    if kappa_fn is not None:
-        kappa = np.asarray(kappa_fn(x), dtype=float)
-        if kappa.shape != x.shape:
-            kappa = np.full_like(x, float(kappa))
-    else:
-        kappa = diffusion_field(x, y, spec)
-    if np.any(kappa <= 0.0):
-        raise SparseGridError("conductivity must be positive everywhere")
-    face = 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
-    h = 1.0 / n
-    rhs = -2.0 * x[1:-1] * h * h
-    # tridiagonal system over interior nodes
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = face[1:-1]            # upper
-    ab[1, :] = -(face[:-1] + face[1:])  # diagonal
-    ab[2, :-1] = face[1:-1]           # lower
-    try:
-        interior = solve_banded((1, 1), ab, rhs)
-    except Exception as exc:
-        raise SparseGridError(f"linear solve failed: {exc}") from exc
-    u = np.zeros(n + 1)
-    u[1:-1] = interior
-    return float(np.interp(spec.x_obs, x, u))
+    grid = _PoissonGrid(spec)
+    if kappa_fn is None:
+        return grid.one(y)
+    kappa = np.asarray(kappa_fn(grid.x), dtype=float)
+    if kappa.shape != grid.x.shape:
+        kappa = np.full_like(grid.x, float(kappa))
+    return float(grid.solve(kappa[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +420,13 @@ def _affine(lo: float, hi: float, t: float) -> float:
 def _make_kink(params):
     kink_pos = float(params.pop("kink_pos", 0.4375))
     echo = {"kink_pos": kink_pos}
-    return ModelFunction(lambda x: abs(float(x[0]) - kink_pos), 1, "kink"), echo
+    return ModelFunction(lambda x: abs(float(x[0]) - kink_pos), 1, "kink",
+                         batch=lambda xs: np.abs(xs[:, 0] - kink_pos)), echo
 
 
 def _make_line_singularity(params):
-    return ModelFunction(lambda x: line_singularity(x[0], x[1]), 2, "line_singularity"), {}
+    return ModelFunction(lambda x: line_singularity(x[0], x[1]), 2, "line_singularity",
+                         batch=lambda xs: line_singularity(xs[:, 0], xs[:, 1])), {}
 
 
 def _make_genz(kind):
@@ -378,7 +460,8 @@ def _make_poisson(params):
         "n_cells": spec.n_cells,
         "x_obs": spec.x_obs,
     }
-    return ModelFunction(lambda y: poisson_solve(y, spec), spec.n_random, "poisson"), echo
+    grid = _PoissonGrid(spec)
+    return ModelFunction(grid.one, spec.n_random, "poisson", batch=grid.many), echo
 
 
 def _truss_spec_from(params) -> TrussSpec:

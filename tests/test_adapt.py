@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sgsurrogate import (
     AdaptiveConfig,
+    DimensionMismatchError,
     EvaluationError,
     GridPoint,
     HierarchicalNode,
@@ -82,6 +83,52 @@ class TestModelFunction:
         with pytest.raises(EvaluationError) as err:
             f([0.25, 0.75])
         np.testing.assert_array_equal(err.value.coordinate, [0.25, 0.75])
+
+    def test_many_without_batch_loops_over_func(self):
+        calls = []
+
+        def func(x):
+            calls.append(x.tolist())
+            return float(x[0] - x[1])
+
+        f = ModelFunction(func, 2, "loop")
+        got = f.many([[0.5, 0.25], [1.0, 0.0]])
+        assert got.tolist() == [0.25, 1.0]
+        assert calls == [[0.5, 0.25], [1.0, 0.0]] and f.evaluations == 2
+        assert f.many(np.empty((0, 2))).shape == (0,) and f.evaluations == 2
+
+    def test_many_non_finite_row_carries_its_coordinate(self):
+        f = ModelFunction(lambda x: 1.0 / x[0], 1, "recip", batch=lambda xs: 1.0 / xs[:, 0])
+        points = np.array([[0.5], [0.25], [0.0], [1.0]])
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError) as err:
+            f.many(points)
+        assert err.value.coordinate.shape == (1,) and err.value.coordinate[0] == 0.0
+        assert f.evaluations == 4  # the whole batch ran
+
+    def test_exception_in_batch_is_chained(self):
+        def batch(xs):
+            raise RuntimeError("solver diverged")
+
+        f = ModelFunction(lambda x: 0.0, 2, "bad", batch=batch)
+        points = np.array([[0.25, 0.75], [0.5, 0.5]])
+        with pytest.raises(EvaluationError, match="solver diverged") as err:
+            f.many(points)
+        assert isinstance(err.value.__cause__, RuntimeError)
+        np.testing.assert_array_equal(err.value.coordinate, points)
+        assert f.evaluations == 2
+
+    def test_batch_of_wrong_length_rejected(self):
+        f = ModelFunction(lambda x: 0.0, 1, "short", batch=lambda xs: xs[:-1, 0])
+        with pytest.raises(EvaluationError, match="shape"):
+            f.many([[0.25], [0.5]])
+
+    def test_many_checks_point_shape(self):
+        f = ModelFunction(lambda x: 0.0, 2, "m", batch=lambda xs: xs[:, 0])
+        with pytest.raises(DimensionMismatchError):
+            f.many([0.5, 0.5])
+        with pytest.raises(DimensionMismatchError):
+            f.many([[0.5, 0.5, 0.5]])
+        assert f.evaluations == 0
 
 
 class TestRunCsc:
@@ -160,6 +207,42 @@ class TestRunAsgc:
         assert len(partial.model) == 1 and partial.model.frozen
         assert partial.model.full_evaluations == 1
         assert partial.model.interpolate([0.3]) == 0.25
+
+    def test_non_finite_batch_row_keeps_completed_levels(self):
+        batches = []
+
+        def batch(xs):
+            batches.append(len(xs))
+            return np.where(xs[:, 0] > 0.6, np.nan, xs[:, 0] ** 2)
+
+        f = ModelFunction(lambda x: float(batch(np.array([x]))[0]), 1, "holey", batch=batch)
+        with pytest.raises(EvaluationError) as err:
+            run_asgc(f, AdaptiveConfig(dimension=1, epsilon=1e-3, max_level=8, init_level=2))
+        assert err.value.coordinate.shape == (1,) and err.value.coordinate[0] == 1.0
+        # one call per level: the root, then level 1 (x = 0, 1) as one batch
+        assert batches == [1, 2] and f.evaluations == 3
+        partial = err.value.partial
+        assert partial.stopped_by == "evaluation_error"
+        assert [r.level for r in partial.records] == [0]
+        assert len(partial.model) == 1 and partial.model.frozen
+        assert partial.model.full_evaluations == 1
+
+    @pytest.mark.parametrize("driver", [run_asgc, run_easgc])
+    def test_batched_model_counts_match(self, driver):
+        calls = []
+
+        def batch(xs):
+            calls.append(len(xs))
+            return np.abs(xs[:, 0] - 0.3) + xs[:, 1] ** 2
+
+        f = ModelFunction(lambda x: float(batch(np.array([x]))[0]), 2, "k", batch=batch)
+        calls.clear()
+        res = driver(f, AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=7, init_level=2,
+                                       min_line_points=5))
+        assert f.evaluations == res.model.full_evaluations == sum(calls)
+        assert len(calls) <= len(res.records)  # at most one model call per level
+        if driver is run_easgc:
+            assert res.model.spline_interpolations > 0
 
     def test_kink_refines_fewer_than_conventional(self):
         f = ModelFunction(lambda x: abs(x[0] - 0.5), 1, "kink")

@@ -13,10 +13,15 @@ import pytest
 
 from sgsurrogate import AdaptiveConfig, build, get_benchmark, run_csc, save_surrogate
 
-# the test_01 acceptance configs: (CSC level, adaptive config)
+# the test_01 acceptance configs, and a small Poisson build whose digest pins
+# the solver's outputs: (benchmark params, CSC level, adaptive config)
 CASES = {
-    "kink": (5, AdaptiveConfig(dimension=1, epsilon=1e-4, max_level=8, init_level=2)),
-    "line_singularity": (5, AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=8, init_level=2)),
+    "kink": (None, 5, AdaptiveConfig(dimension=1, epsilon=1e-4, max_level=8, init_level=2)),
+    "line_singularity": (None, 5, AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=8,
+                                                 init_level=2)),
+    "poisson": ({"n_random": 4, "n_cells": 64}, None,
+                AdaptiveConfig(dimension=4, epsilon=1e-6, max_level=5, init_level=2,
+                               min_line_points=7)),
 }
 
 DIGESTS = {
@@ -26,6 +31,7 @@ DIGESTS = {
     ("line_singularity", "CSC"): "e573fab9c752d3c061b84c25a9c988035c66d7bca25ac75fbafdefcfe9b7f3cd",
     ("line_singularity", "ASGC"): "bb5f22633c41c8514bd273a49ce8c20cf5f0530a7b377ada2a10a79612670ffc",
     ("line_singularity", "EASGC"): "955257a77864d169ad0000bb5ec39ac4d67bd1f9498254d1a9f40b60dcd4a44d",
+    ("poisson", "EASGC"): "6d1b655803bc23e160e89b53fc55ddecaa17cec83aa14c931e21aac2d06696d6",
 }
 
 
@@ -43,8 +49,8 @@ def output_digest(text: str) -> str:
 
 @pytest.mark.parametrize("name, method", sorted(DIGESTS))
 def test_outputs_match_golden_digest(name, method, tmp_path):
-    csc_level, cfg = CASES[name]
-    f, _ = get_benchmark(name)
+    params, csc_level, cfg = CASES[name]
+    f, _ = get_benchmark(name, params)
     if method == "CSC":
         result = run_csc(f, f.dimension, csc_level)
     else:

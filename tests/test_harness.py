@@ -20,6 +20,7 @@ from sgsurrogate import (
     SparseGridError,
     build,
     draw_test_points,
+    get_benchmark,
     load_surrogate,
     max_abs_error,
     mc_reference,
@@ -91,6 +92,19 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) < 4 * est.mean_stderr
         assert abs(est.variance - 1.0 / 12.0) < 4 * est.variance_stderr
         assert est.mean_stderr == pytest.approx(math.sqrt(est.variance / est.n_samples), rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        f, _ = get_benchmark("kink")
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            mc_reference(f, n_samples, 0)
+
+    def test_batched_samples_counted(self):
+        f, _ = get_benchmark("kink")
+        est = mc_reference(f, 500, 3)
+        assert f.evaluations == 500
+        x = np.random.default_rng(3).random((500, 1))
+        assert est.mean == float(np.mean([f.func(xi) for xi in x]))
 
     def test_seed_reproducibility(self):
         f1 = ModelFunction(lambda x: float(np.sum(x)), 3, "s")

@@ -1,12 +1,17 @@
 """Benchmark models: analytic identities, solver oracles, buckling behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from sgsurrogate import ModelFunction, SparseGridError
 from sgsurrogate.models import (
+    POISSON_BLOCK,
     GenzParams,
     PoissonSpec,
     TrussSpec,
@@ -25,6 +30,34 @@ from sgsurrogate.models import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def reference_field(x, y, spec):
+    """The conductivity field term by term, for one draw (the scalar form)."""
+    ratio = spec.decay_ratio
+    expo = np.full_like(x, 1.0 + y[0] * math.sqrt(math.sqrt(math.pi) * ratio / 2.0))
+    for n in range(2, spec.n_random + 1):
+        k = n // 2
+        phase = k * math.pi * x / spec.period
+        mode = np.sin(phase) if n % 2 == 0 else np.cos(phase)
+        expo += xi_coefficient(n, ratio) * mode * y[n - 1]
+    return 0.5 + np.exp(expo)
+
+
+def reference_poisson(y, spec):
+    """One draw's solve through scipy's banded solver (the scalar form)."""
+    n = spec.n_cells
+    x = np.linspace(0.0, 1.0, n + 1)
+    kappa = reference_field(x, y, spec)
+    face = 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
+    h = 1.0 / n
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = face[1:-1]
+    ab[1, :] = -(face[:-1] + face[1:])
+    ab[2, :-1] = face[1:-1]
+    u = np.zeros(n + 1)
+    u[1:-1] = solve_banded((1, 1), ab, -2.0 * x[1:-1] * h * h)
+    return float(np.interp(spec.x_obs, x, u))
 
 
 class TestLineSingularity:
@@ -132,6 +165,49 @@ class TestPoisson:
         spec = PoissonSpec(n_random=1, n_cells=32)
         with pytest.raises(SparseGridError):
             poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.zeros_like(x))
+
+    def test_non_finite_kappa_rejected(self):
+        spec = PoissonSpec(n_random=1, n_cells=32)
+        with pytest.raises(SparseGridError, match="linear solve failed"):
+            poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.where(x > 0.5, np.nan, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_random=st.integers(1, 12),
+        n_cells=st.integers(10, 200),
+        correlation_length=st.floats(0.05, 2.0),
+        x_obs=st.floats(1e-3, 1.0 - 1e-3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_banded_reference_bitwise(self, n_random, n_cells, correlation_length,
+                                              x_obs, seed):
+        spec = PoissonSpec(n_random=n_random, n_cells=n_cells,
+                           correlation_length=correlation_length, x_obs=x_obs)
+        draws = np.random.default_rng(seed).random((3, n_random))
+        draws[0] = 0.0
+        x = np.linspace(0.0, 1.0, n_cells + 1)
+        f, _ = get_benchmark("poisson", {"n_random": n_random, "n_cells": n_cells,
+                                         "correlation_length": correlation_length,
+                                         "x_obs": x_obs})
+        batch = f.many(draws)
+        for row, y in enumerate(draws):
+            assert diffusion_field(x, y, spec).tobytes() == reference_field(x, y, spec).tobytes()
+            want = reference_poisson(y, spec)
+            assert poisson_solve(y, spec) == want
+            assert batch[row] == want
+
+    def test_batch_memory_stays_blocked(self):
+        # an unblocked batch of 1,000 draws holds several (1000, 513) arrays
+        # (about 4 MB each) at once
+        f, _ = get_benchmark("poisson", {"n_random": 10})
+        draws = np.random.default_rng(4).random((1000, 10))
+        tracemalloc.start()
+        try:
+            f.many(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, peak
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -343,3 +419,28 @@ class TestRegistry:
         f([0.5, 0.5])
         f([0.1, 0.9])
         assert f.evaluations == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batch_forms_equal_scalar_bitwise(self, data):
+        name = data.draw(st.sampled_from(BATCHED))
+        f, _ = get_benchmark(name)
+        n = data.draw(st.sampled_from(
+            [1, 2, POISSON_BLOCK - 1, POISSON_BLOCK, POISSON_BLOCK + 1, 2 * POISSON_BLOCK + 5]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        points = rng.random((n, f.dimension))
+        # grid coordinates, where the kink and the boundaries sit
+        special = rng.random(points.shape) < 0.3
+        points[special] = rng.choice([0.0, 0.4375, 0.5, 1.0], size=int(special.sum()))
+        got = f.many(points)
+        assert f.evaluations == n
+        want = np.array([f.func(x) for x in points])
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+
+BATCHED = sorted(name for name in benchmark_names() if get_benchmark(name)[0].batch is not None)
+
+
+def test_batched_benchmarks():
+    assert BATCHED == ["kink", "line_singularity", "poisson"]
