@@ -9,11 +9,11 @@ Construction stops when no surplus passes the threshold or when the level cap
 is hit; the result records which criterion fired.
 
 Within a level all candidate evaluations are independent (the model is
-read-only until the batch is inserted), so each level makes its region
-lookups first and then evaluates every miss in one `ModelFunction.many` call:
-one call of the model's batch form when it has one, else one scalar call per
-point.  Insertion happens once per level, so the level-ordered surplus
-contract of the core module holds by construction.
+read-only until the batch is inserted), so each level looks up its whole code
+array in the region database at once and then evaluates every miss in one
+`ModelFunction.many` call: one call of the model's batch form when it has
+one, else one scalar call per point.  Insertion happens once per level, so
+the level-ordered surplus contract of the core module holds by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVEL, SurrogateModel, coordinates, dyadic_keys, split_codes
+from .core import MAX_LEVEL, SurrogateModel, coordinates, split_codes
 from .errors import DimensionMismatchError, EvaluationError, InvalidNodeError
 
 __all__ = [
@@ -149,6 +149,15 @@ class LevelRecord:
     or spline values of its candidates), "surplus", "insert", and the
     "refine" and "after_level" work (EASGC's line scan) that produced its
     candidates from the level before; those two are 0 on level 0.
+
+    The smooth-layer counts are 0 outside EASGC.  `region_lookups` and
+    `spline_hits` count the level's candidates looked up in the region
+    database and the ones that took a spline value (the per-level increment
+    of `spline_interpolations`).  The others count the line scan that ran
+    before the level, like its "after_level" time: lines scanned, and
+    regions created, superseded (removed as covered by a new region),
+    displaced (removed by a longer partial overlap) and rejected (dropped
+    for a partial overlap with a region at least as long).
     """
 
     level: int
@@ -158,6 +167,13 @@ class LevelRecord:
     max_abs_surplus: float
     active: int
     phase_s: dict = field(default_factory=dict)
+    region_lookups: int = 0
+    spline_hits: int = 0
+    lines_scanned: int = 0
+    regions_created: int = 0
+    regions_superseded: int = 0
+    regions_displaced: int = 0
+    regions_rejected: int = 0
 
 
 @dataclass
@@ -204,19 +220,15 @@ def refine_candidates(active, model: SurrogateModel | None = None) -> np.ndarray
 def _evaluate_candidates(model, f, codes, coords, value_source):
     """Evaluate a level's candidates, via region lookup when available.
 
-    Every lookup is made first; the misses then go to the model in one
-    `f.many` call.  Returns (values, spline mask); bumps the model's counters
-    once the whole level is evaluated, so after a failure they still match
-    its nodes.
+    The whole level is looked up first; the misses then go to the model in
+    one `f.many` call.  Returns (values, spline mask); bumps the model's
+    counters once the whole level is evaluated, so after a failure they still
+    match its nodes.
     """
-    values = np.empty(len(coords))
-    spline = np.zeros(len(coords), dtype=bool)
-    if value_source is not None:
-        for i, key in enumerate(dyadic_keys(codes)):
-            cheap = value_source(key)
-            if cheap is not None:
-                values[i] = cheap
-                spline[i] = True
+    if value_source is None:
+        values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
+    else:
+        values, spline = value_source(codes)
     values[~spline] = f.many(coords[~spline])
     hits = int(spline.sum())
     model.full_evaluations += len(values) - hits
@@ -232,11 +244,14 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     Levels 0..init_level are swept conventionally; from init_level on, only
     sons of nodes with |w| >= epsilon are generated.  Each level is one code
     array: evaluated, given its surpluses, inserted and refined as a whole.
-    `value_source(key)` may return a cheap value for the node of exact
-    dyadic key `key` (GridPoint.key; None means do a full evaluation);
-    `after_level(model, level)` runs after each adaptive level is inserted,
-    before the next level's candidates are evaluated; `on_level(model,
-    record)` observes every level for reporting.
+    `value_source(codes)` takes the level's (n, d) code array and returns
+    (values, hit mask): cheap values for the rows it can serve, which skip
+    the full evaluation, and a mask of those rows (the other values are
+    ignored and overwritten).  `after_level(model, level)` runs after each
+    adaptive level is inserted, before the next level's candidates are
+    evaluated, and returns counts for the next level's record (a dict of
+    LevelRecord fields); `on_level(model, record)` observes every level for
+    reporting.
 
     When a full evaluation fails, the EvaluationError carries the completed
     levels as `.partial`: a BuildResult with stopped_by="evaluation_error"
@@ -247,6 +262,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     result = BuildResult(model=model, region_db=region_db)
     candidates = np.ones((1, dimension), dtype=np.int64)  # the root
     prepared = {"refine": 0.0, "after_level": 0.0}
+    scan_counts = {}
     level = 0
     while len(candidates):
         start = clock()
@@ -274,6 +290,9 @@ def _drive(f, dimension, epsilon, init_level, max_level,
             active=len(active),
             phase_s={"evaluate": evaluated - start, "surplus": surplused - evaluated,
                      "insert": inserted - surplused, **prepared},
+            region_lookups=len(candidates) if value_source is not None else 0,
+            spline_hits=int(spline.sum()),
+            **scan_counts,
         )
         result.records.append(record)
         if on_level is not None:
@@ -285,8 +304,9 @@ def _drive(f, dimension, epsilon, init_level, max_level,
             result.stopped_by = "tolerance"
             break
         start = clock()
+        scan_counts = {}
         if after_level is not None and level > init_level:
-            after_level(model, level)
+            scan_counts = after_level(model, level)
         scanned = clock()
         candidates = refine_candidates(active, model)
         prepared = {"refine": clock() - scanned, "after_level": scanned - start}

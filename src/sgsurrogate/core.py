@@ -40,6 +40,11 @@ index i is c = 2**(l-1) + i:
 - levels stop at MAX_LEVEL = 62, so every code and every son fits in an
   int64.
 
+The evaluation kernel numbers every possible node of every stored level
+vector with one int64 key, so a model holds only level vectors whose node
+counts (the products over dimensions of the per-level counts 1, 2, then
+2**(l-2)) sum to less than KEY_LIMIT = 2**63 - 1; add_level refuses the rest.
+
 The drivers evaluate, insert and refine whole levels as code arrays.
 GridPoint, NodeIndex1D and HierarchicalNode remain the public value types and
 are built only on request (Murarasu et al., "Compact data structure and
@@ -56,6 +61,7 @@ is single-writer and proceeds level by level.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,7 @@ __all__ = [
     "make_sons",
     "root_point",
     "MAX_LEVEL",
+    "KEY_LIMIT",
     "join_codes",
     "split_codes",
     "coordinates",
@@ -93,6 +100,10 @@ __all__ = [
 # deepest 1-D level a model stores: the sons of level 63 would pass 2**63,
 # beyond int64, while those of level 62 still fit and read as level 63
 MAX_LEVEL = 62
+
+# the kernel's key sentinel: the node counts of a model's level vectors must
+# sum to less than this, so every key is below it (see _lookup)
+KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, order=True)
@@ -344,6 +355,22 @@ def _row_keys(codes: np.ndarray) -> list[bytes]:
     return [buf[k:k + step] for k in range(0, len(buf), step)]
 
 
+@functools.lru_cache(maxsize=None)
+def _row_weights(d: int) -> np.ndarray:
+    """Fixed odd int64 weights W_0 .. W_{d-1} for hashing integer rows.
+
+    A row's hash is the sum of row_k * W_k, wrapping in int64: equal rows
+    hash equal, and different rows collide only by chance, so users check
+    equality or tolerate a collision.  W_k is the splitmix64 finaliser of
+    k + 1, made odd: independent, well mixed constants, the same in every
+    process.
+    """
+    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return _readonly(((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -390,6 +417,8 @@ class SurrogateModel:
         self._spline = _readonly(np.empty(0, dtype=bool))
         self._rows: dict[bytes, int] = {}  # code row bytes -> row
         self._level_start: dict[int, int] = {}  # level -> row of its first node
+        self._level_vectors: set[bytes] = set()  # level vectors stored, as row bytes
+        self._key_span = 0  # sum of their node counts: the kernel keys in use
         self.full_evaluations = 0
         self.spline_interpolations = 0
         self._frozen = False
@@ -482,9 +511,10 @@ class SurrogateModel:
         """Insert one level's nodes; row k of `codes` holds node k's codes.
 
         Every row must lie on one level, not below the deepest stored one,
-        and no row may be stored already or repeat another.  `spline` marks
-        the rows whose output came from a spline (default: none).  When a
-        check fails nothing is inserted.
+        and no row may be stored already or repeat another.  The node counts
+        of the model's level vectors must stay below KEY_LIMIT (InvalidNodeError
+        otherwise).  `spline` marks the rows whose output came from a spline
+        (default: none).  When a check fails nothing is inserted.
         """
         if self._frozen:
             raise ContractViolationError("model is frozen")
@@ -525,6 +555,22 @@ class SurrogateModel:
         level = int(level[0])
         if self._level_start and level < self.depth:
             raise ContractViolationError(f"level {level} inserted after level {self.depth}")
+        # one row per level vector, by hash; after a collision every row goes on
+        _, first, inverse = np.unique(levels @ _row_weights(self.dimension),
+                                      return_index=True, return_inverse=True)
+        distinct = levels[first] if (levels[first][inverse] == levels).all() else levels
+        # node counts are powers of two: 2**(l-1) on levels 1 and 2, 2**(l-2) above
+        exponents = np.where(distinct <= 2, distinct - 1, distinct - 2).sum(axis=1).tolist()
+        vectors = {key: e for key, e in zip(_row_keys(distinct), exponents)
+                   if key not in self._level_vectors}
+        span = self._key_span + sum(1 << e for e in vectors.values())
+        if span >= KEY_LIMIT:
+            raise InvalidNodeError(
+                f"the level vectors would hold {span} nodes in all, reaching the "
+                f"kernel's key limit KEY_LIMIT = 2**63 - 1"
+            )
+        self._level_vectors.update(vectors)
+        self._key_span = span
         self._level_start.setdefault(level, len(self))
         self._rows.update(rows)
         self._codes = _readonly(np.concatenate([self._codes, codes]))
@@ -585,7 +631,7 @@ class SurrogateModel:
             offsets = np.concatenate([[0], np.cumsum(span[:, -1])[:-1]])
             keys = offsets[member] + (indices * strides[member]).sum(axis=1)
             order = np.append(np.argsort(keys), len(self))
-            keys = np.append(keys, np.iinfo(np.int64).max)
+            keys = np.append(keys, KEY_LIMIT)  # add_level keeps every key below it
             n_levels = int(groups.max())
             refined = groups > 1
             width = max(1, int(refined.sum(axis=1).max()))

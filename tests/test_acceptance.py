@@ -242,7 +242,7 @@ def test_07_adaptive_subset_of_conventional():
 def test_08_poisson_solver_and_study():
     """Constant-conductivity analytic check at 512 cells, monotone moment
     deltas for the 10-dimensional study, spline build never costs more, and
-    a 100-dimensional smoke run completes."""
+    a 100-dimensional spline build substitutes splines with pinned counts."""
     for kappa0 in (1.0, 2.0):
         spec = PoissonSpec(n_random=1, n_cells=512, x_obs=0.5)
         u = poisson_solve(np.array([0.7]), spec, kappa_fn=lambda x: np.full_like(x, kappa0))
@@ -264,12 +264,17 @@ def test_08_poisson_solver_and_study():
     for r in easgc.rows:
         assert r.full_evals <= by_level_a[r.level]
 
-    # 100-dimensional smoke test at low depth
-    smoke_cfg = AdaptiveConfig(dimension=100, epsilon=1e-4, max_level=2, init_level=1)
-    f, _ = get_benchmark("poisson", {"n_random": 100, "n_cells": 64})
-    smoke = run_asgc(f, smoke_cfg)
-    assert len(smoke.model) >= 201
-    assert _reproduces_all_nodes(smoke.model)
+    # 100-dimensional spline build at low depth; the counts were taken from
+    # the build before the line scan and lookup became level-wide arrays
+    smoke_cfg = AdaptiveConfig(dimension=100, epsilon=2e-4, max_level=3, init_level=1,
+                               min_line_points=5)
+    f, _ = get_benchmark("poisson", {"n_random": 100, "n_cells": 16})
+    smoke = run_easgc(f, smoke_cfg)
+    m = smoke.model
+    assert (len(m), m.full_evaluations, m.spline_interpolations, len(smoke.region_db)) == \
+        (6059, 6055, 4, 6)
+    assert f.evaluations == 6055
+    assert _reproduces_all_nodes(m)
     _pass(8, "poisson-solver-and-study")
 
 

@@ -34,6 +34,7 @@ from sgsurrogate import (
     run_csc,
     split_codes,
 )
+from sgsurrogate import core
 from sgsurrogate.core import (
     MAX_LEVEL,
     cumulative_nodes,
@@ -578,3 +579,42 @@ class TestArrayStore:
         for a in (m.codes, m.outputs, m.w, m.v, m.spline):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_kernel_key_limit(self):
+        # level vector (40, 30) has 2**38 * 2**28 = 2**66 nodes: its kernel keys
+        # would wrap int64, so the dim-1 stride read 0 and the node at index
+        # 1000 answered with the surplus of the node at index 7
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
+        codes = join_codes([[40, 30], [40, 30]], [[5, 7], [5, 1000]])
+        with pytest.raises(InvalidNodeError, match="KEY_LIMIT"):
+            m.add_level(codes, [3.0, 4.0], [2.0, 3.0], [0.0, 0.0])
+        assert len(m) == 1
+        x = coordinates(codes)
+        np.testing.assert_array_equal(m.interpolate_many(x), [1.0, 1.0])
+        # a fine level vector that fits keeps exact values at its nodes
+        fits = join_codes([[40, 20], [40, 20]], [[5, 7], [5, 1000]])
+        m.add_level(fits, [3.0, 4.0], [2.0, 3.0], [0.0, 0.0])
+        y = coordinates(fits)
+        np.testing.assert_array_equal(m.interpolate_many(y), [3.0, 4.0])
+        assert m.interpolate([y[0, 0], 0.9]) == 1.0
+        # the limit counts every level vector of the model, not one at a time
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
+        m.add_level(join_codes([[62, 4]], [[0, 0]]), [0.0], [0.0], [0.0])  # 2**62 nodes
+        with pytest.raises(InvalidNodeError, match="KEY_LIMIT"):
+            m.add_level(join_codes([[4, 62]], [[0, 0]]), [0.0], [0.0], [0.0])
+        assert len(m) == 2
+
+    def test_kernel_key_limit_counts_colliding_level_vectors(self, monkeypatch):
+        # add_level finds a level's vectors by hash: when every hash collides,
+        # (62, 4) and (4, 62), 2**62 nodes each, must still both count
+        monkeypatch.setattr(core, "_row_weights", lambda d: np.zeros(d, dtype=np.int64))
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
+        codes = join_codes([[62, 4], [4, 62]], [[0, 0], [0, 0]])
+        with pytest.raises(InvalidNodeError, match="KEY_LIMIT"):
+            m.add_level(codes, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        assert len(m) == 1
+        m.add_level(codes[:1], [0.0], [0.0], [0.0])
+        assert len(m) == 2

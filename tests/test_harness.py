@@ -208,6 +208,18 @@ class TestPersistence:
         loaded, db = load_surrogate(path)
         assert db is None and len(loaded) == 5
 
+    def test_level_vectors_beyond_key_limit_rejected(self, tmp_path):
+        # the (40, 30) level vector holds 2**66 nodes: more kernel keys than int64
+        p = tmp_path / "fine.surrogate"
+        p.write_text(
+            "surrogate d=2 depth=68 full=3 spline=0\n"
+            "1:0,1:0 1 1 1 F\n"
+            "40:5,30:7 3 2 0 F\n"
+            "40:5,30:1000 4 3 0 F\n"
+        )
+        with pytest.raises(PersistenceError, match="KEY_LIMIT"):
+            load_surrogate(p)
+
     def test_bad_files_rejected(self, tmp_path):
         p = tmp_path / "junk.surrogate"
         p.write_text("not a surrogate\n")

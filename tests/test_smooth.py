@@ -5,19 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from sgsurrogate import (
     AdaptiveConfig,
     CubicLineSpline,
     GridPoint,
+    InvalidNodeError,
     ModelFunction,
     NodeIndex1D,
     Provenance,
     RegionDatabase,
     SmoothRegion,
     SparseGridError,
+    coordinates,
     derivative_scan,
+    get_benchmark,
     group_lines,
     root_point,
     run_asgc,
@@ -25,7 +31,9 @@ from sgsurrogate import (
     run_easgc,
     spline_value,
 )
-from sgsurrogate.smooth import LineGroup, _endpoint_slope
+from sgsurrogate import smooth
+from sgsurrogate.core import dyadic_codes, dyadic_keys
+from sgsurrogate.smooth import LineGroup, _endpoint_slope, _spline_values
 
 
 class TestCubicLineSpline:
@@ -69,11 +77,50 @@ class TestCubicLineSpline:
         with pytest.raises(ValueError):
             CubicLineSpline([0.0, 0.5, 0.5, 1.0], [1, 2, 3, 4])
 
+    def test_second_derivatives_equal_banded_solve_bitwise(self):
+        rng = np.random.default_rng(8)
+        for n in (4, 5, 9, 33):
+            x = np.sort(rng.choice(np.arange(1, 200), n, replace=False)) / 256.0
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+            s = CubicLineSpline(x, y)
+            np.testing.assert_array_equal(s.second_derivs, banded_second_derivatives(s))
+
+    def test_non_finite_inputs_rejected(self):
+        x = [0.0, 0.25, 0.5, 1.0]
+        for bad_x, bad_y in ((x, [0.0, np.nan, 1.0, 2.0]), (x, [0.0, np.inf, 1.0, 2.0]),
+                             ([0.0, 0.25, np.nan, 1.0], [0.0, 1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError):
+                CubicLineSpline(bad_x, bad_y)
+
     def test_endpoint_slope_exact_for_quartics(self):
         x = np.array([0.0, 0.13, 0.4, 0.55, 0.81])
         y = x ** 4 - 2 * x ** 2 + x
         got = _endpoint_slope(x, y)
         assert got == pytest.approx(4 * x[0] ** 3 - 4 * x[0] + 1, abs=1e-12)
+
+
+def banded_second_derivatives(s: CubicLineSpline) -> np.ndarray:
+    """Reference: the clamped system solved by solve_banded, as the fit once was."""
+    x, y = s.knots, s.values
+    k = min(5, x.size)
+    slope_lo = _endpoint_slope(x[:k], y[:k])
+    slope_hi = _endpoint_slope(x[-k:][::-1], y[-k:][::-1])
+    n = x.size
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    ab = np.zeros((3, n))
+    rhs = np.zeros(n)
+    ab[1, 0] = h[0] / 3.0
+    ab[0, 1] = h[0] / 6.0
+    rhs[0] = slope[0] - slope_lo
+    ab[1, 1:-1] = (h[:-1] + h[1:]) / 3.0
+    ab[0, 2:] = h[1:] / 6.0
+    ab[2, :-2] = h[:-1] / 6.0
+    rhs[1:-1] = slope[1:] - slope[:-1]
+    ab[1, n - 1] = h[-1] / 3.0
+    ab[2, n - 2] = h[-1] / 6.0
+    rhs[n - 1] = slope_hi - slope[-1]
+    return solve_banded((1, 1), ab, rhs)
 
 
 def csc_model(func, d, level):
@@ -109,6 +156,74 @@ class TestGroupLines:
         for dim in range(2):
             for g in group_lines(m, dim):
                 assert np.all(np.diff(g.positions) > 0)
+
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_builds_only_long_lines(self, colliding, monkeypatch):
+        # many short lines, few long ones: LineGroups are built for the long
+        # lines only, and they are exactly the lines of the per-node reference
+        m = csc_model(lambda x: float(np.sin(x[0] + 2 * x[1]) * x[2] + x[3]), 4, 5)
+        if colliding:
+            # every anchor key collides: the exact grouping must still decide
+            monkeypatch.setattr(smooth, "_row_weights", lambda d: np.zeros(d, dtype=np.int64))
+        built = []
+        grouped = []  # rows sent to the exact grouping
+
+        def counting(**fields):
+            built.append(fields["dim"])
+            return LineGroup(**fields)
+
+        def exact(codes):
+            grouped.append(len(codes))
+            return dyadic_codes(codes)
+
+        monkeypatch.setattr(smooth, "LineGroup", counting)
+        monkeypatch.setattr(smooth, "dyadic_codes", exact)
+        for min_points in (1, 5, 7, 9, math.inf):
+            for dim in range(4):
+                built.clear()
+                grouped.clear()
+                want = reference_lines(m, dim, min_points)
+                got = group_lines(m, dim, min_points)
+                assert len(built) == len(got) == len(want)
+                on_long_lines = sum(len(positions) for _, positions, _ in want)
+                assert sum(grouped) == (len(m) if colliding and want else on_long_lines)
+                all_lines = len(reference_lines(m, dim, 1))
+                assert len(built) <= all_lines and (min_points <= 1 or len(built) < all_lines)
+                for g, (anchor, positions, outputs) in zip(got, want):
+                    assert g.dim == dim and g.anchor == anchor
+                    np.testing.assert_array_equal(g.positions, positions)
+                    np.testing.assert_array_equal(g.outputs, outputs)
+
+    def test_scan_builds_groups_for_scanned_lines_only(self, monkeypatch):
+        built = []
+
+        def counting(**fields):
+            built.append(fields["dim"])
+            return LineGroup(**fields)
+
+        monkeypatch.setattr(smooth, "LineGroup", counting)
+        f = ModelFunction(lambda x: float(np.sin(2 * np.pi * x[0]) * (1 + x[1] * x[2])), 3, "s")
+        cfg = AdaptiveConfig(dimension=3, epsilon=1e-3, max_level=7, init_level=2,
+                             min_line_points=7)
+        res = run_easgc(f, cfg)
+        assert len(built) == sum(r.lines_scanned for r in res.records) > 0
+        long_lines = sum(len(reference_lines(res.model, dim, 7)) for dim in range(3))
+        all_lines = sum(len(reference_lines(res.model, dim, 1)) for dim in range(3))
+        # scans before the last level see fewer nodes, so fewer long lines
+        assert max(r.lines_scanned for r in res.records) <= long_lines < all_lines
+
+
+def reference_lines(m, dim, min_points):
+    """Reference grouping: per-node anchor tuples, then sorted, long lines only."""
+    lines = {}
+    for key, position, output in zip(dyadic_keys(m.codes), coordinates(m.codes[:, dim]),
+                                      m.outputs):
+        lines.setdefault(key[:dim] + key[dim + 1:], []).append((position, output))
+    return [
+        (anchor, np.array([p for p, _ in pts]), np.array([o for _, o in pts]))
+        for anchor, pts in sorted((a, sorted(p)) for a, p in lines.items())
+        if len(pts) >= min_points
+    ]
 
 
 def line(positions, outputs, dim=0, anchor=()):
@@ -247,6 +362,55 @@ class TestRegionDatabase:
         r, t = db.lookup(root_point(2))
         assert r.dim == 1  # stored first
 
+    def test_store_reports_its_outcome(self):
+        db = RegionDatabase()
+        assert db.store(region([0.25, 0.375, 0.5, 0.625])) == ("created", 0, 0)
+        assert db.store(region([0.75, 0.8125, 0.875, 0.9375])) == ("created", 0, 0)
+        assert db.store(region([0.25, 0.375, 0.5, 0.625])).status == "covered"
+        # covers both stored intervals
+        assert db.store(region([0.0, 0.25, 0.5, 0.75, 1.0])) == ("created", 2, 0)
+        other = dict(dim=1, anchor=((1, 1),))
+        assert db.store(region([0.0, 0.25, 0.5, 0.625], **other)).status == "created"
+        # longer partial overlap displaces, shorter one is rejected
+        assert db.store(region([0.3, 0.5, 0.625, 0.75, 0.875, 1.0], **other)) == ("created", 0, 1)
+        assert db.store(region([0.0, 0.125, 0.25, 0.5], **other)).status == "rejected"
+        assert len(db) == 2
+
+    def test_lookup_of_a_key_of_no_node(self):
+        db = RegionDatabase()
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((0, 0),)))
+        for key in (((1, 1), (2, 2)), ((3, 1), (0, 0)), ((1, 1), (-1, 0))):
+            with pytest.raises(InvalidNodeError):
+                db.lookup(key)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_level_lookup_equals_per_key_reference_bitwise(self, data):
+        db, codes = data.draw(region_databases())
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans()):
+                # every anchor key collides: the exact anchor check must decide
+                patch.setattr(smooth, "_row_weights", lambda d: np.zeros(d, dtype=np.int64))
+            regions, which, t = db.lookup_many(codes)
+            keys = dyadic_keys(codes)
+            singles = [db.lookup(key) for key in keys]
+        values = _spline_values(regions, which, t)
+        for i, (key, single) in enumerate(zip(keys, singles)):
+            want = reference_lookup(db, key)
+            assert (single is None) == (want is None)
+            if want is None:
+                assert which[i] == -1 and np.isnan(values[i])
+                continue
+            r, at = want
+            assert regions[which[i]] is r and single[0] is r and single[1] == at
+            assert np.float64(t[i]).tobytes() == np.float64(at).tobytes()
+            value = float(r.spline(at))  # the scalar path, one key at a time
+            assert np.float64(values[i]).tobytes() == np.float64(value).tobytes()
+            assert np.float64(spline_value(r, at)).tobytes() == np.float64(value).tobytes()
+            np.testing.assert_array_equal(r.spline.second_derivs,
+                                          banded_second_derivatives(r.spline))
+        assert len(set(map(id, regions))) == len(regions)
+
     def test_spline_value_contract(self):
         r = region([0.0, 0.25, 0.5, 0.75, 1.0])
         assert spline_value(r, 0.75) == pytest.approx(0.75 ** 2, abs=1e-14)
@@ -261,6 +425,83 @@ class TestRegionDatabase:
             region([0.0, 0.25, 0.5])  # too few knots
         with pytest.raises(SparseGridError):
             region([0.0, 0.25, 0.25, 0.5])  # not strictly increasing
+
+
+# codes of levels 1 .. 4 for knots and anchors, 1 .. 5 for queries
+KNOT_CODES = [1, 2, 3, 4, 5, 8, 9, 10, 11]
+QUERY_CODES = KNOT_CODES + list(range(16, 24))
+BY_POSITION = [2, 8, 4, 9, 1, 10, 5, 11, 3]  # KNOT_CODES in ascending position
+
+
+@st.composite
+def region_databases(draw):
+    """A database of up to 14 regions in 1-3 dimensions, and query rows.
+
+    Some regions cross an earlier one at one of its knots, along another
+    dimension, so lookups there tie across dimensions; intervals on one line
+    overlap, so stores supersede, displace or are rejected; and some regions
+    carry an anchor that is no node's key, which no lookup may match.  Most
+    query rows lie on a stored region's line, the rest anywhere.
+    """
+    d = draw(st.integers(1, 3))
+    db = RegionDatabase()
+    lines = []  # (dim, full code row with the line's anchor, 0 at dim)
+    for _ in range(draw(st.integers(0, 14))):
+        dim = draw(st.integers(0, d - 1))
+        lo = draw(st.integers(0, 5))  # a window of the line, so intervals overlap partly
+        window = BY_POSITION[lo:draw(st.integers(lo + 4, 9))]
+        knots = draw(st.sets(st.sampled_from(window), min_size=4, max_size=len(window)))
+        crossing = [(a, row) for a, row in lines if a != dim]
+        if crossing and draw(st.booleans()):
+            # through a knot of an earlier line: the two lines share that node
+            a, row = draw(st.sampled_from(crossing))
+            row = row.copy()
+            row[a] = draw(st.sampled_from(KNOT_CODES))
+            knots.add(int(row[dim]))
+        else:
+            row = np.array(draw(st.lists(st.sampled_from(KNOT_CODES[:5]), min_size=d,
+                                         max_size=d)), dtype=np.int64)
+        row[dim] = 1
+        lines.append((dim, row))
+        anchor = dyadic_keys(np.delete(row, dim)[None, :])[0]
+        if d > 1 and draw(st.integers(0, 9)) == 0:
+            anchor = ((2, 2),) + anchor[1:]  # 0.5 written as 2/4: no node's key
+        positions = np.sort(coordinates(np.array(sorted(knots))))
+        outputs = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(knots),
+                                max_size=len(knots)))
+        db.store(SmoothRegion(dim=dim, anchor=anchor, knots=positions,
+                              outputs=np.array(outputs)))
+    queries = []
+    for _ in range(draw(st.integers(1, 40))):
+        if lines and draw(st.integers(0, 3)):
+            dim, row = draw(st.sampled_from(lines))
+            row = row.copy()
+            row[dim] = draw(st.sampled_from(QUERY_CODES))
+        else:
+            row = draw(st.lists(st.sampled_from(QUERY_CODES), min_size=d, max_size=d))
+        queries.append(row)
+    return db, np.array(queries, dtype=np.int64).reshape(-1, d)
+
+
+def reference_lookup(db, key):
+    """Reference: the per-key loop the level-wide lookup replaced."""
+    lines = {}
+    for r in db.regions():
+        lines.setdefault((r.dim, r.anchor), []).append(r)
+    best = None
+    best_t = None
+    for dim in range(len(key)):
+        anchor = key[:dim] + key[dim + 1:]
+        regions = sorted(lines.get((dim, anchor), []), key=lambda r: r.lo)
+        num, exp = key[dim]
+        t = num / (1 << exp)
+        for region in regions:
+            if region.lo <= t <= region.hi:
+                if best is None or region.created_at < best.created_at:
+                    best, best_t = region, t
+    if best is None:
+        return None
+    return best, best_t
 
 
 class TestRunEasgc:
@@ -312,6 +553,27 @@ class TestRunEasgc:
             by_prov[n.provenance] += 1
         assert by_prov[Provenance.FULL_MODEL] == m.full_evaluations
         assert by_prov[Provenance.SPLINE_INTERPOLATED] == m.spline_interpolations
+
+    def test_level_records_count_the_smooth_layer(self):
+        func = lambda x: float(np.sin(2 * np.pi * x[0]) + x[1])
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=8, init_level=2,
+                             min_line_points=5)
+        res = run_easgc(ModelFunction(func, 2, "s"), cfg)
+        recs = res.records
+        hits = [r.spline_hits for r in recs]
+        assert sum(hits) == res.model.spline_interpolations > 0
+        assert [r.spline_interpolations for r in recs] == np.cumsum(hits).tolist()
+        assert [r.region_lookups for r in recs] == [r.candidates for r in recs]
+        assert sum(r.lines_scanned for r in recs) > 0
+        created = sum(r.regions_created for r in recs)
+        removed = sum(r.regions_superseded + r.regions_displaced for r in recs)
+        assert created > 0 and created - removed == len(res.region_db)
+        # the scan counts sit on the level whose candidates it prepared
+        assert all(r.lines_scanned == 0 for r in recs[:cfg.init_level + 2])
+        plain = run_asgc(ModelFunction(func, 2, "s"), cfg).records
+        fields = ("region_lookups", "spline_hits", "lines_scanned", "regions_created",
+                  "regions_superseded", "regions_displaced", "regions_rejected")
+        assert all(getattr(r, k) == 0 for r in plain for k in fields)
 
     def test_flow_equivalence_min_points_infinite(self):
         func = lambda x: float(np.exp(x[0]) * np.cos(3 * x[1]))
