@@ -22,6 +22,21 @@ O(queries * level vectors * (d + log nodes)) instead of O(queries * nodes * d)
 (Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
 "Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
 
+The group table is kept coarse to fine (total level, then level vector,
+ascending) and grows as levels are inserted; one kernel folds the groups'
+terms in either direction:
+
+- queries (interpolate, interpolate_many) add them coarse to fine.  A new,
+  deeper level appends its groups at the table's end, so the sum after level
+  k continues the sum after level k-1 exactly: a caller holding the sums of a
+  model's earlier levels adds only the new groups and gets, bit for bit, a
+  fresh evaluation of the grown model (run_study's error columns do this);
+- surpluses (surpluses_against_prefix) add them fine to coarse.  The small
+  fine-level terms meet each other before the large coarse ones, which keeps
+  piecewise-linear data's surpluses exactly 0 more often than coarse to fine
+  or pairwise summation does.  Every w and v, and so every saved file,
+  depends on this order to the last bit.
+
 A model stores its nodes as a struct of arrays, in insertion order: one
 (N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
 surpluses; a boolean provenance array, True where the output came from a
@@ -63,6 +78,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +118,7 @@ __all__ = [
 MAX_LEVEL = 62
 
 # the kernel's key sentinel: the node counts of a model's level vectors must
-# sum to less than this, so every key is below it (see _lookup)
+# sum to less than this, so every key is below it (see _Table)
 KEY_LIMIT = np.iinfo(np.int64).max
 
 
@@ -398,6 +414,44 @@ class HierarchicalNode:
     provenance: Provenance = Provenance.FULL_MODEL
 
 
+class _Table(NamedTuple):
+    """The evaluation kernel's node table, grouped by level vector.
+
+    Within one level vector the nodes' supports are disjoint (up to their
+    zero-valued edges), so a query needs one candidate per group.  Groups
+    are ordered coarse to fine: by total level, then by level vector, both
+    ascending.
+
+    - keys (N + 1,): sorted node keys, group offset + code, where a node's
+      code reads its per-dimension indices as a mixed-radix number; a
+      sentinel KEY_LIMIT above every key ends the array;
+    - coeffs (N + 1, 2): w and v in key order; the sentinel's are 0;
+    - levels (G, d): the groups' level vectors;
+    - cols, strides (G, K): per group, its dimensions above level 1 in
+      ascending order as columns (dimension * n_levels + level - 1) of the
+      per-query tables of `_hat_tables`, with their radix strides; short
+      rows are padded with column 0 (level 1: hat 1, index 0) and stride 0;
+    - offsets (G,): each group's first key, in the order the groups were
+      inserted, so a group's keys never change;
+    - per_level: the `_per_level` constants of levels 1 .. n_levels, the
+      deepest level of any group.
+    """
+
+    keys: np.ndarray
+    coeffs: np.ndarray
+    levels: np.ndarray
+    cols: np.ndarray
+    strides: np.ndarray
+    offsets: np.ndarray
+    per_level: tuple
+
+
+def _empty_table(d: int) -> _Table:
+    groups = np.empty((0, d), dtype=np.int64)
+    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), groups,
+                  groups[:, :1], groups[:, :1], np.empty(0, dtype=np.int64), _per_level(1))
+
+
 class SurrogateModel:
     """A hierarchical sparse grid interpolant under construction or finished.
 
@@ -417,12 +471,13 @@ class SurrogateModel:
         self._spline = _readonly(np.empty(0, dtype=bool))
         self._rows: dict[bytes, int] = {}  # code row bytes -> row
         self._level_start: dict[int, int] = {}  # level -> row of its first node
-        self._level_vectors: set[bytes] = set()  # level vectors stored, as row bytes
+        # level vectors stored, as row bytes -> their first kernel key
+        self._level_vectors: dict[bytes, int] = {}
         self._key_span = 0  # sum of their node counts: the kernel keys in use
         self.full_evaluations = 0
         self.spline_interpolations = 0
         self._frozen = False
-        self._table = None  # lazily built lookup table, invalidated on insert
+        self._table = _empty_table(dimension)  # grown by add_level
 
     # -- container basics ----------------------------------------------------
 
@@ -536,7 +591,7 @@ class SurrogateModel:
             )
         if n == 0:
             return
-        levels, _ = split_codes(codes)
+        levels, indices = split_codes(codes)
         level = levels.sum(axis=1) - self.dimension
         keys = _row_keys(codes)
         rows = dict(zip(keys, range(len(self), len(self) + n)))
@@ -555,20 +610,35 @@ class SurrogateModel:
         level = int(level[0])
         if self._level_start and level < self.depth:
             raise ContractViolationError(f"level {level} inserted after level {self.depth}")
-        # one row per level vector, by hash; after a collision every row goes on
+        # one row per level vector, by hash; after a collision, by exact rows
         _, first, inverse = np.unique(levels @ _row_weights(self.dimension),
                                       return_index=True, return_inverse=True)
-        distinct = levels[first] if (levels[first][inverse] == levels).all() else levels
+        distinct = levels[first]
+        if (distinct[inverse] == levels).all():
+            # lexicographic, as np.unique's: new groups take keys in table order
+            rank = np.lexsort(distinct.T[::-1])
+            distinct, inverse = distinct[rank], np.argsort(rank)[inverse]
+        else:
+            distinct, inverse = np.unique(levels, axis=0, return_inverse=True)
         # node counts are powers of two: 2**(l-1) on levels 1 and 2, 2**(l-2) above
         exponents = np.where(distinct <= 2, distinct - 1, distinct - 2).sum(axis=1).tolist()
-        vectors = {key: e for key, e in zip(_row_keys(distinct), exponents)
-                   if key not in self._level_vectors}
-        span = self._key_span + sum(1 << e for e in vectors.values())
+        vector_keys = _row_keys(distinct)
+        vectors, offsets, span = {}, [], self._key_span
+        for key, e in zip(vector_keys, exponents):
+            offset = self._level_vectors.get(key)
+            if offset is None:
+                offset = vectors[key] = span
+                span += 1 << e
+            offsets.append(offset)
         if span >= KEY_LIMIT:
             raise InvalidNodeError(
                 f"the level vectors would hold {span} nodes in all, reaching the "
                 f"kernel's key limit KEY_LIMIT = 2**63 - 1"
             )
+        _, w, v, _ = columns
+        self._table = _grown(self._table, distinct, inverse.ravel(), np.array(offsets),
+                             np.array([key in vectors for key in vector_keys]),
+                             indices, w, v)
         self._level_vectors.update(vectors)
         self._key_span = span
         self._level_start.setdefault(level, len(self))
@@ -578,7 +648,6 @@ class SurrogateModel:
             _readonly(np.concatenate([old, new])) for old, new in
             zip((self._outputs, self._w, self._v, self._spline), columns)
         )
-        self._table = None
 
     def add_node(self, node: HierarchicalNode) -> None:
         """Insert one node: a one-row add_level."""
@@ -596,67 +665,40 @@ class SurrogateModel:
 
     # -- level-vector-indexed evaluation kernel ---------------------------------
 
-    def _lookup(self):
-        """Node table grouped by level vector, built lazily, reset on insert.
+    @property
+    def _group_count(self) -> int:
+        """Level-vector groups in the kernel's table."""
+        return len(self._table.offsets)
 
-        Within one level vector the nodes' supports are disjoint (up to their
-        zero-valued edges), so a query needs one candidate per group.  Groups
-        are ordered fine to coarse: by total level, then by level vector, both
-        descending.  Returns (keys, coeffs, cols, strides, offsets, per_level):
-
-        - keys (N + 1,): sorted node keys, group offset + code, where a node's
-          code reads its per-dimension indices as a mixed-radix number; a
-          sentinel above every key ends the array;
-        - coeffs (N + 1, 2): w and v in key order; the sentinel's are 0;
-        - cols, strides (G, K): per group, its dimensions above level 1 in
-          ascending order as columns (dimension * n_levels + level - 1) of
-          the per-query tables of `_hat_tables`, with their radix strides;
-          short rows are padded with column 0 (level 1: hat 1, index 0) and
-          stride 0;
-        - offsets (G,): each group's first key;
-        - per_level: the `_per_level` constants of levels 1 .. n_levels.
-        """
-        if self._table is None:
-            levels, indices = split_codes(self._codes)
-            coeffs = np.zeros((len(self) + 1, 2))
-            coeffs[:-1, 0] = self._w
-            coeffs[:-1, 1] = self._v
-            groups, member = np.unique(levels, axis=0, return_inverse=True)
-            rank = np.lexsort(np.vstack([groups.T[::-1], groups.sum(axis=1)]))[::-1]
-            groups = groups[rank]
-            member = np.argsort(rank)[member.ravel()]
-            radix = _nodes_per_level(groups)
-            span = np.cumprod(radix, axis=1)
-            strides = span // radix
-            offsets = np.concatenate([[0], np.cumsum(span[:, -1])[:-1]])
-            keys = offsets[member] + (indices * strides[member]).sum(axis=1)
-            order = np.append(np.argsort(keys), len(self))
-            keys = np.append(keys, KEY_LIMIT)  # add_level keeps every key below it
-            n_levels = int(groups.max())
-            refined = groups > 1
-            width = max(1, int(refined.sum(axis=1).max()))
-            dims = np.argsort(~refined, axis=1, kind="stable")[:, :width]
-            used = np.take_along_axis(refined, dims, axis=1)
-            lv = np.take_along_axis(groups, dims, axis=1)
-            cols = np.where(used, dims * n_levels + lv - 1, 0)
-            strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
-            self._table = (keys[order], coeffs[order], cols, strides, offsets,
-                           _per_level(n_levels))
-        return self._table
-
-    def _evaluate_sum(self, x_many: np.ndarray, columns) -> np.ndarray:
-        """Sums of coeff * basis over all nodes, shape (n, len(columns)).
+    def _evaluate_sum(self, x_many: np.ndarray, columns, first: int = 0, start=None,
+                      fine_first: bool = False) -> np.ndarray:
+        """Sums of coeff * basis over the nodes, shape (n, len(columns)).
 
         `columns` picks coefficients: 0 for w, 1 for v.  Per query and group
         the one candidate node's hat product is formed dimension by dimension
-        in ascending order, then the groups' terms are added one by one, fine
-        to coarse: the small fine-level terms meet each other before the large
-        coarse ones, which keeps piecewise-linear data's surpluses exactly 0
-        more often than coarse-to-fine or pairwise summation does.
+        in ascending order, then the terms of the groups from table position
+        `first` on are added one by one onto `start` (shape
+        (n, len(columns))), if given:
+
+        - coarse to fine by default.  A left fold continues exactly, so the
+          sums of groups 0 .. first - 1 passed as `start` give, bit for bit,
+          the fold over every group: queries after a deeper level need only
+          that level's groups;
+        - fine to coarse with `fine_first` (for surpluses): the small
+          fine-level terms meet each other before the large coarse ones,
+          which keeps piecewise-linear data's surpluses exactly 0 more often
+          than coarse-to-fine or pairwise summation does.
+
+        Queries go in blocks of at most _BLOCK // max(groups, hat columns)
+        rows, so every scratch array, the per-query hat tables included,
+        stays near _BLOCK floats.
         """
-        keys, coeffs, cols, strides, offsets, per_level = self._lookup()
-        out = np.empty((x_many.shape[0], len(columns)))
-        block = max(1, _BLOCK // len(offsets))
+        keys, coeffs, levels, cols, strides, offsets, per_level = self._table
+        cols, strides, offsets = cols[first:], strides[first:], offsets[first:]
+        out = np.zeros((x_many.shape[0], len(columns))) if start is None else start.copy()
+        if not len(offsets):
+            return out
+        block = max(1, _BLOCK // max(len(offsets), levels.shape[1] * len(per_level[0])))
         for lo in range(0, x_many.shape[0], block):
             hat, index = _hat_tables(x_many[lo:lo + block], per_level)
             prod = hat[:, cols[:, 0]]
@@ -667,7 +709,12 @@ class SurrogateModel:
             pos = np.searchsorted(keys, code)
             prod *= keys[pos] == code  # 0 where no node of the group holds x
             for j, c in enumerate(columns):
-                out[lo:lo + block, j] = np.cumsum(coeffs[pos, c] * prod, axis=1)[:, -1]
+                terms = coeffs[pos, c] * prod
+                if fine_first:
+                    terms = terms[:, ::-1]
+                if start is not None:
+                    terms[:, 0] += start[lo:lo + block, j]
+                out[lo:lo + block, j] = np.cumsum(terms, axis=1)[:, -1]
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
@@ -708,7 +755,7 @@ class SurrogateModel:
         """
         if len(self) == 0:
             return values.copy(), values.copy() ** 2
-        sums = self._evaluate_sum(points, (0, 1))
+        sums = self._evaluate_sum(points, (0, 1), fine_first=True)
         return values - sums[:, 0], values ** 2 - sums[:, 1]
 
 
@@ -719,6 +766,44 @@ _BLOCK = 1 << 16
 def _nodes_per_level(levels):
     """Array form of _new_nodes_on_level: 1, 2, then 2**(i-2)."""
     return np.where(levels <= 2, levels, np.left_shift(1, np.maximum(levels - 2, 0)))
+
+
+def _grown(table: _Table, distinct, member, offsets, fresh, indices, w, v) -> _Table:
+    """`table` with one level's nodes merged in.
+
+    `distinct` holds the level vectors of the nodes, `member` each node's row
+    of it, `offsets` their first keys and `fresh` those not yet in the table;
+    `indices` are the nodes' per-dimension indices.  Keys and coefficients
+    go to their sorted places and new groups to their coarse-to-fine places,
+    so the table is the same whichever way the nodes were split into calls.
+    The per-group columns are laid out anew, since a deeper level moves
+    every column of the hat tables.
+    """
+    radix = _nodes_per_level(distinct)
+    strides = np.cumprod(radix, axis=1) // radix
+    node_keys = offsets[member] + (indices * strides[member]).sum(axis=1)
+    order = np.argsort(node_keys)
+    node_keys = node_keys[order]
+    at = np.searchsorted(table.keys, node_keys)
+    keys = np.insert(table.keys, at, node_keys)
+    coeffs = np.insert(table.coeffs, at, np.stack([w[order], v[order]], axis=1), axis=0)
+    if not fresh.any():
+        return table._replace(keys=keys, coeffs=coeffs)
+    groups = np.concatenate([table.levels, distinct[fresh]])
+    rank = np.lexsort(np.vstack([groups.T[::-1], groups.sum(axis=1)]))
+    groups = groups[rank]
+    offsets = np.concatenate([table.offsets, offsets[fresh]])[rank]
+    radix = _nodes_per_level(groups)
+    strides = np.cumprod(radix, axis=1) // radix
+    n_levels = int(groups.max())
+    refined = groups > 1
+    width = max(1, int(refined.sum(axis=1).max()))
+    dims = np.argsort(~refined, axis=1, kind="stable")[:, :width]
+    used = np.take_along_axis(refined, dims, axis=1)
+    lv = np.take_along_axis(groups, dims, axis=1)
+    cols = np.where(used, dims * n_levels + lv - 1, 0)
+    strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
+    return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels))
 
 
 def _per_level(n_levels: int) -> tuple[np.ndarray, ...]:

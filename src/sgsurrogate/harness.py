@@ -193,9 +193,15 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
               persist_surrogate: bool = False) -> StudyReport:
     """Build a surrogate with one method, recording one report row per level.
 
+    The error columns come from running sums at the test points: each level
+    adds only the terms of the level-vector groups it appended, and the sums
+    equal, bit for bit, `interpolate_many` on that level's model (see core).
+    The JSON sidecar's `level_build_s` lists each level's build seconds, the
+    sum of its `phase_s`, without the study's own error and moment work.
+
     Deterministic for a fixed seed and configuration (the wall_time column
-    aside).  When `output_dir` is given, writes `<stem>.csv`, `<stem>.json`
-    and optionally `<stem>.surrogate`.
+    and `level_build_s` aside).  When `output_dir` is given, writes
+    `<stem>.csv`, `<stem>.json` and optionally `<stem>.surrogate`.
     """
     method = method.upper()
     if method not in METHODS:
@@ -214,10 +220,17 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     report = StudyReport(method=method, benchmark=benchmark)
     start = time.perf_counter()
     previous = {"mean": None, "variance": None}
+    # the surrogate at the test points as running sums over the groups folded
+    # so far: a level appends its groups, so only those are added
+    running = {"sums": None, "groups": 0}
+    build_s = []
 
     def on_level(model, record):
+        build_s.append(sum(record.phase_s.values()))
         est = moments(model)
-        dev = _deviation(model, true_values, points)  # once for both errors
+        running["sums"] = model._evaluate_sum(points, (0,), running["groups"], running["sums"])
+        running["groups"] = model._group_count
+        dev = running["sums"][:, 0] - true_values  # once for both errors
         mean_delta = (
             float("nan") if previous["mean"] is None else abs(est.mean - previous["mean"])
         )
@@ -262,6 +275,7 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         "spline_interpolations": result.model.spline_interpolations,
         "nodes": len(result.model),
         "version": _version,
+        "level_build_s": build_s,
     }
     if output_dir is not None:
         csv_path, _ = report.write(output_dir, stem)

@@ -65,7 +65,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     """Read a surrogate file back; the inverse of save_surrogate.
 
     Parsing is strict: any line that is not a well-formed node or region
-    line, including a blank one, raises PersistenceError.
+    line, including a blank one, raises PersistenceError, and so does a
+    region line no node could match: a dim outside [0, d), an anchor without
+    d - 1 pairs, or knots and outputs of unequal lengths or not finite.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(_MAGIC + " "):
@@ -96,8 +98,10 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
         try:
             codes = join_codes(levels, indices)
             outputs, w, v, is_spline = (np.array(column) for column in zip(*values))
-            # one add_level per run of lines on one level, in file order
             depth = np.array(levels).sum(axis=1)
+            # free the per-line lists before add_level grows the kernel's table
+            levels = indices = values = None
+            # one add_level per run of lines on one level, in file order
             bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 model.add_level(codes[lo:hi], outputs[lo:hi], w[lo:hi], v[lo:hi],
@@ -121,12 +125,26 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
                 (int(num), int(exp))
                 for num, exp in (p.split(":") for p in anchor_tok.split(","))
             ) if anchor_tok != "-" else ()
-            db.store(SmoothRegion(
+            region = SmoothRegion(
                 dim=int(dim),
                 anchor=anchor,
                 knots=np.array([float(k) for k in knots_tok.split(",")]),
                 outputs=np.array([float(o) for o in outputs_tok.split(",")]),
-            ))
+            )
+            _check_region(region, model.dimension)
+            db.store(region)
     except (ValueError, KeyError, SparseGridError) as exc:
-        raise PersistenceError(f"{path}: bad region line: {line!r}") from exc
+        raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db
+
+
+def _check_region(region: SmoothRegion, d: int) -> None:
+    """Refuse a region that no node of a d-dimensional model can ever match."""
+    if not 0 <= region.dim < d:
+        raise ValueError(f"dim {region.dim} outside [0, {d})")
+    if len(region.anchor) != d - 1:
+        raise ValueError(f"anchor of {len(region.anchor)} pairs, not d - 1 = {d - 1}")
+    if len(region.knots) != len(region.outputs):
+        raise ValueError(f"{len(region.knots)} knots but {len(region.outputs)} outputs")
+    if not (np.isfinite(region.knots).all() and np.isfinite(region.outputs).all()):
+        raise ValueError("non-finite knots or outputs")

@@ -28,10 +28,14 @@ from sgsurrogate import (
     children_1d,
     coord_1d,
     coordinates,
+    get_benchmark,
     join_codes,
+    load_surrogate,
     make_sons,
+    refine_candidates,
     root_point,
     run_csc,
+    save_surrogate,
     split_codes,
 )
 from sgsurrogate import core
@@ -351,6 +355,35 @@ class TestTelescoping:
             err = abs(m.interpolate(node.point.coordinate()) - node.output)
             assert err <= 8 * np.finfo(float).eps * max(1.0, abs(node.output))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        dimension=st.integers(1, 3),
+        coarse_level=st.integers(0, 3),
+        extra=st.integers(1, 3),
+        amplitude=st.integers(-40, 40),
+        frequency=st.floats(0.0, 12.0, allow_nan=False),
+    )
+    def test_piecewise_linear_data_has_zero_finer_surpluses(
+            self, method, dimension, coarse_level, extra, amplitude, frequency):
+        # a coarse surrogate with outputs in eighths is piecewise linear on
+        # the grid; sampled at finer nodes it is dyadic, so a build of it
+        # must give every finer node a surplus of exactly 0
+        def eighths(x):
+            return round(amplitude * math.sin(frequency * sum(x))) / 8
+
+        coarse = run_csc(ModelFunction(eighths, dimension, "coarse"), dimension,
+                         coarse_level).model
+        data = ModelFunction(lambda x: coarse.interpolate(x), dimension, "piecewise linear")
+        max_level = coarse_level + extra + 1
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-9, max_level=max_level,
+                             init_level=coarse_level + 1, min_line_points=5)
+        m = (run_csc(data, dimension, max_level) if method == "CSC"
+             else build(data, cfg, method)).model
+        finer = split_codes(m.codes)[0].sum(axis=1) - dimension > coarse_level
+        assert finer.any()
+        assert (m.w[finer] == 0.0).all()
+
 
 def brute_force(m, x, coeff):
     """Reference sum of coeff * basis_nd over every stored node, and the sum
@@ -392,6 +425,51 @@ class TestEvaluationKernel:
                 assert abs(value - ref) <= 1e-12 * scale, (x, coeff, value, ref)
         for x, value in zip(queries, m.interpolate_many(queries)):
             assert m.interpolate(x) == value
+        # the interpolation property, in the coarse-to-fine query fold
+        got = m.interpolate_many(coordinates(m.codes))
+        assert (np.abs(got - m.outputs) <= 1e-12 * np.maximum(1.0, np.abs(m.outputs))).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        dimension=st.integers(1, 3),
+        frequency=st.floats(0.0, 12.0, allow_nan=False),
+        kink=st.floats(0.0, 1.0),
+        max_level=st.integers(2, 5),
+        query_seed=st.integers(0, 2 ** 16),
+    )
+    def test_fold_directions(self, method, dimension, frequency, kink, max_level,
+                             query_seed):
+        # queries add the level vectors' terms coarse to fine, surpluses fine
+        # to coarse (total level, then level vector): both bitwise equal to a
+        # left fold of the brute-force per-group terms in that order
+        def func(x):
+            return math.sin(frequency * x[0]) + abs(x[-1] - kink)
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=max_level,
+                             init_level=1, min_line_points=5)
+        m = build(ModelFunction(func, dimension, "random"), cfg, method).model
+        groups = {}
+        for node in m.nodes():
+            groups.setdefault(tuple(n.level for n in node.point.dims), []).append(node)
+        coarse_first = sorted(groups, key=lambda lv: (sum(lv), lv))
+        queries = np.random.default_rng(query_seed).random((20, dimension))
+        values = np.random.default_rng(query_seed).standard_normal(20)
+        squares = values ** 2
+        got = m.interpolate_many(queries)
+        w, v = m.surpluses_against_prefix(queries, values)
+        for i, x in enumerate(queries):
+            terms = {lv: [sum(getattr(n, c) * basis_nd(n.point, x) for n in groups[lv])
+                          for c in "wv"] for lv in groups}
+            query = surplus_w = surplus_v = None
+            for lv in coarse_first:
+                query = terms[lv][0] if query is None else query + terms[lv][0]
+            for lv in reversed(coarse_first):
+                tw, tv = terms[lv]
+                surplus_w = tw if surplus_w is None else surplus_w + tw
+                surplus_v = tv if surplus_v is None else surplus_v + tv
+            assert got[i] == query
+            assert (w[i], v[i]) == (values[i] - surplus_w, squares[i] - surplus_v)
 
     def test_lookup_rebuilt_after_insert(self):
         # x^2 on {0.5, 0, 1}, then the finer node 0.25
@@ -423,6 +501,78 @@ class TestEvaluationKernel:
         # block edge must not depend on the blocking
         for i in range(len(queries)):
             assert m.interpolate(queries[i]) == got[i]
+
+    def test_memory_bounded_by_hat_table_width(self):
+        # 10-D, refined along x0 to level 30: only 30 groups, but 10 * 30
+        # columns per query in the hat tables; blocks sized by the groups
+        # alone held 5 MB per table and peaked at 26.7 MB
+        m = SurrogateModel(10)
+        for level in range(1, 31):
+            row = np.ones((1, 10), dtype=np.int64)
+            row[0, 0] = 1 << (level - 1)
+            m.add_level(row, [float(level)], [1.0 / level], [0.5])
+        queries = np.random.default_rng(4).random((20000, 10))
+        tracemalloc.start()
+        try:
+            got = m.interpolate_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, peak
+        for i in range(0, len(queries), 97):
+            assert m.interpolate(queries[i]) == got[i]
+
+    def test_running_sums_equal_fresh_evaluation_bitwise(self):
+        # coarse-to-fine query folds continue exactly: the sums of a model's
+        # earlier levels plus the new level's groups are a fresh evaluation
+        f = ModelFunction(lambda x: math.exp(x[0]) * math.sin(4 * x[1]) + abs(x[1] - 0.3),
+                          2, "m")
+        queries = np.random.default_rng(8).random((3000, 2))
+        carried = {"sums": None, "groups": 0, "levels": 0}
+
+        def on_level(model, record):
+            carried["sums"] = model._evaluate_sum(queries, (0, 1), carried["groups"],
+                                                  carried["sums"])
+            carried["groups"] = model._group_count
+            carried["levels"] += 1
+            for j, coeff in enumerate("wv"):
+                np.testing.assert_array_equal(carried["sums"][:, j],
+                                              model.interpolate_many(queries, coeff))
+
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=9, init_level=2)
+        build(f, cfg, "ASGC", on_level)
+        assert carried["levels"] == 10
+
+    def test_table_growth_does_not_change_results(self, tmp_path):
+        # one model inserted three ways: a level per call, a node per call
+        # (shuffled within each level, so groups and keys land mid-table), and
+        # through save -> load; all must evaluate bitwise alike
+        f, _ = get_benchmark("line_singularity")
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=9, init_level=2)
+        result = build(f, cfg, "EASGC")
+        built = result.model
+        assert built.spline.any()
+        per_node = SurrogateModel(2)
+        rng = np.random.default_rng(2)
+        nodes = built.nodes()
+        depth = np.array([n.point.level for n in nodes])
+        for level in range(built.depth + 1):
+            for k in rng.permutation(np.flatnonzero(depth == level)):
+                per_node.add_node(nodes[k])
+        path = tmp_path / "model.surrogate"
+        save_surrogate(path, built, result.region_db)
+        loaded, _ = load_surrogate(path)
+        queries = np.vstack([rng.random((2000, 2)), coordinates(built.codes)])
+        sons = refine_candidates(built.codes, built)
+        values = rng.standard_normal(len(sons))
+        want = [built.interpolate_many(queries, c) for c in "wv"]
+        want_surplus = built.surpluses_against_prefix(coordinates(sons), values)
+        for twin in (per_node, loaded):
+            for got, expected in zip((twin.interpolate_many(queries, c) for c in "wv"), want):
+                np.testing.assert_array_equal(got, expected)
+            for got, expected in zip(
+                    twin.surpluses_against_prefix(coordinates(sons), values), want_surplus):
+                np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from sgsurrogate import (
     run_study,
     save_surrogate,
 )
+from sgsurrogate import harness
 from sgsurrogate.cli import main as cli_main
 from sgsurrogate.harness import CSV_COLUMNS
 
@@ -162,6 +163,46 @@ class TestRunStudy:
         assert meta["config"]["epsilon"] == 1e-3
         assert (tmp_path / "kink_easgc.surrogate").exists()
 
+    def test_sidecar_level_build_seconds(self, tmp_path):
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=6, init_level=2)
+        rep = run_study("EASGC", "line_singularity", cfg, seed=1, n_test_points=200,
+                        output_dir=tmp_path)
+        meta = json.loads((tmp_path / "line_singularity_easgc.json").read_text())
+        build_s = meta["level_build_s"]
+        assert len(build_s) == len(rep.rows)
+        assert all(math.isfinite(s) and s >= 0 for s in build_s)
+        assert sum(build_s) <= rep.rows[-1].wall_time
+
+    @pytest.mark.parametrize("method, name, cfg", [
+        ("CSC", "line_singularity", AdaptiveConfig(dimension=2, max_level=7)),
+        ("ASGC", "kink", AdaptiveConfig(dimension=1, epsilon=1e-4, max_level=8, init_level=2)),
+        ("EASGC", "line_singularity",
+         AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=12, init_level=2)),
+        ("EASGC", "truss2", AdaptiveConfig(dimension=2, epsilon=10.0, max_level=5, init_level=2)),
+    ])
+    def test_error_columns_equal_fresh_evaluation_bitwise(self, monkeypatch, method,
+                                                          name, cfg):
+        # the study folds only each level's new groups onto running sums; every
+        # row must equal the errors of interpolate_many on that level's model
+        points = harness._study_test_points(name, cfg.dimension, 3000, 5)
+        truth = get_benchmark(name)[0].many(points)
+        fresh = []
+        real_build = harness.build
+
+        def spying_build(f, cfg, method, on_level):
+            def spy(model, record):
+                on_level(model, record)
+                fresh.append(model.interpolate_many(points))
+            return real_build(f, cfg, method, spy)
+
+        monkeypatch.setattr(harness, "build", spying_build)
+        rep = run_study(method, name, cfg, seed=5, n_test_points=3000)
+        assert len(fresh) == len(rep.rows) > 3
+        for row, values in zip(rep.rows, fresh):
+            dev = values - truth
+            assert row.max_abs_error == float(np.abs(dev).max())
+            assert row.rmse == float(np.sqrt(np.mean(dev * dev)))
+
     def test_unknown_method(self):
         with pytest.raises(SparseGridError):
             run_study("NOPE", "kink")
@@ -264,6 +305,35 @@ class TestPersistence:
             p.write_text("\n".join(lines) + "\n")
             with pytest.raises(PersistenceError):
                 load_surrogate(p)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda f: ["7", "1:1,3:2,5:9"] + f[2:], "dim 7 outside"),
+        (lambda f: ["2"] + f[1:], "dim 2 outside"),
+        (lambda f: ["-1"] + f[1:], "dim -1 outside"),
+        (lambda f: f[:1] + ["-"] + f[2:], "anchor of 0 pairs"),
+        (lambda f: f[:1] + ["1:1,3:2"] + f[2:], "anchor of 2 pairs"),
+        (lambda f: f[:2] + [f[2] + ",1"] + f[3:], "5 knots but 4 outputs"),
+        (lambda f: f[:3] + [f[3].rsplit(",", 1)[0]] + f[4:], "4 knots but 3 outputs"),
+        (lambda f: f[:3] + ["nan," + f[3].split(",", 1)[1]] + f[4:], "non-finite"),
+        (lambda f: f[:2] + [f[2].rsplit(",", 1)[0] + ",inf"] + f[3:], "non-finite"),
+    ])
+    def test_region_lines_no_node_can_match_rejected(self, tmp_path, edit, reason):
+        # a 2-D model with one region along dim 0 at x1 = 0.5
+        db = RegionDatabase()
+        knots = np.array([0.0, 0.25, 0.5, 0.75])
+        db.store(SmoothRegion(dim=0, anchor=((1, 1),), knots=knots, outputs=knots + 0.5))
+        good = tmp_path / "good.surrogate"
+        save_surrogate(good, csc_model(lambda x: x[0] + x[1], 2, 3), db)
+        lines = good.read_text().splitlines()
+        assert lines[-2] == "regions 1"
+        _, loaded = load_surrogate(good)
+        assert len(loaded) == 1
+        bad_line = " ".join(edit(lines[-1].split()))
+        p = tmp_path / "bad.surrogate"
+        p.write_text("\n".join(lines[:-1] + [bad_line]) + "\n")
+        with pytest.raises(PersistenceError, match=reason) as info:
+            load_surrogate(p)
+        assert repr(bad_line) in str(info.value)
 
     @settings(max_examples=30, deadline=None)
     @given(
