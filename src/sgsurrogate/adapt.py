@@ -19,6 +19,7 @@ the level-ordered surplus contract of the core module holds by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ class AdaptiveConfig:
     chosen by the driver, not by the config: the line-scan parameters
     (`min_line_points`, `slope_tol`) are read only by run_easgc, and
     `min_line_points` may be math.inf to disable certification entirely.
+    The levels and the dimension must be integers, and no field may be NaN
+    (ValueError otherwise).
     """
 
     dimension: int
@@ -57,19 +60,24 @@ class AdaptiveConfig:
     slope_tol: float = 0.25
 
     def __post_init__(self):
+        # the comparisons are written so that NaN fails every one of them
+        for name in ("dimension", "max_level", "init_level"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0 <= self.init_level < self.max_level:
             raise ValueError(
                 f"need 0 <= init_level < max_level, got {self.init_level}, {self.max_level}"
             )
-        if self.min_line_points < 5:
+        if not self.min_line_points >= 5:
             raise ValueError(
                 f"min_line_points must be >= 5, got {self.min_line_points}"
             )
-        if self.slope_tol <= 0:
+        if not self.slope_tol > 0:
             raise ValueError(f"slope_tol must be > 0, got {self.slope_tol}")
 
 

@@ -22,6 +22,23 @@ O(queries * level vectors * (d + log nodes)) instead of O(queries * nodes * d)
 (Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
 "Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
 
+A query that is itself a grid point visits only the level vectors it
+dominates.  Each coordinate of a double in [0, 1] is a grid node of one
+level, read exactly from the float; at a node of level L, every hat of a
+finer level has x on its support edge, where the kernel computes
+1 - |x - c| * 2**(l-1) = 1 - 1 = +0 exactly (for levels up to 54, whose node
+centres are exact doubles).  So a level vector l' that exceeds the query's
+level vector l in some dimension contributes an exact +-0 term, and leaving
+such terms out changes no sum, bar the sign of a zero sum: -0 + +0 is +0.
+That needs every kept term to be -0, the root's among them; but then the
+root's level-1 sons, which a build stores before any finer candidate, have
+surpluses f - (-0), never -0, and the son that holds the candidate keeps a
+term that is not -0 either.  So the drivers' surpluses, and every saved file,
+stay bit for bit.  A refinement candidate of level vector l thus needs only the
+groups l' <= l (componentwise), and the surpluses of a deep adaptive level
+cost O(candidates * dominated groups).  A uniformly drawn query reads as
+level 50 or so in every dimension and visits every group.
+
 The group table is kept coarse to fine (total level, then level vector,
 ascending) and grows as levels are inserted; one kernel folds the groups'
 terms in either direction:
@@ -443,7 +460,7 @@ class _Table(NamedTuple):
     cols: np.ndarray
     strides: np.ndarray
     offsets: np.ndarray
-    per_level: tuple
+    per_level: np.ndarray
 
 
 def _empty_table(d: int) -> _Table:
@@ -689,32 +706,77 @@ class SurrogateModel:
           which keeps piecewise-linear data's surpluses exactly 0 more often
           than coarse-to-fine or pairwise summation does.
 
-        Queries go in blocks of at most _BLOCK // max(groups, hat columns)
-        rows, so every scratch array, the per-query hat tables included,
-        stays near _BLOCK floats.
+        A row forms terms only for groups that its block dominates: a grid
+        coordinate of level L sits on a support edge of every finer hat,
+        where _hat_tables gives exactly +0, so each term left out is +-0 and
+        changes no sum (bar the sign of a zero sum; see the module
+        docstring for why builds never meet that case).  Rows are sorted by the
+        level vectors of their coordinates (_grid_levels, capped at the
+        deepest stored level, so a coordinate that is no node of a stored
+        level dominates every group).  A block holds whole runs of equal
+        vectors while rows x their groups stay within _MERGE, or else an even
+        share of one run, of at most _BLOCK // max(groups, hat columns) rows;
+        it forms, for each of its rows, the terms of every group that one of
+        its vectors dominates (_dominated), in table order, from hat tables of
+        just the columns those groups use.  So every scratch array stays near
+        _BLOCK floats.  The sums go back to the rows' own order.
         """
         keys, coeffs, levels, cols, strides, offsets, per_level = self._table
         cols, strides, offsets = cols[first:], strides[first:], offsets[first:]
         out = np.zeros((x_many.shape[0], len(columns))) if start is None else start.copy()
-        if not len(offsets):
+        if not len(offsets) or not len(out):
             return out
-        block = max(1, _BLOCK // max(len(offsets), levels.shape[1] * len(per_level[0])))
-        for lo in range(0, x_many.shape[0], block):
-            hat, index = _hat_tables(x_many[lo:lo + block], per_level)
-            prod = hat[:, cols[:, 0]]
-            code = index[:, cols[:, 0]] * strides[:, 0] + offsets
-            for k in range(1, cols.shape[1]):
-                prod *= hat[:, cols[:, k]]
-                code += index[:, cols[:, k]] * strides[:, k]
+        n_levels = per_level.shape[1]
+        row_levels = _grid_levels(x_many, n_levels)
+        order = np.lexsort(row_levels.T[::-1])
+        row_levels, sums = row_levels[order], out[order]
+        # run u of equal level vectors holds the sorted rows bounds[u]:bounds[u + 1]
+        bounds = np.flatnonzero((row_levels[1:] != row_levels[:-1]).any(axis=1)) + 1
+        bounds = np.concatenate(([0], bounds, [len(sums)]))
+        run_group, run_pairs = _dominated(row_levels[bounds[:-1]], n_levels, cols)
+        width = levels.shape[1] * n_levels  # hat columns per row
+        picked, needed = np.zeros(len(offsets), dtype=bool), np.zeros(width, dtype=bool)
+        lo = 0
+        while lo < len(sums):
+            u = np.searchsorted(bounds, lo, side="right") - 1  # the run holding row lo
+            rows = bounds[u + 1:] - lo
+            selected = np.maximum(run_pairs[u + 1:] - run_pairs[u], width)
+            # whole runs that fit in _MERGE, or else an even share of the one run
+            m = np.searchsorted(rows * selected, _MERGE, side="right") if lo == bounds[u] else 0
+            if m:
+                hi = bounds[u + m]
+            else:
+                shares = -(-rows[0] * selected[0] // _BLOCK)
+                hi = lo + -(-rows[0] // shares)
+            picked[:] = False
+            picked[run_group[run_pairs[u]:run_pairs[u + max(m, 1)]]] = True
+            group = np.flatnonzero(picked)
+            block, lo = slice(lo, hi), hi
+            if not len(group):  # a model without its root, queried on the grid
+                continue
+            # the hat columns the groups use, renumbered 0 .. used - 1
+            needed[:] = False
+            needed[cols[group]] = True
+            column = np.cumsum(needed) - 1
+            used = np.flatnonzero(needed)
+            dim, level = np.divmod(used, n_levels)
+            hat, index = _hat_tables(x_many[order[block, None], dim], *per_level[:, level])
+            c, s = column[cols[group]], strides[group]
+            prod = hat[:, c[:, 0]]
+            code = index[:, c[:, 0]] * s[:, 0] + offsets[group]
+            for k in range(1, c.shape[1]):
+                prod *= hat[:, c[:, k]]
+                code += index[:, c[:, k]] * s[:, k]
             pos = np.searchsorted(keys, code)
             prod *= keys[pos] == code  # 0 where no node of the group holds x
-            for j, c in enumerate(columns):
-                terms = coeffs[pos, c] * prod
+            for j, col in enumerate(columns):
+                terms = coeffs[pos, col] * prod
                 if fine_first:
                     terms = terms[:, ::-1]
                 if start is not None:
-                    terms[:, 0] += start[lo:lo + block, j]
-                out[lo:lo + block, j] = np.cumsum(terms, axis=1)[:, -1]
+                    terms[:, 0] += sums[block, j]
+                sums[block, j] = np.cumsum(terms, axis=1)[:, -1]
+        out[order] = sums
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
@@ -762,6 +824,14 @@ class SurrogateModel:
 # queries x groups per kernel block: bounds the kernel's scratch arrays
 _BLOCK = 1 << 16
 
+# queries x groups up to which whole runs of level vectors share a block: a
+# shared block saves per-block work, but each of its rows forms terms for the
+# union of the runs' groups
+_MERGE = _BLOCK // 4
+
+# the smallest positive double, 2**-1074: a grid node of level 1075
+_TINY = np.nextafter(0.0, 1.0)
+
 
 def _nodes_per_level(levels):
     """Array form of _new_nodes_on_level: 1, 2, then 2**(i-2)."""
@@ -806,10 +876,10 @@ def _grown(table: _Table, distinct, member, offsets, fresh, indices, w, v) -> _T
     return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels))
 
 
-def _per_level(n_levels: int) -> tuple[np.ndarray, ...]:
-    """Constants of levels 1 .. n_levels for _hat_tables.
+def _per_level(n_levels: int) -> np.ndarray:
+    """Constants of levels 1 .. n_levels for _hat_tables, shape (4, n_levels).
 
-    (count, shift, scale, slope): the level's node count n_l; the centre of
+    Rows (count, shift, scale, slope): the level's node count n_l; the centre of
     its node `index` as (index + shift) / scale, which is exact and equals
     coord_1d; and basis_1d's slope 2**(l-1), 0 on level 1.
     """
@@ -818,25 +888,65 @@ def _per_level(n_levels: int) -> tuple[np.ndarray, ...]:
     shift = np.where(level == 2, 0.0, 0.5)
     scale = np.where(level == 2, 1.0, count)
     slope = np.where(level == 1, 0.0, np.ldexp(1.0, level - 1))
-    return count, shift, scale, slope
+    return np.stack([count, shift, scale, slope])
 
 
-def _hat_tables(xs: np.ndarray, per_level) -> tuple[np.ndarray, np.ndarray]:
-    """Per query, dimension and level: the one node whose support holds x.
+def _hat_tables(x: np.ndarray, count, shift, scale, slope) -> tuple[np.ndarray, np.ndarray]:
+    """Per query and hat column: the one node of the column's level whose support holds x.
 
-    Returns (hat, index), both (n, d * n_levels) with column
-    dimension * n_levels + level - 1.  The index is
-    min(floor(x * n_l), n_l - 1) for the level's n_l nodes, so x = 1 falls to
-    the last node; level 2 picks node 0 on [0, 1/2) and node 1 on [1/2, 1].
-    The hat is basis_1d's 1 - |x - c| * 2**(l-1), bitwise, without its clamp
-    at 0: x lies in the node's support, so the value is never negative.
+    `x` holds, per query, the coordinate of each column's dimension, shape
+    (n, m); the other arguments are the `_per_level` constants of each
+    column's level, shape (m,).  Returns (hat, index), both (n, m).  The
+    index is min(floor(x * n_l), n_l - 1) for the level's n_l nodes, so
+    x = 1 falls to the last node; level 2 picks node 0 on [0, 1/2) and node
+    1 on [1/2, 1].  The hat is basis_1d's 1 - |x - c| * 2**(l-1), bitwise,
+    without its clamp at 0: x lies in the node's support, so the value is
+    never negative.
     """
-    count, shift, scale, slope = per_level
-    x = xs[:, :, None]
     index = np.minimum(np.floor(x * count), count - 1)
     hat = 1.0 - np.abs(x - (index + shift) / scale) * slope
-    n = xs.shape[0]
-    return hat.reshape(n, -1), index.astype(np.int64).reshape(n, -1)
+    return hat, index.astype(np.int64)
+
+
+def _grid_levels(xs: np.ndarray, cap: int) -> np.ndarray:
+    """Per coordinate, the level of the 1-D grid node at it, at most `cap`.
+
+    A coordinate odd / 2**p is the node of level p + 1 for p >= 2; 0.5 is
+    level 1, and 0 and 1 are level 2.  Every double in [0, 1] is such a
+    node, of level up to 1075; p is read exactly from the float's exponent
+    and the trailing zeros of its 53-bit significand.  Coordinates outside
+    [0, 1], and NaN, read as the smallest double, 2**-1074, does: level 1075.
+    """
+    levels = np.empty(xs.shape, dtype=np.int16)
+    step = max(1, _BLOCK // xs.shape[1])  # rows per pass: scratch near _BLOCK words
+    for lo in range(0, len(xs), step):
+        x = xs[lo:lo + step]
+        mantissa, exponent = np.frexp(np.where((x >= 0.0) & (x <= 1.0), x, _TINY))
+        # x = digits * 2**(exponent - 53); bit 53 stands in for 0's missing digits
+        digits = np.ldexp(mantissa, 53).astype(np.int64) | (1 << 53)
+        p = 54 - exponent - np.frexp(digits & -digits)[1]  # x = odd / 2**p
+        levels[lo:lo + step] = np.minimum(np.where(p >= 2, p + 1, 2 - p), cap)
+    return levels
+
+
+def _dominated(vectors: np.ndarray, n_levels: int, cols: np.ndarray):
+    """The groups each of the (U, d) level `vectors` dominates componentwise.
+
+    Returns (group, start): the dominated group rows of vector u, ascending,
+    are group[start[u]:start[u + 1]].  A group's hat columns `cols` name its
+    refined dimensions and levels (padding names level 1, which every vector
+    reaches), so one (U, G, K) gather of "the vector reaches this level in
+    this dimension" decides dominance; it runs in chunks of vectors to keep
+    the gather near 8 * _BLOCK booleans.
+    """
+    reach = (vectors[:, :, None] >= np.arange(1, n_levels + 1)).reshape(len(vectors), -1)
+    chunk = max(1, 8 * _BLOCK // cols.size)
+    group, counts = [], []
+    for a in range(0, len(vectors), chunk):
+        mask = reach[a:a + chunk][:, cols].all(axis=2)
+        group.append(np.nonzero(mask)[1])
+        counts.append(mask.sum(axis=1))
+    return np.concatenate(group), np.cumsum(np.concatenate([[0], *counts]))
 
 
 def _check_domain(x_many: np.ndarray) -> None:

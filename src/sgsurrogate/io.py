@@ -6,11 +6,14 @@ surplus, provenance flag), then an optional region section (dimension,
 anchor, knots, outputs, midpoint, half-length; one region per line).  The
 dyadic fields are integers, so round-trips are bit-exact; reals use 17
 significant digits, which round-trips doubles exactly.  Writing is
-deterministic for a given model, byte for byte.
+deterministic for a given model, byte for byte, and atomic: the file is
+written beside its target and renamed over it.
 """
 
 from __future__ import annotations
 
+import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +44,11 @@ def _region_lines(db: RegionDatabase):
 
 
 def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None = None) -> None:
-    """Write a surrogate (and its smooth regions, if any) to a text file."""
+    """Write a surrogate (and its smooth regions, if any) to a text file.
+
+    An existing file at `path` is replaced whole, or left as it was if the
+    write fails.
+    """
     lines = [
         f"{_MAGIC} d={model.dimension} depth={model.depth} "
         f"full={model.full_evaluations} spline={model.spline_interpolations}"
@@ -58,7 +65,25 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
     if region_db is not None and len(region_db) > 0:
         lines.append(f"regions {len(region_db)}")
         lines.extend(_region_lines(region_db))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _replace_file(Path(path), "\n".join(lines) + "\n")
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it over `path`.
+
+    A reader sees the old file or the whole new one, never a part; when the
+    write fails the old file stays as it was and the new one is removed.
+    The file is created as open() would create it, under the umask.
+    """
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:

@@ -64,6 +64,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdaptiveConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", math.nan),
+        ("slope_tol", math.nan),
+        ("min_line_points", math.nan),
+        ("max_level", 3.5),
+        ("init_level", 1.5),
+        ("max_level", 6.0),
+        ("dimension", 2.0),
+        ("init_level", True),
+    ])
+    def test_nan_and_fractional_fields_rejected(self, field, value):
+        # NaN failed no `<=` check, so epsilon=nan stopped a line_singularity
+        # EASGC build at level 2 "by tolerance" and slope_tol=nan certified
+        # every line; levels of 3.5 were taken as given
+        kwargs = {"dimension": 2, "max_level": 6, "init_level": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            AdaptiveConfig(**kwargs)
+
     def test_infinite_min_line_points_allowed(self):
         cfg = AdaptiveConfig(dimension=2, min_line_points=math.inf)
         assert math.isinf(cfg.min_line_points)

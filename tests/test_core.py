@@ -471,6 +471,114 @@ class TestEvaluationKernel:
             assert got[i] == query
             assert (w[i], v[i]) == (values[i] - surplus_w, squares[i] - surplus_v)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        dimension=st.integers(1, 4),
+        max_level=st.integers(1, 4),
+        amplitude=st.integers(-24, 24),
+        frequency=st.floats(0.0, 9.0, allow_nan=False),
+        data=st.data(),
+    )
+    def test_skipped_groups_change_no_surplus_bit(self, method, dimension, max_level,
+                                                  amplitude, frequency, data):
+        # refinement candidates are grid points, so the kernel leaves out the
+        # groups their level vectors do not dominate; the surpluses must still
+        # equal, bit for bit and sign of zero included, the fine-to-coarse
+        # left fold of the brute-force terms of every group.  Outputs in
+        # eighths and signed zeros make exact cancellations and -0.0 common.
+        def eighths(x):
+            k = round(amplitude * math.sin(frequency * sum(x)))
+            return k / 8 if k else math.copysign(0.0, math.sin(7 * sum(x)))
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-2,
+                             max_level=max_level + 1, init_level=max_level,
+                             min_line_points=5)
+        f = ModelFunction(eighths, dimension, "eighths")
+        m = (run_csc(f, dimension, max_level) if method == "CSC"
+             else build(f, cfg, method)).model
+        sons = refine_candidates(m.codes, m)
+        sons = sons[data.draw(st.lists(st.integers(0, len(sons) - 1), min_size=1,
+                                       max_size=25, unique=True))]
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([k / 8 for k in range(-16, 17)] + [0.0, -0.0]),
+            min_size=len(sons), max_size=len(sons))))
+        w, v = m.surpluses_against_prefix(coordinates(sons), values)
+        groups = {}
+        for node in m.nodes():
+            groups.setdefault(tuple(n.level for n in node.point.dims), []).append(node)
+        fine_first = sorted(groups, key=lambda lv: (sum(lv), lv), reverse=True)
+        for i, x in enumerate(coordinates(sons)):
+            sums = []
+            for c in "wv":
+                # one node per group can be non-zero at x, so summing a group's
+                # terms in any order gives that node's term exactly
+                terms = [np.sum([getattr(n, c) * basis_nd(n.point, x) for n in groups[lv]])
+                         for lv in fine_first]
+                total = terms[0]
+                for term in terms[1:]:
+                    total = total + term
+                sums.append(total)
+            want = np.array([values[i] - sums[0], values[i] ** 2 - sums[1]])
+            assert np.array([w[i], v[i]]).tobytes() == want.tobytes(), (sons[i], want)
+
+    def test_surplus_terms_only_for_dominated_groups(self, monkeypatch):
+        # count the node keys the kernel looks up in a CSC build: it should
+        # look up about one per candidate and dominated group, well below
+        # one per candidate and stored group
+        looked_up = []
+        searchsorted = np.searchsorted
+
+        def counting(a, v, *args, **kwargs):
+            if np.ndim(v) == 2:  # the kernel's (rows, groups) array of node keys
+                looked_up.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        m = run_csc(ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s"),
+                    2, 10).model
+        monkeypatch.undo()
+        levels = split_codes(m.codes)[0]
+        depth = levels.sum(axis=1) - 2
+        dominated = stored = 0
+        for level in range(1, 11):
+            candidate = levels[depth == level]
+            group = np.unique(levels[depth < level], axis=0)
+            dominated += int((candidate[:, None, :] >= group[None, :, :]).all(axis=2).sum())
+            stored += len(candidate) * len(group)
+        assert (dominated, stored) == (139272, 337924)
+        # a block that spans several level vectors looks up the union of their
+        # groups for each of its rows, so the count may exceed `dominated`
+        assert dominated <= sum(looked_up) <= 1.25 * dominated
+
+    def test_grid_levels(self):
+        xs = np.array([[0.5, 0.0, 1.0, 0.25, 0.75, 0.375, 2.0 ** -60, 0.3, -0.0,
+                        np.nextafter(0.0, 1.0), -0.25, 1.5, np.nan, np.inf]])
+        # grid points read as their level, every double in [0, 1] being one;
+        # outside [0, 1] and NaN read as 2**-1074 does
+        np.testing.assert_array_equal(core._grid_levels(xs, 1100),
+                                      [[1, 2, 2, 3, 3, 4, 61, 55, 2] + [1075] * 5])
+        np.testing.assert_array_equal(core._grid_levels(xs, 20),
+                                      [[1, 2, 2, 3, 3, 4, 20, 20, 2] + [20] * 5])
+        assert (core._grid_levels(coordinates(join_codes([[40, 3], [54, 5]], [[7, 0], [9, 1]])),
+                                  100) == [[40, 3], [54, 5]]).all()
+        # uniform draws are multiples of 2**-53: levels near 54, deeper than
+        # any level vector a build stores
+        rng = np.random.default_rng(5)
+        assert (core._grid_levels(rng.random((200, 3)), 1100) >= 40).all()
+
+    def test_model_without_root_queried_where_no_group_reaches(self):
+        # only the level-2 nodes 0 and 1: at 0.5 every stored hat is 0, so
+        # the kernel has no group to visit there
+        m = SurrogateModel(1)
+        m.add_level([[2], [3]], [1.0, 3.0], [1.0, 3.0], [1.0, 9.0])
+        assert m.interpolate([0.5]) == 0.0
+        np.testing.assert_array_equal(m.interpolate_many([[0.5], [0.25], [1.0]]), [0.0, 0.5, 3.0])
+        w, v = m.surpluses_against_prefix(np.array([[0.5]]), np.array([2.0]))
+        assert (w[0], v[0]) == (2.0, 4.0)
+        sums = m._evaluate_sum(np.array([[0.5]]), (0, 1), start=np.array([[1.5, 2.5]]))
+        np.testing.assert_array_equal(sums, [[1.5, 2.5]])
+
     def test_lookup_rebuilt_after_insert(self):
         # x^2 on {0.5, 0, 1}, then the finer node 0.25
         m = SurrogateModel(1)

@@ -32,6 +32,7 @@ from sgsurrogate import (
     run_study,
     save_surrogate,
 )
+import sgsurrogate.io
 from sgsurrogate import harness
 from sgsurrogate.cli import main as cli_main
 from sgsurrogate.harness import CSV_COLUMNS
@@ -240,6 +241,43 @@ class TestPersistence:
         path2 = tmp_path / "model2.surrogate"
         save_surrogate(path2, loaded, db)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        # the write dies halfway: the old file must survive whole, and the
+        # half-written file beside it must be gone
+        path = tmp_path / "model.surrogate"
+        save_surrogate(path, csc_model(lambda x: x[0], 1, 2))
+        old = path.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(sgsurrogate.io, "open",
+                            lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_surrogate(path, csc_model(lambda x: x[0] ** 2, 1, 4))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.surrogate"]
+        monkeypatch.undo()
+        # a save that succeeds replaces the file, byte for byte as written fresh
+        model = csc_model(lambda x: x[0] ** 2, 1, 4)
+        save_surrogate(path, model)
+        save_surrogate(tmp_path / "fresh.surrogate", model)
+        assert path.read_bytes() == (tmp_path / "fresh.surrogate").read_bytes() != old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.surrogate",
+                                                              "model.surrogate"]
 
     def test_no_regions_section_when_empty(self, tmp_path):
         m = csc_model(lambda x: x[0], 1, 2)
@@ -490,6 +528,22 @@ class TestCli:
         built = (tmp_path / "cli" / f"kink_{method}.surrogate").read_bytes()
         studied = (tmp_path / "study" / f"kink_{method}.surrogate").read_bytes()
         assert built == studied
+
+    @pytest.mark.parametrize("setting", ["epsilon = nan", "phi = nan", "m_min = nan",
+                                         "i_max = 6.5", "i1 = 1.5"])
+    def test_nan_or_fractional_config_refused(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 6\ni1 = 2\n{setting}\n")
+        out = tmp_path / "out"
+        code = cli_main(["build", "--method", "easgc", "--benchmark", "line_singularity",
+                         "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+        assert not out.exists()
 
     def test_unknown_study_method(self, tmp_path, capsys):
         code = cli_main(["study", "--benchmark", "kink", "--output-dir", str(tmp_path),
