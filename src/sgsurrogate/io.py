@@ -169,7 +169,3 @@ def _check_region(region: SmoothRegion, d: int) -> None:
         raise ValueError(f"dim {region.dim} outside [0, {d})")
     if len(region.anchor) != d - 1:
         raise ValueError(f"anchor of {len(region.anchor)} pairs, not d - 1 = {d - 1}")
-    if len(region.knots) != len(region.outputs):
-        raise ValueError(f"{len(region.knots)} knots but {len(region.outputs)} outputs")
-    if not (np.isfinite(region.knots).all() and np.isfinite(region.outputs).all()):
-        raise ValueError("non-finite knots or outputs")

@@ -16,22 +16,44 @@ its subsets, and on a genuine partial overlap the longer interval wins (with
 a diagnostic logged).  Lookups that match several dimensions resolve to the
 earliest-created region.
 
-The work is done on arrays, so it scales with the dimension d and the node
-count N, not with the number of lines:
+The work is done on arrays, in one pass per dimension or per level, so it
+scales with the dimension d and the node count N, not with the number of
+lines, runs or regions.  Every step gives bitwise the values, regions and
+files of the line-by-line and region-by-region code it replaced:
 
-- the scan counts each line's nodes by an integer anchor key per node (one
-  wrapping int64 weighted sum of its codes per dimension, O(d * N)) and
-  groups exactly, and builds LineGroups, only for the lines long enough to
-  certify (`min_line_points`);
-- the driver hands `value_source(codes)` a level's whole (n, d) code array,
+- The scan hashes every node's code row once per pass (a wrapping int64
+  weighted sum, see core._row_weights).  A node's anchor key along a
+  dimension is that hash minus its own term, so the keys of all d
+  dimensions cost O(d * N).  Nodes are counted per key, and only the lines
+  long enough to certify (`min_line_points`) are grouped exactly and get a
+  LineGroup; a key collision sends more nodes to the exact grouping and
+  never loses a line.
+- The derivative scan of one dimension runs over all its long lines laid
+  end to end: slopes and slope changes are formed only between knots of one
+  line, with each line's own scale from `np.maximum.reduceat`, by the same
+  operations as the one-line scan, so the breaks and runs are the same.
+  `derivative_scan` is a one-line call of it.
+- A run that a region of its line already covers is dropped before a
+  SmoothRegion is built, since storing it would change nothing.  Regions on
+  a line never overlap, so the covering region is still there at the run's
+  turn unless an earlier, uncovered run of the same pass removed it; a run
+  is only dropped when no such run reaches into its covering region (see
+  RegionDatabase._no_op_runs), which keeps every store outcome.
+- The driver hands `value_source(codes)` a level's whole (n, d) code array,
   and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`
   against a per-dimension index of the regions by the same anchor key,
-  skipping dimensions without regions, then evaluates each hit region's
-  spline once over all of its hits.  `RegionDatabase.lookup` and
-  `spline_value` are one-row calls of the same code.
-
-Spline fits are lazy (superseded regions are never fitted) and call LAPACK's
-tridiagonal `dgtsv` directly.
+  skipping dimensions without regions.  The hit regions not yet fitted
+  (fits are lazy: superseded regions are never fitted) are fitted together:
+  their end slopes come from divided differences over (R, k) knot arrays,
+  and one LAPACK `dgtsv` call solves all their tridiagonal systems as one
+  block-diagonal system.  Two identity rows with zero coupling separate the
+  blocks; the systems are diagonally dominant, so `dgtsv` swaps no rows,
+  and every product across a block edge is a zero coupling times a +0
+  separator value, which leaves each block's solution, the sign of a zero
+  included, bitwise as a solve of that block alone gives it.  Every hit row
+  is then evaluated at once, its knot interval found by a vectorised
+  bisection.  `RegionDatabase.lookup`, `spline_value` and CubicLineSpline
+  are one-row or one-spline calls of the same code.
 """
 
 from __future__ import annotations
@@ -64,27 +86,103 @@ log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# cubic spline over a certified line
+# cubic splines over certified lines, fitted and evaluated in batches
 # ---------------------------------------------------------------------------
 
-def _endpoint_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Derivative at x[0] of the Newton polynomial through the given knots.
+def _endpoint_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative at x[:, 0] of the Newton polynomial through each row's knots.
 
-    Divided differences keep this stable for the tiny knot spacings deep
-    refinement produces.
+    `x` and `y` are (R, k) arrays, one polynomial per row.  Divided
+    differences keep this stable for the tiny knot spacings deep refinement
+    produces.
     """
-    n = x.size
-    dd = y.astype(float).copy()
-    coeffs = [dd[0]]
-    for order in range(1, n):
-        dd = (dd[1:] - dd[:-1]) / (x[order:] - x[:-order])
-        coeffs.append(dd[0])
+    dd = y.astype(float)
+    coeffs = [dd[:, 0]]
+    for order in range(1, x.shape[1]):
+        dd = (dd[:, 1:] - dd[:, :-1]) / (x[:, order:] - x[:, :-order])
+        coeffs.append(dd[:, 0])
     slope = 0.0
     prod = 1.0
-    for j in range(1, n):
-        slope += coeffs[j] * prod
-        prod *= x[0] - x[j]
+    for j in range(1, x.shape[1]):
+        slope = slope + coeffs[j] * prod
+        prod = prod * (x[:, 0] - x[:, j])
     return slope
+
+
+def _endpoint_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Derivative at x[0] of the Newton polynomial through the given knots."""
+    return float(_endpoint_slopes(np.asarray(x, dtype=float)[None], np.asarray(y)[None])[0])
+
+
+def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
+    """Knot second derivatives of the clamped cubic spline of each knot set.
+
+    End slopes come from `_endpoint_slopes` over the nearest min(5, n) knots
+    of each end.  One LAPACK `dgtsv` call (the routine `solve_banded((1, 1),
+    ...)` calls) solves all the tridiagonal systems as one block-diagonal
+    system.  Each block is followed by two identity rows with a zero right-
+    hand side and zero coupling.  The systems are diagonally dominant, so
+    `dgtsv` never swaps rows, and every product that crosses a block edge
+    multiplies a zero coupling by one of those +0 separator values: it
+    subtracts +0, which leaves every value bitwise as a one-block solve gives
+    it, the sign of a zero included.
+    """
+    n = np.array([len(x) for x in knots])
+    x, y = np.concatenate(knots), np.concatenate(values)
+    first = np.cumsum(n) - n
+    last = first + n - 1
+    slope_lo, slope_hi = np.empty(len(n)), np.empty(len(n))
+    for k in (4, 5):
+        sel = np.flatnonzero(np.minimum(5, n) == k)
+        lo = first[sel, None] + np.arange(k)
+        hi = last[sel, None] - np.arange(k)
+        slope_lo[sel] = _endpoint_slopes(x[lo], y[lo])
+        slope_hi[sel] = _endpoint_slopes(x[hi], y[hi])
+    inner = np.ones(len(x) - 1, dtype=bool)  # knot gaps inside one knot set
+    inner[last[:-1]] = False
+    gap = np.flatnonzero(inner)
+    h = x[gap + 1] - x[gap]
+    slope = (y[gap + 1] - y[gap]) / h
+    h_left, h_right = np.zeros(len(x)), np.zeros(len(x))
+    h_left[gap + 1] = h_right[gap] = h
+    s_left, s_right = np.empty(len(x)), np.empty(len(x))
+    s_left[first], s_right[last] = slope_lo, slope_hi
+    s_left[gap + 1] = s_right[gap] = slope
+    # knot i of block b sits on row i + 2b, the separators on the rows between
+    row = np.arange(len(x)) + 2 * np.repeat(np.arange(len(n)), n)
+    size = len(x) + 2 * len(n)
+    diag, rhs, off = np.ones(size), np.zeros(size), np.zeros(size - 1)
+    diag[row] = (h_left + h_right) / 3.0
+    rhs[row] = s_right - s_left
+    off[row[gap]] = h / 6.0
+    *_, second, info = dgtsv(off, diag, off, rhs)
+    if info:
+        raise SparseGridError(f"spline fit failed: singular system (dgtsv info {info})")
+    return np.split(second[row], np.cumsum(n)[:-1])
+
+
+def _spline_at(x, y, m, first, count, t) -> np.ndarray:
+    """Value at t[i] of the spline with knots x[first[i]:first[i] + count[i]].
+
+    `y` holds the knot values and `m` the knot second derivatives.  Each
+    row's knot interval is found by a vectorised bisection that counts the
+    knots below t[i], as `searchsorted` does; positions outside the knots
+    use the end intervals.
+    """
+    lo, size = first.copy(), count.copy()
+    while size.any():
+        half = size // 2
+        below = (size > 0) & (x[np.minimum(lo + half, len(x) - 1)] < t)
+        lo = np.where(below, lo + half + 1, lo)
+        size = np.where(below, size - half - 1, half)
+    i = np.clip(lo - 1, first, first + count - 2)
+    h = x[i + 1] - x[i]
+    a = (x[i + 1] - t) / h
+    b = (t - x[i]) / h
+    return (
+        a * y[i] + b * y[i + 1]
+        + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0
+    )
 
 
 class CubicLineSpline:
@@ -95,7 +193,8 @@ class CubicLineSpline:
     construction derivative-free while matching the sharp h^4 error constant
     of complete splines, which the plain not-a-knot condition misses in its
     end intervals; cubic polynomials are still reproduced exactly.  Needs at
-    least 4 strictly increasing knots.
+    least 4 strictly increasing knots.  A one-spline call of the batched fit
+    and evaluation.
     """
 
     def __init__(self, knots, values):
@@ -111,43 +210,21 @@ class CubicLineSpline:
             raise ValueError("knots must be strictly increasing")
         self.knots = x
         self.values = y
-        k = min(5, x.size)
-        slope_lo = _endpoint_slope(x[:k], y[:k])
-        slope_hi = _endpoint_slope(x[-k:][::-1], y[-k:][::-1])
-        self.second_derivs = _clamped_second_derivatives(x, y, slope_lo, slope_hi)
+        [self.second_derivs] = _second_derivatives([x], [y])
+
+    @classmethod
+    def _fitted(cls, knots, values, second_derivs) -> "CubicLineSpline":
+        """A spline of checked knots whose second derivatives are known."""
+        s = cls.__new__(cls)
+        s.knots, s.values, s.second_derivs = knots, values, second_derivs
+        return s
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        x, y, m = self.knots, self.values, self.second_derivs
-        i = np.clip(np.searchsorted(x, tt) - 1, 0, x.size - 2)
-        h = x[i + 1] - x[i]
-        a = (x[i + 1] - tt) / h
-        b = (tt - x[i]) / h
-        out = (
-            a * y[i] + b * y[i + 1]
-            + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0
-        )
-        return float(out[0]) if scalar else out
-
-
-def _clamped_second_derivatives(x, y, slope_lo, slope_hi) -> np.ndarray:
-    """Knot second derivatives of the clamped cubic spline.
-
-    Solves the tridiagonal system with LAPACK `dgtsv`, the routine
-    `solve_banded((1, 1), ...)` calls for it, on the same diagonals.
-    """
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    off = h / 6.0
-    diag = np.concatenate([[h[0] / 3.0], (h[:-1] + h[1:]) / 3.0, [h[-1] / 3.0]])
-    rhs = np.concatenate([[slope[0] - slope_lo], slope[1:] - slope[:-1],
-                          [slope_hi - slope[-1]]])
-    *_, second, info = dgtsv(off, diag, off, rhs)
-    if info:
-        raise SparseGridError(f"spline fit failed: singular system (dgtsv info {info})")
-    return second
+        out = _spline_at(self.knots, self.values, self.second_derivs,
+                         np.zeros(tt.shape, dtype=np.intp), np.full(tt.shape, self.knots.size), tt)
+        return float(out[0]) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +245,62 @@ class LineGroup:
         return len(self.positions)
 
 
+class _Lines(NamedTuple):
+    """The long lines along one dimension, laid end to end in scan order.
+
+    Line i holds positions[bounds[i]:bounds[i + 1]] (ascending) and the
+    matching outputs; groups[i] is its LineGroup, keys[i] its anchor key and
+    codes[i] the code row of one of its nodes.
+    """
+
+    groups: list
+    positions: np.ndarray
+    outputs: np.ndarray
+    bounds: np.ndarray
+    keys: np.ndarray
+    codes: np.ndarray
+
+
+def _long_lines(m: SurrogateModel, dim: int, min_points: float,
+                sums: np.ndarray, weights: np.ndarray) -> _Lines:
+    """The lines along `dim` with at least `min_points` nodes; see group_lines.
+
+    `sums` is the hash of every code row, `m.codes @ weights`: a node's
+    anchor key is its row's hash minus the row's own `dim` term, so one hash
+    serves every dimension.
+    """
+    codes = m.codes
+    keys = sums - codes[:, dim] * weights[dim]
+    _, member, size = np.unique(keys, return_inverse=True, return_counts=True)
+    rows = np.flatnonzero(size[member] >= min_points)
+    if not len(rows):
+        empty = np.zeros(0)
+        return _Lines([], empty, empty, np.zeros(1, dtype=np.intp), keys[:0], codes[:0])
+    codes = codes[rows]
+    num, exp = dyadic_codes(codes)
+    others = [k for k in range(m.dimension) if k != dim]
+    positions = coordinates(codes[:, dim])
+    # anchors compare as tuples of (num, exp) pairs; the position sorts last
+    order = np.lexsort([positions] + [a[:, k] for k in reversed(others) for a in (exp, num)])
+    anchors = np.stack([num[:, others], exp[:, others]], axis=2)[order]
+    starts = np.flatnonzero(np.append(True, (anchors[1:] != anchors[:-1]).any(axis=(1, 2))))
+    stops = np.append(starts[1:], len(order))
+    long = stops - starts >= min_points
+    starts, stops = starts[long], stops[long]
+    bounds = np.append(0, np.cumsum(stops - starts))
+    take = order[np.repeat(starts - bounds[:-1], stops - starts) + np.arange(bounds[-1])]
+    positions = positions[take]
+    outputs = m.outputs[rows[take]]
+    groups = [
+        LineGroup(dim=dim, anchor=tuple(map(tuple, anchor)),
+                  positions=positions[lo:hi], outputs=outputs[lo:hi])
+        for anchor, lo, hi in zip(anchors[starts].tolist(), bounds[:-1].tolist(),
+                                  bounds[1:].tolist())
+    ]
+    heads = order[starts]
+    return _Lines(groups, positions, outputs, bounds, keys[rows[heads]], codes[heads])
+
+
 def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[LineGroup]:
     """The lines along dimension `dim` that hold at least `min_points` nodes.
 
@@ -184,31 +317,40 @@ def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[Line
     """
     if not 0 <= dim < m.dimension:
         raise ValueError(f"dim {dim} out of range for dimension {m.dimension}")
-    codes = m.codes
     weights = _row_weights(m.dimension)
-    keys = codes @ weights - codes[:, dim] * weights[dim]
-    _, member, size = np.unique(keys, return_inverse=True, return_counts=True)
-    rows = np.flatnonzero(size[member] >= min_points)
-    if not len(rows):
-        return []
-    codes = codes[rows]
-    num, exp = dyadic_codes(codes)
-    others = [k for k in range(m.dimension) if k != dim]
-    positions = coordinates(codes[:, dim])
-    # anchors compare as tuples of (num, exp) pairs; the position sorts last
-    order = np.lexsort([positions] + [a[:, k] for k in reversed(others) for a in (exp, num)])
-    anchors = np.stack([num[:, others], exp[:, others]], axis=2)[order]
-    starts = np.flatnonzero(np.append(True, (anchors[1:] != anchors[:-1]).any(axis=(1, 2))))
-    stops = np.append(starts[1:], len(order))
-    long = stops - starts >= min_points
-    starts, stops = starts[long], stops[long]
-    positions = positions[order]
-    outputs = m.outputs[rows][order]
-    return [
-        LineGroup(dim=dim, anchor=tuple(map(tuple, anchor)),
-                  positions=positions[lo:hi], outputs=outputs[lo:hi])
-        for anchor, lo, hi in zip(anchors[starts].tolist(), starts.tolist(), stops.tolist())
-    ]
+    return _long_lines(m, dim, min_points, m.codes @ weights, weights).groups
+
+
+def _smooth_runs(positions: np.ndarray, outputs: np.ndarray, bounds: np.ndarray,
+                 slope_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative scan of many lines laid end to end, in one pass.
+
+    Line i holds positions[bounds[i]:bounds[i + 1]], strictly ascending.
+    Returns the (start, stop) index arrays of every line's runs into the
+    concatenation, in line order, exactly as `derivative_scan` finds them
+    line by line.  Slopes and slope changes are only formed between knots
+    of one line.
+    """
+    n = len(positions)
+    lines = len(bounds) - 1
+    if not lines:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    inner = np.ones(n, dtype=bool)  # knots that are neither first nor last of a line
+    inner[bounds[:-1]] = inner[bounds[1:] - 1] = False
+    within = np.ones(max(n - 1, 0), dtype=bool)  # knot gaps inside one line
+    within[bounds[1:-1] - 1] = False
+    gap = np.flatnonzero(within)
+    slopes = np.zeros(len(within))
+    slopes[gap] = (outputs[gap + 1] - outputs[gap]) / (positions[gap + 1] - positions[gap])
+    scale = np.fmax(1.0, np.maximum.reduceat(np.abs(outputs), bounds[:-1]))
+    limit = np.repeat(slope_tol * scale, np.diff(bounds))
+    knot = np.flatnonzero(inner)
+    breaks = knot[np.abs(slopes[knot] - slopes[knot - 1]) > limit[knot]]
+    # a run goes from a line start or break to the next break (inclusive) or line end
+    start = np.sort(np.concatenate([bounds[:-1], breaks]))
+    stop = np.sort(np.concatenate([breaks + 1, bounds[1:]]))
+    long = stop - start >= 4
+    return start[long], stop[long]
 
 
 def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[tuple[int, int]]:
@@ -219,23 +361,13 @@ def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[t
     slope_tol * max(1, max |output| on the line).  Returns maximal unbroken
     runs as (start, stop) index pairs (stop exclusive), keeping only runs of
     at least 4 knots; a break knot terminates one run and starts the next.
-    Lines with fewer than `min_points` samples yield no runs.
+    Lines with fewer than `min_points` samples yield no runs.  A one-line
+    call of the batched scan.
     """
-    n = g.multiplicity
-    if n < min_points or n < 4:
-        return []
-    slopes = np.diff(g.outputs) / np.diff(g.positions)
-    scale = max(1.0, float(np.max(np.abs(g.outputs))))
-    breaks = np.flatnonzero(np.abs(np.diff(slopes)) > slope_tol * scale) + 1
-    runs = []
-    start = 0
-    for b in breaks:
-        if b - start + 1 >= 4:
-            runs.append((start, b + 1))
-        start = b
-    if n - start >= 4:
-        runs.append((start, n))
-    return runs
+    bounds = np.array([0, g.multiplicity] if g.multiplicity >= min_points else [0])
+    start, stop = _smooth_runs(np.asarray(g.positions, dtype=float),
+                               np.asarray(g.outputs, dtype=float), bounds, slope_tol)
+    return list(zip(start.tolist(), stop.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +381,8 @@ class SmoothRegion:
     Carries the knot inputs, knot outputs, interval midpoint and half-length,
     plus the fitted spline (built on first use, since superseded candidate
     regions are never evaluated).  `created_at` orders regions for lookup
-    tie-breaking across dimensions.
+    tie-breaking across dimensions.  Knots and outputs are stored as float
+    arrays; malformed ones are refused at construction.
     """
 
     dim: int
@@ -260,15 +393,25 @@ class SmoothRegion:
     _spline: CubicLineSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.knots) < 4:
-            raise SparseGridError(f"region needs >= 4 knots, got {len(self.knots)}")
+        self.knots = np.asarray(self.knots, dtype=float)
+        self.outputs = np.asarray(self.outputs, dtype=float)
+        if self.knots.ndim != 1 or len(self.knots) < 4:
+            raise SparseGridError(f"region needs >= 4 knots in a 1-D array, "
+                                  f"got shape {self.knots.shape}")
+        if self.outputs.shape != self.knots.shape:
+            raise SparseGridError(f"region has {len(self.knots)} knots but "
+                                  f"{self.outputs.size} outputs")
+        if not np.isfinite(self.knots).all():
+            raise SparseGridError("region has non-finite knots")
+        if not np.isfinite(self.outputs).all():
+            raise SparseGridError("region has non-finite outputs")
         if np.any(np.diff(self.knots) <= 0):
             raise SparseGridError("region knots must be strictly increasing")
 
     @property
     def spline(self) -> CubicLineSpline:
         if self._spline is None:
-            self._spline = CubicLineSpline(self.knots, self.outputs)
+            _fit([self])
         return self._spline
 
     @property
@@ -288,26 +431,40 @@ class SmoothRegion:
         return float(self.knots[-1])
 
 
+def _fit(regions) -> None:
+    """Fit the spline of every region that has none yet, in one solve."""
+    todo = [r for r in regions if r._spline is None]
+    if todo:
+        knots, outputs = [r.knots for r in todo], [r.outputs for r in todo]
+        for r, x, y, m in zip(todo, knots, outputs, _second_derivatives(knots, outputs)):
+            r._spline = CubicLineSpline._fitted(x, y, m)
+
+
 def _spline_values(regions, which, t) -> np.ndarray:
     """Spline value of regions[which[i]] at position t[i]; NaN where which[i] < 0.
 
-    Each region's spline is fitted at most once and evaluated once, over all
-    of its rows.  Refuses positions outside their region: no extrapolation.
+    The regions' splines not yet fitted are fitted together, in one solve,
+    and every row is evaluated in one pass over the regions' knots laid end
+    to end.  Refuses positions outside their region: no extrapolation.
     """
     out = np.full(len(which), np.nan)
     hit = np.flatnonzero(which >= 0)
-    hit = hit[np.argsort(which[hit], kind="stable")]
-    for rows in np.split(hit, np.flatnonzero(np.diff(which[hit])) + 1):
-        if not len(rows):
-            continue
-        r = regions[which[rows[0]]]
-        at = t[rows]
-        outside = (at < r.lo) | (at > r.hi)
-        if outside.any():
-            raise SparseGridError(
-                f"position {at[outside][0]} outside region [{r.lo}, {r.hi}]; no extrapolation"
-            )
-        out[rows] = r.spline(at)
+    if not len(hit):
+        return out
+    count = np.array([len(r.knots) for r in regions])
+    first = np.cumsum(count) - count
+    x = np.concatenate([r.knots for r in regions])
+    own, at = which[hit], t[hit]
+    lo, hi = x[first[own]], x[first[own] + count[own] - 1]
+    outside = np.flatnonzero(~((lo <= at) & (at <= hi)))
+    if len(outside):
+        k = outside[0]
+        raise SparseGridError(
+            f"position {at[k]} outside region [{lo[k]}, {hi[k]}]; no extrapolation")
+    _fit(regions)
+    out[hit] = _spline_at(x, np.concatenate([r.outputs for r in regions]),
+                          np.concatenate([r._spline.second_derivs for r in regions]),
+                          first[own], count[own], at)
     return out
 
 
@@ -366,6 +523,22 @@ class _DimIndex(NamedTuple):
     hi: np.ndarray
     created: np.ndarray
     regions: list
+
+    def matches(self, keys: np.ndarray, codes: np.ndarray, dim: int):
+        """(query, row) pairs whose anchors are equal, queries ascending.
+
+        Query i has anchor key keys[i] and its anchor is codes[i] with the
+        `dim` column ignored; rows are candidates by key, kept only where
+        the anchors match exactly.
+        """
+        first = np.searchsorted(self.keys, keys, "left")
+        count = np.searchsorted(self.keys, keys, "right") - first
+        query = np.repeat(np.arange(len(keys)), count)
+        row = np.arange(len(query)) + np.repeat(first - (np.cumsum(count) - count), count)
+        anchors = codes[query]
+        anchors[:, dim] = 0
+        same = (anchors == self.anchors[row]).all(axis=1)
+        return query[same], row[same]
 
 
 class RegionDatabase:
@@ -485,18 +658,11 @@ class RegionDatabase:
         pool, found = [], []
         for dim, _ in slots:
             index = self._dim_index((dim, d))
-            keys = sums - codes[:, dim] * weights[dim]
-            first = np.searchsorted(index.keys, keys, "left")
-            count = np.searchsorted(index.keys, keys, "right") - first
-            if not count.any():
+            rows, cand = index.matches(sums - codes[:, dim] * weights[dim], codes, dim)
+            if not len(rows):
                 continue
-            rows = np.repeat(np.arange(n), count)
-            cand = np.arange(len(rows)) + np.repeat(first - (np.cumsum(count) - count), count)
-            anchors = codes[rows]
-            anchors[:, dim] = 0
             at = coordinates(codes[rows, dim])
-            hit = ((anchors == index.anchors[cand]).all(axis=1)
-                   & (index.lo[cand] <= at) & (at <= index.hi[cand]))
+            hit = (index.lo[cand] <= at) & (at <= index.hi[cand])
             cand = cand[hit]
             found.append((rows[hit], index.created[cand], cand + len(pool), at[hit]))
             pool.extend(index.regions)
@@ -511,6 +677,37 @@ class RegionDatabase:
         which[rows[best]] = pick
         t[rows[best]] = at[best]
         return [pool[g] for g in used.tolist()], which, t
+
+    def _no_op_runs(self, dim: int, keys: np.ndarray, codes: np.ndarray,
+                    line: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Mask of one pass's runs along `dim` that `store`, in order, would ignore.
+
+        Run i spans [lo[i], hi[i]] on line line[i], whose anchor key is
+        keys[i] and anchor codes[i] (the `dim` column ignored); a line's runs
+        come in ascending order and share at most an end knot.  Storing a run
+        changes nothing when a region of its line covers it at its turn.  A
+        region that covers it at the start of the pass still does then,
+        unless an earlier run of the pass on that line removed it.  Only a
+        run that no region covers at the start can do that, by overlapping
+        it, and of those earlier runs the last one reaches furthest.  So a
+        run is marked when a region covers it at the start of the pass and
+        the last earlier uncovered run on its line, if any, ends at or before
+        that region's start: each marked run is a no-op, and store decides
+        the others.
+        """
+        marked = np.zeros(len(line), dtype=bool)
+        if not len(line) or (dim, codes.shape[1]) not in self._anchors:
+            return marked
+        index = self._dim_index((dim, codes.shape[1]))
+        run, row = index.matches(keys, codes, dim)
+        covers = (index.lo[row] <= lo[run]) & (hi[run] <= index.hi[row])
+        cover_lo = np.full(len(line), np.nan)
+        cover_lo[run[covers]] = index.lo[row[covers]]
+        free = np.isnan(cover_lo)
+        last_free = np.maximum.accumulate(np.where(free, np.arange(len(line)), -1))
+        prev = np.append(-1, last_free[:-1])
+        reached = (prev >= 0) & (line[prev] == line) & (hi[prev] > cover_lo)
+        return ~free & ~reached
 
     def lookup(self, p):
         """Region containing node `p` along some dimension, or None.
@@ -541,27 +738,34 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
                     slope_tol: float, min_points: float) -> dict:
     """One full pass: scan the long lines of every dimension, update the database.
 
+    Hashes the node codes once, scans each dimension's long lines in one
+    batch, and stores the runs in order, except those `store` would ignore.
     Returns the pass's counts under the LevelRecord field names: lines
     scanned, and regions created, superseded, displaced and rejected.
     """
     counts = dict.fromkeys(_SCAN_COUNTS, 0)
     if math.isinf(min_points):
         return counts
+    weights = _row_weights(model.dimension)
+    sums = model.codes @ weights
     for dim in range(model.dimension):
-        lines = group_lines(model, dim, min_points)
-        counts["lines_scanned"] += len(lines)
-        for g in lines:
-            for start, stop in derivative_scan(g, slope_tol, min_points):
-                outcome = db.store(SmoothRegion(
-                    dim=dim,
-                    anchor=g.anchor,
-                    knots=g.positions[start:stop].copy(),
-                    outputs=g.outputs[start:stop].copy(),
-                ))
-                counts["regions_created"] += outcome.status == "created"
-                counts["regions_rejected"] += outcome.status == "rejected"
-                counts["regions_superseded"] += outcome.superseded
-                counts["regions_displaced"] += outcome.displaced
+        lines = _long_lines(model, dim, min_points, sums, weights)
+        counts["lines_scanned"] += len(lines.groups)
+        start, stop = _smooth_runs(lines.positions, lines.outputs, lines.bounds, slope_tol)
+        line = np.searchsorted(lines.bounds, start, "right") - 1
+        keep = ~db._no_op_runs(dim, lines.keys[line], lines.codes[line], line,
+                               lines.positions[start], lines.positions[stop - 1])
+        for i, lo, hi in zip(line[keep].tolist(), start[keep].tolist(), stop[keep].tolist()):
+            outcome = db.store(SmoothRegion(
+                dim=dim,
+                anchor=lines.groups[i].anchor,
+                knots=lines.positions[lo:hi].copy(),
+                outputs=lines.outputs[lo:hi].copy(),
+            ))
+            counts["regions_created"] += outcome.status == "created"
+            counts["regions_rejected"] += outcome.status == "rejected"
+            counts["regions_superseded"] += outcome.superseded
+            counts["regions_displaced"] += outcome.displaced
     return counts
 
 

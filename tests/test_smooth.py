@@ -1,5 +1,6 @@
 """Spline construction, line scans, the region database, and run_easgc."""
 
+import copy
 import logging
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from sgsurrogate import (
     AdaptiveConfig,
@@ -426,6 +428,20 @@ class TestRegionDatabase:
         with pytest.raises(SparseGridError):
             region([0.0, 0.25, 0.25, 0.5])  # not strictly increasing
 
+    @pytest.mark.parametrize("knots, outputs, fault", [
+        ([0, 0.25, 0.5, 0.75, 1], [0, 1, 2, 3], "5 knots but 4 outputs"),
+        ([0, 0.25, 0.5, 0.75], [0, 1, 2, 3, 4], "4 knots but 5 outputs"),
+        ([0, 0.25, np.nan, 0.75, 1], [0, 1, 2, 3, 4], "non-finite knots"),
+        ([0, 0.25, 0.5, np.inf], [0, 1, 2, 3], "non-finite knots"),
+        ([0, 0.25, 0.5, 0.75], [0, np.inf, 2, 3], "non-finite outputs"),
+        ([0, 0.25, 0.5, 0.75], [0, 1, -np.inf, np.nan], "non-finite outputs"),
+    ])
+    def test_malformed_regions_refused(self, knots, outputs, fault):
+        # refused at construction, so no database ever stores one
+        with pytest.raises(SparseGridError, match=fault):
+            SmoothRegion(dim=0, anchor=(), knots=np.array(knots, dtype=float),
+                         outputs=np.array(outputs, dtype=float))
+
 
 # codes of levels 1 .. 4 for knots and anchors, 1 .. 5 for queries
 KNOT_CODES = [1, 2, 3, 4, 5, 8, 9, 10, 11]
@@ -625,3 +641,334 @@ class TestRunEasgc:
             assert dev <= unit * max(1, n_spline)
             checked += 1
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# the batched scan, fit and evaluation against their one-line references
+# ---------------------------------------------------------------------------
+
+def reference_scan(positions, outputs, slope_tol, min_points):
+    """Reference: the one-line derivative scan the batched scan replaced."""
+    n = len(positions)
+    if n < min_points or n < 4:
+        return []
+    slopes = np.diff(outputs) / np.diff(positions)
+    scale = max(1.0, float(np.max(np.abs(outputs))))
+    breaks = np.flatnonzero(np.abs(np.diff(slopes)) > slope_tol * scale) + 1
+    runs = []
+    start = 0
+    for b in breaks:
+        if b - start + 1 >= 4:
+            runs.append((start, b + 1))
+        start = b
+    if n - start >= 4:
+        runs.append((start, n))
+    return runs
+
+
+def eighths(draw, n, top):
+    """n outputs k / 8 with integers |k| <= top, each zero +0 or -0."""
+    out = np.array(draw(st.lists(st.integers(-top, top), min_size=n,
+                                 max_size=n)), dtype=float) / 8
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.where((out == 0) & np.array(signs, dtype=bool), -0.0, out)
+
+
+@st.composite
+def line_sets(draw):
+    """Lines laid end to end, as (positions, outputs, bounds, slope_tol).
+
+    Lines hold 1-20 knots at dyadic spacings.  Their outputs are eighths,
+    with zeros of either sign: random, or linear with a kink next to a line
+    end or anywhere.  A line may start where the line before it ended, so a
+    slope across the boundary would divide by zero.  slope_tol is often a
+    slope change of a line whose outputs lie in [-1, 1], so that change
+    ties with the threshold exactly.
+    """
+    xs, ys, bounds = [], [], [0]
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(1, 20))
+        gaps = np.array(draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=n,
+                                      max_size=n)), dtype=float) / 64
+        x = np.cumsum(gaps)
+        if xs and draw(st.booleans()):
+            x += xs[-1][-1] - x[0]
+        if draw(st.booleans()):
+            y = eighths(draw, n, draw(st.sampled_from([8, 24])))
+        else:
+            kink = draw(st.sampled_from([1, n - 2, draw(st.integers(0, n))]))
+            steps = np.where(np.arange(n) < kink, draw(st.integers(-4, 4)),
+                             draw(st.integers(-4, 4))) / 8
+            y = np.cumsum(steps) - steps[0]
+        xs.append(x)
+        ys.append(y)
+        bounds.append(bounds[-1] + n)
+    ties = [0.0625, 0.25, 1.0, 4.0]
+    for x, y in zip(xs, ys):
+        if len(x) > 2 and np.abs(y).max() <= 1:
+            ties.extend(np.abs(np.diff(np.diff(y) / np.diff(x))).tolist())
+    slope_tol = draw(st.sampled_from(ties))
+    empty = np.zeros(0)
+    return (np.concatenate(xs) if xs else empty, np.concatenate(ys) if ys else empty,
+            np.array(bounds), slope_tol)
+
+
+class TestBatchedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=line_sets(), min_points=st.integers(1, 12))
+    def test_segmented_scan_equals_per_line_reference(self, lines, min_points):
+        x, y, bounds, slope_tol = lines
+        with np.errstate(all="raise"):  # no slope across a line boundary
+            start, stop = smooth._smooth_runs(x, y, bounds, slope_tol)
+        line_of = np.searchsorted(bounds, start, "right") - 1
+        got = list(zip(line_of.tolist(), (start - bounds[line_of]).tolist(),
+                       (stop - bounds[line_of]).tolist()))
+        want = []
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            runs = reference_scan(x[lo:hi], y[lo:hi], slope_tol, 1)
+            want.extend((i, a, b) for a, b in runs)
+            g = line(x[lo:hi], y[lo:hi])
+            assert derivative_scan(g, slope_tol, min_points) == reference_scan(
+                x[lo:hi], y[lo:hi], slope_tol, min_points)
+        assert got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), kind=st.sampled_from(["sine", "kink", "eighths"]),
+           shift=st.floats(0.0, 1.0), epsilon=st.sampled_from([1e-3, 1e-4, 1e-5]),
+           max_level=st.integers(6, 10), init_level=st.integers(0, 2),
+           min_points=st.integers(5, 7), slope_tol=st.sampled_from([0.05, 0.25, 1.0, 4.0]))
+    def test_scan_pass_equals_storing_every_run(self, d, kind, shift, epsilon, max_level,
+                                                 init_level, min_points, slope_tol):
+        def func(x):
+            v = np.sin(2 * np.pi * (x[0] + shift)) * (1 + x[-1])
+            if kind == "kink":
+                v += 3 * abs(x[0] - shift)
+            return float(np.round(8 * v) / 8 if kind == "eighths" else v)
+
+        cfg = AdaptiveConfig(dimension=d, epsilon=epsilon, max_level=max_level,
+                             init_level=init_level, min_line_points=min_points,
+                             slope_tol=slope_tol)
+        check_every_scan_pass(ModelFunction(func, d, kind), cfg)
+
+    def test_scan_pass_equals_storing_every_run_when_a_cover_is_displaced(self):
+        # in this build, a run of a pass displaces the region that covered a
+        # later run of the same line when the pass began, so that later run
+        # is created: a scan that dropped every run covered at the start of
+        # its pass would lose it
+        f, _ = get_benchmark("line_singularity")
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-4, max_level=16, init_level=2,
+                             min_line_points=5)
+        assert check_every_scan_pass(f, cfg) > 0
+
+
+def region_table(db):
+    return [(r.dim, r.anchor, r.knots.tobytes(), r.outputs.tobytes(), r.created_at)
+            for r in db.regions()]
+
+
+def check_every_scan_pass(f, cfg) -> int:
+    """Build with run_easgc, checking every scan pass against storing every run.
+
+    The reference pass groups with group_lines, scans each line with the
+    one-line reference and stores every run in order, on a copy of the
+    database the pass starts from; counts and regions must be equal.
+    Returns how many runs a region covered when their pass began and whose
+    store still changed the database.
+    """
+    scan = smooth._scan_and_store
+    uncovered = []
+
+    def checked(db, model, slope_tol, min_points):
+        ref = copy.deepcopy(db)
+        want = dict.fromkeys(smooth._SCAN_COUNTS, 0)
+        for dim in range(model.dimension):
+            for g in group_lines(model, dim, min_points):
+                want["lines_scanned"] += 1
+                before = db._lines.get((dim, g.anchor), [])
+                for lo, hi in reference_scan(g.positions, g.outputs, slope_tol, min_points):
+                    outcome = ref.store(SmoothRegion(dim=dim, anchor=g.anchor,
+                                                     knots=g.positions[lo:hi].copy(),
+                                                     outputs=g.outputs[lo:hi].copy()))
+                    covered = any(r.lo <= g.positions[lo] and g.positions[hi - 1] <= r.hi
+                                  for r in before)
+                    uncovered.append(covered and outcome.status != "covered")
+                    want["regions_created"] += outcome.status == "created"
+                    want["regions_rejected"] += outcome.status == "rejected"
+                    want["regions_superseded"] += outcome.superseded
+                    want["regions_displaced"] += outcome.displaced
+        got = scan(db, model, slope_tol, min_points)
+        assert got == want
+        assert region_table(db) == region_table(ref)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smooth, "_scan_and_store", checked)
+        run_easgc(f, cfg)
+    return sum(uncovered)
+
+
+def reference_endpoint_slope(x, y):
+    """Reference: the one-polynomial endpoint slope the batched one replaced."""
+    n = x.size
+    dd = y.astype(float).copy()
+    coeffs = [dd[0]]
+    for order in range(1, n):
+        dd = (dd[1:] - dd[:-1]) / (x[order:] - x[:-order])
+        coeffs.append(dd[0])
+    slope = 0.0
+    prod = 1.0
+    for j in range(1, n):
+        slope += coeffs[j] * prod
+        prod *= x[0] - x[j]
+    return slope
+
+
+def reference_spline_value(x, y, m, t):
+    """Reference: the one-spline evaluation the batched one replaced."""
+    i = np.clip(np.searchsorted(x, t) - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    a = (x[i + 1] - t) / h
+    b = (t - x[i]) / h
+    return a * y[i] + b * y[i + 1] + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def region_sets(draw):
+    """Up to 12 regions of 4-9 knots, as a list; outputs in eighths and ±0.
+
+    Some regions start at the end knot of the one before, as neighbouring
+    runs of a line do, and some have only zero outputs of mixed signs, whose
+    second derivatives are zeros of either sign.
+    """
+    regions = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(4, 9))
+        gaps = np.array(draw(st.lists(st.sampled_from([1, 2, 4]), min_size=n - 1,
+                                      max_size=n - 1)), dtype=float) / 128
+        knots = np.cumsum(np.append(0.0, gaps))
+        if regions and draw(st.booleans()):
+            knots += regions[-1].knots[-1]
+        outputs = eighths(draw, n, draw(st.sampled_from([0, 2, 16])))
+        if regions and knots[0] == regions[-1].knots[-1]:
+            outputs[0] = regions[-1].outputs[-1]
+        regions.append(SmoothRegion(dim=0, anchor=(), knots=knots, outputs=outputs))
+    return regions
+
+
+class TestBatchedSpline:
+    @settings(max_examples=200, deadline=None)
+    @given(regions=region_sets(), data=st.data())
+    def test_batched_fit_and_values_equal_one_region_bitwise(self, regions, data):
+        # every knot of every region, then positions anywhere in a region
+        rows = [r for r, region in enumerate(regions) for _ in region.knots]
+        t = [k for region in regions for k in region.knots.tolist()]
+        for r in data.draw(st.lists(st.integers(0, len(regions) - 1), max_size=20)):
+            rows.append(r)
+            t.append(data.draw(st.floats(regions[r].lo, regions[r].hi)))
+        which = np.array(rows + [-1], dtype=np.intp)
+        t = np.array(t + [0.0])
+        values = _spline_values(regions, which, t)  # fits all unfitted regions at once
+        assert np.isnan(values[-1])
+        for r in regions:
+            if r._spline is None:
+                continue
+            x, y = r.knots, r.outputs
+            k = min(5, len(x))
+            assert same_bits(_endpoint_slope(x[:k], y[:k]), reference_endpoint_slope(x[:k], y[:k]))
+            assert same_bits(r.spline.second_derivs, banded_second_derivatives(r.spline))
+            assert same_bits(r.spline.second_derivs, CubicLineSpline(x, y).second_derivs)
+        for value, r, at in zip(values, rows, t):
+            s = regions[r].spline
+            assert same_bits(value, reference_spline_value(s.knots, s.values, s.second_derivs,
+                                                           np.array([at]))[0])
+            assert same_bits(value, spline_value(regions[r], at))
+            assert same_bits(value, s(at))
+
+    def test_position_outside_its_region_named(self):
+        regions = [region([0.0, 0.25, 0.5, 0.75]), region([0.5, 0.625, 0.75, 1.0])]
+        which = np.array([0, 1, 1])
+        with pytest.raises(SparseGridError, match=r"position 0\.375 outside region \[0\.5, 1\.0\]"):
+            _spline_values(regions, which, np.array([0.5, 0.75, 0.375]))
+        with pytest.raises(SparseGridError, match="position nan outside"):
+            spline_value(regions[0], np.nan)
+
+
+class TestBatching:
+    """Counts, not timings, that show the smooth layer works in batches.
+
+    The build is the one of test_scan_builds_groups_for_scanned_lines_only
+    run two levels deeper: up to level 7 no scan finds a run that a region
+    already covers.
+    """
+
+    @staticmethod
+    def build(on_level=None):
+        f = ModelFunction(lambda x: float(np.sin(2 * np.pi * x[0]) * (1 + x[1] * x[2])), 3, "s")
+        cfg = AdaptiveConfig(dimension=3, epsilon=1e-3, max_level=9, init_level=2,
+                             min_line_points=7)
+        return run_easgc(f, cfg, on_level=on_level)
+
+    def test_at_most_one_spline_solve_per_level(self, monkeypatch):
+        calls = []
+        per_level = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return dgtsv(*args)
+
+        monkeypatch.setattr(smooth, "dgtsv", counting)
+        res = self.build(on_level=lambda model, record: per_level.append(len(calls)))
+        assert res.model.spline_interpolations > 0
+        assert sum(r.spline_hits > 0 for r in res.records) > 1
+        assert len(per_level) == len(res.records)
+        solves = np.diff(per_level, prepend=0)
+        assert solves.max() == 1 and solves.sum() == len(calls)
+
+    def test_scan_builds_regions_only_for_runs_it_may_store(self, monkeypatch):
+        built = []
+        scanning = []
+        scan = smooth._scan_and_store
+
+        def counting(**fields):
+            built.append(bool(scanning))
+            return SmoothRegion(**fields)
+
+        def flagged(*args):
+            scanning.append(True)
+            try:
+                return scan(*args)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(smooth, "SmoothRegion", counting)
+        monkeypatch.setattr(smooth, "_scan_and_store", flagged)
+        res = self.build()
+        kept = sum(r.regions_created + r.regions_rejected for r in res.records)
+        assert 0 < sum(built) <= kept
+
+    def test_scan_hashes_node_codes_once(self, monkeypatch):
+        operands = []
+
+        class Weights(np.ndarray):
+            def __rmatmul__(self, other):
+                operands.append(other)
+                return np.asarray(other) @ self.view(np.ndarray)
+
+        weights = smooth._row_weights
+        scan = smooth._scan_and_store
+        hashes = []
+
+        def counted(db, model, slope_tol, min_points):
+            operands.clear()
+            counts = scan(db, model, slope_tol, min_points)
+            hashes.append(sum(o is model.codes for o in operands))
+            return counts
+
+        monkeypatch.setattr(smooth, "_row_weights", lambda d: weights(d).view(Weights))
+        monkeypatch.setattr(smooth, "_scan_and_store", counted)
+        self.build()
+        assert hashes and set(hashes) == {1}
