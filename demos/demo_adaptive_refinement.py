@@ -8,7 +8,7 @@ matches the full grid.
 
 import numpy as np
 
-from sgsurrogate import AdaptiveConfig, ModelFunction, run_asgc, run_csc
+from sgsurrogate import AdaptiveConfig, ModelFunction, coordinates, run_asgc, run_csc, split_codes
 
 KINK = 0.4375
 
@@ -27,11 +27,14 @@ print(f"adaptive ({cfg.epsilon=}):        {len(adaptive.model)} evaluations, "
       f"stopped by {adaptive.stopped_by}")
 
 print("\nadaptive nodes by level (* marks surplus above tolerance)")
+model = adaptive.model
+node_level = split_codes(model.codes)[0][:, 0] - 1  # levels count from 0 at the root
 for record in adaptive.records:
-    nodes = adaptive.model.nodes_on_level(record.level)
+    on_level = node_level == record.level
     marks = ", ".join(
-        f"{float(n.point.coordinate()[0]):.5f}{'*' if abs(n.w) >= cfg.epsilon else ''}"
-        for n in nodes
+        f"{x:.5f}{'*' if abs(w) >= cfg.epsilon else ''}"
+        for x, w in zip(coordinates(model.codes[on_level])[:, 0].tolist(),
+                        model.w[on_level].tolist())
     )
     print(f"  level {record.level}: {marks}")
 

@@ -11,24 +11,29 @@ import numpy as np
 
 from sgsurrogate import (
     ModelFunction,
-    NodeIndex1D,
-    children_1d,
-    coord_1d,
+    coordinates,
+    join_codes,
     moments,
+    refine_candidates,
     run_csc,
 )
 
-# the nested 1-D hierarchy: one midpoint, the boundary pair, then dyadic fill
+# the nested 1-D hierarchy: one midpoint, the boundary pair, then dyadic fill;
+# a node is its integer code 2**(level-1) + index
 print("levels of the nested 1-D grid")
 for level in range(1, 5):
     count = 1 if level == 1 else (2 if level == 2 else 2 ** (level - 2))
-    coords = [coord_1d(NodeIndex1D(level, j)) for j in range(count)]
+    coords = coordinates(join_codes([level] * count, range(count))).tolist()
     print(f"  level {level}: {coords}")
 
-root = NodeIndex1D(1, 0)
-print("\nsons of the root:", [coord_1d(c) for c in children_1d(root)])
-print("sons of the node at 0.25:",
-      [coord_1d(c) for c in children_1d(NodeIndex1D(3, 0))])
+
+def sons(level, index):
+    """Coordinates of the refinement sons of one 1-D node."""
+    return coordinates(refine_candidates(join_codes([[level]], [[index]])))[:, 0].tolist()
+
+
+print("\nsons of the root:", sons(1, 0))
+print("sons of the node at 0.25:", sons(3, 0))
 
 # surrogate of exp(x), refined conventionally
 print("\nconvergence of the analytic moments for f(x) = exp(x)")
@@ -47,7 +52,8 @@ for level in (2, 4, 6, 8):
 result = run_csc(ModelFunction(lambda x: math.exp(x[0]), 1, "exp"), 1, 6)
 model = result.model
 worst = max(
-    abs(model.interpolate(n.point.coordinate()) - n.output) for n in model.nodes()
+    abs(model.interpolate(x) - output)
+    for x, output in zip(coordinates(model.codes), model.outputs)
 )
 print(f"\nworst node reproduction error at level 6: {worst:.2e}")
 

@@ -21,17 +21,9 @@ from .adapt import (
 from .core import (
     GridPoint,
     HierarchicalNode,
-    NodeIndex1D,
-    Provenance,
     SurrogateModel,
-    basis_1d,
-    basis_nd,
-    children_1d,
-    coord_1d,
     coordinates,
     join_codes,
-    make_sons,
-    root_point,
     split_codes,
 )
 from .errors import (
@@ -60,7 +52,7 @@ from .harness import (
 )
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
-from .moments import MomentEstimate, moments, weight_1d, weight_nd
+from .moments import MomentEstimate, moments, weight_1d
 from .smooth import (
     CubicLineSpline,
     LineGroup,

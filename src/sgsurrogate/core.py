@@ -66,7 +66,7 @@ index i is c = 2**(l-1) + i:
 - the sons of c are 2c and 2c + 1, except on level 2, whose nodes have one
   son each: 2 -> 4 and 3 -> 5;
 - sorting rows lexicographically by code sorts them by (level, index) in
-  each dimension, the order of GridPoint;
+  each dimension;
 - the coordinate is 0.5 on level 1, i on level 2 and (2i + 1) / 2**(l-1)
   above;
 - levels stop at MAX_LEVEL = 62, so every code and every son fits in an
@@ -77,14 +77,17 @@ vector with one int64 key, so a model holds only level vectors whose node
 counts (the products over dimensions of the per-level counts 1, 2, then
 2**(l-2)) sum to less than KEY_LIMIT = 2**63 - 1; add_level refuses the rest.
 
-The drivers evaluate, insert and refine whole levels as code arrays.
-GridPoint, NodeIndex1D and HierarchicalNode remain the public value types and
-are built only on request (Murarasu et al., "Compact data structure and
-scalable algorithms for the sparse grid technique", PPoPP 2011).
+Code rows are the library's only node representation: the drivers evaluate,
+insert and refine whole levels as code arrays, and the smooth layer anchors
+its lines by them (Murarasu et al., "Compact data structure and scalable
+algorithms for the sparse grid technique", PPoPP 2011).  nodes() wraps each
+row in a HierarchicalNode on request, for callers that want one record per
+node.
 
-Node identity is exact: codes are integers, and coordinates are dyadic
-rationals (GridPoint.key holds them as (numerator, power-of-two exponent)
-pairs), so deduplication never depends on floating-point tolerances.
+Node identity is exact: codes are integers, so deduplication never depends
+on floating-point tolerances.  Coordinates are dyadic rationals; dyadic_codes
+gives them as exact (numerator, power-of-two exponent) pairs, the form the
+text files write.
 
 A finished model is immutable and safe for concurrent evaluation; construction
 is single-writer and proceeds level by level.
@@ -92,7 +95,6 @@ is single-writer and proceeds level by level.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -108,26 +110,15 @@ from .errors import (
 )
 
 __all__ = [
-    "NodeIndex1D",
     "GridPoint",
     "HierarchicalNode",
-    "Provenance",
     "SurrogateModel",
-    "coord_1d",
-    "dyadic_1d",
-    "node_from_dyadic",
-    "basis_1d",
-    "basis_nd",
-    "children_1d",
-    "make_sons",
-    "root_point",
     "MAX_LEVEL",
     "KEY_LIMIT",
     "join_codes",
     "split_codes",
     "coordinates",
     "dyadic_codes",
-    "dyadic_keys",
 ]
 
 # deepest 1-D level a model stores: the sons of level 63 would pass 2**63,
@@ -137,171 +128,6 @@ MAX_LEVEL = 62
 # the kernel's key sentinel: the node counts of a model's level vectors must
 # sum to less than this, so every key is below it (see _Table)
 KEY_LIMIT = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True, order=True)
-class NodeIndex1D:
-    """One node of the nested 1-D hierarchy, identified by (level, index).
-
-    level 1 has the single node 0.5 (index 0); level 2 has the boundary
-    nodes 0 and 1 (indices 0 and 1); level i >= 3 has indices
-    0 .. 2**(i-2) - 1 over the new coordinates (2*index + 1) * 2**(1-i).
-    """
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise InvalidNodeError(f"level must be >= 1, got {self.level}")
-        if self.index < 0 or self.index >= _new_nodes_on_level(self.level):
-            raise InvalidNodeError(
-                f"index {self.index} out of range for level {self.level}"
-            )
-
-
-def _new_nodes_on_level(level: int) -> int:
-    """Size of the level's newly-added node set (1, 2, then 2**(i-2))."""
-    if level == 1:
-        return 1
-    if level == 2:
-        return 2
-    return 2 ** (level - 2)
-
-
-def cumulative_nodes(level: int) -> int:
-    """Total 1-D nodes up to and including `level` (1, then 2**(i-1) + 1)."""
-    if level < 1:
-        raise InvalidNodeError(f"level must be >= 1, got {level}")
-    if level == 1:
-        return 1
-    return 2 ** (level - 1) + 1
-
-
-def dyadic_1d(n: NodeIndex1D) -> tuple[int, int]:
-    """Exact coordinate of a node as (numerator, exponent): value = num / 2**exp.
-
-    The pair is canonical (odd numerator unless the value is 0 or 1), so equal
-    coordinates always produce equal pairs.
-    """
-    if n.level == 1:
-        return (1, 1)
-    if n.level == 2:
-        return (n.index, 0)
-    return (2 * n.index + 1, n.level - 1)
-
-
-def coord_1d(n: NodeIndex1D) -> float:
-    """Coordinate of a node in [0, 1]; exact, since dyadics are representable."""
-    num, exp = dyadic_1d(n)
-    return num / (1 << exp)
-
-
-def node_from_dyadic(num: int, exp: int) -> NodeIndex1D:
-    """Inverse of dyadic_1d: recover the unique node owning a dyadic coordinate."""
-    if num < 0 or exp < 0 or num > (1 << exp):
-        raise InvalidNodeError(f"dyadic {num}/2^{exp} outside [0, 1]")
-    while num % 2 == 0 and exp > 0:
-        num //= 2
-        exp -= 1
-    if exp == 0:
-        return NodeIndex1D(2, num)
-    if exp == 1:
-        return NodeIndex1D(1, 0)
-    return NodeIndex1D(exp + 1, (num - 1) // 2)
-
-
-def basis_1d(n: NodeIndex1D, x: float) -> float:
-    """Hierarchical hat function of node `n` evaluated at x.
-
-    Level 1 is constant 1.  Level i >= 2 is max(0, 1 - |x - c| * 2**(i-1)),
-    a hat of half-width 2**(1-i) centred at the node (a half-hat for the
-    boundary nodes of level 2 once clipped to [0, 1]).  The value is 1 at the
-    node and 0 at every same-or-coarser-level node coordinate.
-    """
-    if n.level == 1:
-        return 1.0
-    return max(0.0, 1.0 - abs(x - coord_1d(n)) * float(1 << (n.level - 1)))
-
-
-def children_1d(n: NodeIndex1D) -> list[NodeIndex1D]:
-    """Sons of a node in the dyadic refinement tree.
-
-    The root spawns both boundary nodes; each boundary node has a single son
-    (the adjacent quarter point); every deeper node spawns the two nodes at
-    c +/- 2**(-level).
-    """
-    if n.level == 1:
-        return [NodeIndex1D(2, 0), NodeIndex1D(2, 1)]
-    if n.level == 2:
-        # node at 0 -> 0.25, node at 1 -> 0.75
-        return [NodeIndex1D(3, n.index)]
-    return [NodeIndex1D(n.level + 1, 2 * n.index), NodeIndex1D(n.level + 1, 2 * n.index + 1)]
-
-
-@dataclass(frozen=True, order=True)
-class GridPoint:
-    """A d-dimensional collocation node: one NodeIndex1D per dimension."""
-
-    dims: tuple[NodeIndex1D, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.dims)
-
-    @property
-    def depth(self) -> int:
-        """Sum of per-dimension levels (root has depth d)."""
-        return sum(n.level for n in self.dims)
-
-    @property
-    def level(self) -> int:
-        """Reported interpolation level, counted from 0 at the root."""
-        return self.depth - len(self.dims)
-
-    @property
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Canonical identifier built from the exact dyadic coordinates."""
-        return tuple(dyadic_1d(n) for n in self.dims)
-
-    def coordinate(self) -> np.ndarray:
-        return np.array([coord_1d(n) for n in self.dims])
-
-
-def root_point(dimension: int) -> GridPoint:
-    """The all-levels-one point at the centre of the cube."""
-    if dimension < 1:
-        raise InvalidNodeError(f"dimension must be >= 1, got {dimension}")
-    return GridPoint(tuple(NodeIndex1D(1, 0) for _ in range(dimension)))
-
-
-def basis_nd(p: GridPoint, x) -> float:
-    """Product over dimensions of the 1-D basis functions of `p` at x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.dimension,):
-        raise DimensionMismatchError(
-            f"point has dimension {p.dimension}, query has shape {x.shape}"
-        )
-    out = 1.0
-    for n, xs in zip(p.dims, x):
-        out *= basis_1d(n, float(xs))
-        if out == 0.0:
-            break
-    return out
-
-
-def make_sons(p: GridPoint) -> list[GridPoint]:
-    """All refinement sons of `p`: each dimension's children in turn.
-
-    Per-dimension level rises by exactly one; at most 2d points (fewer when a
-    dimension sits at level 2, whose nodes have a single son each).
-    """
-    sons = []
-    for s, n in enumerate(p.dims):
-        for child in children_1d(n):
-            dims = p.dims[:s] + (child,) + p.dims[s + 1:]
-            sons.append(GridPoint(dims))
-    return sons
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +146,8 @@ def _bit_length(codes: np.ndarray) -> np.ndarray:
 
 
 def _check_nodes(levels: np.ndarray, indices: np.ndarray) -> None:
-    """NodeIndex1D's checks on arrays, plus the MAX_LEVEL cap."""
+    """Refuse (level, index) pairs of no node: levels run 1 .. MAX_LEVEL, with
+    indices below the level's 1, 2, then 2**(level-2) new nodes."""
     capped = np.clip(levels, 1, MAX_LEVEL)
     bad = (levels != capped) | (indices < 0) | (indices >= _nodes_per_level(capped))
     if bad.any():
@@ -334,8 +161,8 @@ def _check_nodes(levels: np.ndarray, indices: np.ndarray) -> None:
 def join_codes(levels, indices) -> np.ndarray:
     """Codes 2**(level-1) + index of (level, index) arrays of equal shape.
 
-    Raises InvalidNodeError for any pair NodeIndex1D would refuse and for
-    levels above MAX_LEVEL.
+    Raises InvalidNodeError for any pair of no node, levels above MAX_LEVEL
+    included.
     """
     levels = np.asarray(levels, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -356,8 +183,23 @@ def split_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     return levels, indices
 
 
+def _is_code(c: int) -> bool:
+    """Whether the int c is the code of a node: split_codes' check for one code.
+
+    Level l >= 3 codes are 2**(l-1) .. 2**(l-1) + 2**(l-2) - 1, the l-bit
+    numbers whose top two bits are 10.
+    """
+    level = c.bit_length()
+    return c > 0 and level <= MAX_LEVEL and (level < 3 or c >> (level - 2) == 2)
+
+
 def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
-    """Exact coordinates of codes as dyadic_1d's (numerator, exponent) arrays."""
+    """Exact coordinates of codes as (numerator, exponent) arrays: num / 2**exp.
+
+    The pairs are canonical, an odd numerator unless the coordinate is 0 or
+    1: (1, 1) on level 1, (index, 0) on level 2 and (2 * index + 1, level - 1)
+    above, so equal coordinates give equal pairs.
+    """
     levels, indices = split_codes(codes)
     level2 = levels == 2
     num = np.where(levels == 1, 1, np.where(level2, indices, 2 * indices + 1))
@@ -366,19 +208,26 @@ def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coordinates(codes) -> np.ndarray:
-    """Coordinates of codes, elementwise; bitwise equal to coord_1d."""
+    """Coordinates of codes, elementwise: num / 2**exp of dyadic_codes, which
+    is exact for levels up to 54 and correctly rounded above."""
     num, exp = dyadic_codes(codes)
     return num / np.left_shift(np.int64(1), exp)
 
 
-def dyadic_keys(codes) -> list[tuple]:
-    """GridPoint.key of every row of an (N, d) code array."""
-    num, exp = dyadic_codes(codes)
-    return [tuple(zip(n, e)) for n, e in zip(num.tolist(), exp.tolist())]
+def _code_array(codes, shape: tuple) -> np.ndarray:
+    """`codes` as an int64 array of `shape`, where None matches any length.
 
-
-def _point_codes(p: GridPoint) -> np.ndarray:
-    return join_codes([n.level for n in p.dims], [n.index for n in p.dims])
+    The checks of every entry point that takes node codes: a wrong shape
+    raises DimensionMismatchError, and codes that are not integers, which
+    the cast would truncate, raise InvalidNodeError.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, codes.shape)):
+        want = ", ".join("n" if n is None else str(n) for n in shape)
+        raise DimensionMismatchError(f"expected node codes of shape ({want}), got {codes.shape}")
+    if codes.size and codes.dtype.kind not in "iu":
+        raise InvalidNodeError(f"node codes must be integers, got {codes.dtype}")
+    return codes.astype(np.int64, copy=False)
 
 
 def _row_keys(codes: np.ndarray) -> list[bytes]:
@@ -409,11 +258,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Provenance(enum.Enum):
-    """How a node's output was obtained."""
+@dataclass(frozen=True)
+class GridPoint:
+    """A d-dimensional collocation node: its code in each dimension."""
 
-    FULL_MODEL = "F"
-    SPLINE_INTERPOLATED = "S"
+    codes: tuple[int, ...]
+
+    def coordinate(self) -> np.ndarray:
+        return coordinates(np.array(self.codes, dtype=np.int64))
 
 
 @dataclass
@@ -422,13 +274,14 @@ class HierarchicalNode:
 
     `w` is output minus the coarser-level interpolant at the point; `v` bears
     the same relation for the squared output (needed for analytic variance).
+    `spline` is True where the output came from a spline.
     """
 
     point: GridPoint
     output: float
     w: float
     v: float
-    provenance: Provenance = Provenance.FULL_MODEL
+    spline: bool = False
 
 
 class _Table(NamedTuple):
@@ -487,7 +340,7 @@ class SurrogateModel:
         self._outputs = self._w = self._v = _readonly(np.empty(0))
         self._spline = _readonly(np.empty(0, dtype=bool))
         self._rows: dict[bytes, int] = {}  # code row bytes -> row
-        self._level_start: dict[int, int] = {}  # level -> row of its first node
+        self._depth: int | None = None  # level of the last insert
         # level vectors stored, as row bytes -> their first kernel key
         self._level_vectors: dict[bytes, int] = {}
         self._key_span = 0  # sum of their node counts: the kernel keys in use
@@ -501,22 +354,15 @@ class SurrogateModel:
     def __len__(self) -> int:
         return len(self._outputs)
 
-    def __contains__(self, item) -> bool:
-        """Whether a GridPoint, or a row of d codes, is stored."""
-        if isinstance(item, GridPoint):
-            codes = _point_codes(item)
-        else:
-            codes = np.asarray(item, dtype=np.int64)
-        if codes.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"expected {self.dimension} codes, got shape {codes.shape}"
-            )
-        return codes.tobytes() in self._rows
+    def __contains__(self, codes) -> bool:
+        """Whether a row of d codes is stored."""
+        return _code_array(codes, (self.dimension,)).tobytes() in self._rows
 
     def stored(self, codes) -> np.ndarray:
         """Boolean mask of the rows of an (n, d) code array already stored."""
         rows = self._rows
-        return np.array([key in rows for key in _row_keys(codes)], dtype=bool)
+        keys = _row_keys(_code_array(codes, (None, self.dimension)))
+        return np.array([key in rows for key in keys], dtype=bool)
 
     @property
     def codes(self) -> np.ndarray:
@@ -540,42 +386,25 @@ class SurrogateModel:
 
     @property
     def spline(self) -> np.ndarray:
-        """Provenance: True where the output came from a spline (read-only)."""
+        """True where the output came from a spline (read-only)."""
         return self._spline
 
     def nodes(self) -> list[HierarchicalNode]:
-        """Nodes in insertion (level-major) order, built on request."""
-        return self._nodes_between(0, len(self))
+        """The rows as HierarchicalNodes, in insertion (level-major) order."""
+        return [
+            HierarchicalNode(GridPoint(tuple(codes)), out, w, v, spline)
+            for codes, out, w, v, spline in zip(
+                self._codes.tolist(), self._outputs.tolist(), self._w.tolist(),
+                self._v.tolist(), self._spline.tolist(),
+            )
+        ]
 
     @property
     def depth(self) -> int:
         """Highest reported level present (root counts as level 0)."""
-        if not self._level_start:
+        if self._depth is None:
             raise EmptyModelError("model has no nodes")
-        return max(self._level_start)
-
-    def nodes_on_level(self, level: int) -> list[HierarchicalNode]:
-        start = self._level_start.get(level)
-        if start is None:
-            return []
-        end = min(
-            (s for s in self._level_start.values() if s > start),
-            default=len(self),
-        )
-        return self._nodes_between(start, end)
-
-    def _nodes_between(self, start: int, stop: int) -> list[HierarchicalNode]:
-        levels, indices = split_codes(self._codes[start:stop])
-        provenance = (Provenance.FULL_MODEL, Provenance.SPLINE_INTERPOLATED)
-        return [
-            HierarchicalNode(GridPoint(tuple(map(NodeIndex1D, lv, ix))), out, w, v,
-                             provenance[spline])
-            for lv, ix, out, w, v, spline in zip(
-                levels.tolist(), indices.tolist(), self._outputs[start:stop].tolist(),
-                self._w[start:stop].tolist(), self._v[start:stop].tolist(),
-                self._spline[start:stop].tolist(),
-            )
-        ]
+        return self._depth
 
     # -- construction ---------------------------------------------------------
 
@@ -590,14 +419,7 @@ class SurrogateModel:
         """
         if self._frozen:
             raise ContractViolationError("model is frozen")
-        codes = np.asarray(codes)
-        if codes.ndim != 2 or codes.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"node codes of shape {codes.shape} for model dimension {self.dimension}"
-            )
-        if codes.size and codes.dtype.kind not in "iu":
-            raise InvalidNodeError(f"node codes must be integers, got {codes.dtype}")
-        codes = codes.astype(np.int64, copy=False)
+        codes = _code_array(codes, (None, self.dimension))
         n = codes.shape[0]
         spline = np.zeros(n, dtype=bool) if spline is None else spline
         columns = [np.array(a, dtype=t) for a, t in
@@ -617,7 +439,7 @@ class SurrogateModel:
             for k, key in enumerate(keys):
                 if key in seen:
                     raise ContractViolationError(
-                        f"duplicate node key {dyadic_keys(codes[k:k + 1])[0]}"
+                        f"duplicate node {codes[k].tolist()}"
                     )
                 seen.add(key)
         if level.min() != level.max():
@@ -625,8 +447,8 @@ class SurrogateModel:
                 f"one level per call, got levels {level.min()} .. {level.max()}"
             )
         level = int(level[0])
-        if self._level_start and level < self.depth:
-            raise ContractViolationError(f"level {level} inserted after level {self.depth}")
+        if self._depth is not None and level < self._depth:
+            raise ContractViolationError(f"level {level} inserted after level {self._depth}")
         # one row per level vector, by hash; after a collision, by exact rows
         _, first, inverse = np.unique(levels @ _row_weights(self.dimension),
                                       return_index=True, return_inverse=True)
@@ -658,7 +480,7 @@ class SurrogateModel:
                              indices, w, v)
         self._level_vectors.update(vectors)
         self._key_span = span
-        self._level_start.setdefault(level, len(self))
+        self._depth = level
         self._rows.update(rows)
         self._codes = _readonly(np.concatenate([self._codes, codes]))
         self._outputs, self._w, self._v, self._spline = (
@@ -668,10 +490,7 @@ class SurrogateModel:
 
     def add_node(self, node: HierarchicalNode) -> None:
         """Insert one node: a one-row add_level."""
-        self.add_level(
-            _point_codes(node.point)[None, :], [node.output], [node.w], [node.v],
-            [node.provenance is Provenance.SPLINE_INTERPOLATED],
-        )
+        self.add_level([node.point.codes], [node.output], [node.w], [node.v], [node.spline])
 
     def freeze(self) -> None:
         self._frozen = True
@@ -834,7 +653,7 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 def _nodes_per_level(levels):
-    """Array form of _new_nodes_on_level: 1, 2, then 2**(i-2)."""
+    """New nodes on each level: 1, 2, then 2**(i-2)."""
     return np.where(levels <= 2, levels, np.left_shift(1, np.maximum(levels - 2, 0)))
 
 
@@ -881,7 +700,7 @@ def _per_level(n_levels: int) -> np.ndarray:
 
     Rows (count, shift, scale, slope): the level's node count n_l; the centre of
     its node `index` as (index + shift) / scale, which is exact and equals
-    coord_1d; and basis_1d's slope 2**(l-1), 0 on level 1.
+    `coordinates`; and the hat's slope 2**(l-1), 0 on level 1.
     """
     level = np.arange(1, n_levels + 1)
     count = _nodes_per_level(level).astype(float)
@@ -899,8 +718,8 @@ def _hat_tables(x: np.ndarray, count, shift, scale, slope) -> tuple[np.ndarray, 
     column's level, shape (m,).  Returns (hat, index), both (n, m).  The
     index is min(floor(x * n_l), n_l - 1) for the level's n_l nodes, so
     x = 1 falls to the last node; level 2 picks node 0 on [0, 1/2) and node
-    1 on [1/2, 1].  The hat is basis_1d's 1 - |x - c| * 2**(l-1), bitwise,
-    without its clamp at 0: x lies in the node's support, so the value is
+    1 on [1/2, 1].  The hat is 1 - |x - c| * 2**(l-1) (constant 1 on level
+    1), with no clamp at 0: x lies in the node's support, so the value is
     never negative.
     """
     index = np.minimum(np.floor(x * count), count - 1)

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SparseGridError",
+    "InvalidNodeError",
+    "DimensionMismatchError",
+    "OutOfDomainError",
+    "EmptyModelError",
+    "ContractViolationError",
+    "EvaluationError",
+    "PersistenceError",
+]
+
 
 class SparseGridError(Exception):
     """Base class for all structured errors raised by this package."""

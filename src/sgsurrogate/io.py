@@ -2,29 +2,38 @@
 
 Layout: a header line (dimension, depth, evaluation counts), one node per
 line (per-dimension level:index pairs, output, surplus, squared-output
-surplus, provenance flag), then an optional region section (dimension,
-anchor, knots, outputs, midpoint, half-length; one region per line).  The
-dyadic fields are integers, so round-trips are bit-exact; reals use 17
-significant digits, which round-trips doubles exactly.  Writing is
-deterministic for a given model, byte for byte, and atomic: the file is
+surplus, provenance flag F for a full evaluation or S for a spline value),
+then an optional region section (dimension, anchor, knots, outputs,
+midpoint, half-length; one region per line).  The library holds a region's
+anchor as the codes of its line's other d - 1 dimensions; this module alone
+converts them, writing each as the exact dyadic coordinate num:exp of its
+node (value num / 2**exp, the canonical pair of core.dyadic_codes) and
+reading the pairs back with one vectorised inverse, which refuses a pair that
+is no node's canonical coordinate.  The integer fields round-trip exactly;
+reals use 17 significant digits, which round-trips doubles exactly.  Writing
+is deterministic for a given model, byte for byte, and atomic: the file is
 written beside its target and renamed over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import uuid
 from pathlib import Path
 
 import numpy as np
 
-from .core import Provenance, SurrogateModel, join_codes, split_codes
+from .core import MAX_LEVEL, SurrogateModel, dyadic_codes, join_codes, split_codes
 from .errors import PersistenceError, SparseGridError
 from .smooth import RegionDatabase, SmoothRegion
 
 __all__ = ["save_surrogate", "load_surrogate"]
 
 _MAGIC = "surrogate"
+
+# provenance flags of node lines: a full model evaluation, a spline value
+_FLAGS = {"F": False, "S": True}
 
 
 def _fmt(x: float) -> str:
@@ -33,8 +42,11 @@ def _fmt(x: float) -> str:
 
 def _region_lines(db: RegionDatabase):
     # creation order, so reloaded databases resolve lookup ties identically
-    for region in sorted(db.regions(), key=lambda r: r.created_at):
-        anchor = ",".join(f"{num}:{exp}" for num, exp in region.anchor) or "-"
+    regions = sorted(db.regions(), key=lambda r: r.created_at)
+    num, exp = dyadic_codes(np.array([c for r in regions for c in r.anchor], dtype=np.int64))
+    pairs = (f"{n}:{e}" for n, e in zip(num.tolist(), exp.tolist()))
+    for region in regions:
+        anchor = ",".join(itertools.islice(pairs, len(region.anchor))) or "-"
         knots = ",".join(_fmt(k) for k in region.knots)
         outputs = ",".join(_fmt(o) for o in region.outputs)
         yield (
@@ -54,8 +66,7 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
         f"full={model.full_evaluations} spline={model.spline_interpolations}"
     ]
     levels, indices = split_codes(model.codes)
-    flags = np.where(model.spline, Provenance.SPLINE_INTERPOLATED.value,
-                     Provenance.FULL_MODEL.value)
+    flags = np.where(model.spline, "S", "F")
     for lv, ix, output, w, v, flag in zip(
         levels.tolist(), indices.tolist(), model.outputs.tolist(), model.w.tolist(),
         model.v.tolist(), flags.tolist(),
@@ -114,8 +125,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
                 raise ValueError(f"{len(pairs)} dimensions, header says {model.dimension}")
             levels.append([int(level) for level, _ in pairs])
             indices.append([int(index) for _, index in pairs])
-            from_spline = Provenance(flag) is Provenance.SPLINE_INTERPOLATED
-            values.append((float(output), float(w), float(v), from_spline))
+            if flag not in _FLAGS:
+                raise ValueError(f"provenance flag {flag!r}, not F or S")
+            values.append((float(output), float(w), float(v), _FLAGS[flag]))
             i += 1
     except ValueError as exc:
         raise PersistenceError(f"{path}: bad node line {i + 1}: {lines[i]!r}") from exc
@@ -139,33 +151,47 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     if i == len(lines):
         return model, None
     db = RegionDatabase()
+    d = model.dimension
     line, region_lines = lines[i], lines[i + 1:]
     try:
         _, count = line.split()
         if int(count) != len(region_lines):
             raise ValueError(f"{len(region_lines)} region lines follow")
+        fields = []
         for line in region_lines:
-            dim, anchor_tok, knots_tok, outputs_tok, _mid, _half = line.split()
-            anchor = tuple(
-                (int(num), int(exp))
-                for num, exp in (p.split(":") for p in anchor_tok.split(","))
-            ) if anchor_tok != "-" else ()
-            region = SmoothRegion(
-                dim=int(dim),
-                anchor=anchor,
-                knots=np.array([float(k) for k in knots_tok.split(",")]),
-                outputs=np.array([float(o) for o in outputs_tok.split(",")]),
-            )
-            _check_region(region, model.dimension)
-            db.store(region)
-    except (ValueError, KeyError, SparseGridError) as exc:
+            dim, anchor, knots, outputs, _mid, _half = line.split()
+            pairs = [p.split(":") for p in anchor.split(",")] if anchor != "-" else []
+            pairs = np.array([(int(num), int(exp)) for num, exp in pairs], dtype=np.int64)
+            if not 0 <= int(dim) < d:
+                raise ValueError(f"dim {dim} outside [0, {d})")
+            if len(pairs) != d - 1:
+                raise ValueError(f"anchor of {len(pairs)} pairs, not d - 1 = {d - 1}")
+            fields.append((int(dim), pairs.reshape(d - 1, 2),
+                           np.array([float(k) for k in knots.split(",")]),
+                           np.array([float(o) for o in outputs.split(",")])))
+        dyadic = np.array([f[1] for f in fields], dtype=np.int64).reshape(len(fields), d - 1, 2)
+        anchors, valid = _codes_of_dyadic(dyadic[..., 0], dyadic[..., 1])
+        if not valid.all():
+            line = region_lines[int(np.flatnonzero(~valid.all(axis=1))[0])]
+            raise ValueError("anchor pair names no node: not the canonical num:exp of one")
+        for line, (dim, _, knots, outputs), anchor in zip(region_lines, fields, anchors.tolist()):
+            db.store(SmoothRegion(dim=dim, anchor=tuple(anchor), knots=knots, outputs=outputs))
+    except (ValueError, OverflowError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db
 
 
-def _check_region(region: SmoothRegion, d: int) -> None:
-    """Refuse a region that no node of a d-dimensional model can ever match."""
-    if not 0 <= region.dim < d:
-        raise ValueError(f"dim {region.dim} outside [0, {d})")
-    if len(region.anchor) != d - 1:
-        raise ValueError(f"anchor of {len(region.anchor)} pairs, not d - 1 = {d - 1}")
+def _codes_of_dyadic(num: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the nodes at num / 2**exp, elementwise: the inverse of dyadic_codes.
+
+    Returns (codes, valid).  Only dyadic_codes' canonical pairs are valid:
+    (1, 1), (0, 0) and (1, 0), and (odd num < 2**exp, exp) for exponents 2 ..
+    MAX_LEVEL - 1, whose codes are 2**exp + num // 2.  Any other pair, one
+    that reduces to a node's coordinate included, names no node: its code is 0.
+    """
+    shift = np.left_shift(np.int64(1), np.clip(exp, 0, MAX_LEVEL))
+    root = (num == 1) & (exp == 1)
+    boundary = ((num == 0) | (num == 1)) & (exp == 0)
+    deep = (exp >= 2) & (exp < MAX_LEVEL) & (num % 2 == 1) & (num > 0) & (num < shift)
+    codes = np.where(root, 1, np.where(boundary, 2 + num, np.where(deep, shift + num // 2, 0)))
+    return codes, root | boundary | deep

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridPoint, SurrogateModel, split_codes
+from .core import SurrogateModel, split_codes
 from .errors import EmptyModelError, InvalidNodeError
 
-__all__ = ["MomentEstimate", "weight_1d", "weight_nd", "moments"]
+__all__ = ["MomentEstimate", "weight_1d", "moments"]
 
 # relative slack allowed before a negative variance is treated as an error
 _VARIANCE_TOL = 1e-12
@@ -43,16 +43,9 @@ def weight_1d(level: int) -> float:
     return 2.0 ** (1 - level)
 
 
-def weight_nd(p: GridPoint) -> float:
-    """Integral of the d-dimensional basis of `p` over the unit cube."""
-    out = 1.0
-    for n in p.dims:
-        out *= weight_1d(n.level)
-    return out
-
-
 def _weights_vector(m: SurrogateModel) -> np.ndarray:
-    """weight_nd of every node, from the code array; exact (powers of 2)."""
+    """Integral of every node's basis over the cube: the product of its
+    dimensions' weight_1d, from the code array; exact (powers of 2)."""
     levels, _ = split_codes(m.codes)
     return np.prod(np.where(levels == 2, 0.25, np.ldexp(1.0, 1 - levels)), axis=1)
 

@@ -16,6 +16,11 @@ its subsets, and on a genuine partial overlap the longer interval wins (with
 a diagnostic logged).  Lookups that match several dimensions resolve to the
 earliest-created region.
 
+A line is named by its anchor: the codes of its nodes in the other d - 1
+dimensions, as the model's code rows hold them.  LineGroups and regions carry
+anchors as tuples of codes, and the database indexes them as code rows; only
+the text files (io) write them as dyadic coordinates.
+
 The work is done on arrays, in one pass per dimension or per level, so it
 scales with the dimension d and the node count N, not with the number of
 lines, runs or regions.  Every step gives bitwise the values, regions and
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,8 +73,10 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
-from .core import MAX_LEVEL, GridPoint, SurrogateModel, _row_weights, coordinates, dyadic_codes
-from .errors import DimensionMismatchError, InvalidNodeError, SparseGridError
+from .core import (
+    SurrogateModel, _code_array, _is_code, _row_weights, coordinates, dyadic_codes, split_codes,
+)
+from .errors import InvalidNodeError, SparseGridError
 
 __all__ = [
     "CubicLineSpline",
@@ -236,7 +244,7 @@ class LineGroup:
     """All stored nodes sharing every coordinate except the one along `dim`."""
 
     dim: int
-    anchor: tuple[tuple[int, int], ...]  # exact dyadic coords of the other dims
+    anchor: tuple[int, ...]  # the codes of the other d - 1 dimensions
     positions: np.ndarray  # sorted strictly ascending along `dim`
     outputs: np.ndarray
 
@@ -280,10 +288,11 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     num, exp = dyadic_codes(codes)
     others = [k for k in range(m.dimension) if k != dim]
     positions = coordinates(codes[:, dim])
-    # anchors compare as tuples of (num, exp) pairs; the position sorts last
+    # lines sort by their anchors' exact coordinates, as tuples of (num, exp)
+    # pairs, which fixes the order of region creation; the position sorts last
     order = np.lexsort([positions] + [a[:, k] for k in reversed(others) for a in (exp, num)])
-    anchors = np.stack([num[:, others], exp[:, others]], axis=2)[order]
-    starts = np.flatnonzero(np.append(True, (anchors[1:] != anchors[:-1]).any(axis=(1, 2))))
+    anchors = codes[order][:, others]
+    starts = np.flatnonzero(np.append(True, (anchors[1:] != anchors[:-1]).any(axis=1)))
     stops = np.append(starts[1:], len(order))
     long = stops - starts >= min_points
     starts, stops = starts[long], stops[long]
@@ -292,8 +301,8 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     positions = positions[take]
     outputs = m.outputs[rows[take]]
     groups = [
-        LineGroup(dim=dim, anchor=tuple(map(tuple, anchor)),
-                  positions=positions[lo:hi], outputs=outputs[lo:hi])
+        LineGroup(dim=dim, anchor=tuple(anchor), positions=positions[lo:hi],
+                  outputs=outputs[lo:hi])
         for anchor, lo, hi in zip(anchors[starts].tolist(), bounds[:-1].tolist(),
                                   bounds[1:].tolist())
     ]
@@ -308,12 +317,12 @@ def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[Line
     `dim`.  Line sizes are first counted by anchor key, in O(d * N): the
     hash of the node's code row without its own `dim` term (see
     core._row_weights).  Only the nodes whose key has `min_points` members
-    are then grouped exactly, by their dyadic anchors, and only the exact
+    are then grouped exactly, by their anchors' codes, and only the exact
     groups that are long enough are returned.  Equal anchors give equal keys,
     so no long line is missed, and a key collision only sends more nodes to
     the exact grouping.  With the default `min_points` every node lands in
     exactly one group and the multiplicities sum to the node count.  Groups
-    are sorted by anchor for deterministic scan order.
+    are sorted by their anchors' coordinates for deterministic scan order.
     """
     if not 0 <= dim < m.dimension:
         raise ValueError(f"dim {dim} out of range for dimension {m.dimension}")
@@ -381,18 +390,26 @@ class SmoothRegion:
     Carries the knot inputs, knot outputs, interval midpoint and half-length,
     plus the fitted spline (built on first use, since superseded candidate
     regions are never evaluated).  `created_at` orders regions for lookup
-    tie-breaking across dimensions.  Knots and outputs are stored as float
-    arrays; malformed ones are refused at construction.
+    tie-breaking across dimensions.  The anchor holds the codes of the other
+    d - 1 dimensions, stored as a tuple of ints; knots and outputs are stored
+    as float arrays.  Anchors that are not node codes, and malformed knots or
+    outputs, are refused at construction.
     """
 
     dim: int
-    anchor: tuple[tuple[int, int], ...]
+    anchor: tuple[int, ...]
     knots: np.ndarray
     outputs: np.ndarray
     created_at: int = 0
     _spline: CubicLineSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self.anchor = tuple(map(operator.index, self.anchor))
+        except TypeError as exc:
+            raise InvalidNodeError(f"region anchor {self.anchor!r} holds a non-integer") from exc
+        if not all(map(_is_code, self.anchor)):
+            raise InvalidNodeError(f"region anchor {self.anchor} holds a code of no node")
         self.knots = np.asarray(self.knots, dtype=float)
         self.outputs = np.asarray(self.outputs, dtype=float)
         if self.knots.ndim != 1 or len(self.knots) < 4:
@@ -477,25 +494,6 @@ def spline_value(r: SmoothRegion, t: float) -> float:
     return float(_spline_values([r], np.zeros(1, dtype=np.intp), np.array([t], dtype=float))[0])
 
 
-def _code_of_dyadic(num, exp):
-    """Code of the node at num / 2**exp, the inverse of dyadic_codes; None if none."""
-    if (num, exp) == (1, 1):
-        return 1
-    if exp == 0 and num in (0, 1):
-        return 2 + num
-    if 2 <= exp < MAX_LEVEL and num % 2 == 1 and 0 < num < 1 << exp:
-        return (1 << exp) + num // 2
-    return None
-
-
-def _anchor_row(dim: int, anchor) -> np.ndarray | None:
-    """A line's anchor as a code row with 0 at `dim`; None when no node has it."""
-    row = [_code_of_dyadic(num, exp) for num, exp in anchor]
-    if None in row or not 0 <= dim <= len(row):
-        return None
-    return np.array(row[:dim] + [0] + row[dim:], dtype=np.int64)
-
-
 class StoreOutcome(NamedTuple):
     """What RegionDatabase.store did with a region.
 
@@ -555,8 +553,8 @@ class RegionDatabase:
     def __init__(self):
         self._lines: dict[tuple, list[SmoothRegion]] = {}
         self._counter = 0
-        # (dim, d) -> anchor -> code row of the anchor (None when no node has it)
-        self._anchors: dict[tuple[int, int], dict[tuple, np.ndarray | None]] = {}
+        # (dim, d) -> the anchors of its lines, in order of first store
+        self._anchors: dict[tuple[int, int], dict[tuple, None]] = {}
         self._index: dict[tuple[int, int], _DimIndex] = {}
 
     def __len__(self) -> int:
@@ -604,9 +602,7 @@ class RegionDatabase:
         kept.sort(key=lambda r: r.lo)
         self._lines[key] = kept
         slot = (region.dim, len(region.anchor) + 1)
-        anchors = self._anchors.setdefault(slot, {})
-        if region.anchor not in anchors:
-            anchors[region.anchor] = _anchor_row(region.dim, region.anchor)
+        self._anchors.setdefault(slot, {})[region.anchor] = None
         self._index.pop(slot, None)
         return StoreOutcome("created", superseded, displaced)
 
@@ -614,13 +610,9 @@ class RegionDatabase:
         index = self._index.get(slot)
         if index is None:
             dim, d = slot
-            rows, regions = [], []
-            for anchor, row in self._anchors[slot].items():
-                if row is not None:
-                    for r in self._lines[(dim, anchor)]:
-                        rows.append(row)
-                        regions.append(r)
-            anchors = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+            regions = [r for anchor in self._anchors[slot] for r in self._lines[(dim, anchor)]]
+            anchors = np.array([r.anchor for r in regions], dtype=np.int64)
+            anchors = np.insert(anchors.reshape(len(regions), d - 1), dim, 0, axis=1)
             keys = anchors @ _row_weights(d)
             order = np.argsort(keys, kind="stable")
             regions = [regions[k] for k in order.tolist()]
@@ -643,10 +635,7 @@ class RegionDatabase:
         one dimension or several, the earliest-created region wins.
         Dimensions without regions are skipped.
         """
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.ndim != 2:
-            raise DimensionMismatchError(
-                f"expected an (n, d) code array, got shape {codes.shape}")
+        codes = _code_array(codes, (None, None))
         n, d = codes.shape
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
@@ -709,18 +698,16 @@ class RegionDatabase:
         reached = (prev >= 0) & (line[prev] == line) & (hi[prev] > cover_lo)
         return ~free & ~reached
 
-    def lookup(self, p):
-        """Region containing node `p` along some dimension, or None.
+    def lookup(self, codes):
+        """Region containing the node of a row of d codes, or None.
 
-        `p` is a GridPoint or its exact dyadic key (GridPoint.key); returns
-        (region, position).  A one-row call of `lookup_many`, with its
-        matching and tie rules.
+        Returns (region, position).  Raises InvalidNodeError for codes of no
+        node.  A one-row call of `lookup_many`, with its matching and tie
+        rules.
         """
-        key = p.key if isinstance(p, GridPoint) else p
-        row = [_code_of_dyadic(num, exp) for num, exp in key]
-        if None in row:
-            raise InvalidNodeError(f"{key} is not the dyadic key of a node")
-        regions, which, t = self.lookup_many(np.array([row], dtype=np.int64))
+        row = _code_array(codes, (None,))
+        split_codes(row)  # refuses codes of no node
+        regions, which, t = self.lookup_many(row[None, :])
         if which[0] < 0:
             return None
         return regions[which[0]], float(t[0])

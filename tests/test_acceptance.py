@@ -18,6 +18,7 @@ from sgsurrogate import (
     AdaptiveConfig,
     CubicLineSpline,
     ModelFunction,
+    coordinates,
     draw_test_points,
     get_benchmark,
     moments,
@@ -26,6 +27,7 @@ from sgsurrogate import (
     run_easgc,
     run_study,
     save_surrogate,
+    split_codes,
 )
 from sgsurrogate.models import PoissonSpec, TrussSpec, poisson_solve, truss_member4_force
 from test_models import force_method_oracle  # independent flexibility oracle
@@ -39,8 +41,8 @@ def _pass(number: int, name: str) -> None:
 
 
 def _reproduces_all_nodes(model, rel=1e-12):
-    coords = np.array([n.point.coordinate() for n in model.nodes()])
-    outputs = np.array([n.output for n in model.nodes()])
+    coords = coordinates(model.codes)
+    outputs = model.outputs
     got = model.interpolate_many(coords)
     tol = rel * np.maximum(1.0, np.abs(outputs))
     return np.all(np.abs(got - outputs) <= tol)
@@ -205,12 +207,15 @@ def test_07_adaptive_subset_of_conventional():
     adaptive = run_asgc(get_benchmark("kink", {"kink_pos": kink})[0], cfg)
     conventional = run_csc(get_benchmark("kink", {"kink_pos": kink})[0], 1, 9)
 
-    keys_by_level_a = {}
-    for n in adaptive.model.nodes():
-        keys_by_level_a.setdefault(n.point.level, set()).add(n.point.key)
-    keys_by_level_c = {}
-    for n in conventional.model.nodes():
-        keys_by_level_c.setdefault(n.point.level, set()).add(n.point.key)
+    def keys_by_level(model):
+        keys = {}
+        levels = split_codes(model.codes)[0][:, 0] - 1  # a 1-D node's reported level
+        for level, code in zip(levels.tolist(), model.codes[:, 0].tolist()):
+            keys.setdefault(level, set()).add(code)
+        return keys
+
+    keys_by_level_a = keys_by_level(adaptive.model)
+    keys_by_level_c = keys_by_level(conventional.model)
 
     cum_a, cum_c = set(), set()
     for level in sorted(keys_by_level_c):
@@ -224,17 +229,17 @@ def test_07_adaptive_subset_of_conventional():
     # the model from the chord through its neighbors, so from level 3 on
     # only nodes whose open support straddles the kink carry surplus (the
     # level-2 half-hats carry the global linear trend instead)
-    for n in adaptive.model.nodes():
-        level_1d = n.point.dims[0].level
+    model = adaptive.model
+    for level_1d, coord, w in zip(split_codes(model.codes)[0][:, 0].tolist(),
+                                  coordinates(model.codes)[:, 0].tolist(), model.w.tolist()):
         if level_1d >= 3:
             halfwidth = 2.0 ** (1 - level_1d)
-            coord = n.point.coordinate()[0]
             straddles = abs(coord - kink) < halfwidth
             if not straddles:
-                assert n.w == 0.0, (coord, n.w)
-        if n.point.level >= 5:
-            assert float(n.point.coordinate()[0]) in (0.40625, 0.46875)
-    deep = [n for n in adaptive.model.nodes() if n.point.level >= 5]
+                assert w == 0.0, (coord, w)
+        if level_1d - 1 >= 5:
+            assert coord in (0.40625, 0.46875)
+    deep = [level for level in split_codes(model.codes)[0][:, 0] if level - 1 >= 5]
     assert len(deep) == 2
     _pass(7, "adaptive-subset-and-kink-tracking")
 

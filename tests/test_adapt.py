@@ -8,23 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
+from reference import NodeIndex1D, Point, point, root_point
 from sgsurrogate import (
     AdaptiveConfig,
     DimensionMismatchError,
     EvaluationError,
-    GridPoint,
-    HierarchicalNode,
     InvalidNodeError,
     ModelFunction,
-    NodeIndex1D,
     SurrogateModel,
     coordinates,
-    make_sons,
     refine_candidates,
     run_asgc,
     run_csc,
     run_easgc,
-    root_point,
+    split_codes,
 )
 from sgsurrogate.io import save_surrogate
 
@@ -161,7 +159,7 @@ class TestRunCsc:
         f = ModelFunction(lambda x: 1.0, 1, "c")
         res = run_csc(f, 1, 0)
         assert len(res.model) == 1
-        assert res.model.nodes()[0].point == root_point(1)
+        assert res.model.codes.tolist() == ref.codes(root_point(1)).tolist() == [[1]]
 
     def test_2d_level2_is_13_nodes(self):
         f = ModelFunction(lambda x: x[0] + x[1], 2, "s")
@@ -176,8 +174,9 @@ class TestRunCsc:
     def test_levels_fully_populated(self):
         f = ModelFunction(lambda x: float(np.sum(x)), 2, "s")
         res = run_csc(f, 2, 4)
+        level = split_codes(res.model.codes)[0].sum(axis=1) - 2
         for lv in range(5):
-            got = len(res.model.nodes_on_level(lv))
+            got = int((level == lv).sum())
             assert got == smolyak_count(2, lv) - smolyak_count(2, lv - 1) if lv else 1
 
     def test_evaluation_failure_propagates(self):
@@ -199,7 +198,8 @@ class TestRunAsgc:
         # root spawns its sons; all non-root surpluses are 0 < epsilon
         assert len(res.model) == 3
         assert res.stopped_by == "tolerance"
-        assert all(n.w == 0.0 for n in res.model.nodes() if n.point.level > 0)
+        level = split_codes(res.model.codes)[0].sum(axis=1) - 1
+        assert (res.model.w[level > 0] == 0.0).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_output_fails_loudly(self, bad):
@@ -279,8 +279,8 @@ class TestRunAsgc:
         adaptive = run_asgc(fa, cfg)
         fc = ModelFunction(func, 2, "s")
         conventional = run_csc(fc, 2, 5)
-        keys_a = {n.point.key for n in adaptive.model.nodes()}
-        keys_c = {n.point.key for n in conventional.model.nodes()}
+        keys_a = {tuple(row) for row in adaptive.model.codes.tolist()}
+        keys_c = {tuple(row) for row in conventional.model.codes.tolist()}
         assert keys_a < keys_c
 
     def test_epsilon_zero_limit_reproduces_csc(self):
@@ -293,9 +293,7 @@ class TestRunAsgc:
         adaptive = run_asgc(fa, cfg)
         fc = ModelFunction(func, 2, "e")
         conventional = run_csc(fc, 2, 5)
-        keys_a = [n.point.key for n in adaptive.model.nodes()]
-        keys_c = [n.point.key for n in conventional.model.nodes()]
-        assert keys_a == keys_c
+        assert adaptive.model.codes.tolist() == conventional.model.codes.tolist()
 
     def test_monotone_counts_and_counter_identity(self):
         f = ModelFunction(lambda x: float(np.exp(x[0] * x[1])), 2, "e")
@@ -322,8 +320,7 @@ class TestRunAsgc:
         assert paths[0] == paths[1]
 
 
-def codes(*points):
-    return np.array([[(1 << (n.level - 1)) + n.index for n in p.dims] for p in points])
+codes = ref.codes
 
 
 class TestRefineCandidates:
@@ -332,15 +329,15 @@ class TestRefineCandidates:
         assert sorted(float(x) for x in coordinates(got)[:, 0]) == [0.0, 1.0]
 
     def test_adjacent_nodes_disjoint_sons(self):
-        quarter = GridPoint((NodeIndex1D(3, 0),))
-        three_quarter = GridPoint((NodeIndex1D(3, 1),))
+        quarter = point((3, 0))
+        three_quarter = point((3, 1))
         got = refine_candidates(codes(quarter, three_quarter))
         assert sorted(float(x) for x in coordinates(got)[:, 0]) == [0.125, 0.375, 0.625, 0.875]
 
     def test_shared_son_deduplicated(self):
         # (0, 0.5) and (0.5, 0) both spawn the corner (0, 0)
-        a = GridPoint((NodeIndex1D(2, 0), NodeIndex1D(1, 0)))
-        b = GridPoint((NodeIndex1D(1, 0), NodeIndex1D(2, 0)))
+        a = point((2, 0), (1, 0))
+        b = point((1, 0), (2, 0))
         got = refine_candidates(codes(a, b))
         keys = [tuple(row) for row in got.tolist()]
         assert len(keys) == len(set(keys))
@@ -368,20 +365,20 @@ class TestRefineCandidates:
         node = st.integers(1, 7).flatmap(lambda level: st.integers(
             0, (1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)) - 1,
         ).map(lambda index: NodeIndex1D(level, index)))
-        point = st.tuples(*[node] * dimension).map(GridPoint)
-        active = data.draw(st.lists(point, max_size=30))
-        sons = [s for p in active for s in make_sons(p)]
+        points = st.tuples(*[node] * dimension).map(Point)
+        active = data.draw(st.lists(points, max_size=30))
+        sons = [s for p in active for s in ref.make_sons(p)]
         stored = data.draw(st.lists(st.sampled_from(sons), unique=True)) if sons else []
-        stored += data.draw(st.lists(point, max_size=5))
+        stored += data.draw(st.lists(points, max_size=5))
         model = SurrogateModel(dimension)
         by_key = {p.key: p for p in stored}
         for level in sorted({p.level for p in by_key.values()}):
-            for p in by_key.values():
-                if p.level == level:
-                    model.add_node(HierarchicalNode(p, 0.0, 0.0, 0.0))
+            batch = [p for p in by_key.values() if p.level == level]
+            zeros = [0.0] * len(batch)
+            model.add_level(codes(*batch), zeros, zeros, zeros)
         seen, want = set(), []
         for p in active:
-            for son in make_sons(p):
+            for son in ref.make_sons(p):
                 if son.key not in seen and son.key not in by_key:
                     seen.add(son.key)
                     want.append(son)

@@ -1,4 +1,8 @@
-"""Node hierarchy, basis functions, surpluses and the interpolation property."""
+"""Node hierarchy, basis functions, surpluses and the interpolation property.
+
+The library holds nodes as integer code rows; tests/reference.py holds the
+one-node-at-a-time definitions they are checked against.
+"""
 
 import math
 import tracemalloc
@@ -8,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
+from reference import NodeIndex1D, Point, point, root_point
 from sgsurrogate import (
     METHODS,
     AdaptiveConfig,
@@ -18,34 +24,23 @@ from sgsurrogate import (
     HierarchicalNode,
     InvalidNodeError,
     ModelFunction,
-    NodeIndex1D,
+    RegionDatabase,
+    SmoothRegion,
     SurrogateModel,
-    basis_1d,
-    basis_nd,
     OutOfDomainError,
-    Provenance,
     build,
-    children_1d,
-    coord_1d,
     coordinates,
     get_benchmark,
     join_codes,
     load_surrogate,
-    make_sons,
     refine_candidates,
-    root_point,
     run_csc,
     save_surrogate,
     split_codes,
 )
 from sgsurrogate import core
-from sgsurrogate.core import (
-    MAX_LEVEL,
-    cumulative_nodes,
-    dyadic_1d,
-    dyadic_keys,
-    node_from_dyadic,
-)
+from sgsurrogate.core import MAX_LEVEL, dyadic_codes
+from sgsurrogate.io import _codes_of_dyadic
 
 
 def level_coords(level):
@@ -65,24 +60,54 @@ def grid_coords(level):
     return sorted(out)
 
 
+def level_codes(level):
+    """The codes of the level's new nodes, by join_codes."""
+    count = len(level_coords(level))
+    return join_codes([level] * count, list(range(count)))
+
+
+def one_node(p: Point) -> SurrogateModel:
+    """A model of the single node `p` with w = 1: it evaluates p's basis."""
+    m = SurrogateModel(p.dimension)
+    m.add_level(ref.codes(p), [1.0], [1.0], [1.0])
+    return m
+
+
+def basis(p: Point, x) -> float:
+    """The library's basis of node `p` at x, through the evaluation kernel."""
+    return one_node(p).interpolate(x)
+
+
+def sons_of(*points: Point) -> np.ndarray:
+    """The library's refinement sons of points, as a code array."""
+    return refine_candidates(ref.codes(*points))
+
+
 class TestNodeHierarchy:
     def test_coord_examples(self):
-        assert coord_1d(NodeIndex1D(1, 0)) == 0.5
-        assert coord_1d(NodeIndex1D(2, 1)) == 1.0
+        np.testing.assert_array_equal(coordinates(join_codes([1, 2, 4], [0, 1, 2])),
+                                      [0.5, 1.0, 0.625])
+        assert ref.coord_1d(NodeIndex1D(1, 0)) == 0.5
+        assert ref.coord_1d(NodeIndex1D(2, 1)) == 1.0
         # enumerate level-4 new nodes {1/8, 3/8, 5/8, 7/8}
         assert level_coords(4) == [0.125, 0.375, 0.625, 0.875]
-        assert coord_1d(NodeIndex1D(4, 2)) == 0.625
+        assert coordinates(level_codes(4)).tolist() == level_coords(4)
+        assert ref.coord_1d(NodeIndex1D(4, 2)) == 0.625
 
     @pytest.mark.parametrize("level,index", [(0, 0), (1, 1), (2, 2), (3, 2), (5, 8), (4, -1)])
     def test_invalid_nodes(self, level, index):
         with pytest.raises(InvalidNodeError):
+            join_codes([level], [index])
+        with pytest.raises(ValueError):
             NodeIndex1D(level, index)
 
     def test_counts_match_oracle(self):
         for level in range(1, 12):
-            assert len(grid_coords(level)) == cumulative_nodes(level)
-        assert cumulative_nodes(1) == 1
-        assert [cumulative_nodes(i) for i in range(2, 7)] == [3, 5, 9, 17, 33]
+            grid = np.concatenate([level_codes(lv) for lv in range(1, level + 1)])
+            assert len(grid) == len(grid_coords(level)) == ref.cumulative_nodes(level)
+            assert sorted(coordinates(grid).tolist()) == grid_coords(level)
+        assert ref.cumulative_nodes(1) == 1
+        assert [ref.cumulative_nodes(i) for i in range(2, 7)] == [3, 5, 9, 17, 33]
 
     def test_nestedness_and_disjoint_deltas(self):
         for level in range(2, 10):
@@ -92,74 +117,92 @@ class TestNodeHierarchy:
             assert coarse.isdisjoint(level_coords(level))
 
     def test_dyadic_round_trip(self):
+        # codes -> canonical (num, exp) pairs -> the same codes, for the pairs
+        # of every node of levels 1 .. 10 in one array
         for level in range(1, 11):
+            codes = level_codes(level)
+            num, exp = dyadic_codes(codes)
+            back, valid = _codes_of_dyadic(num, exp)
+            assert valid.all() and back.tolist() == codes.tolist()
             for j, coord in enumerate(level_coords(level)):
                 n = NodeIndex1D(level, j)
-                num, exp = dyadic_1d(n)
-                assert num / (1 << exp) == coord
-                assert node_from_dyadic(num, exp) == n
+                assert (num[j], exp[j]) == ref.dyadic_1d(n)
+                assert num[j] / (1 << exp[j]) == coord
+                assert ref.node_from_dyadic(num[j], exp[j]) == n
 
     def test_dyadic_canonical_reduction(self):
-        # 4/8 reduces to the level-1 point 0.5
-        assert node_from_dyadic(4, 3) == NodeIndex1D(1, 0)
-        assert node_from_dyadic(2, 2) == NodeIndex1D(1, 0)
-        assert node_from_dyadic(0, 5) == NodeIndex1D(2, 0)
+        # 4/8 and 2/4 reduce to the level-1 point 0.5, and 0/32 to the node
+        # at 0: each is a coordinate of a node, but only the canonical pair
+        # (1/2, 0/1) names it; the file reader refuses the others
+        assert ref.node_from_dyadic(4, 3) == NodeIndex1D(1, 0)
+        assert ref.node_from_dyadic(2, 2) == NodeIndex1D(1, 0)
+        assert ref.node_from_dyadic(0, 5) == NodeIndex1D(2, 0)
+        num, exp = dyadic_codes([1, 1, 2])
+        assert list(zip(num.tolist(), exp.tolist())) == [(1, 1), (1, 1), (0, 0)]
+        _, valid = _codes_of_dyadic(np.array([4, 2, 0, 2, 7, 1, -1, 3]),
+                                    np.array([3, 2, 5, 1, 2, MAX_LEVEL, 2, 1]))
+        assert not valid.any()
+        codes, valid = _codes_of_dyadic(np.array([1, 0, 1, 1, 3, 1]),
+                                        np.array([1, 0, 0, 2, 2, MAX_LEVEL - 1]))
+        assert valid.all()
+        assert codes.tolist() == [1, 2, 3, 4, 5, 1 << (MAX_LEVEL - 1)]
 
 
 class TestBasis1D:
     def test_level1_constant(self):
-        assert basis_1d(NodeIndex1D(1, 0), 0.3) == 1.0
-        assert basis_1d(NodeIndex1D(1, 0), 0.0) == 1.0
+        assert basis(point((1, 0)), [0.3]) == ref.basis_1d(NodeIndex1D(1, 0), 0.3) == 1.0
+        assert basis(point((1, 0)), [0.0]) == ref.basis_1d(NodeIndex1D(1, 0), 0.0) == 1.0
 
     def test_kronecker_at_own_node(self):
-        assert basis_1d(NodeIndex1D(3, 0), 0.25) == 1.0
+        assert basis(point((3, 0)), [0.25]) == ref.basis_1d(NodeIndex1D(3, 0), 0.25) == 1.0
 
     def test_hat_halfway(self):
         # level-3 hat, half-width 1/4, halfway to the support edge
-        assert basis_1d(NodeIndex1D(3, 0), 0.375) == 0.5
+        assert basis(point((3, 0)), [0.375]) == ref.basis_1d(NodeIndex1D(3, 0), 0.375) == 0.5
 
     def test_level2_half_hats(self):
         n0, n1 = NodeIndex1D(2, 0), NodeIndex1D(2, 1)
-        assert basis_1d(n0, 0.0) == 1.0
-        assert basis_1d(n0, 0.5) == 0.0
-        assert basis_1d(n0, 0.25) == 0.5
-        assert basis_1d(n1, 1.0) == 1.0
-        assert basis_1d(n1, 0.5) == 0.0
+        for n, x, want in ((n0, 0.0, 1.0), (n0, 0.5, 0.0), (n0, 0.25, 0.5),
+                           (n1, 1.0, 1.0), (n1, 0.5, 0.0)):
+            assert basis(Point((n,)), [x]) == ref.basis_1d(n, x) == want
 
     def test_support_boundary_is_zero(self):
         n = NodeIndex1D(4, 1)  # node at 3/8, half-width 1/8
-        assert basis_1d(n, 0.25) == 0.0
-        assert basis_1d(n, 0.5) == 0.0
-        assert basis_1d(n, 0.2) == 0.0
+        for x in (0.25, 0.5, 0.2):
+            assert basis(Point((n,)), [x]) == ref.basis_1d(n, x) == 0.0
 
     def test_range_and_kronecker_lower_levels(self):
         rng = np.random.default_rng(42)
         nodes = [NodeIndex1D(lv, j) for lv in range(1, 7) for j in range(len(level_coords(lv)))]
         for n in nodes:
-            for x in rng.random(20):
-                assert 0.0 <= basis_1d(n, float(x)) <= 1.0
+            m = one_node(Point((n,)))
+            xs = rng.random(20)
+            got = m.interpolate_many(xs[:, None])
+            assert ((0.0 <= got) & (got <= 1.0)).all()
+            assert got.tolist() == [ref.basis_1d(n, float(x)) for x in xs]
             if n.level >= 2:
-                for other in nodes:
-                    if other.level <= n.level and other != n:
-                        assert basis_1d(n, coord_1d(other)) == 0.0
+                others = [o for o in nodes if o.level <= n.level and o != n]
+                at = np.array([[ref.coord_1d(o)] for o in others])
+                assert (m.interpolate_many(at) == 0.0).all()
+                assert all(ref.basis_1d(n, ref.coord_1d(o)) == 0.0 for o in others)
 
 
 class TestBasisND:
     def test_root_is_one_everywhere(self):
         p = root_point(3)
-        assert basis_nd(p, [0.1, 0.99, 0.5]) == 1.0
+        assert basis(p, [0.1, 0.99, 0.5]) == ref.basis_nd(p, [0.1, 0.99, 0.5]) == 1.0
 
     def test_kronecker_times_constant(self):
-        p = GridPoint((NodeIndex1D(3, 0), NodeIndex1D(1, 0)))
-        assert basis_nd(p, [0.25, 0.9]) == 1.0
+        p = point((3, 0), (1, 0))
+        assert basis(p, [0.25, 0.9]) == ref.basis_nd(p, [0.25, 0.9]) == 1.0
 
     def test_product_of_hats(self):
-        p = GridPoint((NodeIndex1D(3, 0), NodeIndex1D(3, 0)))
-        assert basis_nd(p, [0.375, 0.375]) == 0.25
+        p = point((3, 0), (3, 0))
+        assert basis(p, [0.375, 0.375]) == ref.basis_nd(p, [0.375, 0.375]) == 0.25
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            basis_nd(root_point(2), [0.5])
+            basis(root_point(2), [0.5])
 
     def test_kronecker_nd_on_grid(self):
         # every pair of stored points with per-dim levels <= p's levels
@@ -168,65 +211,74 @@ class TestBasisND:
             for l2 in range(1, 4):
                 for j1 in range(len(level_coords(l1))):
                     for j2 in range(len(level_coords(l2))):
-                        points.append(GridPoint((NodeIndex1D(l1, j1), NodeIndex1D(l2, j2))))
+                        points.append(point((l1, j1), (l2, j2)))
         for p in points:
-            for q in points:
-                if all(qn.level <= pn.level for qn, pn in zip(q.dims, p.dims)):
-                    expected = 1.0 if p == q else 0.0
-                    assert basis_nd(p, q.coordinate()) == expected
+            below = [q for q in points
+                     if all(qn.level <= pn.level for qn, pn in zip(q.dims, p.dims))]
+            got = one_node(p).interpolate_many(coordinates(ref.codes(*below)))
+            for q, value in zip(below, got):
+                expected = 1.0 if p == q else 0.0
+                assert value == ref.basis_nd(p, q.coordinate()) == expected
 
 
 class TestTree:
+    """Refinement sons, from refine_candidates' code arrays."""
+
     def test_children_of_root(self):
-        kids = children_1d(NodeIndex1D(1, 0))
-        assert sorted(coord_1d(k) for k in kids) == [0.0, 1.0]
+        assert sorted(coordinates(sons_of(point((1, 0))))[:, 0]) == [0.0, 1.0]
+        assert sorted(ref.coord_1d(k) for k in ref.children_1d(NodeIndex1D(1, 0))) == [0.0, 1.0]
 
     def test_children_of_boundary(self):
-        assert [coord_1d(k) for k in children_1d(NodeIndex1D(2, 0))] == [0.25]
-        assert [coord_1d(k) for k in children_1d(NodeIndex1D(2, 1))] == [0.75]
+        assert coordinates(sons_of(point((2, 0)))).tolist() == [[0.25]]
+        assert coordinates(sons_of(point((2, 1)))).tolist() == [[0.75]]
+        assert [ref.coord_1d(k) for k in ref.children_1d(NodeIndex1D(2, 0))] == [0.25]
+        assert [ref.coord_1d(k) for k in ref.children_1d(NodeIndex1D(2, 1))] == [0.75]
 
     def test_children_deep(self):
         # node at 0.75, sons at 0.75 +- 1/8
+        assert sorted(coordinates(sons_of(point((3, 1))))[:, 0]) == [0.625, 0.875]
         n = NodeIndex1D(3, 1)
-        assert sorted(coord_1d(k) for k in children_1d(n)) == [0.625, 0.875]
+        assert sorted(ref.coord_1d(k) for k in ref.children_1d(n)) == [0.625, 0.875]
 
     def test_children_levels_rise_by_one(self):
         for lv in range(1, 8):
             for j in range(len(level_coords(lv))):
-                for k in children_1d(NodeIndex1D(lv, j)):
-                    assert k.level == lv + 1
+                got = sons_of(point((lv, j)))
+                assert (split_codes(got)[0] == lv + 1).all()
+                kids = ref.children_1d(NodeIndex1D(lv, j))
+                assert got[:, 0].tolist() == [k.code for k in kids]
+                assert all(k.level == lv + 1 for k in kids)
 
     def test_make_sons_of_2d_root(self):
-        sons = make_sons(root_point(2))
-        got = sorted(tuple(s.coordinate()) for s in sons)
+        got = sorted(tuple(row) for row in coordinates(sons_of(root_point(2))).tolist())
         assert got == [(0.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.0, 0.5)]
+        assert sorted(tuple(s.coordinate()) for s in ref.make_sons(root_point(2))) == got
 
     def test_make_sons_single_son_rule(self):
-        p = GridPoint((NodeIndex1D(2, 0),))
-        sons = make_sons(p)
-        assert len(sons) == 1 and sons[0].coordinate()[0] == 0.25
+        got = sons_of(point((2, 0)))
+        assert len(got) == 1 and coordinates(got)[0, 0] == 0.25
+        assert ref.codes(*ref.make_sons(point((2, 0)))).tolist() == got.tolist()
 
     def test_make_sons_count_mixed_levels(self):
-        p = GridPoint((NodeIndex1D(2, 0), NodeIndex1D(3, 1)))
-        sons = make_sons(p)
-        assert len(sons) == 3
-        for s in sons:
-            assert s.depth == p.depth + 1
+        p = point((2, 0), (3, 1))
+        got = sons_of(p)
+        assert len(got) == 3
+        assert (split_codes(got)[0].sum(axis=1) == p.depth + 1).all()
+        assert sorted(ref.codes(*ref.make_sons(p)).tolist()) == got.tolist()
 
 
 class TestSurrogateModel:
     def test_root_only_model_is_constant(self):
         m = SurrogateModel(2)
-        m.add_node(HierarchicalNode(root_point(2), 3.7, 3.7, 3.7 ** 2))
+        m.add_level([[1, 1]], [3.7], [3.7], [3.7 ** 2])
         assert m.interpolate([0.123, 0.9]) == 3.7
         assert m.interpolate([0.5, 0.5]) == 3.7
 
     def test_linear_exact_in_1d(self):
         m = SurrogateModel(1)
         # nodes 0.5, 0, 1 of f(x) = x with hand surpluses
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(1, 0),)), 0.5, 0.5, 0.25))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.5, -0.25))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.5, 0.75))
+        m.add_level([[1]], [0.5], [0.5], [0.25])
+        m.add_level([[2], [3]], [0.0, 1.0], [-0.5, 0.5], [-0.25, 0.75])
         assert m.interpolate([0.25]) == pytest.approx(0.25, abs=1e-15)
         for x in np.linspace(0, 1, 11):
             assert m.interpolate([x]) == pytest.approx(x, abs=1e-15)
@@ -240,30 +292,30 @@ class TestSurrogateModel:
 
     def test_duplicate_key_rejected(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 1.0, 1.0, 1.0))
+        m.add_level([[1]], [1.0], [1.0], [1.0])
         with pytest.raises(ContractViolationError):
-            m.add_node(HierarchicalNode(root_point(1), 2.0, 2.0, 4.0))
+            m.add_level([[1]], [2.0], [2.0], [4.0])
 
     def test_level_order_enforced(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 1.0, 1.0, 1.0))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(3, 0),)), 1.0, 1.0, 1.0))
+        m.add_level([[1]], [1.0], [1.0], [1.0])
+        m.add_level([[4]], [1.0], [1.0], [1.0])  # level 3, the node at 0.25
         with pytest.raises(ContractViolationError):
-            m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 1.0, 1.0, 1.0))
+            m.add_level([[2]], [1.0], [1.0], [1.0])
+        assert m.depth == 2
 
     def test_freeze_blocks_insertion(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 1.0, 1.0, 1.0))
+        m.add_level([[1]], [1.0], [1.0], [1.0])
         m.freeze()
         with pytest.raises(ContractViolationError):
-            m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, 0.0, 0.0))
+            m.add_level([[2]], [0.0], [0.0], [0.0])
 
     def test_queries_outside_cube_rejected(self):
         # x^2 on {0.5, 0, 1}: the hats would extend it with 0.25 outside
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.25, 0.25, 0.0625))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.25, -0.0625))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.75, 0.9375))
+        m.add_level([[1]], [0.25], [0.25], [0.0625])
+        m.add_level([[2], [3]], [0.0, 1.0], [-0.25, 0.75], [-0.0625, 0.9375])
         for bad in (1.5, -3.0, np.nextafter(1.0, 2.0), -0.0 - 1e-300, np.nan, np.inf):
             with pytest.raises(OutOfDomainError):
                 m.interpolate([bad])
@@ -284,8 +336,8 @@ class TestSurrogateModel:
 
 
 def surplus(m, p, value):
-    """w surplus of one value at p against the model, via the batch kernel."""
-    w, _ = m.surpluses_against_prefix(p.coordinate()[None, :], np.array([value]))
+    """w surplus of one value at point p against the model, via the batch kernel."""
+    w, _ = m.surpluses_against_prefix(coordinates(ref.codes(p)), np.array([value]))
     return float(w[0])
 
 
@@ -296,22 +348,20 @@ class TestComputeSurplus:
 
     def test_level2_against_root_model(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
-        p = GridPoint((NodeIndex1D(2, 0),))
-        assert surplus(m, p, 0.0) == -0.5
+        m.add_level([[1]], [0.5], [0.5], [0.25])
+        assert surplus(m, point((2, 0)), 0.0) == -0.5
 
     def test_zero_when_on_interpolant(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
-        p = GridPoint((NodeIndex1D(2, 1),))
-        assert surplus(m, p, 0.5) == 0.0
+        m.add_level([[1]], [0.5], [0.5], [0.25])
+        assert surplus(m, point((2, 1)), 0.5) == 0.0
 
     def test_same_level_sibling_is_not_covered(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.5, 0.5, 0.25))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.5, -0.25))
+        m.add_level([[1]], [0.5], [0.5], [0.25])
+        m.add_level([[2]], [0.0], [-0.5], [-0.25])
         # same-level bases vanish at each other's nodes, so this is legal
-        assert surplus(m, GridPoint((NodeIndex1D(2, 1),)), 1.0) == 0.5
+        assert surplus(m, point((2, 1)), 1.0) == 0.5
 
 
 class TestTelescoping:
@@ -323,16 +373,12 @@ class TestTelescoping:
 
         m = SurrogateModel(1)
         for lv in range(1, 7):
-            batch = []
-            for j in range(len(level_coords(lv))):
-                p = GridPoint((NodeIndex1D(lv, j),))
-                value = float(func(coord_1d(p.dims[0])))
-                batch.append((p, value))
-            coords = np.array([[coord_1d(p.dims[0])] for p, _ in batch])
-            values = np.array([v for _, v in batch])
+            codes = level_codes(lv)[:, None]
+            coords = coordinates(codes)
+            assert coords[:, 0].tolist() == level_coords(lv)
+            values = func(coords[:, 0])
             w, v = m.surpluses_against_prefix(coords, values)
-            for (p, value), wi, vi in zip(batch, w, v):
-                m.add_node(HierarchicalNode(p, value, float(wi), float(vi)))
+            m.add_level(codes, values, w, v)
 
         xs = np.array(grid_coords(6))
         ys = func(xs)
@@ -348,12 +394,10 @@ class TestTelescoping:
             coords = np.array([[c] for c in level_coords(lv)])
             values = np.array([float(func(c)) for c in level_coords(lv)])
             w, v = m.surpluses_against_prefix(coords, values)
-            for j, (value, wi, vi) in enumerate(zip(values, w, v)):
-                p = GridPoint((NodeIndex1D(lv, j),))
-                m.add_node(HierarchicalNode(p, float(value), float(wi), float(vi)))
-        for node in m.nodes():
-            err = abs(m.interpolate(node.point.coordinate()) - node.output)
-            assert err <= 8 * np.finfo(float).eps * max(1.0, abs(node.output))
+            m.add_level(level_codes(lv)[:, None], values, w, v)
+        for x, output in zip(coordinates(m.codes), m.outputs):
+            err = abs(m.interpolate(x) - output)
+            assert err <= 8 * np.finfo(float).eps * max(1.0, abs(output))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -385,11 +429,12 @@ class TestTelescoping:
         assert (m.w[finer] == 0.0).all()
 
 
-def brute_force(m, x, coeff):
-    """Reference sum of coeff * basis_nd over every stored node, and the sum
-    of the terms' magnitudes, which bounds any summation-order difference."""
-    terms = np.array([getattr(n, coeff) * basis_nd(n.point, x) for n in m.nodes()])
-    return terms.sum(), np.abs(terms).sum()
+def level_groups(m):
+    """The model's (point, w, v) rows by level vector."""
+    groups = {}
+    for p, w, v in zip(ref.model_points(m), m.w.tolist(), m.v.tolist()):
+        groups.setdefault(tuple(n.level for n in p.dims), []).append((p, w, v))
+    return groups
 
 
 class TestEvaluationKernel:
@@ -413,7 +458,7 @@ class TestEvaluationKernel:
                              init_level=min(2, max_level - 1), min_line_points=5)
         m = build(ModelFunction(func, dimension, "random"), cfg, method).model
         # support edges: the cube's ends and centre, and every node coordinate
-        edges = sorted({0.0, 0.5, 1.0} | {c for n in m.nodes() for c in n.point.coordinate()})
+        edges = sorted({0.0, 0.5, 1.0} | set(coordinates(m.codes).ravel().tolist()))
         coordinate = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
         queries = np.array(data.draw(st.lists(
             st.lists(coordinate, min_size=dimension, max_size=dimension),
@@ -421,8 +466,8 @@ class TestEvaluationKernel:
         for coeff in ("w", "v"):
             got = m.interpolate_many(queries, coeff=coeff)
             for x, value in zip(queries, got):
-                ref, scale = brute_force(m, x, coeff)
-                assert abs(value - ref) <= 1e-12 * scale, (x, coeff, value, ref)
+                want, scale = ref.brute_force(m, x, coeff)
+                assert abs(value - want) <= 1e-12 * scale, (x, coeff, value, want)
         for x, value in zip(queries, m.interpolate_many(queries)):
             assert m.interpolate(x) == value
         # the interpolation property, in the coarse-to-fine query fold
@@ -449,9 +494,7 @@ class TestEvaluationKernel:
         cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=max_level,
                              init_level=1, min_line_points=5)
         m = build(ModelFunction(func, dimension, "random"), cfg, method).model
-        groups = {}
-        for node in m.nodes():
-            groups.setdefault(tuple(n.level for n in node.point.dims), []).append(node)
+        groups = level_groups(m)
         coarse_first = sorted(groups, key=lambda lv: (sum(lv), lv))
         queries = np.random.default_rng(query_seed).random((20, dimension))
         values = np.random.default_rng(query_seed).standard_normal(20)
@@ -459,8 +502,8 @@ class TestEvaluationKernel:
         got = m.interpolate_many(queries)
         w, v = m.surpluses_against_prefix(queries, values)
         for i, x in enumerate(queries):
-            terms = {lv: [sum(getattr(n, c) * basis_nd(n.point, x) for n in groups[lv])
-                          for c in "wv"] for lv in groups}
+            terms = {lv: [sum(row[c] * ref.basis_nd(row[0], x) for row in groups[lv])
+                          for c in (1, 2)] for lv in groups}
             query = surplus_w = surplus_v = None
             for lv in coarse_first:
                 query = terms[lv][0] if query is None else query + terms[lv][0]
@@ -504,16 +547,14 @@ class TestEvaluationKernel:
             st.sampled_from([k / 8 for k in range(-16, 17)] + [0.0, -0.0]),
             min_size=len(sons), max_size=len(sons))))
         w, v = m.surpluses_against_prefix(coordinates(sons), values)
-        groups = {}
-        for node in m.nodes():
-            groups.setdefault(tuple(n.level for n in node.point.dims), []).append(node)
+        groups = level_groups(m)
         fine_first = sorted(groups, key=lambda lv: (sum(lv), lv), reverse=True)
         for i, x in enumerate(coordinates(sons)):
             sums = []
-            for c in "wv":
+            for c in (1, 2):
                 # one node per group can be non-zero at x, so summing a group's
                 # terms in any order gives that node's term exactly
-                terms = [np.sum([getattr(n, c) * basis_nd(n.point, x) for n in groups[lv]])
+                terms = [np.sum([row[c] * ref.basis_nd(row[0], x) for row in groups[lv]])
                          for lv in fine_first]
                 total = terms[0]
                 for term in terms[1:]:
@@ -582,12 +623,11 @@ class TestEvaluationKernel:
     def test_lookup_rebuilt_after_insert(self):
         # x^2 on {0.5, 0, 1}, then the finer node 0.25
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 0.25, 0.25, 0.0625))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 0),)), 0.0, -0.25, -0.0625))
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(2, 1),)), 1.0, 0.75, 0.9375))
+        m.add_level([[1]], [0.25], [0.25], [0.0625])
+        m.add_level([[2], [3]], [0.0, 1.0], [-0.25, 0.75], [-0.0625, 0.9375])
         assert m.interpolate([0.25]) == 0.125
         np.testing.assert_array_equal(m.interpolate_many([[0.125], [0.25]]), [0.0625, 0.125])
-        m.add_node(HierarchicalNode(GridPoint((NodeIndex1D(3, 0),)), 0.0625, -0.0625, 0.0))
+        m.add_level([[4]], [0.0625], [-0.0625], [0.0])
         assert m.interpolate([0.25]) == 0.0625
         np.testing.assert_array_equal(m.interpolate_many([[0.125], [0.25]]), [0.03125, 0.0625])
 
@@ -663,7 +703,7 @@ class TestEvaluationKernel:
         per_node = SurrogateModel(2)
         rng = np.random.default_rng(2)
         nodes = built.nodes()
-        depth = np.array([n.point.level for n in nodes])
+        depth = split_codes(built.codes)[0].sum(axis=1) - 2
         for level in range(built.depth + 1):
             for k in rng.permutation(np.flatnonzero(depth == level)):
                 per_node.add_node(nodes[k])
@@ -690,19 +730,11 @@ class TestEvaluationKernel:
 @st.composite
 def nodes_1d(draw, max_level=8):
     level = draw(st.integers(1, max_level))
-    return NodeIndex1D(level, draw(st.integers(0, _count(level) - 1)))
-
-
-def _count(level):
-    return 1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)
+    return NodeIndex1D(level, draw(st.integers(0, ref.new_nodes_on_level(level) - 1)))
 
 
 def points(dimension, max_level=6):
-    return st.tuples(*[nodes_1d(max_level)] * dimension).map(GridPoint)
-
-
-def point_codes(p):
-    return [(1 << (n.level - 1)) + n.index for n in p.dims]
+    return st.tuples(*[nodes_1d(max_level)] * dimension).map(Point)
 
 
 class TestNodeCodes:
@@ -715,8 +747,9 @@ class TestNodeCodes:
         assert codes.tolist() == [(1 << (n.level - 1)) + n.index for n in nodes]
         back = split_codes(codes)
         assert back[0].tolist() == levels and back[1].tolist() == indices
-        assert coordinates(codes).tolist() == [coord_1d(n) for n in nodes]
-        assert dyadic_keys(codes[None, :]) == [GridPoint(tuple(nodes)).key]
+        assert coordinates(codes).tolist() == [ref.coord_1d(n) for n in nodes]
+        num, exp = dyadic_codes(codes)
+        assert tuple(zip(num.tolist(), exp.tolist())) == Point(tuple(nodes)).key
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(nodes_1d(10), min_size=2, max_size=30))
@@ -726,10 +759,11 @@ class TestNodeCodes:
 
     def test_sons_are_2c_and_2c_plus_1_except_on_level_2(self):
         for level in range(1, 7):
-            for index in range(_count(level)):
+            for index in range(ref.new_nodes_on_level(level)):
                 c = (1 << (level - 1)) + index
-                sons = [(1 << (s.level - 1)) + s.index for s in children_1d(NodeIndex1D(level, index))]
-                assert sons == ([c + 2] if level == 2 else [2 * c, 2 * c + 1])
+                want = [c + 2] if level == 2 else [2 * c, 2 * c + 1]
+                assert [s.code for s in ref.children_1d(NodeIndex1D(level, index))] == want
+                assert refine_candidates([[c]])[:, 0].tolist() == want
 
     def test_levels_capped(self):
         top = (1 << (MAX_LEVEL - 1)) + (1 << (MAX_LEVEL - 2)) - 1  # last code of level 62
@@ -740,8 +774,7 @@ class TestNodeCodes:
         with pytest.raises(InvalidNodeError):
             join_codes([MAX_LEVEL + 1], [0])
         with pytest.raises(InvalidNodeError):
-            SurrogateModel(1).add_node(
-                HierarchicalNode(GridPoint((NodeIndex1D(MAX_LEVEL + 1, 0),)), 0.0, 0.0, 0.0))
+            SurrogateModel(1).add_level([[1 << MAX_LEVEL]], [0.0], [0.0], [0.0])  # level 63
 
 
 def _insert_levels(m, rows):
@@ -749,7 +782,7 @@ def _insert_levels(m, rows):
     rows = sorted(rows, key=lambda r: r[0].level)
     for level in sorted({r[0].level for r in rows}):
         batch = [r for r in rows if r[0].level == level]
-        m.add_level([point_codes(r[0]) for r in batch], *zip(*[r[1:] for r in batch]))
+        m.add_level(ref.codes(*[r[0] for r in batch]), *zip(*[r[1:] for r in batch]))
 
 
 class TestArrayStore:
@@ -762,13 +795,15 @@ class TestArrayStore:
                  data.draw(st.booleans())) for p in pts]
         m = SurrogateModel(dimension)
         _insert_levels(m, rows)
-        want = [HierarchicalNode(p, out, w, v,
-                                 Provenance.SPLINE_INTERPOLATED if s else Provenance.FULL_MODEL)
-                for p, out, w, v, s in sorted(rows, key=lambda r: r[0].level)]
+        rows = sorted(rows, key=lambda r: r[0].level)
+        want = [HierarchicalNode(GridPoint(tuple(p.codes)), out, w, v, s)
+                for p, out, w, v, s in rows]
         assert m.nodes() == want
-        assert len(m) == len(want) and all(p in m for p in pts)
-        for level in {p.level for p in pts}:
-            assert m.nodes_on_level(level) == [n for n in want if n.point.level == level]
+        assert len(m) == len(want) and all(p.codes in m for p in pts)
+        # each level's rows, in the order they were inserted
+        level = split_codes(m.codes)[0].sum(axis=1) - dimension
+        for lv in {p.level for p in pts}:
+            assert m.codes[level == lv].tolist() == [r[0].codes for r in rows if r[0].level == lv]
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -803,7 +838,7 @@ class TestArrayStore:
             else:
                 expected = None
             size = len(m)
-            codes = [point_codes(p) for p in batch]
+            codes = ref.codes(*batch)
             zeros = [0.0] * len(batch)
             if expected is None:
                 m.add_level(codes, zeros, zeros, zeros)
@@ -822,7 +857,7 @@ class TestArrayStore:
                 twin.freeze()
             with pytest.raises(expected):
                 for p in batch:
-                    twin.add_node(HierarchicalNode(p, 0.0, 0.0, 0.0))
+                    twin.add_node(HierarchicalNode(GridPoint(tuple(p.codes)), 0.0, 0.0, 0.0))
 
     def test_mixed_levels_and_non_integer_codes_rejected(self):
         m = SurrogateModel(1)
@@ -831,6 +866,63 @@ class TestArrayStore:
         with pytest.raises(InvalidNodeError):
             m.add_level([[1.5]], [0.0], [0.0], [0.0])
         assert len(m) == 0
+
+    def test_code_entry_points_refuse_floats_and_wrong_widths(self):
+        # a cast to int64 truncated 1.9 to 1, so [1.9, 1.2] read as the root
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
+        db = RegionDatabase()
+        db.store(SmoothRegion(dim=0, anchor=(1,), knots=[0.0, 0.25, 0.5, 1.0],
+                              outputs=[0.0, 1.0, 2.0, 3.0]))
+        assert [1, 1] in m and np.array([1, 1], dtype=np.uint8) in m and [1, 2] not in m
+        assert m.stored([[1, 1], [2, 1]]).tolist() == [True, False]
+        assert m.stored(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert db.lookup([1, 1])[1] == 0.5
+        assert db.lookup_many([[1, 1], [4, 1]])[1].tolist() == [0, 0]
+        for floats in ([1.9, 1.2], [1.0, 1.0]):
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                floats in m
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                m.stored([floats])
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                db.lookup_many([floats])
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                db.lookup(floats)
+        for wrong in ([1], [1, 1, 1], [[1, 1]]):
+            with pytest.raises(DimensionMismatchError):
+                wrong in m
+        for wrong in ([[1]], [[1, 1, 1]], [1, 1], [[[1, 1]]]):
+            with pytest.raises(DimensionMismatchError):
+                m.stored(wrong)
+        with pytest.raises(DimensionMismatchError):
+            SurrogateModel(1).stored([[1, 2]])
+        with pytest.raises(DimensionMismatchError):
+            db.lookup_many([1, 1])
+        with pytest.raises(DimensionMismatchError):
+            db.lookup([[1, 1]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),
+           max_level=st.integers(1, 6), kink=st.floats(0.0, 1.0))
+    def test_nodes_view_equals_the_arrays_bitwise(self, method, dimension, max_level, kink):
+        # nodes() is the one-record-per-node view of the code rows: every
+        # point's coordinate(), output, w, v and spline flag equal the
+        # array rows, bit for bit and zero signs included
+        def func(x):
+            k = round(8 * (math.sin(7 * x[0]) + abs(x[-1] - kink)))
+            return k / 8 if k else math.copysign(0.0, math.sin(5 * sum(x)))
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=max_level,
+                             init_level=min(2, max_level - 1), min_line_points=5)
+        m = build(ModelFunction(func, dimension, "eighths"), cfg, method).model
+        nodes = m.nodes()
+        assert len(nodes) == len(m)
+        coords = np.array([n.point.coordinate() for n in nodes])
+        assert coords.tobytes() == coordinates(m.codes).tobytes()
+        assert [n.point.codes for n in nodes] == [tuple(row) for row in m.codes.tolist()]
+        for name, array in (("output", m.outputs), ("w", m.w), ("v", m.v)):
+            assert np.array([getattr(n, name) for n in nodes]).tobytes() == array.tobytes()
+        assert [n.spline for n in nodes] == m.spline.tolist()
 
     def test_arrays_are_read_only(self):
         m = run_csc(ModelFunction(lambda x: x[0], 1, "x"), 1, 2).model

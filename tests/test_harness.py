@@ -228,8 +228,8 @@ class TestPersistence:
         assert loaded.full_evaluations == res.model.full_evaluations
         assert loaded.spline_interpolations == res.model.spline_interpolations
         for a, b in zip(res.model.nodes(), loaded.nodes()):
-            assert a.point.key == b.point.key
-            assert (a.output, a.w, a.v, a.provenance) == (b.output, b.w, b.v, b.provenance)
+            assert a.point.codes == b.point.codes
+            assert (a.output, a.w, a.v, a.spline) == (b.output, b.w, b.v, b.spline)
         assert db is not None and len(db) == len(res.region_db)
 
         pts = draw_test_points(2, 200, 11)
@@ -350,6 +350,14 @@ class TestPersistence:
         (lambda f: ["-1"] + f[1:], "dim -1 outside"),
         (lambda f: f[:1] + ["-"] + f[2:], "anchor of 0 pairs"),
         (lambda f: f[:1] + ["1:1,3:2"] + f[2:], "anchor of 2 pairs"),
+        # 0.5 and 1 not in lowest terms, 7/4 outside the cube, level 63, and
+        # a numerator past int64: pairs of no node, so no lookup could match
+        (lambda f: f[:1] + ["2:2"] + f[2:], "names no node"),
+        (lambda f: f[:1] + ["2:1"] + f[2:], "names no node"),
+        (lambda f: f[:1] + ["7:2"] + f[2:], "names no node"),
+        (lambda f: f[:1] + ["1:62"] + f[2:], "names no node"),
+        (lambda f: f[:1] + ["1:1:1"] + f[2:], "too many values"),
+        (lambda f: f[:1] + [f"{1 << 64}:1"] + f[2:], "too large"),
         (lambda f: f[:2] + [f[2] + ",1"] + f[3:], "5 knots but 4 outputs"),
         (lambda f: f[:3] + [f[3].rsplit(",", 1)[0]] + f[4:], "4 knots but 3 outputs"),
         (lambda f: f[:3] + ["nan," + f[3].split(",", 1)[1]] + f[4:], "non-finite"),
@@ -359,7 +367,7 @@ class TestPersistence:
         # a 2-D model with one region along dim 0 at x1 = 0.5
         db = RegionDatabase()
         knots = np.array([0.0, 0.25, 0.5, 0.75])
-        db.store(SmoothRegion(dim=0, anchor=((1, 1),), knots=knots, outputs=knots + 0.5))
+        db.store(SmoothRegion(dim=0, anchor=(1,), knots=knots, outputs=knots + 0.5))
         good = tmp_path / "good.surrogate"
         save_surrogate(good, csc_model(lambda x: x[0] + x[1], 2, 3), db)
         lines = good.read_text().splitlines()

@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
+import reference as ref
+from reference import NodeIndex1D, point, root_point
 from sgsurrogate import (
-    AdaptiveConfig,
-    GridPoint,
-    HierarchicalNode,
     InvalidNodeError,
     ModelFunction,
-    NodeIndex1D,
     SurrogateModel,
     moments,
-    root_point,
     run_csc,
     weight_1d,
-    weight_nd,
 )
 from sgsurrogate.errors import EmptyModelError
 
@@ -47,19 +43,24 @@ class TestWeights:
     def test_weight_1d_is_basis_integral(self):
         # quadrature oracle over each basis function; the 1025-point grid
         # contains every hat breakpoint through level 7, so trapz is exact
-        from sgsurrogate import basis_1d
         xs = np.linspace(0, 1, 1025)
         for level in range(1, 8):
             n = NodeIndex1D(level, 0)
-            integral = np.trapezoid([basis_1d(n, x) for x in xs], xs)
+            integral = np.trapezoid([ref.basis_1d(n, x) for x in xs], xs)
             assert integral == pytest.approx(weight_1d(level), abs=1e-7)
+            assert ref.weight_1d(level) == weight_1d(level)
 
     def test_weight_nd_examples(self):
+        # the mean of a one-node model with w = 1 is its basis integral
+        def weight_nd(p):
+            m = SurrogateModel(p.dimension)
+            m.add_level(ref.codes(p), [1.0], [1.0], [1.0])
+            assert moments(m).mean == ref.weight_nd(p)
+            return moments(m).mean
+
         assert weight_nd(root_point(3)) == 1.0
-        p = GridPoint((NodeIndex1D(2, 0), NodeIndex1D(3, 1)))
-        assert weight_nd(p) == 0.25 * 0.25
-        p2 = GridPoint((NodeIndex1D(1, 0), NodeIndex1D(5, 3)))
-        assert weight_nd(p2) == 2.0 ** -4
+        assert weight_nd(point((2, 0), (3, 1))) == 0.25 * 0.25
+        assert weight_nd(point((1, 0), (5, 3))) == 2.0 ** -4
 
 
 def build_model(func, d, level):
@@ -70,7 +71,7 @@ def build_model(func, d, level):
 class TestMoments:
     def test_constant_model(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 2.5, 2.5, 6.25))
+        m.add_level([[1]], [2.5], [2.5], [6.25])
         est = moments(m)
         assert est.mean == 2.5
         assert est.variance == 0.0
@@ -116,11 +117,11 @@ class TestMoments:
 
     def test_negative_variance_clamped_within_tolerance(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 1.0, 1.0, 1.0 - 1e-14))
+        m.add_level([[1]], [1.0], [1.0], [1.0 - 1e-14])
         assert moments(m).variance == 0.0
 
     def test_negative_variance_beyond_tolerance_raises(self):
         m = SurrogateModel(1)
-        m.add_node(HierarchicalNode(root_point(1), 1.0, 1.0, 0.9))
+        m.add_level([[1]], [1.0], [1.0], [0.9])
         with pytest.raises(ValueError):
             moments(m)

@@ -12,14 +12,12 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
+import reference as ref
 from sgsurrogate import (
     AdaptiveConfig,
     CubicLineSpline,
-    GridPoint,
     InvalidNodeError,
     ModelFunction,
-    NodeIndex1D,
-    Provenance,
     RegionDatabase,
     SmoothRegion,
     SparseGridError,
@@ -27,14 +25,14 @@ from sgsurrogate import (
     derivative_scan,
     get_benchmark,
     group_lines,
-    root_point,
     run_asgc,
     run_csc,
     run_easgc,
     spline_value,
 )
 from sgsurrogate import smooth
-from sgsurrogate.core import dyadic_codes, dyadic_keys
+from sgsurrogate.core import dyadic_codes
+from sgsurrogate.io import _codes_of_dyadic
 from sgsurrogate.smooth import LineGroup, _endpoint_slope, _spline_values
 
 
@@ -143,7 +141,7 @@ class TestGroupLines:
         m = csc_model(lambda x: x[0] + x[1], 2, 2)
         groups = group_lines(m, 0)
         assert sum(g.multiplicity for g in groups) == 13
-        center = [g for g in groups if g.anchor == ((1, 1),)]
+        center = [g for g in groups if g.anchor == (1,)]  # code 1: the node at 0.5
         assert len(center) == 1
         np.testing.assert_array_equal(center[0].positions, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -216,14 +214,17 @@ class TestGroupLines:
 
 
 def reference_lines(m, dim, min_points):
-    """Reference grouping: per-node anchor tuples, then sorted, long lines only."""
+    """Reference grouping: per-node anchor tuples, then sorted by the anchors'
+    exact coordinates, long lines only; each line as (anchor codes,
+    positions, outputs)."""
     lines = {}
-    for key, position, output in zip(dyadic_keys(m.codes), coordinates(m.codes[:, dim]),
-                                      m.outputs):
-        lines.setdefault(key[:dim] + key[dim + 1:], []).append((position, output))
+    for p, output in zip(ref.model_points(m), m.outputs.tolist()):
+        others = p.dims[:dim] + p.dims[dim + 1:]
+        key = (tuple(map(ref.dyadic_1d, others)), tuple(n.code for n in others))
+        lines.setdefault(key, []).append((ref.coord_1d(p.dims[dim]), output))
     return [
         (anchor, np.array([p for p, _ in pts]), np.array([o for _, o in pts]))
-        for anchor, pts in sorted((a, sorted(p)) for a, p in lines.items())
+        for (_, anchor), pts in sorted((k, sorted(p)) for k, p in lines.items())
         if len(pts) >= min_points
     ]
 
@@ -341,27 +342,27 @@ class TestRegionDatabase:
 
     def test_lookup_empty_and_hit_and_miss(self):
         db = RegionDatabase()
-        p_mid = GridPoint((NodeIndex1D(1, 0), NodeIndex1D(2, 0)))  # (0.5, 0)
+        p_mid = [1, 2]  # (0.5, 0)
         assert db.lookup(p_mid) is None
-        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((0, 0),)))
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=(2,)))
         hit = db.lookup(p_mid)
         assert hit is not None
         r, t = hit
         assert t == 0.5
         # a point on the same line but outside the interval misses
         db2 = RegionDatabase()
-        db2.store(region([0.0, 0.125, 0.25, 0.375], dim=0, anchor=((0, 0),)))
-        p_out = GridPoint((NodeIndex1D(2, 1), NodeIndex1D(2, 0)))  # (1, 0)
+        db2.store(region([0.0, 0.125, 0.25, 0.375], dim=0, anchor=(2,)))
+        p_out = [3, 2]  # (1, 0)
         assert db2.lookup(p_out) is None
 
     def test_lookup_earliest_created_wins(self):
         db = RegionDatabase()
         # centre point (0.5, 0.5) lies on one line per dimension
-        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=1, anchor=((1, 1),),
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=1, anchor=(1,),
                         outputs=np.ones(5)))
-        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((1, 1),),
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=(1,),
                         outputs=np.full(5, 2.0)))
-        r, t = db.lookup(root_point(2))
+        r, t = db.lookup([1, 1])
         assert r.dim == 1  # stored first
 
     def test_store_reports_its_outcome(self):
@@ -371,7 +372,7 @@ class TestRegionDatabase:
         assert db.store(region([0.25, 0.375, 0.5, 0.625])).status == "covered"
         # covers both stored intervals
         assert db.store(region([0.0, 0.25, 0.5, 0.75, 1.0])) == ("created", 2, 0)
-        other = dict(dim=1, anchor=((1, 1),))
+        other = dict(dim=1, anchor=(1,))
         assert db.store(region([0.0, 0.25, 0.5, 0.625], **other)).status == "created"
         # longer partial overlap displaces, shorter one is rejected
         assert db.store(region([0.3, 0.5, 0.625, 0.75, 0.875, 1.0], **other)) == ("created", 0, 1)
@@ -380,10 +381,32 @@ class TestRegionDatabase:
 
     def test_lookup_of_a_key_of_no_node(self):
         db = RegionDatabase()
-        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=((0, 0),)))
-        for key in (((1, 1), (2, 2)), ((3, 1), (0, 0)), ((1, 1), (-1, 0))):
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=(2,)))
+        # the dyadic pairs 2/4 (0.5, not in lowest terms), 3/2 (outside the
+        # cube) and -1/1 name no node: the file reader gives them no code
+        for num, exp in ((2, 2), (3, 1), (-1, 0)):
+            assert not _codes_of_dyadic(np.array([num]), np.array([exp]))[1].any()
+        # code rows with a code of no node: 0, 7 (level 3 has codes 4 and
+        # 5), -1 and level 63
+        for row in ([1, 0], [7, 2], [1, -1], [1 << 62, 2]):
             with pytest.raises(InvalidNodeError):
-                db.lookup(key)
+                db.lookup(row)
+
+    @pytest.mark.parametrize("anchor, fault", [
+        ((0,), "code of no node"),
+        ((7, 1), "code of no node"),
+        ((-1,), "code of no node"),
+        ((1 << 62,), "code of no node"),
+        ((1.5,), "non-integer"),
+        (((1, 1),), "non-integer"),  # a dyadic (num, exp) pair, not a code
+    ])
+    def test_anchor_of_no_node_refused(self, anchor, fault):
+        # refused at construction, so no database ever holds a region no
+        # lookup could match
+        with pytest.raises(InvalidNodeError, match=fault):
+            region([0.0, 0.25, 0.5, 0.75], anchor=anchor)
+        r = region([0.0, 0.25, 0.5, 0.75], anchor=np.array([1, 2, 5 << 40]))
+        assert r.anchor == (1, 2, 5 << 40) and all(type(c) is int for c in r.anchor)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -394,11 +417,10 @@ class TestRegionDatabase:
                 # every anchor key collides: the exact anchor check must decide
                 patch.setattr(smooth, "_row_weights", lambda d: np.zeros(d, dtype=np.int64))
             regions, which, t = db.lookup_many(codes)
-            keys = dyadic_keys(codes)
-            singles = [db.lookup(key) for key in keys]
+            singles = [db.lookup(row) for row in codes]
         values = _spline_values(regions, which, t)
-        for i, (key, single) in enumerate(zip(keys, singles)):
-            want = reference_lookup(db, key)
+        for i, (row, single) in enumerate(zip(codes.tolist(), singles)):
+            want = reference_lookup(db, row)
             assert (single is None) == (want is None)
             if want is None:
                 assert which[i] == -1 and np.isnan(values[i])
@@ -454,10 +476,11 @@ def region_databases(draw):
     """A database of up to 14 regions in 1-3 dimensions, and query rows.
 
     Some regions cross an earlier one at one of its knots, along another
-    dimension, so lookups there tie across dimensions; intervals on one line
-    overlap, so stores supersede, displace or are rejected; and some regions
-    carry an anchor that is no node's key, which no lookup may match.  Most
-    query rows lie on a stored region's line, the rest anywhere.
+    dimension, so lookups there tie across dimensions; and intervals on one
+    line overlap, so stores supersede, displace or are rejected.  Most query
+    rows lie on a stored region's line, the rest anywhere.  (An anchor of no
+    node cannot be built; test_anchor_of_no_node_refused and the file tests
+    check those refusals.)
     """
     d = draw(st.integers(1, 3))
     db = RegionDatabase()
@@ -479,9 +502,7 @@ def region_databases(draw):
                                          max_size=d)), dtype=np.int64)
         row[dim] = 1
         lines.append((dim, row))
-        anchor = dyadic_keys(np.delete(row, dim)[None, :])[0]
-        if d > 1 and draw(st.integers(0, 9)) == 0:
-            anchor = ((2, 2),) + anchor[1:]  # 0.5 written as 2/4: no node's key
+        anchor = tuple(np.delete(row, dim).tolist())
         positions = np.sort(coordinates(np.array(sorted(knots))))
         outputs = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(knots),
                                 max_size=len(knots)))
@@ -499,18 +520,18 @@ def region_databases(draw):
     return db, np.array(queries, dtype=np.int64).reshape(-1, d)
 
 
-def reference_lookup(db, key):
-    """Reference: the per-key loop the level-wide lookup replaced."""
+def reference_lookup(db, row):
+    """Reference: the per-node loop the level-wide lookup replaced."""
     lines = {}
     for r in db.regions():
         lines.setdefault((r.dim, r.anchor), []).append(r)
     best = None
     best_t = None
-    for dim in range(len(key)):
-        anchor = key[:dim] + key[dim + 1:]
+    row = tuple(row)
+    for dim in range(len(row)):
+        anchor = row[:dim] + row[dim + 1:]
         regions = sorted(lines.get((dim, anchor), []), key=lambda r: r.lo)
-        num, exp = key[dim]
-        t = num / (1 << exp)
+        t = ref.coord_1d(ref.node_of_code(row[dim]))
         for region in regions:
             if region.lo <= t <= region.hi:
                 if best is None or region.created_at < best.created_at:
@@ -527,7 +548,7 @@ class TestRunEasgc:
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=8, init_level=0)
         ra = run_asgc(fa, cfg)
         re_ = run_easgc(fe, cfg)
-        assert [n.point.key for n in ra.model.nodes()] == [n.point.key for n in re_.model.nodes()]
+        assert ra.model.codes.tolist() == re_.model.codes.tolist()
         assert re_.model.spline_interpolations == 0
 
     def test_plane_surpluses_vanish_so_no_refinement(self):
@@ -564,11 +585,8 @@ class TestRunEasgc:
         m = res.model
         assert m.full_evaluations + m.spline_interpolations == len(m)
         assert fe.evaluations == m.full_evaluations
-        by_prov = {Provenance.FULL_MODEL: 0, Provenance.SPLINE_INTERPOLATED: 0}
-        for n in m.nodes():
-            by_prov[n.provenance] += 1
-        assert by_prov[Provenance.FULL_MODEL] == m.full_evaluations
-        assert by_prov[Provenance.SPLINE_INTERPOLATED] == m.spline_interpolations
+        assert int((~m.spline).sum()) == m.full_evaluations
+        assert int(m.spline.sum()) == m.spline_interpolations
 
     def test_level_records_count_the_smooth_layer(self):
         func = lambda x: float(np.sin(2 * np.pi * x[0]) + x[1])
@@ -600,10 +618,10 @@ class TestRunEasgc:
         fa = ModelFunction(func, 2, "e")
         ra = run_asgc(fa, AdaptiveConfig(dimension=2, epsilon=1e-5, max_level=7, init_level=2))
         assert res.model.spline_interpolations == 0
-        assert [n.point.key for n in res.model.nodes()] == [n.point.key for n in ra.model.nodes()]
-        got = [(n.output, n.w, n.v) for n in res.model.nodes()]
-        want = [(n.output, n.w, n.v) for n in ra.model.nodes()]
-        assert got == want
+        assert res.model.codes.tolist() == ra.model.codes.tolist()
+        for a, b in ((res.model.outputs, ra.model.outputs), (res.model.w, ra.model.w),
+                     (res.model.v, ra.model.v)):
+            assert a.tolist() == b.tolist()
 
     def test_accuracy_guard_on_separable_smooth_function(self):
         func = lambda x: float(np.sin(2 * np.pi * x[0]) + np.cos(2 * np.pi * x[1]))
@@ -621,8 +639,7 @@ class TestRunEasgc:
             ts = np.linspace(r.lo, r.hi, 12)[1:-1]
             coords = np.empty((len(ts), 2))
             coords[:, r.dim] = ts
-            num, exp = r.anchor[0]
-            coords[:, 1 - r.dim] = num / (1 << exp)
+            coords[:, 1 - r.dim] = coordinates(np.array(r.anchor))[0]
             true = np.array([func(c) for c in coords])
 
             def on_line(t):
