@@ -54,7 +54,6 @@ from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
 from .moments import MomentEstimate, moments, weight_1d
 from .smooth import (
-    CubicLineSpline,
     LineGroup,
     RegionDatabase,
     SmoothRegion,

@@ -17,9 +17,9 @@ a diagnostic logged).  Lookups that match several dimensions resolve to the
 earliest-created region.
 
 A line is named by its anchor: the codes of its nodes in the other d - 1
-dimensions, as the model's code rows hold them.  LineGroups and regions carry
-anchors as tuples of codes, and the database indexes them as code rows; only
-the text files (io) write them as dyadic coordinates.
+dimensions, as the model's code rows hold them.  The scan carries anchors
+inside code rows, regions as tuples of codes, and the database indexes them
+as code rows; only the text files (io) write them as dyadic coordinates.
 
 The work is done on arrays, in one pass per dimension or per level, so it
 scales with the dimension d and the node count N, not with the number of
@@ -30,9 +30,9 @@ files of the line-by-line and region-by-region code it replaced:
   weighted sum, see core._row_weights).  A node's anchor key along a
   dimension is that hash minus its own term, so the keys of all d
   dimensions cost O(d * N).  Nodes are counted per key, and only the lines
-  long enough to certify (`min_line_points`) are grouped exactly and get a
-  LineGroup; a key collision sends more nodes to the exact grouping and
-  never loses a line.
+  long enough to certify (`min_line_points`) are grouped exactly; a key
+  collision sends more nodes to the exact grouping and never loses a line.
+  `group_lines` wraps the lines of one dimension in LineGroups on request.
 - The derivative scan of one dimension runs over all its long lines laid
   end to end: slopes and slope changes are formed only between knots of one
   line, with each line's own scale from `np.maximum.reduceat`, by the same
@@ -57,8 +57,8 @@ files of the line-by-line and region-by-region code it replaced:
   separator value, which leaves each block's solution, the sign of a zero
   included, bitwise as a solve of that block alone gives it.  Every hit row
   is then evaluated at once, its knot interval found by a vectorised
-  bisection.  `RegionDatabase.lookup`, `spline_value` and CubicLineSpline
-  are one-row or one-spline calls of the same code.
+  bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
+  of the same code.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .core import (
 from .errors import InvalidNodeError, SparseGridError
 
 __all__ = [
-    "CubicLineSpline",
     "LineGroup",
     "SmoothRegion",
     "RegionDatabase",
@@ -117,23 +116,21 @@ def _endpoint_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return slope
 
 
-def _endpoint_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Derivative at x[0] of the Newton polynomial through the given knots."""
-    return float(_endpoint_slopes(np.asarray(x, dtype=float)[None], np.asarray(y)[None])[0])
-
-
 def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
     """Knot second derivatives of the clamped cubic spline of each knot set.
 
     End slopes come from `_endpoint_slopes` over the nearest min(5, n) knots
-    of each end.  One LAPACK `dgtsv` call (the routine `solve_banded((1, 1),
-    ...)` calls) solves all the tridiagonal systems as one block-diagonal
-    system.  Each block is followed by two identity rows with a zero right-
-    hand side and zero coupling.  The systems are diagonally dominant, so
-    `dgtsv` never swaps rows, and every product that crosses a block edge
-    multiplies a zero coupling by one of those +0 separator values: it
-    subtracts +0, which leaves every value bitwise as a one-block solve gives
-    it, the sign of a zero included.
+    of each end: one-sided polynomial fits, which keep the construction
+    derivative-free while matching the sharp h^4 error constant of complete
+    splines (the plain not-a-knot condition misses it in the end intervals),
+    and still reproduce cubics exactly.  One LAPACK `dgtsv` call (the
+    routine `solve_banded((1, 1), ...)` calls) solves all the tridiagonal
+    systems as one block-diagonal system.  Each block is followed by two
+    identity rows with a zero right-hand side and zero coupling.  The
+    systems are diagonally dominant, so `dgtsv` never swaps rows, and every
+    product that crosses a block edge multiplies a zero coupling by one of
+    those +0 separator values: it subtracts +0, which leaves every value
+    bitwise as a one-block solve gives it, the sign of a zero included.
     """
     n = np.array([len(x) for x in knots])
     x, y = np.concatenate(knots), np.concatenate(values)
@@ -193,48 +190,6 @@ def _spline_at(x, y, m, first, count, t) -> np.ndarray:
     )
 
 
-class CubicLineSpline:
-    """Cubic interpolating spline with end slopes estimated from the data.
-
-    End derivatives come from one-sided polynomial fits through the nearest
-    min(5, n) knots, and the spline is clamped to them.  This keeps the
-    construction derivative-free while matching the sharp h^4 error constant
-    of complete splines, which the plain not-a-knot condition misses in its
-    end intervals; cubic polynomials are still reproduced exactly.  Needs at
-    least 4 strictly increasing knots.  A one-spline call of the batched fit
-    and evaluation.
-    """
-
-    def __init__(self, knots, values):
-        x = np.asarray(knots, dtype=float)
-        y = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("knots and values must be 1-D arrays of equal length")
-        if x.size < 4:
-            raise ValueError(f"need at least 4 knots, got {x.size}")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("knots and values must be finite")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("knots must be strictly increasing")
-        self.knots = x
-        self.values = y
-        [self.second_derivs] = _second_derivatives([x], [y])
-
-    @classmethod
-    def _fitted(cls, knots, values, second_derivs) -> "CubicLineSpline":
-        """A spline of checked knots whose second derivatives are known."""
-        s = cls.__new__(cls)
-        s.knots, s.values, s.second_derivs = knots, values, second_derivs
-        return s
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        tt = np.atleast_1d(t)
-        out = _spline_at(self.knots, self.values, self.second_derivs,
-                         np.zeros(tt.shape, dtype=np.intp), np.full(tt.shape, self.knots.size), tt)
-        return float(out[0]) if t.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # line grouping and the derivative scan
 # ---------------------------------------------------------------------------
@@ -257,11 +212,10 @@ class _Lines(NamedTuple):
     """The long lines along one dimension, laid end to end in scan order.
 
     Line i holds positions[bounds[i]:bounds[i + 1]] (ascending) and the
-    matching outputs; groups[i] is its LineGroup, keys[i] its anchor key and
-    codes[i] the code row of one of its nodes.
+    matching outputs; keys[i] is its anchor key and codes[i] the code row of
+    one of its nodes, which holds its anchor.
     """
 
-    groups: list
     positions: np.ndarray
     outputs: np.ndarray
     bounds: np.ndarray
@@ -283,7 +237,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     rows = np.flatnonzero(size[member] >= min_points)
     if not len(rows):
         empty = np.zeros(0)
-        return _Lines([], empty, empty, np.zeros(1, dtype=np.intp), keys[:0], codes[:0])
+        return _Lines(empty, empty, np.zeros(1, dtype=np.intp), keys[:0], codes[:0])
     codes = codes[rows]
     num, exp = dyadic_codes(codes)
     others = [k for k in range(m.dimension) if k != dim]
@@ -298,16 +252,8 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     starts, stops = starts[long], stops[long]
     bounds = np.append(0, np.cumsum(stops - starts))
     take = order[np.repeat(starts - bounds[:-1], stops - starts) + np.arange(bounds[-1])]
-    positions = positions[take]
-    outputs = m.outputs[rows[take]]
-    groups = [
-        LineGroup(dim=dim, anchor=tuple(anchor), positions=positions[lo:hi],
-                  outputs=outputs[lo:hi])
-        for anchor, lo, hi in zip(anchors[starts].tolist(), bounds[:-1].tolist(),
-                                  bounds[1:].tolist())
-    ]
     heads = order[starts]
-    return _Lines(groups, positions, outputs, bounds, keys[rows[heads]], codes[heads])
+    return _Lines(positions[take], m.outputs[rows[take]], bounds, keys[rows[heads]], codes[heads])
 
 
 def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[LineGroup]:
@@ -327,7 +273,14 @@ def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[Line
     if not 0 <= dim < m.dimension:
         raise ValueError(f"dim {dim} out of range for dimension {m.dimension}")
     weights = _row_weights(m.dimension)
-    return _long_lines(m, dim, min_points, m.codes @ weights, weights).groups
+    lines = _long_lines(m, dim, min_points, m.codes @ weights, weights)
+    bounds = lines.bounds.tolist()
+    return [
+        LineGroup(dim=dim, anchor=tuple(anchor), positions=lines.positions[lo:hi],
+                  outputs=lines.outputs[lo:hi])
+        for anchor, lo, hi in zip(np.delete(lines.codes, dim, axis=1).tolist(),
+                                  bounds[:-1], bounds[1:])
+    ]
 
 
 def _smooth_runs(positions: np.ndarray, outputs: np.ndarray, bounds: np.ndarray,
@@ -388,12 +341,12 @@ class SmoothRegion:
     """A certified smooth 1-D interval along `dim` at fixed other coordinates.
 
     Carries the knot inputs, knot outputs, interval midpoint and half-length,
-    plus the fitted spline (built on first use, since superseded candidate
-    regions are never evaluated).  `created_at` orders regions for lookup
-    tie-breaking across dimensions.  The anchor holds the codes of the other
-    d - 1 dimensions, stored as a tuple of ints; knots and outputs are stored
-    as float arrays.  Anchors that are not node codes, and malformed knots or
-    outputs, are refused at construction.
+    plus the spline's knot second derivatives (fitted on first use, since
+    superseded candidate regions are never evaluated).  `created_at` orders
+    regions for lookup tie-breaking across dimensions.  The anchor holds the
+    codes of the other d - 1 dimensions, stored as a tuple of ints; knots
+    and outputs are stored as float arrays.  Anchors that are not node
+    codes, and malformed knots or outputs, are refused at construction.
     """
 
     dim: int
@@ -401,7 +354,7 @@ class SmoothRegion:
     knots: np.ndarray
     outputs: np.ndarray
     created_at: int = 0
-    _spline: CubicLineSpline | None = field(default=None, repr=False, compare=False)
+    _second_derivs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -426,12 +379,6 @@ class SmoothRegion:
             raise SparseGridError("region knots must be strictly increasing")
 
     @property
-    def spline(self) -> CubicLineSpline:
-        if self._spline is None:
-            _fit([self])
-        return self._spline
-
-    @property
     def midpoint(self) -> float:
         return float((self.knots[0] + self.knots[-1]) / 2.0)
 
@@ -450,11 +397,11 @@ class SmoothRegion:
 
 def _fit(regions) -> None:
     """Fit the spline of every region that has none yet, in one solve."""
-    todo = [r for r in regions if r._spline is None]
+    todo = [r for r in regions if r._second_derivs is None]
     if todo:
-        knots, outputs = [r.knots for r in todo], [r.outputs for r in todo]
-        for r, x, y, m in zip(todo, knots, outputs, _second_derivatives(knots, outputs)):
-            r._spline = CubicLineSpline._fitted(x, y, m)
+        fits = _second_derivatives([r.knots for r in todo], [r.outputs for r in todo])
+        for r, m in zip(todo, fits):
+            r._second_derivs = m
 
 
 def _spline_values(regions, which, t) -> np.ndarray:
@@ -480,7 +427,7 @@ def _spline_values(regions, which, t) -> np.ndarray:
             f"position {at[k]} outside region [{lo[k]}, {hi[k]}]; no extrapolation")
     _fit(regions)
     out[hit] = _spline_at(x, np.concatenate([r.outputs for r in regions]),
-                          np.concatenate([r._spline.second_derivs for r in regions]),
+                          np.concatenate([r._second_derivs for r in regions]),
                           first[own], count[own], at)
     return out
 
@@ -737,15 +684,17 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
     sums = model.codes @ weights
     for dim in range(model.dimension):
         lines = _long_lines(model, dim, min_points, sums, weights)
-        counts["lines_scanned"] += len(lines.groups)
+        counts["lines_scanned"] += len(lines.keys)
         start, stop = _smooth_runs(lines.positions, lines.outputs, lines.bounds, slope_tol)
         line = np.searchsorted(lines.bounds, start, "right") - 1
         keep = ~db._no_op_runs(dim, lines.keys[line], lines.codes[line], line,
                                lines.positions[start], lines.positions[stop - 1])
-        for i, lo, hi in zip(line[keep].tolist(), start[keep].tolist(), stop[keep].tolist()):
+        line, start, stop = line[keep], start[keep], stop[keep]
+        anchors = np.delete(lines.codes[line], dim, axis=1).tolist()
+        for anchor, lo, hi in zip(anchors, start.tolist(), stop.tolist()):
             outcome = db.store(SmoothRegion(
                 dim=dim,
-                anchor=lines.groups[i].anchor,
+                anchor=anchor,
                 knots=lines.positions[lo:hi].copy(),
                 outputs=lines.outputs[lo:hi].copy(),
             ))

@@ -3,7 +3,8 @@
 The library holds nodes only as integer code rows and works on whole arrays.
 These are the scalar definitions the arrays must agree with: (level, index)
 nodes with their exact dyadic coordinates, hat functions, refinement sons and
-basis integrals, built from the definitions in plain Python.  Tests compare
+basis integrals, built from the definitions in plain Python, and the clamped
+cubic spline of one line, solved one knot set at a time.  Tests compare
 the library's array results with them.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def new_nodes_on_level(level: int) -> int:
@@ -212,3 +214,71 @@ def brute_force(m, x, coeff):
     surpluses = m.w if coeff == "w" else m.v
     terms = np.array([c * basis_nd(p, x) for p, c in zip(model_points(m), surpluses.tolist())])
     return terms.sum(), np.abs(terms).sum()
+
+
+def endpoint_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Derivative at x[0] of the Newton polynomial through the knots (x, y),
+    by scalar divided differences."""
+    n = x.size
+    dd = y.astype(float).copy()
+    coeffs = [dd[0]]
+    for order in range(1, n):
+        dd = (dd[1:] - dd[:-1]) / (x[order:] - x[:-order])
+        coeffs.append(dd[0])
+    slope = 0.0
+    prod = 1.0
+    for j in range(1, n):
+        slope += coeffs[j] * prod
+        prod *= x[0] - x[j]
+    return slope
+
+
+class CubicLineSpline:
+    """The clamped cubic spline of one knot set, as the smooth layer fits it.
+
+    End slopes come from `endpoint_slope` over the nearest min(5, n) knots of
+    each end; the clamped tridiagonal system is solved by solve_banded, and
+    a value at t is read from the knot interval searchsorted finds.  Needs at
+    least 4 strictly increasing finite knots and finite values.
+    """
+
+    def __init__(self, knots, values):
+        x = np.asarray(knots, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise ValueError("need at least 4 knots and as many values, in 1-D arrays")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()) or np.any(np.diff(x) <= 0):
+            raise ValueError("knots must be finite and strictly increasing, values finite")
+        self.knots, self.values = x, y
+        k = min(5, x.size)
+        slope_lo = endpoint_slope(x[:k], y[:k])
+        slope_hi = endpoint_slope(x[-k:][::-1], y[-k:][::-1])
+        n = x.size
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        ab = np.zeros((3, n))
+        rhs = np.zeros(n)
+        ab[1, 0] = h[0] / 3.0
+        ab[0, 1] = h[0] / 6.0
+        rhs[0] = slope[0] - slope_lo
+        ab[1, 1:-1] = (h[:-1] + h[1:]) / 3.0
+        ab[0, 2:] = h[1:] / 6.0
+        ab[2, :-2] = h[:-1] / 6.0
+        rhs[1:-1] = slope[1:] - slope[:-1]
+        ab[1, n - 1] = h[-1] / 3.0
+        ab[2, n - 2] = h[-1] / 6.0
+        rhs[n - 1] = slope_hi - slope[-1]
+        self.second_derivs = solve_banded((1, 1), ab, rhs)
+
+    def __call__(self, t):
+        """Values at t, computed on arrays (numpy's scalar ** may round
+        differently); a scalar t gives a float."""
+        x, y, m = self.knots, self.values, self.second_derivs
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        i = np.clip(np.searchsorted(x, tt) - 1, 0, x.size - 2)
+        h = x[i + 1] - x[i]
+        a = (x[i + 1] - tt) / h
+        b = (tt - x[i]) / h
+        out = (a * y[i] + b * y[i + 1]
+               + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0)
+        return float(out[0]) if np.ndim(t) == 0 else out

@@ -295,6 +295,33 @@ class TestSurrogateModel:
         m.add_level([[1]], [1.0], [1.0], [1.0])
         with pytest.raises(ContractViolationError):
             m.add_level([[1]], [2.0], [2.0], [4.0])
+        # a row stored already, or repeated in the batch, is named and
+        # nothing of the batch is inserted; new level vectors included
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
+        m.add_level([[2, 1]], [0.0], [-1.0], [1.0])
+        x = np.random.default_rng(4).random((50, 2))
+        before = len(m), m.codes.tobytes(), m.interpolate_many(x).tobytes()
+        for batch, row in (([[1, 2], [2, 1]], r"\[2, 1\]"),  # stored
+                           ([[3, 1], [1, 2], [3, 1]], r"\[3, 1\]"),  # repeated, vector stored
+                           ([[1, 2], [1, 3], [1, 3]], r"\[1, 3\]")):  # repeated, new vector
+            ones = [5.0] * len(batch)
+            with pytest.raises(ContractViolationError, match=rf"duplicate node {row}"):
+                m.add_level(batch, ones, ones, ones)
+            assert (len(m), m.codes.tobytes(), m.interpolate_many(x).tobytes()) == before
+        m.add_level([[3, 1], [1, 2], [1, 3]], [5.0] * 3, [5.0] * 3, [5.0] * 3)
+        assert len(m) == 5
+        assert m.stored([[3, 1], [1, 2], [1, 3], [2, 2]]).tolist() == [True, True, True, False]
+
+    def test_no_per_node_python_containers(self):
+        # node membership lives in the kernel's key table alone: no attribute
+        # of a built model is a Python container with an entry per node
+        cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=6, init_level=2)
+        m = build(ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s"), cfg,
+                  "ASGC").model
+        containers = {name: len(value) for name, value in vars(m).items()
+                      if isinstance(value, (dict, list, set, tuple))}
+        assert containers and all(size < len(m) for size in containers.values()), containers
 
     def test_level_order_enforced(self):
         m = SurrogateModel(1)
@@ -765,6 +792,34 @@ class TestNodeCodes:
                 assert [s.code for s in ref.children_1d(NodeIndex1D(level, index))] == want
                 assert refine_candidates([[c]])[:, 0].tolist() == want
 
+    def test_split_levels_exact_near_powers_of_two(self):
+        # a float cast rounds 2**k - 1 up to 2**k for k > 53: the bit
+        # lengths must still be exact
+        codes = sorted({c for k in range(63) for c in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                        if c <= np.iinfo(np.int64).max} | {np.iinfo(np.int64).max})
+        assert core._bit_length(np.array(codes)).tolist() == [c.bit_length() for c in codes]
+        valid = [c for c in codes if core._is_code(c)]
+        assert 2 ** 61 + 1 in valid and 2 ** 53 + 1 in valid
+        assert split_codes(valid)[0].tolist() == [c.bit_length() for c in valid]
+        assert split_codes(valid)[0].dtype == np.int64
+        for c in set(codes) - set(valid):
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                split_codes([c])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(nodes_1d(MAX_LEVEL).map(lambda n: n.code),
+                     st.integers(-(1 << 63), (1 << 63) - 1)))
+    def test_split_codes_refuses_exactly_the_codes_of_no_node(self, code):
+        # valid codes split into their bit length; 0, negative codes, codes
+        # of levels above MAX_LEVEL and codes whose top two bits are 11 raise
+        if core._is_code(code):
+            levels, indices = split_codes([code, code])
+            assert levels.tolist() == [code.bit_length()] * 2
+            assert join_codes(levels, indices).tolist() == [code] * 2
+        else:
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                split_codes([[1, code]])
+
     def test_levels_capped(self):
         top = (1 << (MAX_LEVEL - 1)) + (1 << (MAX_LEVEL - 2)) - 1  # last code of level 62
         assert split_codes([top])[0].tolist() == [MAX_LEVEL]
@@ -877,6 +932,14 @@ class TestArrayStore:
         assert [1, 1] in m and np.array([1, 1], dtype=np.uint8) in m and [1, 2] not in m
         assert m.stored([[1, 1], [2, 1]]).tolist() == [True, False]
         assert m.stored(np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        # codes of no node: 0, and 6 = 0b110, whose top two bits are 11
+        for bad in ([0, 1], [6, 1], [1, -3]):
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                bad in m
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                m.stored([[1, 1], bad])
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                db.lookup(bad)
         assert db.lookup([1, 1])[1] == 0.5
         assert db.lookup_many([[1, 1], [4, 1]])[1].tolist() == [0, 0]
         for floats in ([1.9, 1.2], [1.0, 1.0]):
@@ -900,6 +963,30 @@ class TestArrayStore:
             db.lookup_many([1, 1])
         with pytest.raises(DimensionMismatchError):
             db.lookup([[1, 1]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),
+           max_level=st.integers(1, 6), data=st.data())
+    def test_membership_equals_a_set_of_code_rows(self, method, dimension, max_level, data):
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=max_level,
+                             init_level=min(2, max_level - 1), min_line_points=5)
+        f = ModelFunction(lambda x: float(abs(x[0] - 0.3) + np.sin(x[-1])), dimension, "k")
+        m = build(f, cfg, method).model
+        rows = {tuple(row) for row in m.codes.tolist()}
+        probes = [m.codes, refine_candidates(m.codes)]
+        # rows of level vectors the model may not hold, of any level up to 9
+        drawn = data.draw(st.lists(points(dimension, max_level=9), max_size=20))
+        probes.append(ref.codes(*drawn).reshape(-1, dimension))
+        # level vector (40, 30): 2**66 nodes, whose keys would wrap int64
+        deep = join_codes([[40, 30, 1][:dimension]], [[5, 1000, 0][:dimension]])
+        probes.append(deep)
+        codes = np.concatenate(probes)
+        order = data.draw(st.permutations(range(len(codes))))
+        codes = codes[list(order)]
+        want = [tuple(row) in rows for row in codes.tolist()]
+        assert m.stored(codes).tolist() == want
+        assert [row in m for row in codes] == want
+        assert not m.stored(deep)[0] and deep[0] not in m
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 import reference as ref
 from sgsurrogate import (
     AdaptiveConfig,
-    CubicLineSpline,
     InvalidNodeError,
     ModelFunction,
     RegionDatabase,
@@ -33,14 +31,29 @@ from sgsurrogate import (
 from sgsurrogate import smooth
 from sgsurrogate.core import dyadic_codes
 from sgsurrogate.io import _codes_of_dyadic
-from sgsurrogate.smooth import LineGroup, _endpoint_slope, _spline_values
+from sgsurrogate.smooth import LineGroup, _endpoint_slopes, _second_derivatives, _spline_values
+
+
+def fitted(knots, values):
+    """The spline of one knot set as a function of t: a region's fit and
+    evaluation by _spline_values, the path every spline value takes."""
+    r = SmoothRegion(dim=0, anchor=(), knots=knots, outputs=values)
+    return lambda t: _spline_values([r], np.zeros(np.size(t), dtype=np.intp), np.atleast_1d(t))
+
+
+def endpoint_slope(x, y) -> float:
+    """The library's end slope of one knot set: a one-row batch."""
+    return float(_endpoint_slopes(np.asarray(x, dtype=float)[None], np.asarray(y)[None])[0])
 
 
 class TestCubicLineSpline:
+    """The clamped cubic line spline of a region, as _spline_values fits and
+    evaluates it, against scipy and the one-spline reference.CubicLineSpline."""
+
     def test_knot_exactness(self):
         x = np.array([0.0, 0.1, 0.35, 0.6, 0.62, 1.0])
         y = np.sin(4 * x) + x
-        s = CubicLineSpline(x, y)
+        s = fitted(x, y)
         np.testing.assert_allclose(s(x), y, rtol=0, atol=1e-14)
 
     def test_reproduces_cubics_exactly(self):
@@ -48,7 +61,7 @@ class TestCubicLineSpline:
         for knots in ([0.0, 0.25, 0.5, 1.0], [0.0, 0.2, 0.4, 0.8, 0.9, 1.0]):
             x = np.array(knots)
             y = 2 * x ** 3 - 3 * x ** 2 + 0.5 * x + 1
-            s = CubicLineSpline(x, y)
+            s = fitted(x, y)
             expected = 2 * t ** 3 - 3 * t ** 2 + 0.5 * t + 1
             np.testing.assert_allclose(s(t), expected, rtol=0, atol=1e-12)
 
@@ -57,70 +70,48 @@ class TestCubicLineSpline:
         rng = np.random.default_rng(3)
         x = np.sort(rng.random(12))
         y = np.cos(5 * x) + x ** 2
-        s = CubicLineSpline(x, y)
-        lo = _endpoint_slope(x[:5], y[:5])
-        hi = _endpoint_slope(x[-5:][::-1], y[-5:][::-1])
+        s = fitted(x, y)
+        lo = endpoint_slope(x[:5], y[:5])
+        hi = endpoint_slope(x[-5:][::-1], y[-5:][::-1])
         oracle = CubicSpline(x, y, bc_type=((1, lo), (1, hi)))
         t = np.linspace(x[0], x[-1], 2000)
         np.testing.assert_allclose(s(t), oracle(t), rtol=0, atol=1e-12)
 
     def test_sine_error_within_quartic_bound(self):
         x = np.linspace(0, 1, 9)
-        s = CubicLineSpline(x, np.sin(2 * np.pi * x))
+        s = fitted(x, np.sin(2 * np.pi * x))
         t = np.linspace(0, 1, 10_000)
         err = np.abs(s(t) - np.sin(2 * np.pi * t)).max()
         assert err <= (5 / 384) * (2 * np.pi) ** 4 * (1 / 8) ** 4
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            CubicLineSpline([0.0, 0.5, 1.0], [1, 2, 3])
-        with pytest.raises(ValueError):
-            CubicLineSpline([0.0, 0.5, 0.5, 1.0], [1, 2, 3, 4])
+        with pytest.raises(SparseGridError, match="needs >= 4 knots"):
+            fitted([0.0, 0.5, 1.0], [1, 2, 3])
+        with pytest.raises(SparseGridError, match="strictly increasing"):
+            fitted([0.0, 0.5, 0.5, 1.0], [1, 2, 3, 4])
 
     def test_second_derivatives_equal_banded_solve_bitwise(self):
         rng = np.random.default_rng(8)
         for n in (4, 5, 9, 33):
             x = np.sort(rng.choice(np.arange(1, 200), n, replace=False)) / 256.0
             y = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
-            s = CubicLineSpline(x, y)
-            np.testing.assert_array_equal(s.second_derivs, banded_second_derivatives(s))
+            [got] = _second_derivatives([x], [y])
+            np.testing.assert_array_equal(got, ref.CubicLineSpline(x, y).second_derivs)
 
     def test_non_finite_inputs_rejected(self):
         x = [0.0, 0.25, 0.5, 1.0]
-        for bad_x, bad_y in ((x, [0.0, np.nan, 1.0, 2.0]), (x, [0.0, np.inf, 1.0, 2.0]),
-                             ([0.0, 0.25, np.nan, 1.0], [0.0, 1.0, 2.0, 3.0])):
-            with pytest.raises(ValueError):
-                CubicLineSpline(bad_x, bad_y)
+        for bad_x, bad_y, fault in ((x, [0.0, np.nan, 1.0, 2.0], "outputs"),
+                                    (x, [0.0, np.inf, 1.0, 2.0], "outputs"),
+                                    ([0.0, 0.25, np.nan, 1.0], [0.0, 1.0, 2.0, 3.0], "knots")):
+            with pytest.raises(SparseGridError, match=f"non-finite {fault}"):
+                fitted(bad_x, bad_y)
 
     def test_endpoint_slope_exact_for_quartics(self):
         x = np.array([0.0, 0.13, 0.4, 0.55, 0.81])
         y = x ** 4 - 2 * x ** 2 + x
-        got = _endpoint_slope(x, y)
+        got = endpoint_slope(x, y)
         assert got == pytest.approx(4 * x[0] ** 3 - 4 * x[0] + 1, abs=1e-12)
-
-
-def banded_second_derivatives(s: CubicLineSpline) -> np.ndarray:
-    """Reference: the clamped system solved by solve_banded, as the fit once was."""
-    x, y = s.knots, s.values
-    k = min(5, x.size)
-    slope_lo = _endpoint_slope(x[:k], y[:k])
-    slope_hi = _endpoint_slope(x[-k:][::-1], y[-k:][::-1])
-    n = x.size
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    ab = np.zeros((3, n))
-    rhs = np.zeros(n)
-    ab[1, 0] = h[0] / 3.0
-    ab[0, 1] = h[0] / 6.0
-    rhs[0] = slope[0] - slope_lo
-    ab[1, 1:-1] = (h[:-1] + h[1:]) / 3.0
-    ab[0, 2:] = h[1:] / 6.0
-    ab[2, :-2] = h[:-1] / 6.0
-    rhs[1:-1] = slope[1:] - slope[:-1]
-    ab[1, n - 1] = h[-1] / 3.0
-    ab[2, n - 2] = h[-1] / 6.0
-    rhs[n - 1] = slope_hi - slope[-1]
-    return solve_banded((1, 1), ab, rhs)
+        assert np.float64(got).tobytes() == np.float64(ref.endpoint_slope(x, y)).tobytes()
 
 
 def csc_model(func, d, level):
@@ -195,6 +186,7 @@ class TestGroupLines:
                     np.testing.assert_array_equal(g.outputs, outputs)
 
     def test_scan_builds_groups_for_scanned_lines_only(self, monkeypatch):
+        # the scan carries its lines as arrays: it builds no LineGroup at all
         built = []
 
         def counting(**fields):
@@ -206,7 +198,7 @@ class TestGroupLines:
         cfg = AdaptiveConfig(dimension=3, epsilon=1e-3, max_level=7, init_level=2,
                              min_line_points=7)
         res = run_easgc(f, cfg)
-        assert len(built) == sum(r.lines_scanned for r in res.records) > 0
+        assert not built and sum(r.lines_scanned for r in res.records) > 0
         long_lines = sum(len(reference_lines(res.model, dim, 7)) for dim in range(3))
         all_lines = sum(len(reference_lines(res.model, dim, 1)) for dim in range(3))
         # scans before the last level see fewer nodes, so fewer long lines
@@ -428,11 +420,11 @@ class TestRegionDatabase:
             r, at = want
             assert regions[which[i]] is r and single[0] is r and single[1] == at
             assert np.float64(t[i]).tobytes() == np.float64(at).tobytes()
-            value = float(r.spline(at))  # the scalar path, one key at a time
+            oracle = ref.CubicLineSpline(r.knots, r.outputs)  # one spline at a time
+            value = float(oracle(at))
             assert np.float64(values[i]).tobytes() == np.float64(value).tobytes()
             assert np.float64(spline_value(r, at)).tobytes() == np.float64(value).tobytes()
-            np.testing.assert_array_equal(r.spline.second_derivs,
-                                          banded_second_derivatives(r.spline))
+            np.testing.assert_array_equal(r._second_derivs, oracle.second_derivs)
         assert len(set(map(id, regions))) == len(regions)
 
     def test_spline_value_contract(self):
@@ -650,7 +642,7 @@ class TestRunEasgc:
 
             # the spline machinery itself meets the sharp quartic bound when
             # fed exact knot outputs on the same scan geometry
-            exact_knots = CubicLineSpline(r.knots, [on_line(t) for t in r.knots])
+            exact_knots = fitted(r.knots, [on_line(t) for t in r.knots])
             assert np.abs(exact_knots(ts) - true).max() <= unit
             # stored regions inherit earlier substitutions: the integrated
             # bound scales with the number of spline-valued nodes
@@ -824,31 +816,6 @@ def check_every_scan_pass(f, cfg) -> int:
     return sum(uncovered)
 
 
-def reference_endpoint_slope(x, y):
-    """Reference: the one-polynomial endpoint slope the batched one replaced."""
-    n = x.size
-    dd = y.astype(float).copy()
-    coeffs = [dd[0]]
-    for order in range(1, n):
-        dd = (dd[1:] - dd[:-1]) / (x[order:] - x[:-order])
-        coeffs.append(dd[0])
-    slope = 0.0
-    prod = 1.0
-    for j in range(1, n):
-        slope += coeffs[j] * prod
-        prod *= x[0] - x[j]
-    return slope
-
-
-def reference_spline_value(x, y, m, t):
-    """Reference: the one-spline evaluation the batched one replaced."""
-    i = np.clip(np.searchsorted(x, t) - 1, 0, x.size - 2)
-    h = x[i + 1] - x[i]
-    a = (x[i + 1] - t) / h
-    b = (t - x[i]) / h
-    return a * y[i] + b * y[i + 1] + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0
-
-
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -891,19 +858,16 @@ class TestBatchedSpline:
         values = _spline_values(regions, which, t)  # fits all unfitted regions at once
         assert np.isnan(values[-1])
         for r in regions:
-            if r._spline is None:
+            if r._second_derivs is None:
                 continue
             x, y = r.knots, r.outputs
             k = min(5, len(x))
-            assert same_bits(_endpoint_slope(x[:k], y[:k]), reference_endpoint_slope(x[:k], y[:k]))
-            assert same_bits(r.spline.second_derivs, banded_second_derivatives(r.spline))
-            assert same_bits(r.spline.second_derivs, CubicLineSpline(x, y).second_derivs)
+            assert same_bits(endpoint_slope(x[:k], y[:k]), ref.endpoint_slope(x[:k], y[:k]))
+            assert same_bits(r._second_derivs, ref.CubicLineSpline(x, y).second_derivs)
+            assert same_bits(r._second_derivs, _second_derivatives([x], [y])[0])
         for value, r, at in zip(values, rows, t):
-            s = regions[r].spline
-            assert same_bits(value, reference_spline_value(s.knots, s.values, s.second_derivs,
-                                                           np.array([at]))[0])
+            assert same_bits(value, ref.CubicLineSpline(regions[r].knots, regions[r].outputs)(at))
             assert same_bits(value, spline_value(regions[r], at))
-            assert same_bits(value, s(at))
 
     def test_position_outside_its_region_named(self):
         regions = [region([0.0, 0.25, 0.5, 0.75]), region([0.5, 0.625, 0.75, 1.0])]
