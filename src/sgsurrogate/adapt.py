@@ -6,7 +6,9 @@ Adaptive construction (run_asgc) populates the first `init_level + 1` levels
 conventionally, then generates a point at the next level only if it is a son
 of a current-level node whose surplus magnitude reaches the tolerance.
 Construction stops when no surplus passes the threshold or when the level cap
-is hit; the result records which criterion fired.
+is hit; the result records which criterion fired.  Sons of level-k nodes
+lie on level k + 1 and the model holds levels <= k, so no son is looked up
+in it (add_level's duplicate check raises ContractViolationError if one is).
 
 Within a level all candidate evaluations are independent (the model is
 read-only until the batch is inserted), so each level looks up its whole code
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVEL, SurrogateModel, coordinates, split_codes
+from .core import MAX_LEVEL, SurrogateModel, _code_array, coordinates, split_codes
 from .errors import DimensionMismatchError, EvaluationError, InvalidNodeError
 
 __all__ = [
@@ -61,24 +63,27 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         # the comparisons are written so that NaN fails every one of them
-        for name in ("dimension", "max_level", "init_level"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        for name, low in (("dimension", 1), ("max_level", 1), ("init_level", 0)):
+            _check_integer(name, getattr(self, name), low)
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0 <= self.init_level < self.max_level:
-            raise ValueError(
-                f"need 0 <= init_level < max_level, got {self.init_level}, {self.max_level}"
-            )
+        if not self.init_level < self.max_level:
+            raise ValueError(f"need init_level < max_level, got {self.init_level}, "
+                             f"{self.max_level}")
         if not self.min_line_points >= 5:
             raise ValueError(
                 f"min_line_points must be >= 5, got {self.min_line_points}"
             )
         if not self.slope_tol > 0:
             raise ValueError(f"slope_tol must be > 0, got {self.slope_tol}")
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """ValueError unless `value` is an integer (bools and 2.0 are not) >= `low`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class ModelFunction:
@@ -194,15 +199,16 @@ class BuildResult:
     region_db: object | None = None  # populated by the spline-backed driver
 
 
-def refine_candidates(active, model: SurrogateModel | None = None) -> np.ndarray:
-    """Deduplicated sons of the active nodes, minus nodes already stored.
+def refine_candidates(active) -> np.ndarray:
+    """Deduplicated sons of the active nodes; in a build none is stored yet.
 
     `active` and the result are (n, d) arrays of per-dimension codes (see
     core).  Candidates are sorted lexicographically by code, which sorts
     them by their (level, index) tuples, so the construction order, and
-    hence the persisted file, is deterministic.
+    hence the persisted file, is deterministic.  A build refines its deepest
+    level k, and the sons of level-k nodes lie on level k + 1.
     """
-    active = np.asarray(active, dtype=np.int64)
+    active = _code_array(active, (None, None))
     split_codes(active)  # refuses codes of no node
     parts = [active[:0]]
     for s in range(active.shape[1]):
@@ -219,10 +225,7 @@ def refine_candidates(active, model: SurrogateModel | None = None) -> np.ndarray
     sons = sons[np.lexsort(sons.T[::-1])]
     fresh = np.ones(len(sons), dtype=bool)
     fresh[1:] = (sons[1:] != sons[:-1]).any(axis=1)
-    sons = sons[fresh]
-    if model is not None:
-        sons = sons[~model.stored(sons)]
-    return sons
+    return sons[fresh]
 
 
 def _evaluate_candidates(model, f, codes, coords, value_source):
@@ -316,7 +319,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         if after_level is not None and level > init_level:
             scan_counts = after_level(model, level)
         scanned = clock()
-        candidates = refine_candidates(active, model)
+        candidates = refine_candidates(active)
         prepared = {"refine": clock() - scanned, "after_level": scanned - start}
         level += 1
     model.freeze()
@@ -327,10 +330,11 @@ def run_csc(f: ModelFunction, d: int, q_max: int, on_level=None) -> BuildResult:
     """Conventional sparse grid build: every point up to level `q_max`.
 
     Levels count from 0 at the root, so a 1-D build to level 5 evaluates all
-    33 nodes of the nested hierarchy.
+    33 nodes of the nested hierarchy.  ValueError unless `d` >= 1 and
+    `q_max` >= 0 are integers.
     """
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
+    _check_integer("d", d, 1)
+    _check_integer("q_max", q_max, 0)
     return _drive(f, d, epsilon=math.inf, init_level=q_max, max_level=q_max,
                   on_level=on_level)
 

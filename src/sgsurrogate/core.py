@@ -165,8 +165,8 @@ def join_codes(levels, indices) -> np.ndarray:
     Raises InvalidNodeError for any pair of no node, levels above MAX_LEVEL
     included.
     """
-    levels = np.asarray(levels, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
+    levels = _code_array(levels, np.shape(levels))
+    indices = _code_array(indices, np.shape(indices))
     capped = np.clip(levels, 1, MAX_LEVEL)
     _refuse((levels != capped) | (indices < 0) | (indices >= _nodes_per_level(capped)),
             levels, indices)
@@ -180,7 +180,7 @@ def split_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     1 .. MAX_LEVEL: by _is_code's rule, a level l >= 3 code has top two
     bits 10.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = _code_array(codes, np.shape(codes))  # any shape
     flat = codes.ravel()
     levels, indices = np.empty((2, flat.size), dtype=np.int64)
     for lo in range(0, flat.size, _SPLIT):
@@ -216,9 +216,8 @@ def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     above, so equal coordinates give equal pairs.
     """
     levels, indices = split_codes(codes)
-    level2 = levels == 2
-    num = np.where(levels == 1, 1, np.where(level2, indices, 2 * indices + 1))
-    exp = np.where(levels == 1, 1, np.where(level2, 0, levels - 1))
+    num = np.where(levels == 2, indices, 2 * indices + 1)
+    exp = np.where(levels <= 2, 2 - levels, levels - 1)
     return num, exp
 
 
@@ -226,7 +225,7 @@ def coordinates(codes) -> np.ndarray:
     """Coordinates of codes, elementwise: num / 2**exp of dyadic_codes, which
     is exact for levels up to 54 and correctly rounded above."""
     num, exp = dyadic_codes(codes)
-    return num / np.left_shift(np.int64(1), exp)
+    return np.ldexp(num, -exp)
 
 
 def _code_array(codes, shape: tuple) -> np.ndarray:

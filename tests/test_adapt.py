@@ -17,6 +17,7 @@ from sgsurrogate import (
     InvalidNodeError,
     ModelFunction,
     SurrogateModel,
+    build,
     coordinates,
     refine_candidates,
     run_asgc,
@@ -189,6 +190,17 @@ class TestRunCsc:
             run_csc(f, 1, 4)
         assert err.value.coordinate[0] == 0.25
 
+    @pytest.mark.parametrize("d, q_max, name", [
+        (1, 2.5, "q_max"), (1, 3.0, "q_max"), (1, True, "q_max"), (1, -1, "q_max"),
+        (1.0, 2, "d"), (True, 2, "d"), (0, 2, "d"),
+    ])
+    def test_levels_and_dimension_must_be_integers(self, d, q_max, name):
+        # q_max=2.5 built 9 nodes, to level 3, and q_max=True built level 1
+        f = ModelFunction(lambda x: float(x[0]), 1, "x")
+        with pytest.raises(ValueError, match=name):
+            run_csc(f, d, q_max)
+        assert f.evaluations == 0
+
 
 class TestRunAsgc:
     def test_constant_terminates_after_first_adaptive_check(self):
@@ -345,9 +357,12 @@ class TestRefineCandidates:
         assert len(corner) == 1
 
     def test_existing_model_points_excluded(self):
+        # refining a stored level other than the deepest meets stored sons,
+        # which a caller filters with model.stored
         f = ModelFunction(lambda x: float(x[0]), 1, "l")
         res = run_csc(f, 1, 2)
-        got = refine_candidates(codes(root_point(1)), res.model)
+        sons = refine_candidates(codes(root_point(1)))
+        got = sons[~res.model.stored(sons)]
         assert got.shape == (0, 1)
 
     def test_refinement_capped_at_level_62(self):
@@ -360,7 +375,7 @@ class TestRefineCandidates:
     @given(data=st.data())
     def test_matches_make_sons_reference(self, data):
         """Order and content equal the object form: make_sons, dedupe by key,
-        drop stored points, sort by dims."""
+        sort by dims; model.stored then drops the stored points."""
         dimension = data.draw(st.integers(1, 4))
         node = st.integers(1, 7).flatmap(lambda level: st.integers(
             0, (1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)) - 1,
@@ -383,11 +398,42 @@ class TestRefineCandidates:
                     seen.add(son.key)
                     want.append(son)
         want.sort(key=lambda p: p.dims)
-        got = refine_candidates(codes(*active).reshape(-1, dimension), model)
-        assert got.tolist() == codes(*want).reshape(-1, dimension).tolist()
         unfiltered = refine_candidates(codes(*active).reshape(-1, dimension))
+        got = unfiltered[~model.stored(unfiltered)]
+        assert got.tolist() == codes(*want).reshape(-1, dimension).tolist()
         assert not model.stored(got).any()
         assert len(unfiltered) == len({son.key for son in sons})
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(["CSC", "ASGC", "EASGC"]), dimension=st.integers(1, 3),
+       init_level=st.integers(0, 2), extra=st.integers(1, 3),
+       epsilon=st.floats(1e-6, 1.0), min_line_points=st.integers(5, 9),
+       noise=st.sampled_from([0.0, 1e-3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_each_level_lies_on_the_next_total_level(method, dimension, init_level, extra,
+                                                 epsilon, min_line_points, noise, seed):
+    # refinement looks no son up in the model: every level's rows must lie
+    # on the level's own total level, and every row stored before it below
+    rng = np.random.default_rng(seed)
+    frequency = rng.uniform(0.0, 6.0, dimension)
+
+    def func(x):
+        return float(np.sin(frequency @ x) + noise * rng.standard_normal())
+
+    cfg = AdaptiveConfig(dimension=dimension, epsilon=epsilon,
+                         max_level=init_level + extra, init_level=init_level,
+                         min_line_points=min_line_points)
+    seen = []
+
+    def on_level(model, record):
+        total = split_codes(model.codes)[0].sum(axis=1) - dimension
+        new = len(model) - record.candidates
+        assert record.level == len(seen)
+        assert (total[new:] == record.level).all() and (total[:new] < record.level).all()
+        seen.append(record.level)
+
+    result = build(ModelFunction(func, dimension, "random"), cfg, method, on_level=on_level)
+    assert seen == [r.level for r in result.records]
 
 
 def test_level_records_carry_phase_timings():

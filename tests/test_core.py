@@ -567,7 +567,8 @@ class TestEvaluationKernel:
         f = ModelFunction(eighths, dimension, "eighths")
         m = (run_csc(f, dimension, max_level) if method == "CSC"
              else build(f, cfg, method)).model
-        sons = refine_candidates(m.codes, m)
+        sons = refine_candidates(m.codes)
+        sons = sons[~m.stored(sons)]
         sons = sons[data.draw(st.lists(st.integers(0, len(sons) - 1), min_size=1,
                                        max_size=25, unique=True))]
         values = np.array(data.draw(st.lists(
@@ -738,7 +739,8 @@ class TestEvaluationKernel:
         save_surrogate(path, built, result.region_db)
         loaded, _ = load_surrogate(path)
         queries = np.vstack([rng.random((2000, 2)), coordinates(built.codes)])
-        sons = refine_candidates(built.codes, built)
+        sons = refine_candidates(built.codes)
+        sons = sons[~built.stored(sons)]
         values = rng.standard_normal(len(sons))
         want = [built.interpolate_many(queries, c) for c in "wv"]
         want_surplus = built.surpluses_against_prefix(coordinates(sons), values)
@@ -951,6 +953,15 @@ class TestArrayStore:
                 db.lookup_many([floats])
             with pytest.raises(InvalidNodeError, match="must be integers"):
                 db.lookup(floats)
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                refine_candidates([floats])
+        # the same truncation read [[1.9]] as the root, 1.9 as level 1 and
+        # [2.7] as the coordinate 0.0, and joined (2.5, 0.9) into code 2
+        for call in (lambda: split_codes([1.9]), lambda: dyadic_codes([1.9]),
+                     lambda: coordinates([2.7]), lambda: join_codes([2.5], [0.9]),
+                     lambda: join_codes([2], [0.9])):
+            with pytest.raises(InvalidNodeError, match="must be integers"):
+                call()
         for wrong in ([1], [1, 1, 1], [[1, 1]]):
             with pytest.raises(DimensionMismatchError):
                 wrong in m
@@ -963,6 +974,9 @@ class TestArrayStore:
             db.lookup_many([1, 1])
         with pytest.raises(DimensionMismatchError):
             db.lookup([[1, 1]])
+        for wrong in ([1, 2], [[[1]]]):  # [1, 2] raised IndexError
+            with pytest.raises(DimensionMismatchError):
+                refine_candidates(wrong)
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),

@@ -13,15 +13,24 @@ import pytest
 
 from sgsurrogate import AdaptiveConfig, build, get_benchmark, run_csc, save_surrogate
 
-# the test_01 acceptance configs, and a small Poisson build whose digest pins
-# the solver's outputs: (benchmark params, CSC level, adaptive config)
+# the test_01 acceptance configs, a small Poisson build whose digest pins the
+# solver's outputs, and two Poisson builds that pin refinement at 10 and 100
+# dimensions (the first the benchmark's poisson_easgc_10d build):
+# case -> (benchmark, benchmark params, CSC level, adaptive config)
 CASES = {
-    "kink": (None, 5, AdaptiveConfig(dimension=1, epsilon=1e-4, max_level=8, init_level=2)),
-    "line_singularity": (None, 5, AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=8,
-                                                 init_level=2)),
-    "poisson": ({"n_random": 4, "n_cells": 64}, None,
+    "kink": ("kink", None, 5,
+             AdaptiveConfig(dimension=1, epsilon=1e-4, max_level=8, init_level=2)),
+    "line_singularity": ("line_singularity", None, 5,
+                         AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=8, init_level=2)),
+    "poisson": ("poisson", {"n_random": 4, "n_cells": 64}, None,
                 AdaptiveConfig(dimension=4, epsilon=1e-6, max_level=5, init_level=2,
                                min_line_points=7)),
+    "poisson_10d": ("poisson", {"n_random": 10}, None,
+                    AdaptiveConfig(dimension=10, epsilon=1e-6, max_level=4, init_level=2,
+                                   min_line_points=7)),
+    "poisson_100d": ("poisson", {"n_random": 100, "n_cells": 64}, None,
+                     AdaptiveConfig(dimension=100, epsilon=1e-4, max_level=4, init_level=1,
+                                    min_line_points=7)),
 }
 
 DIGESTS = {
@@ -32,6 +41,8 @@ DIGESTS = {
     ("line_singularity", "ASGC"): "bb5f22633c41c8514bd273a49ce8c20cf5f0530a7b377ada2a10a79612670ffc",
     ("line_singularity", "EASGC"): "955257a77864d169ad0000bb5ec39ac4d67bd1f9498254d1a9f40b60dcd4a44d",
     ("poisson", "EASGC"): "6d1b655803bc23e160e89b53fc55ddecaa17cec83aa14c931e21aac2d06696d6",
+    ("poisson_10d", "EASGC"): "0e1387d0f75ef7e82d90f5e193a1155d0125b91aa84d0f63b4a978425f37358e",
+    ("poisson_100d", "EASGC"): "d6a5b6b94e22bfe0e4344ee9720774bd8af21315b6f8a7fae04cf2170efaaa05",
 }
 
 
@@ -49,8 +60,8 @@ def output_digest(text: str) -> str:
 
 @pytest.mark.parametrize("name, method", sorted(DIGESTS))
 def test_outputs_match_golden_digest(name, method, tmp_path):
-    params, csc_level, cfg = CASES[name]
-    f, _ = get_benchmark(name, params)
+    benchmark, params, csc_level, cfg = CASES[name]
+    f, _ = get_benchmark(benchmark, params)
     if method == "CSC":
         result = run_csc(f, f.dimension, csc_level)
     else:
