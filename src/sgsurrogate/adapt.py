@@ -228,22 +228,17 @@ def refine_candidates(active) -> np.ndarray:
     return sons[fresh]
 
 
-def _evaluate_candidates(model, f, codes, coords, value_source):
+def _evaluate_candidates(f, codes, coords, value_source):
     """Evaluate a level's candidates, via region lookup when available.
 
     The whole level is looked up first; the misses then go to the model in
-    one `f.many` call.  Returns (values, spline mask); bumps the model's
-    counters once the whole level is evaluated, so after a failure they still
-    match its nodes.
+    one `f.many` call.  Returns (values, spline mask).
     """
     if value_source is None:
         values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
     else:
         values, spline = value_source(codes)
     values[~spline] = f.many(coords[~spline])
-    hits = int(spline.sum())
-    model.full_evaluations += len(values) - hits
-    model.spline_interpolations += hits
     return values, spline
 
 
@@ -279,7 +274,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         start = clock()
         coords = coordinates(candidates)
         try:
-            values, spline = _evaluate_candidates(model, f, candidates, coords, value_source)
+            values, spline = _evaluate_candidates(f, candidates, coords, value_source)
         except EvaluationError as exc:
             model.freeze()
             result.stopped_by = "evaluation_error"

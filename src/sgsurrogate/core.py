@@ -57,10 +57,11 @@ terms in either direction:
 A model stores its nodes as a struct of arrays, in insertion order: one
 (N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
 surpluses; and a boolean provenance array, True where the output came from a
-spline.  The kernel's sorted key table (below) is the one index of the
-nodes: it answers membership and rejects duplicates, and codes of no node
-are refused.  The code of the 1-D node of level l and index i is
-c = 2**(l-1) + i:
+spline, from which the evaluation counts are read.  The kernel's sorted key
+table (below) is the one index of the nodes and of their level vectors: it
+answers membership, rejects duplicates and gives each stored level vector's
+first key, and codes of no node are refused.  The code of the 1-D node of
+level l and index i is c = 2**(l-1) + i:
 
 - level 1 is code 1, level 2 codes 2 and 3, and level l >= 3 the codes
   2**(l-1) .. 2**(l-1) + 2**(l-2) - 1, so a code's bit length is its level;
@@ -244,13 +245,6 @@ def _code_array(codes, shape: tuple) -> np.ndarray:
     return codes.astype(np.int64, copy=False)
 
 
-def _row_keys(codes: np.ndarray) -> list[bytes]:
-    """The bytes of each row of an (N, d) int64 array: keys of level vectors."""
-    buf = np.ascontiguousarray(codes, dtype=np.int64).tobytes()
-    step = 8 * codes.shape[1]
-    return [buf[k:k + step] for k in range(0, len(buf), step)]
-
-
 @functools.lru_cache(maxsize=None)
 def _row_weights(d: int) -> np.ndarray:
     """Fixed odd int64 weights W_0 .. W_{d-1} for hashing integer rows.
@@ -354,11 +348,7 @@ class SurrogateModel:
         self._outputs = self._w = self._v = _readonly(np.empty(0))
         self._spline = _readonly(np.empty(0, dtype=bool))
         self._depth: int | None = None  # level of the last insert
-        # level vectors stored, as row bytes -> their first kernel key
-        self._level_vectors: dict[bytes, int] = {}
-        self._key_span = 0  # sum of their node counts: the kernel keys in use
-        self.full_evaluations = 0
-        self.spline_interpolations = 0
+        self._key_span = 0  # node counts of the stored level vectors: the kernel keys in use
         self._frozen = False
         self._table = _empty_table(dimension)  # grown by add_level
 
@@ -413,6 +403,16 @@ class SurrogateModel:
         """True where the output came from a spline (read-only)."""
         return self._spline
 
+    @property
+    def full_evaluations(self) -> int:
+        """Nodes whose output came from a full model evaluation."""
+        return len(self._spline) - self.spline_interpolations
+
+    @property
+    def spline_interpolations(self) -> int:
+        """Nodes whose output came from a spline."""
+        return int(np.count_nonzero(self._spline))
+
     def nodes(self) -> list[HierarchicalNode]:
         """The rows as HierarchicalNodes, in insertion (level-major) order."""
         return [
@@ -463,8 +463,8 @@ class SurrogateModel:
         level = int(level[0])
         if self._depth is not None and level < self._depth:
             raise ContractViolationError(f"level {level} inserted after level {self._depth}")
-        # new level vectors take keys in table order; node counts are powers
-        # of two: 2**(l-1) on levels 1 and 2, 2**(l-2) above
+        # new level vectors take the next keys in turn; node counts are
+        # powers of two: 2**(l-1) on levels 1 and 2, 2**(l-2) above
         fresh = offsets < 0
         exponents = np.where(distinct <= 2, distinct - 1, distinct - 2).sum(axis=1)
         ends = list(itertools.accumulate((1 << e for e in exponents[fresh].tolist()),
@@ -478,7 +478,6 @@ class SurrogateModel:
         _, w, v, _ = columns
         self._table = _grown(self._table, _node_keys(distinct, member, offsets, indices),
                              codes, w, v, distinct[fresh], offsets[fresh])
-        self._level_vectors.update(zip(_row_keys(distinct[fresh]), ends[:-1]))
         self._key_span = ends[-1]
         self._depth = level
         self._codes = _readonly(np.concatenate([self._codes, codes]))
@@ -490,23 +489,23 @@ class SurrogateModel:
     def _grouped(self, codes: np.ndarray):
         """(levels, indices, distinct, member, offsets) of an (n, d) code array.
 
-        split_codes' levels and indices, the distinct level vectors in
-        lexicographic order, each row's one among them, and each vector's
-        first kernel key, -1 where the model holds no node of it.  Vectors
-        are told apart by hash, and after a collision by exact rows.
+        split_codes' levels and indices, the distinct level vectors of the
+        kernel's table and of the rows, each row's one among them, and each
+        vector's first kernel key, -1 where the model holds no node of it.
+        Vectors are told apart by hash, and after a collision by exact rows.
         """
         levels, indices = split_codes(codes)
-        _, first, member = np.unique(levels @ _row_weights(self.dimension),
+        table = self._table
+        vectors = np.concatenate([table.levels, levels])
+        _, first, member = np.unique(vectors @ _row_weights(self.dimension),
                                      return_index=True, return_inverse=True)
-        distinct = levels[first]
-        if (distinct[member] == levels).all():
-            rank = np.lexsort(distinct.T[::-1])  # lexicographic, as np.unique's
-            distinct, member = distinct[rank], np.argsort(rank)[member]
-        else:
-            distinct, member = np.unique(levels, axis=0, return_inverse=True)
-        get = self._level_vectors.get
-        offsets = np.array([get(key, -1) for key in _row_keys(distinct)], dtype=np.int64)
-        return levels, indices, distinct, member.ravel(), offsets
+        if not (vectors[first][member] == vectors).all():
+            _, first, member = np.unique(vectors, axis=0, return_index=True,
+                                         return_inverse=True)
+        known = first < len(table.levels)
+        offsets = np.full(len(first), -1, dtype=np.int64)
+        offsets[known] = table.offsets[first[known]]
+        return levels, indices, vectors[first], member.ravel()[len(table.levels):], offsets
 
     def add_node(self, node: HierarchicalNode) -> None:
         """Insert one node: a one-row add_level."""

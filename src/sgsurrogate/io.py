@@ -109,10 +109,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     if not lines or not lines[0].startswith(_MAGIC + " "):
         raise PersistenceError(f"{path}: not a surrogate file")
     try:
-        header = dict(item.split("=") for item in lines[0].split()[1:])
-        model = SurrogateModel(int(header["d"]))
-        full = int(header["full"])
-        spline = int(header["spline"])
+        header = {key: int(value) for key, value in
+                  (item.split("=") for item in lines[0].split()[1:])}
+        model = SurrogateModel(header["d"])
     except (KeyError, ValueError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: malformed header: {lines[0]!r}") from exc
     levels, indices, values = [], [], []
@@ -145,8 +144,11 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
                                 is_spline[lo:hi])
         except SparseGridError as exc:
             raise PersistenceError(f"{path}: bad node lines: {exc}") from exc
-    model.full_evaluations = full
-    model.spline_interpolations = spline
+    counted = {"depth": model.depth if len(model) else None,
+               "full": model.full_evaluations, "spline": model.spline_interpolations}
+    if counted != {key: header[key] for key in counted}:
+        raise PersistenceError(f"{path}: header says {lines[0]!r}, its {len(model)} node "
+                               f"lines hold {counted}")
     model.freeze()
     if i == len(lines):
         return model, None
