@@ -490,22 +490,22 @@ class SurrogateModel:
         """(levels, indices, distinct, member, offsets) of an (n, d) code array.
 
         split_codes' levels and indices, the distinct level vectors of the
-        kernel's table and of the rows, each row's one among them, and each
-        vector's first kernel key, -1 where the model holds no node of it.
-        Vectors are told apart by hash, and after a collision by exact rows.
+        rows, each row's one among them, and each vector's first kernel key,
+        -1 where the model holds no node of it.  The rows' vectors are found
+        among the kernel table's by hash, and after a collision by exact rows.
         """
         levels, indices = split_codes(codes)
         table = self._table
         vectors = np.concatenate([table.levels, levels])
         _, first, member = np.unique(vectors @ _row_weights(self.dimension),
                                      return_index=True, return_inverse=True)
-        if not (vectors[first][member] == vectors).all():
+        if not (vectors[first[member[len(table.levels):]]] == levels).all():
             _, first, member = np.unique(vectors, axis=0, return_index=True,
                                          return_inverse=True)
-        known = first < len(table.levels)
-        offsets = np.full(len(first), -1, dtype=np.int64)
-        offsets[known] = table.offsets[first[known]]
-        return levels, indices, vectors[first], member.ravel()[len(table.levels):], offsets
+        used, member = np.unique(member.ravel()[len(table.levels):], return_inverse=True)
+        first = first[used]  # the rows' vectors, in hash order
+        offsets = np.append(table.offsets, -1)[np.minimum(first, len(table.levels))]
+        return levels, indices, vectors[first], member, offsets
 
     def add_node(self, node: HierarchicalNode) -> None:
         """Insert one node: a one-row add_level."""

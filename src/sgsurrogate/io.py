@@ -12,7 +12,8 @@ reading the pairs back with one vectorised inverse, which refuses a pair that
 is no node's canonical coordinate.  The integer fields round-trip exactly;
 reals use 17 significant digits, which round-trips doubles exactly.  Writing
 is deterministic for a given model, byte for byte, and atomic: the file is
-written beside its target and renamed over it.
+written beside its target and renamed over it.  Reading checks the
+header's depth and counts against what the node lines hold.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     """Read a surrogate file back; the inverse of save_surrogate.
 
     Parsing is strict: any line that is not a well-formed node or region
-    line, including a blank one, raises PersistenceError, and so does a
+    line, including a blank one, raises PersistenceError, and so do a node
+    line whose output, w or v is not finite; a header whose items are not d,
+    depth, full and spline, each once, or whose depth and counts differ from
+    what the node lines hold (a file cut after some node lines); and a
     region line no node could match: a dim outside [0, d), an anchor without
     d - 1 pairs, or knots and outputs of unequal lengths or not finite.
     """
@@ -109,10 +113,12 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     if not lines or not lines[0].startswith(_MAGIC + " "):
         raise PersistenceError(f"{path}: not a surrogate file")
     try:
-        header = {key: int(value) for key, value in
-                  (item.split("=") for item in lines[0].split()[1:])}
+        items = [item.split("=") for item in lines[0].split()[1:]]
+        header = {key: int(value) for key, value in items}
+        if sorted(key for key, _ in items) != ["d", "depth", "full", "spline"]:
+            raise ValueError("header items must be d, depth, full and spline, each once")
         model = SurrogateModel(header["d"])
-    except (KeyError, ValueError, SparseGridError) as exc:
+    except (ValueError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: malformed header: {lines[0]!r}") from exc
     levels, indices, values = [], [], []
     i = 1
@@ -131,9 +137,14 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     except ValueError as exc:
         raise PersistenceError(f"{path}: bad node line {i + 1}: {lines[i]!r}") from exc
     if values:
+        outputs, w, v, is_spline = (np.array(column) for column in zip(*values))
+        finite = np.isfinite([outputs, w, v]).all(axis=0)
+        if not finite.all():
+            row = int(finite.argmin()) + 1  # lines[0] is the header
+            raise PersistenceError(f"{path}: bad node line {row + 1}: {lines[row]!r}: "
+                                   f"output, w and v must be finite")
         try:
             codes = join_codes(levels, indices)
-            outputs, w, v, is_spline = (np.array(column) for column in zip(*values))
             depth = np.array(levels).sum(axis=1)
             # free the per-line lists before add_level grows the kernel's table
             levels = indices = values = None
@@ -147,8 +158,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     counted = {"depth": model.depth if len(model) else None,
                "full": model.full_evaluations, "spline": model.spline_interpolations}
     if counted != {key: header[key] for key in counted}:
+        held = " ".join(f"{key}={value}" for key, value in counted.items())
         raise PersistenceError(f"{path}: header says {lines[0]!r}, its {len(model)} node "
-                               f"lines hold {counted}")
+                               f"lines hold {held}")
     model.freeze()
     if i == len(lines):
         return model, None

@@ -375,7 +375,7 @@ class SmoothRegion:
             raise SparseGridError("region has non-finite knots")
         if not np.isfinite(self.outputs).all():
             raise SparseGridError("region has non-finite outputs")
-        if np.any(np.diff(self.knots) <= 0):
+        if (self.knots[1:] <= self.knots[:-1]).any():
             raise SparseGridError("region knots must be strictly increasing")
 
     @property

@@ -413,7 +413,8 @@ class TestRefineCandidates:
 def test_each_level_lies_on_the_next_total_level(method, dimension, init_level, extra,
                                                  epsilon, min_line_points, noise, seed):
     # refinement looks no son up in the model: every level's rows must lie
-    # on the level's own total level, and every row stored before it below
+    # on the level's own total level, and every row stored before it below;
+    # the record's counts are those of the rows inserted so far
     rng = np.random.default_rng(seed)
     frequency = rng.uniform(0.0, 6.0, dimension)
 
@@ -430,6 +431,8 @@ def test_each_level_lies_on_the_next_total_level(method, dimension, init_level, 
         new = len(model) - record.candidates
         assert record.level == len(seen)
         assert (total[new:] == record.level).all() and (total[:new] < record.level).all()
+        assert record.full_evaluations == np.count_nonzero(~model.spline)
+        assert record.spline_interpolations == np.count_nonzero(model.spline)
         seen.append(record.level)
 
     result = build(ModelFunction(func, dimension, "random"), cfg, method, on_level=on_level)

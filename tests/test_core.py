@@ -1030,6 +1030,11 @@ class TestArrayStore:
         for a in (m.codes, m.outputs, m.w, m.v, m.spline):
             with pytest.raises(ValueError):
                 a[0] = 0
+        # the counts are read from the provenance array, never set
+        for name in ("full_evaluations", "spline_interpolations"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+        assert (m.full_evaluations, m.spline_interpolations) == (5, 0)
 
     def test_kernel_key_limit(self):
         # level vector (40, 30) has 2**38 * 2**28 = 2**66 nodes: its kernel keys

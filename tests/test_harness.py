@@ -338,7 +338,23 @@ class TestPersistence:
             regions[:12],  # one region line missing
             regions[:10] + ["regions two"] + regions[11:],
             regions[:11] + [regions[11].replace(",", ";", 1)] + regions[12:],
+            # header items other than d, depth, full and spline, each once
+            ["surrogate d=1 depth=3 full=9 full=4 spline=0"] + nodes[1:],
+            ["surrogate d=1 depth=3 full=9 spline=0 foo=1"] + nodes[1:],
+            # a header that differs from what the node lines hold
+            ["surrogate d=1 depth=7 full=9 spline=0"] + nodes[1:],
+            ["surrogate d=1 depth=3 full=8 spline=0"] + nodes[1:],
+            ["surrogate d=1 depth=3 full=9 spline=1"] + nodes[1:],
         ]
+        assert nodes[0] == "surrogate d=1 depth=3 full=9 spline=0"
+        # the file cut after each of node lines 1 .. 8
+        bad_inputs += [nodes[:1 + k] for k in range(1, 9)]
+        # a non-finite output, w or v
+        for field in range(1, 4):
+            for value in ("nan", "inf"):
+                fields = nodes[5].split()
+                fields[field] = value
+                bad_inputs.append(nodes[:5] + [" ".join(fields)] + nodes[6:])
         for lines in bad_inputs:
             p.write_text("\n".join(lines) + "\n")
             with pytest.raises(PersistenceError):
@@ -391,9 +407,10 @@ class TestPersistence:
         max_level=st.integers(1, 7),
         epsilon=st.sampled_from([1e-1, 1e-2, 1e-4]),
         query_seed=st.integers(0, 2 ** 16),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
     )
     def test_random_builds_round_trip(self, method, dimension, amplitude, frequency,
-                                      kink, max_level, epsilon, query_seed):
+                                      kink, max_level, epsilon, query_seed, cut):
         def func(x):
             return amplitude * math.sin(frequency * x[0]) + abs(x[-1] - kink)
 
@@ -407,6 +424,11 @@ class TestPersistence:
             loaded, db = load_surrogate(first)
             save_surrogate(second, loaded, db)
             assert first.read_bytes() == second.read_bytes()
+            # cut before a node line: the header no longer matches
+            lines = first.read_text().splitlines()
+            first.write_text("\n".join(lines[:1 + int(cut * len(loaded))]) + "\n")
+            with pytest.raises(PersistenceError, match="header says"):
+                load_surrogate(first)
         assert len(db or ()) == len(res.region_db or ())
         np.testing.assert_array_equal(
             loaded.interpolate_many(queries), res.model.interpolate_many(queries)
