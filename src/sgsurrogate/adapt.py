@@ -242,6 +242,17 @@ def _evaluate_candidates(f, codes, coords, value_source):
     return values, spline
 
 
+def _check_finite(coords, w, v) -> None:
+    """EvaluationError at the first row whose w or v surplus is not finite."""
+    bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(v)))
+    if len(bad):
+        row = bad[0]
+        raise EvaluationError(
+            f"surpluses at {coords[row]} are not finite: w={w[row]}, v={v[row]} "
+            f"(an output or its square overflows)", coordinate=coords[row],
+        )
+
+
 def _drive(f, dimension, epsilon, init_level, max_level,
            value_source=None, after_level=None, on_level=None,
            region_db=None) -> BuildResult:
@@ -259,9 +270,11 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     LevelRecord fields); `on_level(model, record)` observes every level for
     reporting.
 
-    When a full evaluation fails, the EvaluationError carries the completed
-    levels as `.partial`: a BuildResult with stopped_by="evaluation_error"
-    whose frozen model holds every level inserted before the failing one.
+    When a full evaluation fails, or a level's w or v surplus is not finite
+    (an output, or its square, overflows), the EvaluationError carries the
+    completed levels as `.partial`: a BuildResult with
+    stopped_by="evaluation_error" whose frozen model holds every level
+    inserted before the failing one.
     """
     clock = time.perf_counter
     model = SurrogateModel(dimension)
@@ -275,13 +288,14 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         coords = coordinates(candidates)
         try:
             values, spline = _evaluate_candidates(f, candidates, coords, value_source)
+            evaluated = clock()
+            w, v = model.surpluses_against_prefix(coords, values)
+            _check_finite(coords, w, v)
         except EvaluationError as exc:
             model.freeze()
             result.stopped_by = "evaluation_error"
             exc.partial = result
             raise
-        evaluated = clock()
-        w, v = model.surpluses_against_prefix(coords, values)
         surplused = clock()
         model.add_level(candidates, values, w, v, spline)
         inserted = clock()

@@ -54,6 +54,16 @@ terms in either direction:
   or pairwise summation does.  Every w and v, and so every saved file,
   depends on this order to the last bit.
 
+The kernel works in blocks laid out group by group: a block's hat tables
+are (hat columns, rows) and its products, node keys and table positions are
+(groups, rows).  One binary search then walks one group's keys after
+another, and each group's keys lie in that group's own key range; rows
+sorted by code (as refinement candidates arrive, and the kernel's sort by
+level vector is stable) ask for them mostly in ascending order, so
+consecutive searches land close together.  The fold adds whole contiguous
+group rows, one group after the other in table order, in one of two forms
+chosen by the block's shape that add the same pairs in the same order.
+
 A model stores its nodes as a struct of arrays, in insertion order: one
 (N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
 surpluses; and a boolean provenance array, True where the output came from a
@@ -307,7 +317,7 @@ class _Table(NamedTuple):
     - levels (G, d): the groups' level vectors;
     - cols, strides (G, K): per group, its dimensions above level 1 in
       ascending order as columns (dimension * n_levels + level - 1) of the
-      per-query tables of `_hat_tables`, with their radix strides; short
+      hat tables of `_hat_tables`, with their radix strides; short
       rows are padded with column 0 (level 1: hat 1, index 0) and stride 0;
     - offsets (G,): each group's first key, in the order the groups were
       inserted, so a group's keys never change;
@@ -533,7 +543,7 @@ class SurrogateModel:
         the one candidate node's hat product is formed dimension by dimension
         in ascending order, then the terms of the groups from table position
         `first` on are added one by one onto `start` (shape
-        (n, len(columns))), if given:
+        (n, len(columns))), if given, as a left fold (_left_fold):
 
         - coarse to fine by default.  A left fold continues exactly, so the
           sums of groups 0 .. first - 1 passed as `start` give, bit for bit,
@@ -557,7 +567,12 @@ class SurrogateModel:
         it forms, for each of its rows, the terms of every group that one of
         its vectors dominates (_dominated), in table order, from hat tables of
         just the columns those groups use.  So every scratch array stays near
-        _BLOCK floats.  The sums go back to the rows' own order.
+        _BLOCK floats.  Blocks are group-major (see the module docstring):
+        hat tables are (columns, rows), taken from the block's coordinates
+        as (d, rows), and products, keys and positions are (groups, rows),
+        so one searchsorted call looks up each group's keys together and
+        each fold step adds one contiguous group row.  The sums go back to
+        the rows' own order.
         """
         keys, coeffs, levels, cols, strides, offsets, per_level = self._table
         cols, strides, offsets = cols[first:], strides[first:], offsets[first:]
@@ -598,22 +613,22 @@ class SurrogateModel:
             column = np.cumsum(needed) - 1
             used = np.flatnonzero(needed)
             dim, level = np.divmod(used, n_levels)
-            hat, index = _hat_tables(x_many[order[block, None], dim], *per_level[:, level])
-            c, s = column[cols[group]], strides[group]
-            prod = hat[:, c[:, 0]]
-            code = index[:, c[:, 0]] * s[:, 0] + offsets[group]
+            hat, index = _hat_tables(x_many[order[block]].T[dim], *per_level[:, level, None])
+            c, s = column[cols[group]], strides[group, :, None]
+            prod = hat[c[:, 0]]
+            code = index[c[:, 0]] * s[:, 0] + offsets[group, None]
             for k in range(1, c.shape[1]):
-                prod *= hat[:, c[:, k]]
-                code += index[:, c[:, k]] * s[:, k]
-            pos = np.searchsorted(keys, code)
+                prod *= hat[c[:, k]]
+                code += index[c[:, k]] * s[:, k]
+            pos = np.searchsorted(keys, code)  # group by group: keys close together
             prod *= keys[pos] == code  # 0 where no node of the group holds x
             for j, col in enumerate(columns):
                 terms = coeffs[pos, col] * prod
                 if fine_first:
-                    terms = terms[:, ::-1]
+                    terms = terms[::-1]
                 if start is not None:
-                    terms[:, 0] += sums[block, j]
-                sums[block, j] = np.cumsum(terms, axis=1)[:, -1]
+                    terms[0] += sums[block, j]
+                sums[block, j] = _left_fold(terms)
         out[order] = sums
         return out
 
@@ -725,6 +740,22 @@ def _grown(table: _Table, node_keys, codes, w, v, fresh, offsets) -> _Table:
     return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels))
 
 
+def _left_fold(terms: np.ndarray) -> np.ndarray:
+    """((terms[0] + terms[1]) + terms[2]) + ... over the rows of a (G, n) array.
+
+    Both forms add the same pairs in the same order, so they agree bit for
+    bit: one in-place add per row (into terms[0]) when the rows are long
+    enough to carry the loop's per-row cost, else one accumulate (never
+    pairwise summation) down the columns, whose last row is the fold.
+    """
+    if terms.shape[1] < len(terms):
+        return np.cumsum(terms, axis=0)[-1]
+    acc = terms[0]
+    for row in terms[1:]:
+        acc += row
+    return acc
+
+
 def _per_level(n_levels: int) -> np.ndarray:
     """Constants of levels 1 .. n_levels for _hat_tables, shape (4, n_levels).
 
@@ -741,16 +772,16 @@ def _per_level(n_levels: int) -> np.ndarray:
 
 
 def _hat_tables(x: np.ndarray, count, shift, scale, slope) -> tuple[np.ndarray, np.ndarray]:
-    """Per query and hat column: the one node of the column's level whose support holds x.
+    """Per hat column and query: the one node of the column's level whose support holds x.
 
-    `x` holds, per query, the coordinate of each column's dimension, shape
-    (n, m); the other arguments are the `_per_level` constants of each
-    column's level, shape (m,).  Returns (hat, index), both (n, m).  The
-    index is min(floor(x * n_l), n_l - 1) for the level's n_l nodes, so
-    x = 1 falls to the last node; level 2 picks node 0 on [0, 1/2) and node
-    1 on [1/2, 1].  The hat is 1 - |x - c| * 2**(l-1) (constant 1 on level
-    1), with no clamp at 0: x lies in the node's support, so the value is
-    never negative.
+    `x` holds, per column, the queries' coordinates in the column's
+    dimension, shape (m, n); the other arguments are the `_per_level`
+    constants of each column's level, shape (m, 1).  Returns (hat, index),
+    both (m, n).  The index is min(floor(x * n_l), n_l - 1) for the level's
+    n_l nodes, so x = 1 falls to the last node; level 2 picks node 0 on
+    [0, 1/2) and node 1 on [1/2, 1].  The hat is 1 - |x - c| * 2**(l-1)
+    (constant 1 on level 1), with no clamp at 0: x lies in the node's
+    support, so the value is never negative.
     """
     index = np.minimum(np.floor(x * count), count - 1)
     hat = 1.0 - np.abs(x - (index + shift) / scale) * slope

@@ -37,8 +37,9 @@ _MAGIC = "surrogate"
 _FLAGS = {"F": False, "S": True}
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# reals: 17 significant digits, the same digits as format(x, ".17g"), inf,
+# nan and -0 included; one %-template formats a whole line
+_REAL = "%.17g"
 
 
 def _region_lines(db: RegionDatabase):
@@ -48,11 +49,10 @@ def _region_lines(db: RegionDatabase):
     pairs = (f"{n}:{e}" for n, e in zip(num.tolist(), exp.tolist()))
     for region in regions:
         anchor = ",".join(itertools.islice(pairs, len(region.anchor))) or "-"
-        knots = ",".join(_fmt(k) for k in region.knots)
-        outputs = ",".join(_fmt(o) for o in region.outputs)
-        yield (
-            f"{region.dim} {anchor} {knots} {outputs} "
-            f"{_fmt(region.midpoint)} {_fmt(region.half_length)}"
+        reals = ",".join([_REAL] * len(region.knots))
+        yield f"%d %s {reals} {reals} {_REAL} {_REAL}" % (
+            region.dim, anchor, *region.knots.tolist(), *region.outputs.tolist(),
+            region.midpoint, region.half_length,
         )
 
 
@@ -67,13 +67,12 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
         f"full={model.full_evaluations} spline={model.spline_interpolations}"
     ]
     levels, indices = split_codes(model.codes)
-    flags = np.where(model.spline, "S", "F")
-    for lv, ix, output, w, v, flag in zip(
-        levels.tolist(), indices.tolist(), model.outputs.tolist(), model.w.tolist(),
-        model.v.tolist(), flags.tolist(),
-    ):
-        token = ",".join(f"{level}:{index}" for level, index in zip(lv, ix))
-        lines.append(f"{token} {_fmt(output)} {_fmt(w)} {_fmt(v)} {flag}")
+    pairs = np.stack([levels, indices], axis=2).reshape(len(model), -1)
+    template = ",".join(["%d:%d"] * model.dimension) + f" {_REAL} {_REAL} {_REAL} %s"
+    lines.extend(template % (*pair, output, w, v, flag) for pair, output, w, v, flag in zip(
+        pairs.tolist(), model.outputs.tolist(), model.w.tolist(), model.v.tolist(),
+        np.where(model.spline, "S", "F").tolist(),
+    ))
     if region_db is not None and len(region_db) > 0:
         lines.append(f"regions {len(region_db)}")
         lines.extend(_region_lines(region_db))

@@ -257,6 +257,29 @@ class TestRunAsgc:
         assert len(partial.model) == 1 and partial.model.frozen
         assert partial.model.full_evaluations == 1
 
+    def test_overflowing_square_fails_loudly(self):
+        # 2e154 * (1 + x) is finite but its square is not, from the root on:
+        # v used to be stored as inf and nan, and moments() returned nan
+        f = ModelFunction(lambda x: 2e154 * (1 + x[0]), 1, "huge")
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as err:
+            run_csc(f, 1, 2)
+        assert err.value.coordinate.tolist() == [0.5]
+        partial = err.value.partial
+        assert partial.stopped_by == "evaluation_error"
+        assert partial.records == [] and len(partial.model) == 0 and partial.model.frozen
+
+    @pytest.mark.parametrize("driver", [run_asgc, run_easgc])
+    def test_overflowing_surplus_keeps_completed_levels(self, driver):
+        f = ModelFunction(lambda x: -1.5e308 if x[0] > 0.9 else 1.0, 1, "huge")
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as err:
+            driver(f, AdaptiveConfig(dimension=1, epsilon=1e-3, max_level=8, init_level=2))
+        assert err.value.coordinate.tolist() == [1.0]
+        partial = err.value.partial
+        assert partial.stopped_by == "evaluation_error"
+        assert [r.level for r in partial.records] == [0]
+        assert len(partial.model) == 1 and partial.model.frozen
+        assert np.isfinite(partial.model.v).all()
+
     @pytest.mark.parametrize("driver", [run_asgc, run_easgc])
     def test_batched_model_counts_match(self, driver):
         calls = []
