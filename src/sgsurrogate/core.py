@@ -29,12 +29,16 @@ finer level has x on its support edge, where the kernel computes
 1 - |x - c| * 2**(l-1) = 1 - 1 = +0 exactly (for levels up to 54, whose node
 centres are exact doubles).  So a level vector l' that exceeds the query's
 level vector l in some dimension contributes an exact +-0 term, and leaving
-such terms out changes no sum, bar the sign of a zero sum: -0 + +0 is +0.
-That needs every kept term to be -0, the root's among them; but then the
-root's level-1 sons, which a build stores before any finer candidate, have
-surpluses f - (-0), never -0, and the son that holds the candidate keeps a
-term that is not -0 either.  So the drivers' surpluses, and every saved file,
-stay bit for bit.  A refinement candidate of level vector l thus needs only the
+such terms out changes no sum but the sign of a zero one: -0 + +0 is +0, so a
+block that merges rows may add a +0 term that a lone row skips.  Queries
+(interpolate, interpolate_many) therefore return a zero sum as +0, and a
+query's bits never depend on the rows batched with it.  Surpluses keep their
+sign, since files store it, and builds never meet the case: a -0 sum needs
+every kept term to be -0, the root's among them; but then the root's level-1
+sons, which a build stores before any finer candidate, have surpluses
+f - (-0), never -0, and the son that holds the candidate keeps a term that is
+not -0 either.  So the drivers' surpluses, and every saved file, stay bit for
+bit.  A refinement candidate of level vector l thus needs only the
 groups l' <= l (componentwise), and the surpluses of a deep adaptive level
 cost O(candidates * dominated groups).  A uniformly drawn query reads as
 level 50 or so in every dimension and visits every group.
@@ -557,8 +561,8 @@ class SurrogateModel:
         A row forms terms only for groups that its block dominates: a grid
         coordinate of level L sits on a support edge of every finer hat,
         where _hat_tables gives exactly +0, so each term left out is +-0 and
-        changes no sum (bar the sign of a zero sum; see the module
-        docstring for why builds never meet that case).  Rows are sorted by the
+        changes no sum but the sign of a zero one, which queries return as
+        +0; builds never meet it (module docstring).  Rows are sorted by the
         level vectors of their coordinates (_grid_levels, capped at the
         deepest stored level, so a coordinate that is no node of a stored
         level dominates every group).  A block holds whole runs of equal
@@ -636,7 +640,8 @@ class SurrogateModel:
         """Evaluate the surrogate at a batch of points in [0, 1]^d, shape (n, d).
 
         `coeff` picks the surpluses summed: "w" for the surrogate of the
-        output, "v" for that of the squared output.
+        output, "v" for that of the squared output.  A zero sum is +0, so a
+        row's value does not depend on the rows batched with it.
         """
         if coeff not in ("w", "v"):
             raise ValueError(f"coeff must be 'w' or 'v', got {coeff!r}")
@@ -648,10 +653,10 @@ class SurrogateModel:
                 f"expected shape (n, {self.dimension}), got {x_many.shape}"
             )
         _check_domain(x_many)
-        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0]
+        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0] + 0.0
 
     def interpolate(self, x) -> float:
-        """Evaluate the surrogate at a single point in [0, 1]^d."""
+        """Evaluate the surrogate at a single point in [0, 1]^d; a zero sum is +0."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatchError(
@@ -660,7 +665,7 @@ class SurrogateModel:
         if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
         _check_domain(x[None, :])
-        return float(self._evaluate_sum(x[None, :], (0,))[0, 0])
+        return float(self._evaluate_sum(x[None, :], (0,))[0, 0] + 0.0)
 
     def surpluses_against_prefix(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w and v surpluses of new values against the current model state.

@@ -195,7 +195,9 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
 
     The error columns come from running sums at the test points: each level
     adds only the terms of the level-vector groups it appended, and the sums
-    equal, bit for bit, `interpolate_many` on that level's model (see core).
+    equal, bit for bit, `interpolate_many` on that level's model (see core),
+    bar the sign of a zero sum, which `interpolate_many` returns as +0 and
+    which no error column can show.
     The JSON sidecar's `level_build_s` lists each level's build seconds, the
     sum of its `phase_s`, without the study's own error and moment work.
 

@@ -60,8 +60,15 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
     """Write a surrogate (and its smooth regions, if any) to a text file.
 
     An existing file at `path` is replaced whole, or left as it was if the
-    write fails.
+    write fails.  A region whose anchor does not hold d - 1 codes lies on no
+    line of the model and raises PersistenceError before anything is written.
     """
+    if region_db is not None:
+        for region in region_db.regions():
+            if len(region.anchor) != model.dimension - 1:
+                raise PersistenceError(
+                    f"{path}: region along dim {region.dim} has an anchor of "
+                    f"{len(region.anchor)} codes, not d - 1 = {model.dimension - 1}")
     lines = [
         f"{_MAGIC} d={model.dimension} depth={model.depth} "
         f"full={model.full_evaluations} spline={model.spline_interpolations}"

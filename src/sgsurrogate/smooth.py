@@ -38,12 +38,8 @@ files of the line-by-line and region-by-region code it replaced:
   line, with each line's own scale from `np.maximum.reduceat`, by the same
   operations as the one-line scan, so the breaks and runs are the same.
   `derivative_scan` is a one-line call of it.
-- A run that a region of its line already covers is dropped before a
-  SmoothRegion is built, since storing it would change nothing.  Regions on
-  a line never overlap, so the covering region is still there at the run's
-  turn unless an earlier, uncovered run of the same pass removed it; a run
-  is only dropped when no such run reaches into its covering region (see
-  RegionDatabase._no_op_runs), which keeps every store outcome.
+- A run is stored in its turn, and skipped before a SmoothRegion is built
+  when a region of its line covers it then, by the check `store` makes first.
 - The driver hands `value_source(codes)` a level's whole (n, d) code array,
   and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`
   against a per-dimension index of the regions by the same anchor key,
@@ -212,14 +208,13 @@ class _Lines(NamedTuple):
     """The long lines along one dimension, laid end to end in scan order.
 
     Line i holds positions[bounds[i]:bounds[i + 1]] (ascending) and the
-    matching outputs; keys[i] is its anchor key and codes[i] the code row of
-    one of its nodes, which holds its anchor.
+    matching outputs; codes[i] is the code row of one of its nodes, which
+    holds its anchor.
     """
 
     positions: np.ndarray
     outputs: np.ndarray
     bounds: np.ndarray
-    keys: np.ndarray
     codes: np.ndarray
 
 
@@ -237,7 +232,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     rows = np.flatnonzero(size[member] >= min_points)
     if not len(rows):
         empty = np.zeros(0)
-        return _Lines(empty, empty, np.zeros(1, dtype=np.intp), keys[:0], codes[:0])
+        return _Lines(empty, empty, np.zeros(1, dtype=np.intp), codes[:0])
     codes = codes[rows]
     num, exp = dyadic_codes(codes)
     others = [k for k in range(m.dimension) if k != dim]
@@ -252,8 +247,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     starts, stops = starts[long], stops[long]
     bounds = np.append(0, np.cumsum(stops - starts))
     take = order[np.repeat(starts - bounds[:-1], stops - starts) + np.arange(bounds[-1])]
-    heads = order[starts]
-    return _Lines(positions[take], m.outputs[rows[take]], bounds, keys[rows[heads]], codes[heads])
+    return _Lines(positions[take], m.outputs[rows[take]], bounds, codes[order[starts]])
 
 
 def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[LineGroup]:
@@ -345,8 +339,10 @@ class SmoothRegion:
     superseded candidate regions are never evaluated).  `created_at` orders
     regions for lookup tie-breaking across dimensions.  The anchor holds the
     codes of the other d - 1 dimensions, stored as a tuple of ints; knots
-    and outputs are stored as float arrays.  Anchors that are not node
-    codes, and malformed knots or outputs, are refused at construction.
+    and outputs are stored as float arrays, and the interval's ends as the
+    floats `lo` and `hi`.  Anchors that are not node codes, a `dim` outside
+    [0, len(anchor)], and malformed knots or outputs are refused at
+    construction.
     """
 
     dim: int
@@ -355,6 +351,8 @@ class SmoothRegion:
     outputs: np.ndarray
     created_at: int = 0
     _second_derivs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -363,6 +361,9 @@ class SmoothRegion:
             raise InvalidNodeError(f"region anchor {self.anchor!r} holds a non-integer") from exc
         if not all(map(_is_code, self.anchor)):
             raise InvalidNodeError(f"region anchor {self.anchor} holds a code of no node")
+        if not 0 <= self.dim <= len(self.anchor):
+            raise InvalidNodeError(f"region dim {self.dim} outside [0, {len(self.anchor)}] "
+                                   f"for an anchor of {len(self.anchor)} codes")
         self.knots = np.asarray(self.knots, dtype=float)
         self.outputs = np.asarray(self.outputs, dtype=float)
         if self.knots.ndim != 1 or len(self.knots) < 4:
@@ -377,22 +378,15 @@ class SmoothRegion:
             raise SparseGridError("region has non-finite outputs")
         if (self.knots[1:] <= self.knots[:-1]).any():
             raise SparseGridError("region knots must be strictly increasing")
+        self.lo, self.hi = float(self.knots[0]), float(self.knots[-1])
 
     @property
     def midpoint(self) -> float:
-        return float((self.knots[0] + self.knots[-1]) / 2.0)
+        return (self.lo + self.hi) / 2.0
 
     @property
     def half_length(self) -> float:
-        return float((self.knots[-1] - self.knots[0]) / 2.0)
-
-    @property
-    def lo(self) -> float:
-        return float(self.knots[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.knots[-1])
+        return (self.hi - self.lo) / 2.0
 
 
 def _fit(regions) -> None:
@@ -487,44 +481,55 @@ class _DimIndex(NamedTuple):
 
 
 class RegionDatabase:
-    """Smooth regions keyed by (dim, anchor), non-overlapping per line.
+    """Smooth regions by line, non-overlapping per line.
 
-    Lookups go through a per-dimension index: for each (dim, d) that has
-    regions, the regions' anchors as code rows (0 at `dim`) sorted by their
-    hash, which is group_lines' anchor key, with their intervals and creation
-    order.  `store` drops the index of the dimension it changes and
-    `lookup_many` rebuilds it on its next use, so every lookup sees the
-    current regions.
+    A line is named by its slot (dim, d), the dimension it runs along and
+    the dimension of its nodes, and by its anchor.  Lookups go through a
+    per-slot index: the slot's regions' anchors as code rows (0 at `dim`)
+    sorted by their hash, which is group_lines' anchor key, with their
+    intervals and creation order.  `store` drops the index of the slot it
+    changes and `lookup_many` rebuilds it on its next use, so every lookup
+    sees the current regions.
     """
 
     def __init__(self):
-        self._lines: dict[tuple, list[SmoothRegion]] = {}
+        # (dim, d) -> anchor -> the line's regions by position; slots and
+        # anchors in order of first store
+        self._lines: dict[tuple[int, int], dict[tuple, list[SmoothRegion]]] = {}
         self._counter = 0
-        # (dim, d) -> the anchors of its lines, in order of first store
-        self._anchors: dict[tuple[int, int], dict[tuple, None]] = {}
         self._index: dict[tuple[int, int], _DimIndex] = {}
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._lines.values())
+        return sum(len(line) for lines in self._lines.values() for line in lines.values())
 
     def regions(self):
-        """All regions, grouped by line in insertion order."""
-        for regions in self._lines.values():
-            yield from regions
+        """All regions, grouped by slot and line in order of first store."""
+        for lines in self._lines.values():
+            for line in lines.values():
+                yield from line
+
+    def _covers(self, dim: int, anchor: tuple, lo: float, hi: float) -> bool:
+        """Whether a region of the line along `dim` at `anchor` holds [lo, hi]."""
+        for r in self._lines.get((dim, len(anchor) + 1), {}).get(anchor, ()):
+            if r.lo <= lo and hi <= r.hi:
+                return True
+        return False
 
     def store(self, region: SmoothRegion) -> StoreOutcome:
         """Insert a region, enforcing the non-overlap rules of its line.
 
         An existing superset makes the store a no-op; the new region replaces
         any intervals it covers; a partial overlap keeps the longer interval
-        and logs a diagnostic.  Returns what happened.
+        and logs a diagnostic.  Returns what happened.  The regions of a line
+        never overlap, so a superset is the only old region that can meet a
+        covered one: checking it first decides as checking in order would.
         """
-        key = (region.dim, region.anchor)
+        if self._covers(region.dim, region.anchor, region.lo, region.hi):
+            return StoreOutcome("covered")  # e.g. an idempotent re-store
+        slot = (region.dim, len(region.anchor) + 1)
         kept = []
         superseded = displaced = 0
-        for old in self._lines.get(key, []):
-            if old.lo <= region.lo and old.hi >= region.hi:
-                return StoreOutcome("covered")  # e.g. an idempotent re-store
+        for old in self._lines.get(slot, {}).get(region.anchor, []):
             if region.lo <= old.lo and region.hi >= old.hi:
                 superseded += 1
                 continue
@@ -547,9 +552,7 @@ class RegionDatabase:
         self._counter += 1
         kept.append(region)
         kept.sort(key=lambda r: r.lo)
-        self._lines[key] = kept
-        slot = (region.dim, len(region.anchor) + 1)
-        self._anchors.setdefault(slot, {})[region.anchor] = None
+        self._lines.setdefault(slot, {})[region.anchor] = kept
         self._index.pop(slot, None)
         return StoreOutcome("created", superseded, displaced)
 
@@ -557,7 +560,7 @@ class RegionDatabase:
         index = self._index.get(slot)
         if index is None:
             dim, d = slot
-            regions = [r for anchor in self._anchors[slot] for r in self._lines[(dim, anchor)]]
+            regions = [r for line in self._lines[slot].values() for r in line]
             anchors = np.array([r.anchor for r in regions], dtype=np.int64)
             anchors = np.insert(anchors.reshape(len(regions), d - 1), dim, 0, axis=1)
             keys = anchors @ _row_weights(d)
@@ -586,7 +589,7 @@ class RegionDatabase:
         n, d = codes.shape
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
-        slots = [(dim, d) for dim in range(d) if (dim, d) in self._anchors]
+        slots = [(dim, d) for dim in range(d) if (dim, d) in self._lines]
         if not (slots and n):
             return [], which, t
         weights = _row_weights(d)
@@ -613,37 +616,6 @@ class RegionDatabase:
         which[rows[best]] = pick
         t[rows[best]] = at[best]
         return [pool[g] for g in used.tolist()], which, t
-
-    def _no_op_runs(self, dim: int, keys: np.ndarray, codes: np.ndarray,
-                    line: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Mask of one pass's runs along `dim` that `store`, in order, would ignore.
-
-        Run i spans [lo[i], hi[i]] on line line[i], whose anchor key is
-        keys[i] and anchor codes[i] (the `dim` column ignored); a line's runs
-        come in ascending order and share at most an end knot.  Storing a run
-        changes nothing when a region of its line covers it at its turn.  A
-        region that covers it at the start of the pass still does then,
-        unless an earlier run of the pass on that line removed it.  Only a
-        run that no region covers at the start can do that, by overlapping
-        it, and of those earlier runs the last one reaches furthest.  So a
-        run is marked when a region covers it at the start of the pass and
-        the last earlier uncovered run on its line, if any, ends at or before
-        that region's start: each marked run is a no-op, and store decides
-        the others.
-        """
-        marked = np.zeros(len(line), dtype=bool)
-        if not len(line) or (dim, codes.shape[1]) not in self._anchors:
-            return marked
-        index = self._dim_index((dim, codes.shape[1]))
-        run, row = index.matches(keys, codes, dim)
-        covers = (index.lo[row] <= lo[run]) & (hi[run] <= index.hi[row])
-        cover_lo = np.full(len(line), np.nan)
-        cover_lo[run[covers]] = index.lo[row[covers]]
-        free = np.isnan(cover_lo)
-        last_free = np.maximum.accumulate(np.where(free, np.arange(len(line)), -1))
-        prev = np.append(-1, last_free[:-1])
-        reached = (prev >= 0) & (line[prev] == line) & (hi[prev] > cover_lo)
-        return ~free & ~reached
 
     def lookup(self, codes):
         """Region containing the node of a row of d codes, or None.
@@ -673,9 +645,11 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
     """One full pass: scan the long lines of every dimension, update the database.
 
     Hashes the node codes once, scans each dimension's long lines in one
-    batch, and stores the runs in order, except those `store` would ignore.
-    Returns the pass's counts under the LevelRecord field names: lines
-    scanned, and regions created, superseded, displaced and rejected.
+    batch, and stores the runs in order.  A run that a region of its line
+    covers at its turn is skipped before a SmoothRegion is built: `store`
+    would find it covered and change nothing.  Returns the pass's counts
+    under the LevelRecord field names: lines scanned, and regions created,
+    superseded, displaced and rejected.
     """
     counts = dict.fromkeys(_SCAN_COUNTS, 0)
     if math.isinf(min_points):
@@ -684,14 +658,15 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
     sums = model.codes @ weights
     for dim in range(model.dimension):
         lines = _long_lines(model, dim, min_points, sums, weights)
-        counts["lines_scanned"] += len(lines.keys)
+        counts["lines_scanned"] += len(lines.bounds) - 1
         start, stop = _smooth_runs(lines.positions, lines.outputs, lines.bounds, slope_tol)
         line = np.searchsorted(lines.bounds, start, "right") - 1
-        keep = ~db._no_op_runs(dim, lines.keys[line], lines.codes[line], line,
-                               lines.positions[start], lines.positions[stop - 1])
-        line, start, stop = line[keep], start[keep], stop[keep]
         anchors = np.delete(lines.codes[line], dim, axis=1).tolist()
-        for anchor, lo, hi in zip(anchors, start.tolist(), stop.tolist()):
+        ends = zip(lines.positions[start].tolist(), lines.positions[stop - 1].tolist())
+        for anchor, lo, hi, (first, last) in zip(anchors, start.tolist(), stop.tolist(), ends):
+            anchor = tuple(anchor)
+            if db._covers(dim, anchor, first, last):
+                continue
             outcome = db.store(SmoothRegion(
                 dim=dim,
                 anchor=anchor,

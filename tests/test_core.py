@@ -618,13 +618,13 @@ class TestEvaluationKernel:
              else build(f, cfg, method)).model
         groups = m._group_count
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        # uniform draws dominate every group, so the whole batch folds in
-        # blocks of at least `groups` rows and each single row by accumulate.
-        # (Grid points are left out: a block that merges runs of level
-        # vectors may add a +0 term that a single row skips, which flips a
-        # -0 query sum; the candidates below are grid points, whose
-        # surpluses that cannot reach, see the core module docstring.)
-        queries = rng.random((groups + 13, dimension))
+        # uniform draws dominate every group, so they fold in blocks of at
+        # least `groups` rows and each single row by accumulate; the model's
+        # nodes dominate only some groups, and a block that merges runs of
+        # level vectors may add a +0 term that a single row skips, which
+        # queries must not show as a -0 sum
+        queries = np.vstack([rng.random((groups + 13, dimension)), coordinates(m.codes)])
+        queries = queries[rng.permutation(len(queries))]
         assert groups >= 2
 
         def pieces(n):
@@ -694,6 +694,22 @@ class TestEvaluationKernel:
         # any level vector a build stores
         rng = np.random.default_rng(5)
         assert (core._grid_levels(rng.random((200, 3)), 1100) >= 40).all()
+
+    def test_zero_sum_of_a_query_is_positive_whatever_it_is_batched_with(self):
+        # root w -0, level-2 w -0 and +0: at 0.5 a lone row folds only the
+        # root's -0, while a block that also holds 0.3 adds the level-2
+        # terms, +0 among them; both must give +0
+        m = SurrogateModel(1)
+        m.add_level([[1]], [-0.0], [-0.0], [0.0])
+        m.add_level([[2], [3]], [-0.0, 0.0], [-0.0, 0.0], [0.0, 0.0])
+        positive = np.float64(0.0).tobytes()
+        assert np.float64(m.interpolate([0.5])).tobytes() == positive
+        assert m.interpolate_many([[0.5]]).tobytes() == positive
+        assert m.interpolate_many([[0.5], [0.3]]).tobytes() == positive * 2
+        # surpluses, which saved files record, keep the kernel's -0 sum:
+        # -0 - (-0) is +0, where a +0 sum would give -0
+        w, _ = m.surpluses_against_prefix(np.array([[0.5]]), np.array([-0.0]))
+        assert np.float64(w[0]).tobytes() == positive
 
     def test_model_without_root_queried_where_no_group_reaches(self):
         # only the level-2 nodes 0 and 1: at 0.5 every stored hat is 0, so

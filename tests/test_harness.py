@@ -279,6 +279,22 @@ class TestPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.surrogate",
                                                               "model.surrogate"]
 
+    @pytest.mark.parametrize("anchor", [(), (1, 1)])
+    def test_region_on_no_line_of_the_model_refused_before_writing(self, tmp_path, anchor):
+        # a 2-D model's lines have 1-code anchors: a region with another
+        # anchor length would be saved to a file that does not load
+        path = tmp_path / "model.surrogate"
+        model = csc_model(lambda x: x[0] + x[1], 2, 3)
+        save_surrogate(path, model)
+        old = path.read_bytes()
+        db = RegionDatabase()
+        knots = np.array([0.0, 0.25, 0.5, 0.75])
+        db.store(SmoothRegion(dim=0, anchor=anchor, knots=knots, outputs=knots))
+        with pytest.raises(PersistenceError, match=f"anchor of {len(anchor)} codes, not d - 1 = 1"):
+            save_surrogate(path, model, db)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.surrogate"]
+
     def test_no_regions_section_when_empty(self, tmp_path):
         m = csc_model(lambda x: x[0], 1, 2)
         path = tmp_path / "plain.surrogate"

@@ -400,6 +400,14 @@ class TestRegionDatabase:
         r = region([0.0, 0.25, 0.5, 0.75], anchor=np.array([1, 2, 5 << 40]))
         assert r.anchor == (1, 2, 5 << 40) and all(type(c) is int for c in r.anchor)
 
+    @pytest.mark.parametrize("dim, anchor", [(3, (1,)), (2, (1,)), (-1, (1,)), (1, ())])
+    def test_dim_of_no_line_refused(self, dim, anchor):
+        # a d-dimensional line runs along one of d = len(anchor) + 1
+        # dimensions; any other dim would be stored and never matched
+        with pytest.raises(InvalidNodeError, match=f"region dim {dim} outside"):
+            region([0.0, 0.25, 0.5, 0.75], dim=dim, anchor=anchor)
+        assert region([0.0, 0.25, 0.5, 0.75], dim=len(anchor), anchor=anchor).dim == len(anchor)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_level_lookup_equals_per_key_reference_bitwise(self, data):
@@ -790,10 +798,13 @@ def check_every_scan_pass(f, cfg) -> int:
     def checked(db, model, slope_tol, min_points):
         ref = copy.deepcopy(db)
         want = dict.fromkeys(smooth._SCAN_COUNTS, 0)
+        at_start = {}  # (dim, anchor) -> the line's regions when the pass begins
+        for r in db.regions():
+            at_start.setdefault((r.dim, r.anchor), []).append(r)
         for dim in range(model.dimension):
             for g in group_lines(model, dim, min_points):
                 want["lines_scanned"] += 1
-                before = db._lines.get((dim, g.anchor), [])
+                before = at_start.get((dim, g.anchor), [])
                 for lo, hi in reference_scan(g.positions, g.outputs, slope_tol, min_points):
                     outcome = ref.store(SmoothRegion(dim=dim, anchor=g.anchor,
                                                      knots=g.positions[lo:hi].copy(),
