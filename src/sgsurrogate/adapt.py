@@ -50,8 +50,8 @@ class AdaptiveConfig:
     chosen by the driver, not by the config: the line-scan parameters
     (`min_line_points`, `slope_tol`) are read only by run_easgc, and
     `min_line_points` may be math.inf to disable certification entirely.
-    The levels and the dimension must be integers, and no field may be NaN
-    (ValueError otherwise).
+    The levels, the dimension and a finite `min_line_points` must be
+    integers, and no field may be NaN (ValueError otherwise).
     """
 
     dimension: int
@@ -70,10 +70,8 @@ class AdaptiveConfig:
         if not self.init_level < self.max_level:
             raise ValueError(f"need init_level < max_level, got {self.init_level}, "
                              f"{self.max_level}")
-        if not self.min_line_points >= 5:
-            raise ValueError(
-                f"min_line_points must be >= 5, got {self.min_line_points}"
-            )
+        if self.min_line_points != math.inf:
+            _check_integer("min_line_points", self.min_line_points, 5)
         if not self.slope_tol > 0:
             raise ValueError(f"slope_tol must be > 0, got {self.slope_tol}")
 

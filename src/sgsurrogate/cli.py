@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SparseGridError
-from .harness import METHODS, build, config_from_mapping, parse_config, run_study
+from .harness import _CONFIG_KEYS, METHODS, build, config_from_mapping, parse_config, run_study
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
 from .moments import moments
@@ -22,14 +22,23 @@ from .moments import moments
 _METHOD_CHOICES = [m.lower() for m in METHODS]
 
 
-def _benchmark_params(settings: dict, benchmark: str):
-    params = settings.get(benchmark)
-    return params if isinstance(params, dict) else None
+# the flat keys a settings file may hold, besides the benchmark's dotted group
+_SETTINGS_KEYS = {*_CONFIG_KEYS, "dimension", "seed", "n_test_points"}
 
 
 def _benchmark_and_config(settings: dict, benchmark: str):
-    """The benchmark model, its parameter echo and the config for its dimension."""
-    f, echo = get_benchmark(benchmark, _benchmark_params(settings, benchmark))
+    """The benchmark model, its parameter echo and the config for its dimension.
+
+    Refuses a key that nothing reads: one of neither _SETTINGS_KEYS nor the
+    `<benchmark>.<parameter>` group of the chosen benchmark.  `build` takes
+    `seed` and `n_test_points` too, so one file serves both commands.
+    """
+    unknown = sorted(key for key in settings if key not in _SETTINGS_KEYS
+                     and not (key == benchmark and isinstance(settings[key], dict)))
+    if unknown:
+        raise SparseGridError(f"unknown config keys {unknown}; expected some of "
+                              f"{sorted(_SETTINGS_KEYS)} or {benchmark}.<parameter>")
+    f, echo = get_benchmark(benchmark, settings.get(benchmark))
     stated = settings.get("dimension")
     if stated is not None and int(stated) != f.dimension:
         raise SparseGridError(
@@ -94,13 +103,11 @@ def _cmd_study(args) -> int:
     settings = parse_config(args.config) if args.config else {}
     _, _, cfg = _benchmark_and_config(settings, args.benchmark)
     seed = int(settings.get("seed", 0))
-    n_test_points = int(settings.get("n_test_points", 10_000))
     written = []
     for method in methods:
         report = run_study(
-            method, args.benchmark, cfg,
-            benchmark_params=_benchmark_params(settings, args.benchmark),
-            seed=seed, n_test_points=n_test_points,
+            method, args.benchmark, cfg, benchmark_params=settings.get(args.benchmark),
+            seed=seed, n_test_points=settings.get("n_test_points", 10_000),
             output_dir=args.output_dir,
             persist_surrogate=args.persist,
         )

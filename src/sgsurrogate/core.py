@@ -236,6 +236,22 @@ def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     return num, exp
 
 
+def _codes_of_dyadic(num: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the nodes at num / 2**exp, elementwise: the inverse of dyadic_codes.
+
+    Returns (codes, valid).  Only dyadic_codes' canonical pairs are valid:
+    (1, 1), (0, 0) and (1, 0), and (odd num < 2**exp, exp) for exponents 2 ..
+    MAX_LEVEL - 1, whose codes are 2**exp + num // 2.  Any other pair, one
+    that reduces to a node's coordinate included, names no node: its code is 0.
+    """
+    shift = np.left_shift(np.int64(1), np.clip(exp, 0, MAX_LEVEL))
+    root = (num == 1) & (exp == 1)
+    boundary = ((num == 0) | (num == 1)) & (exp == 0)
+    deep = (exp >= 2) & (exp < MAX_LEVEL) & (num % 2 == 1) & (num > 0) & (num < shift)
+    codes = np.where(root, 1, np.where(boundary, 2 + num, np.where(deep, shift + num // 2, 0)))
+    return codes, root | boundary | deep
+
+
 def coordinates(codes) -> np.ndarray:
     """Coordinates of codes, elementwise: num / 2**exp of dyadic_codes, which
     is exact for levels up to 54 and correctly rounded above."""

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .adapt import AdaptiveConfig, BuildResult, ModelFunction, run_asgc, run_csc
+from .adapt import (
+    AdaptiveConfig, BuildResult, ModelFunction, _check_integer, run_asgc, run_csc,
+)
 from .errors import SparseGridError
 from .io import save_surrogate
 from .models import get_benchmark
@@ -204,10 +206,13 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     Deterministic for a fixed seed and configuration (the wall_time column
     and `level_build_s` aside).  When `output_dir` is given, writes
     `<stem>.csv`, `<stem>.json` and optionally `<stem>.surrogate`.
+    `n_test_points` must be an integer >= 1 (ValueError before any model
+    call otherwise).
     """
     method = method.upper()
     if method not in METHODS:
         raise SparseGridError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_integer("n_test_points", n_test_points, 1)
     f, echo = get_benchmark(benchmark, benchmark_params)
     if cfg is None:
         cfg = AdaptiveConfig(dimension=f.dimension)
@@ -329,9 +334,10 @@ def _parse_value(raw: str):
 def parse_config(path) -> dict:
     """Read a flat `key = value` file; dotted keys nest one level deep.
 
-    Blank lines and `#` comments are ignored.  Example keys: dimension,
-    epsilon, i_max, i1, m_min, phi, seed, method, benchmark, n_test_points,
-    and benchmark parameters such as `poisson.n_cells = 256`.
+    Blank lines and `#` comments are ignored.  Only the syntax is checked
+    here; the CLI refuses every key but dimension, epsilon, i_max, i1, m_min,
+    phi, seed, n_test_points and the chosen benchmark's parameters, such as
+    `poisson.n_cells = 256`.
     """
     out: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -5,15 +5,15 @@ line (per-dimension level:index pairs, output, surplus, squared-output
 surplus, provenance flag F for a full evaluation or S for a spline value),
 then an optional region section (dimension, anchor, knots, outputs,
 midpoint, half-length; one region per line).  The library holds a region's
-anchor as the codes of its line's other d - 1 dimensions; this module alone
-converts them, writing each as the exact dyadic coordinate num:exp of its
-node (value num / 2**exp, the canonical pair of core.dyadic_codes) and
-reading the pairs back with one vectorised inverse, which refuses a pair that
-is no node's canonical coordinate.  The integer fields round-trip exactly;
-reals use 17 significant digits, which round-trips doubles exactly.  Writing
-is deterministic for a given model, byte for byte, and atomic: the file is
-written beside its target and renamed over it.  Reading checks the
-header's depth and counts against what the node lines hold.
+anchor as the codes of its line's other d - 1 dimensions; the file holds
+each as the exact dyadic coordinate num:exp of its node (value num / 2**exp,
+the canonical pair of core.dyadic_codes), read back by core's vectorised
+inverse, which refuses a pair that is no node's canonical coordinate.  The
+integer fields round-trip exactly; reals use 17 significant digits, which
+round-trips doubles exactly.  Writing is deterministic for a given model,
+byte for byte, and atomic: the file is written beside its target and
+renamed over it.  Reading checks the header's depth and counts against what
+the node lines hold.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_LEVEL, SurrogateModel, dyadic_codes, join_codes, split_codes
+from .core import SurrogateModel, _codes_of_dyadic, dyadic_codes, join_codes, split_codes
 from .errors import PersistenceError, SparseGridError
 from .smooth import RegionDatabase, SmoothRegion
 
@@ -63,12 +63,12 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
     write fails.  A region whose anchor does not hold d - 1 codes lies on no
     line of the model and raises PersistenceError before anything is written.
     """
-    if region_db is not None:
-        for region in region_db.regions():
-            if len(region.anchor) != model.dimension - 1:
-                raise PersistenceError(
-                    f"{path}: region along dim {region.dim} has an anchor of "
-                    f"{len(region.anchor)} codes, not d - 1 = {model.dimension - 1}")
+    # a database holds regions of one node dimension: its first region speaks for all
+    region = next(region_db.regions(), None) if region_db is not None else None
+    if region is not None and len(region.anchor) != model.dimension - 1:
+        raise PersistenceError(
+            f"{path}: region along dim {region.dim} has an anchor of "
+            f"{len(region.anchor)} codes, not d - 1 = {model.dimension - 1}")
     lines = [
         f"{_MAGIC} d={model.dimension} depth={model.depth} "
         f"full={model.full_evaluations} spline={model.spline_interpolations}"
@@ -200,18 +200,3 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
         raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db
 
-
-def _codes_of_dyadic(num: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the nodes at num / 2**exp, elementwise: the inverse of dyadic_codes.
-
-    Returns (codes, valid).  Only dyadic_codes' canonical pairs are valid:
-    (1, 1), (0, 0) and (1, 0), and (odd num < 2**exp, exp) for exponents 2 ..
-    MAX_LEVEL - 1, whose codes are 2**exp + num // 2.  Any other pair, one
-    that reduces to a node's coordinate included, names no node: its code is 0.
-    """
-    shift = np.left_shift(np.int64(1), np.clip(exp, 0, MAX_LEVEL))
-    root = (num == 1) & (exp == 1)
-    boundary = ((num == 0) | (num == 1)) & (exp == 0)
-    deep = (exp >= 2) & (exp < MAX_LEVEL) & (num % 2 == 1) & (num > 0) & (num < shift)
-    codes = np.where(root, 1, np.where(boundary, 2 + num, np.where(deep, shift + num // 2, 0)))
-    return codes, root | boundary | deep

@@ -14,7 +14,8 @@ variance surpluses.
 Regions on the same line never overlap: a newly certified superset replaces
 its subsets, and on a genuine partial overlap the longer interval wins (with
 a diagnostic logged).  Lookups that match several dimensions resolve to the
-earliest-created region.
+earliest-created region.  One database holds the regions of one model, so
+of one node dimension d.
 
 A line is named by its anchor: the codes of its nodes in the other d - 1
 dimensions, as the model's code rows hold them.  The scan carries anchors
@@ -41,9 +42,9 @@ files of the line-by-line and region-by-region code it replaced:
 - A run is stored in its turn, and skipped before a SmoothRegion is built
   when a region of its line covers it then, by the check `store` makes first.
 - The driver hands `value_source(codes)` a level's whole (n, d) code array,
-  and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`
-  against a per-dimension index of the regions by the same anchor key,
-  skipping dimensions without regions.  The hit regions not yet fitted
+  and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`,
+  which indexes the regions of each dimension that has any by the same
+  anchor key, afresh on every call.  The hit regions not yet fitted
   (fits are lazy: superseded regions are never fitted) are fitted together:
   their end slopes come from divided differences over (R, k) knot arrays,
   and one LAPACK `dgtsv` call solves all their tridiagonal systems as one
@@ -72,7 +73,7 @@ from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
     SurrogateModel, _code_array, _is_code, _row_weights, coordinates, dyadic_codes, split_codes,
 )
-from .errors import InvalidNodeError, SparseGridError
+from .errors import DimensionMismatchError, InvalidNodeError, SparseGridError
 
 __all__ = [
     "LineGroup",
@@ -337,20 +338,22 @@ class SmoothRegion:
     Carries the knot inputs, knot outputs, interval midpoint and half-length,
     plus the spline's knot second derivatives (fitted on first use, since
     superseded candidate regions are never evaluated).  `created_at` orders
-    regions for lookup tie-breaking across dimensions.  The anchor holds the
-    codes of the other d - 1 dimensions, stored as a tuple of ints; knots
-    and outputs are stored as float arrays, and the interval's ends as the
-    floats `lo` and `hi`.  Anchors that are not node codes, a `dim` outside
-    [0, len(anchor)], and malformed knots or outputs are refused at
-    construction.
+    regions for lookup tie-breaking across dimensions.  `RegionDatabase.store`
+    sets it and the fit sets the second derivatives, so neither is a
+    constructor argument.  The anchor holds the codes of the other d - 1
+    dimensions, stored as a tuple of ints; knots and outputs are stored as
+    float arrays, and the interval's ends as the floats `lo` and `hi`.
+    Anchors that are not node codes, a `dim` outside [0, len(anchor)], and
+    malformed knots or outputs are refused at construction.
     """
 
     dim: int
     anchor: tuple[int, ...]
     knots: np.ndarray
     outputs: np.ndarray
-    created_at: int = 0
-    _second_derivs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    created_at: int = field(default=0, init=False)
+    _second_derivs: np.ndarray | None = field(default=None, init=False, repr=False,
+                                              compare=False)
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
 
@@ -483,34 +486,33 @@ class _DimIndex(NamedTuple):
 class RegionDatabase:
     """Smooth regions by line, non-overlapping per line.
 
-    A line is named by its slot (dim, d), the dimension it runs along and
-    the dimension of its nodes, and by its anchor.  Lookups go through a
-    per-slot index: the slot's regions' anchors as code rows (0 at `dim`)
-    sorted by their hash, which is group_lines' anchor key, with their
-    intervals and creation order.  `store` drops the index of the slot it
-    changes and `lookup_many` rebuilds it on its next use, so every lookup
-    sees the current regions.
+    A database holds the regions of one model: its first region fixes the
+    node dimension d, and a region or a lookup of another d is refused.  A
+    line is named by the dimension it runs along and by its anchor.  Every
+    lookup indexes the regions of each dimension it searches afresh: their
+    anchors as code rows (0 at `dim`) sorted by their hash, which is
+    group_lines' anchor key, with their intervals and creation order.
     """
 
     def __init__(self):
-        # (dim, d) -> anchor -> the line's regions by position; slots and
-        # anchors in order of first store
-        self._lines: dict[tuple[int, int], dict[tuple, list[SmoothRegion]]] = {}
+        # dim -> anchor -> the line's regions by position; dims and anchors
+        # in order of first store
+        self._lines: dict[int, dict[tuple, list[SmoothRegion]]] = {}
+        self._d: int | None = None  # the node dimension, fixed by the first store
         self._counter = 0
-        self._index: dict[tuple[int, int], _DimIndex] = {}
 
     def __len__(self) -> int:
         return sum(len(line) for lines in self._lines.values() for line in lines.values())
 
     def regions(self):
-        """All regions, grouped by slot and line in order of first store."""
+        """All regions, grouped by dimension and line in order of first store."""
         for lines in self._lines.values():
             for line in lines.values():
                 yield from line
 
     def _covers(self, dim: int, anchor: tuple, lo: float, hi: float) -> bool:
         """Whether a region of the line along `dim` at `anchor` holds [lo, hi]."""
-        for r in self._lines.get((dim, len(anchor) + 1), {}).get(anchor, ()):
+        for r in self._lines.get(dim, {}).get(anchor, ()):
             if r.lo <= lo and hi <= r.hi:
                 return True
         return False
@@ -523,13 +525,18 @@ class RegionDatabase:
         and logs a diagnostic.  Returns what happened.  The regions of a line
         never overlap, so a superset is the only old region that can meet a
         covered one: checking it first decides as checking in order would.
+        A region of nodes of another dimension than the stored ones raises
+        InvalidNodeError.
         """
+        d = len(region.anchor) + 1
+        if self._d not in (None, d):
+            raise InvalidNodeError(f"region of {d}-dimensional nodes in a database of "
+                                   f"{self._d}-dimensional ones")
         if self._covers(region.dim, region.anchor, region.lo, region.hi):
             return StoreOutcome("covered")  # e.g. an idempotent re-store
-        slot = (region.dim, len(region.anchor) + 1)
         kept = []
         superseded = displaced = 0
-        for old in self._lines.get(slot, {}).get(region.anchor, []):
+        for old in self._lines.get(region.dim, {}).get(region.anchor, []):
             if region.lo <= old.lo and region.hi >= old.hi:
                 superseded += 1
                 continue
@@ -550,29 +557,24 @@ class RegionDatabase:
             kept.append(old)
         region.created_at = self._counter
         self._counter += 1
+        self._d = d
         kept.append(region)
         kept.sort(key=lambda r: r.lo)
-        self._lines.setdefault(slot, {})[region.anchor] = kept
-        self._index.pop(slot, None)
+        self._lines.setdefault(region.dim, {})[region.anchor] = kept
         return StoreOutcome("created", superseded, displaced)
 
-    def _dim_index(self, slot: tuple[int, int]) -> _DimIndex:
-        index = self._index.get(slot)
-        if index is None:
-            dim, d = slot
-            regions = [r for line in self._lines[slot].values() for r in line]
-            anchors = np.array([r.anchor for r in regions], dtype=np.int64)
-            anchors = np.insert(anchors.reshape(len(regions), d - 1), dim, 0, axis=1)
-            keys = anchors @ _row_weights(d)
-            order = np.argsort(keys, kind="stable")
-            regions = [regions[k] for k in order.tolist()]
-            index = _DimIndex(
-                keys[order], anchors[order],
-                np.array([r.lo for r in regions]), np.array([r.hi for r in regions]),
-                np.array([r.created_at for r in regions], dtype=np.int64), regions,
-            )
-            self._index[slot] = index
-        return index
+    def _dim_index(self, dim: int) -> _DimIndex:
+        regions = [r for line in self._lines[dim].values() for r in line]
+        anchors = np.array([r.anchor for r in regions], dtype=np.int64)
+        anchors = np.insert(anchors.reshape(len(regions), self._d - 1), dim, 0, axis=1)
+        keys = anchors @ _row_weights(self._d)
+        order = np.argsort(keys, kind="stable")
+        regions = [regions[k] for k in order.tolist()]
+        return _DimIndex(
+            keys[order], anchors[order],
+            np.array([r.lo for r in regions]), np.array([r.hi for r in regions]),
+            np.array([r.created_at for r in regions], dtype=np.int64), regions,
+        )
 
     def lookup_many(self, codes) -> tuple[list[SmoothRegion], np.ndarray, np.ndarray]:
         """The region holding each row of an (n, d) array of node codes.
@@ -583,20 +585,24 @@ class RegionDatabase:
         other coordinates equal the region's anchor exactly and its position
         lies in the region's closed interval; among several matches, along
         one dimension or several, the earliest-created region wins.
-        Dimensions without regions are skipped.
+        Dimensions without regions are skipped.  Codes of nodes of another
+        dimension than the stored regions' raise DimensionMismatchError.
         """
         codes = _code_array(codes, (None, None))
         n, d = codes.shape
+        if self._d not in (None, d):
+            raise DimensionMismatchError(f"codes of {d}-dimensional nodes looked up in "
+                                         f"regions of {self._d}-dimensional ones")
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
-        slots = [(dim, d) for dim in range(d) if (dim, d) in self._lines]
-        if not (slots and n):
+        dims = [dim for dim in range(d) if dim in self._lines]
+        if not (dims and n):
             return [], which, t
         weights = _row_weights(d)
         sums = codes @ weights
         pool, found = [], []
-        for dim, _ in slots:
-            index = self._dim_index((dim, d))
+        for dim in dims:
+            index = self._dim_index(dim)
             rows, cand = index.matches(sums - codes[:, dim] * weights[dim], codes, dim)
             if not len(rows):
                 continue

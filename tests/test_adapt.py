@@ -67,6 +67,10 @@ class TestConfig:
         ("epsilon", math.nan),
         ("slope_tol", math.nan),
         ("min_line_points", math.nan),
+        ("min_line_points", 7.5),
+        ("min_line_points", 9.0),
+        ("min_line_points", True),
+        ("min_line_points", -math.inf),
         ("max_level", 3.5),
         ("init_level", 1.5),
         ("max_level", 6.0),
@@ -76,7 +80,8 @@ class TestConfig:
     def test_nan_and_fractional_fields_rejected(self, field, value):
         # NaN failed no `<=` check, so epsilon=nan stopped a line_singularity
         # EASGC build at level 2 "by tolerance" and slope_tol=nan certified
-        # every line; levels of 3.5 were taken as given
+        # every line; levels of 3.5 were taken as given, and a
+        # min_line_points of 7.5 as 8
         kwargs = {"dimension": 2, "max_level": 6, "init_level": 1, field: value}
         with pytest.raises(ValueError, match=field):
             AdaptiveConfig(**kwargs)

@@ -39,8 +39,7 @@ from sgsurrogate import (
     split_codes,
 )
 from sgsurrogate import core
-from sgsurrogate.core import MAX_LEVEL, dyadic_codes
-from sgsurrogate.io import _codes_of_dyadic
+from sgsurrogate.core import MAX_LEVEL, _codes_of_dyadic, dyadic_codes
 
 
 def level_coords(level):

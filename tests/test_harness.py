@@ -164,6 +164,22 @@ class TestRunStudy:
         assert meta["config"]["epsilon"] == 1e-3
         assert (tmp_path / "kink_easgc.surrogate").exists()
 
+    @pytest.mark.parametrize("n_test_points", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("name, dimension", [("kink", 1), ("truss2", 2)])
+    def test_fewer_than_one_test_point_refused(self, tmp_path, monkeypatch, name,
+                                               dimension, n_test_points):
+        # 0 built level 0 of kink, then failed in numpy's max of no errors;
+        # truss2 drew a 2 x 2 grid instead and recorded 4 points
+        made = []
+        real = harness.get_benchmark
+        monkeypatch.setattr(harness, "get_benchmark",
+                            lambda *args: made.append(real(*args)) or made[-1])
+        with pytest.raises(ValueError, match="n_test_points"):
+            run_study("ASGC", name, AdaptiveConfig(dimension=dimension, max_level=3),
+                      n_test_points=n_test_points, output_dir=tmp_path / "out")
+        assert all(f.evaluations == 0 for f, _ in made)
+        assert not (tmp_path / "out").exists()
+
     def test_sidecar_level_build_seconds(self, tmp_path):
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=6, init_level=2)
         rep = run_study("EASGC", "line_singularity", cfg, seed=1, n_test_points=200,
@@ -576,7 +592,7 @@ class TestCli:
         assert built == studied
 
     @pytest.mark.parametrize("setting", ["epsilon = nan", "phi = nan", "m_min = nan",
-                                         "i_max = 6.5", "i1 = 1.5"])
+                                         "i_max = 6.5", "i1 = 1.5", "m_min = 7.5"])
     def test_nan_or_fractional_config_refused(self, tmp_path, capsys, setting):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"i_max = 6\ni1 = 2\n{setting}\n")
@@ -590,6 +606,49 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValueError"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "study"])
+    @pytest.mark.parametrize("setting", [
+        "epsilom = 1e-1",  # a misspelt key
+        "kink.kink_pos = 0.3",  # a parameter of another benchmark
+        "line_singularity = 3",  # the benchmark's name as a flat key
+        "method = asgc",
+        "benchmark = kink",
+    ])
+    def test_unknown_settings_key_refused(self, tmp_path, capsys, command, setting):
+        # each was ignored: the build ran with the default epsilon, 65 nodes
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 4\nseed = 1\nn_test_points = 50\n{setting}\n")
+        out = tmp_path / "out"
+        args = ["--method", "asgc"] if command == "build" else ["--methods", "asgc"]
+        code = cli_main([command, *args, "--benchmark", "line_singularity",
+                         "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SparseGridError"
+        assert repr(setting.split()[0].split(".")[0]) in err["detail"]
+        assert not out.exists()
+
+    def test_benchmark_parameters_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("i_max = 4\nkink.kink_pos = 0.3\ndimension = 1\n")
+        assert cli_main(["build", "--method", "asgc", "--benchmark", "kink",
+                         "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["benchmark_params"]["kink_pos"] == 0.3
+
+    @pytest.mark.parametrize("setting", ["n_test_points = 0", "n_test_points = 2.5"])
+    def test_study_of_fewer_than_one_test_point_refused(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 4\n{setting}\n")
+        code = cli_main(["study", "--benchmark", "kink", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out"), "--methods", "asgc"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_study_method(self, tmp_path, capsys):
         code = cli_main(["study", "--benchmark", "kink", "--output-dir", str(tmp_path),

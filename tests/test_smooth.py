@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dgtsv
 import reference as ref
 from sgsurrogate import (
     AdaptiveConfig,
+    DimensionMismatchError,
     InvalidNodeError,
     ModelFunction,
     RegionDatabase,
@@ -29,8 +30,7 @@ from sgsurrogate import (
     spline_value,
 )
 from sgsurrogate import smooth
-from sgsurrogate.core import dyadic_codes
-from sgsurrogate.io import _codes_of_dyadic
+from sgsurrogate.core import _codes_of_dyadic, dyadic_codes
 from sgsurrogate.smooth import LineGroup, _endpoint_slopes, _second_derivatives, _spline_values
 
 
@@ -359,17 +359,45 @@ class TestRegionDatabase:
 
     def test_store_reports_its_outcome(self):
         db = RegionDatabase()
-        assert db.store(region([0.25, 0.375, 0.5, 0.625])) == ("created", 0, 0)
-        assert db.store(region([0.75, 0.8125, 0.875, 0.9375])) == ("created", 0, 0)
-        assert db.store(region([0.25, 0.375, 0.5, 0.625])).status == "covered"
+        line = dict(dim=0, anchor=(1,))  # a line of 2-D nodes, as the other one
+        assert db.store(region([0.25, 0.375, 0.5, 0.625], **line)) == ("created", 0, 0)
+        assert db.store(region([0.75, 0.8125, 0.875, 0.9375], **line)) == ("created", 0, 0)
+        assert db.store(region([0.25, 0.375, 0.5, 0.625], **line)).status == "covered"
         # covers both stored intervals
-        assert db.store(region([0.0, 0.25, 0.5, 0.75, 1.0])) == ("created", 2, 0)
+        assert db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], **line)) == ("created", 2, 0)
         other = dict(dim=1, anchor=(1,))
         assert db.store(region([0.0, 0.25, 0.5, 0.625], **other)).status == "created"
         # longer partial overlap displaces, shorter one is rejected
         assert db.store(region([0.3, 0.5, 0.625, 0.75, 0.875, 1.0], **other)) == ("created", 0, 1)
         assert db.store(region([0.0, 0.125, 0.25, 0.5], **other)).status == "rejected"
         assert len(db) == 2
+
+    def test_second_node_dimension_refused(self):
+        # one database holds the regions of one model: its first region fixes d
+        db = RegionDatabase()
+        assert db.lookup([1, 1, 1]) is None  # an empty database fixes no d
+        db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=1, anchor=(2,)))
+        with pytest.raises(InvalidNodeError, match="3-dimensional nodes in a database "
+                                                   "of 2-dimensional"):
+            db.store(region([0.0, 0.25, 0.5, 0.75], dim=0, anchor=(1, 1)))
+        with pytest.raises(InvalidNodeError, match="1-dimensional nodes"):
+            db.store(region([0.0, 0.25, 0.5, 0.75]))
+        assert len(db) == 1
+        for codes in ([[1, 1, 1]], [[1]], np.zeros((0, 3), dtype=np.int64)):
+            with pytest.raises(DimensionMismatchError, match="regions of 2-dimensional"):
+                db.lookup_many(codes)
+        with pytest.raises(DimensionMismatchError):
+            db.lookup([2, 1, 1])
+        assert db.lookup([2, 1])[1] == 0.5
+
+    @pytest.mark.parametrize("name, value", [("created_at", 3),
+                                             ("_second_derivs", np.zeros(4))])
+    def test_store_and_fit_fields_are_no_arguments(self, name, value):
+        # store sets created_at and the fit the second derivatives; a value
+        # given here was overwritten or taken as a fit of other knots
+        with pytest.raises(TypeError, match=name):
+            SmoothRegion(dim=0, anchor=(), knots=[0.0, 0.25, 0.5, 0.75],
+                         outputs=[0.0, 1.0, 2.0, 3.0], **{name: value})
 
     def test_lookup_of_a_key_of_no_node(self):
         db = RegionDatabase()
