@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adapt import _check_integer
 from .errors import SparseGridError
 from .harness import _CONFIG_KEYS, METHODS, build, config_from_mapping, parse_config, run_study
 from .io import load_surrogate, save_surrogate
@@ -31,16 +32,19 @@ def _benchmark_and_config(settings: dict, benchmark: str):
 
     Refuses a key that nothing reads: one of neither _SETTINGS_KEYS nor the
     `<benchmark>.<parameter>` group of the chosen benchmark.  `build` takes
-    `seed` and `n_test_points` too, so one file serves both commands.
+    `seed` and `n_test_points` too, so one file serves both commands, and
+    refuses a `dimension` or `seed` that is no integer, as `study` does.
     """
     unknown = sorted(key for key in settings if key not in _SETTINGS_KEYS
                      and not (key == benchmark and isinstance(settings[key], dict)))
     if unknown:
         raise SparseGridError(f"unknown config keys {unknown}; expected some of "
                               f"{sorted(_SETTINGS_KEYS)} or {benchmark}.<parameter>")
+    _check_integer("seed", settings.get("seed", 0), 0)
     f, echo = get_benchmark(benchmark, settings.get(benchmark))
-    stated = settings.get("dimension")
-    if stated is not None and int(stated) != f.dimension:
+    stated = settings.get("dimension", f.dimension)
+    _check_integer("dimension", stated, 1)
+    if stated != f.dimension:
         raise SparseGridError(
             f"config dimension {stated} != benchmark dimension {f.dimension}"
         )
@@ -102,12 +106,11 @@ def _cmd_study(args) -> int:
         raise SparseGridError(f"unknown methods {unknown}; expected a subset of {_METHOD_CHOICES}")
     settings = parse_config(args.config) if args.config else {}
     _, _, cfg = _benchmark_and_config(settings, args.benchmark)
-    seed = int(settings.get("seed", 0))
     written = []
     for method in methods:
         report = run_study(
             method, args.benchmark, cfg, benchmark_params=settings.get(args.benchmark),
-            seed=seed, n_test_points=settings.get("n_test_points", 10_000),
+            seed=settings.get("seed", 0), n_test_points=settings.get("n_test_points", 10_000),
             output_dir=args.output_dir,
             persist_surrogate=args.persist,
         )

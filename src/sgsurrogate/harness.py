@@ -335,11 +335,13 @@ def parse_config(path) -> dict:
     """Read a flat `key = value` file; dotted keys nest one level deep.
 
     Blank lines and `#` comments are ignored.  Only the syntax is checked
-    here; the CLI refuses every key but dimension, epsilon, i_max, i1, m_min,
-    phi, seed, n_test_points and the chosen benchmark's parameters, such as
+    here, and a key set twice, flat or dotted, is refused; the CLI refuses
+    every key but dimension, epsilon, i_max, i1, m_min, phi, seed,
+    n_test_points and the chosen benchmark's parameters, such as
     `poisson.n_cells = 256`.
     """
     out: dict = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -348,6 +350,10 @@ def parse_config(path) -> dict:
             raise SparseGridError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
+        if key in seen:
+            raise SparseGridError(f"{path}:{lineno}: key {key!r} repeated, "
+                                  f"first set on line {seen[key]}")
+        seen[key] = lineno
         value = _parse_value(raw)
         if "." in key:
             group, sub = key.split(".", 1)
@@ -355,6 +361,8 @@ def parse_config(path) -> dict:
             if not isinstance(out[group], dict):
                 raise SparseGridError(f"{path}:{lineno}: key {group!r} used both flat and dotted")
             out[group][sub] = value
+        elif key in out:  # not set before, so the name of a dotted group
+            raise SparseGridError(f"{path}:{lineno}: key {key!r} used both flat and dotted")
         else:
             out[key] = value
     return out

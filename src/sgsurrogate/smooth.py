@@ -40,11 +40,13 @@ files of the line-by-line and region-by-region code it replaced:
   operations as the one-line scan, so the breaks and runs are the same.
   `derivative_scan` is a one-line call of it.
 - A run is stored in its turn, and skipped before a SmoothRegion is built
-  when a region of its line covers it then, by the check `store` makes first.
+  when a region of its line covers it then: `store`, whose one walk of the
+  line would meet that region, would find it covered and change nothing.
 - The driver hands `value_source(codes)` a level's whole (n, d) code array,
-  and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`,
-  which indexes the regions of each dimension that has any by the same
-  anchor key, afresh on every call.  The hit regions not yet fitted
+  and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`.
+  That call checks the codes once, with one `split_codes` over the batch,
+  and sorts the regions of each dimension that has any by the same anchor
+  key, inline and afresh on every call.  The hit regions not yet fitted
   (fits are lazy: superseded regions are never fitted) are fitted together:
   their end slopes come from divided differences over (R, k) knot arrays,
   and one LAPACK `dgtsv` call solves all their tridiagonal systems as one
@@ -55,7 +57,7 @@ files of the line-by-line and region-by-region code it replaced:
   included, bitwise as a solve of that block alone gives it.  Every hit row
   is then evaluated at once, its knot interval found by a vectorised
   bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
-  of the same code.
+  of the same code, with the same refusals.
 """
 
 from __future__ import annotations
@@ -392,15 +394,6 @@ class SmoothRegion:
         return (self.hi - self.lo) / 2.0
 
 
-def _fit(regions) -> None:
-    """Fit the spline of every region that has none yet, in one solve."""
-    todo = [r for r in regions if r._second_derivs is None]
-    if todo:
-        fits = _second_derivatives([r.knots for r in todo], [r.outputs for r in todo])
-        for r, m in zip(todo, fits):
-            r._second_derivs = m
-
-
 def _spline_values(regions, which, t) -> np.ndarray:
     """Spline value of regions[which[i]] at position t[i]; NaN where which[i] < 0.
 
@@ -422,7 +415,11 @@ def _spline_values(regions, which, t) -> np.ndarray:
         k = outside[0]
         raise SparseGridError(
             f"position {at[k]} outside region [{lo[k]}, {hi[k]}]; no extrapolation")
-    _fit(regions)
+    todo = [r for r in regions if r._second_derivs is None]
+    if todo:
+        fits = _second_derivatives([r.knots for r in todo], [r.outputs for r in todo])
+        for r, m in zip(todo, fits):
+            r._second_derivs = m
     out[hit] = _spline_at(x, np.concatenate([r.outputs for r in regions]),
                           np.concatenate([r._second_derivs for r in regions]),
                           first[own], count[own], at)
@@ -452,46 +449,16 @@ class StoreOutcome(NamedTuple):
     displaced: int = 0
 
 
-class _DimIndex(NamedTuple):
-    """The regions along one dimension of d-dimensional nodes, by anchor key.
-
-    Row r is regions[r], whose anchor is the code row anchors[r] (0 at the
-    region's dimension) with anchor key keys[r]; rows are sorted by key.
-    """
-
-    keys: np.ndarray
-    anchors: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    created: np.ndarray
-    regions: list
-
-    def matches(self, keys: np.ndarray, codes: np.ndarray, dim: int):
-        """(query, row) pairs whose anchors are equal, queries ascending.
-
-        Query i has anchor key keys[i] and its anchor is codes[i] with the
-        `dim` column ignored; rows are candidates by key, kept only where
-        the anchors match exactly.
-        """
-        first = np.searchsorted(self.keys, keys, "left")
-        count = np.searchsorted(self.keys, keys, "right") - first
-        query = np.repeat(np.arange(len(keys)), count)
-        row = np.arange(len(query)) + np.repeat(first - (np.cumsum(count) - count), count)
-        anchors = codes[query]
-        anchors[:, dim] = 0
-        same = (anchors == self.anchors[row]).all(axis=1)
-        return query[same], row[same]
-
-
 class RegionDatabase:
     """Smooth regions by line, non-overlapping per line.
 
     A database holds the regions of one model: its first region fixes the
     node dimension d, and a region or a lookup of another d is refused.  A
-    line is named by the dimension it runs along and by its anchor.  Every
-    lookup indexes the regions of each dimension it searches afresh: their
-    anchors as code rows (0 at `dim`) sorted by their hash, which is
-    group_lines' anchor key, with their intervals and creation order.
+    line is named by the dimension it runs along and by its anchor.  A store
+    walks the regions of its line once.  Every lookup lays out the regions
+    of each dimension it searches afresh, in one pass: their anchors as code
+    rows (0 at `dim`) sorted by their hash, which is group_lines' anchor key,
+    with their intervals and creation order.
     """
 
     def __init__(self):
@@ -520,41 +487,40 @@ class RegionDatabase:
     def store(self, region: SmoothRegion) -> StoreOutcome:
         """Insert a region, enforcing the non-overlap rules of its line.
 
-        An existing superset makes the store a no-op; the new region replaces
-        any intervals it covers; a partial overlap keeps the longer interval
-        and logs a diagnostic.  Returns what happened.  The regions of a line
-        never overlap, so a superset is the only old region that can meet a
-        covered one: checking it first decides as checking in order would.
-        A region of nodes of another dimension than the stored ones raises
-        InvalidNodeError.
+        One walk of the line decides.  An old region that holds the new one
+        makes the store a no-op; the new region replaces the old ones it
+        holds; a partial overlap keeps the longer interval and logs a
+        diagnostic.  Returns what happened.  The regions of a line never
+        overlap, so an old region that holds the new one overlaps no other
+        old region the new one meets: meeting it anywhere in the walk decides
+        as checking it first would.  A region of nodes of another dimension
+        than the stored ones raises InvalidNodeError.
         """
         d = len(region.anchor) + 1
         if self._d not in (None, d):
             raise InvalidNodeError(f"region of {d}-dimensional nodes in a database of "
                                    f"{self._d}-dimensional ones")
-        if self._covers(region.dim, region.anchor, region.lo, region.hi):
-            return StoreOutcome("covered")  # e.g. an idempotent re-store
         kept = []
         superseded = displaced = 0
         for old in self._lines.get(region.dim, {}).get(region.anchor, []):
+            if old.lo <= region.lo and region.hi <= old.hi:
+                return StoreOutcome("covered")  # e.g. an idempotent re-store
             if region.lo <= old.lo and region.hi >= old.hi:
                 superseded += 1
-                continue
-            overlaps = region.lo < old.hi and old.lo < region.hi
-            if overlaps:
-                if region.half_length > old.half_length:
+            elif region.lo < old.hi and old.lo < region.hi:
+                if region.half_length <= old.half_length:
                     log.debug(
-                        "partial overlap on dim %d: replacing [%g, %g] with [%g, %g]",
+                        "partial overlap on dim %d: keeping [%g, %g], dropping [%g, %g]",
                         region.dim, old.lo, old.hi, region.lo, region.hi,
                     )
-                    displaced += 1
-                    continue
+                    return StoreOutcome("rejected")
                 log.debug(
-                    "partial overlap on dim %d: keeping [%g, %g], dropping [%g, %g]",
+                    "partial overlap on dim %d: replacing [%g, %g] with [%g, %g]",
                     region.dim, old.lo, old.hi, region.lo, region.hi,
                 )
-                return StoreOutcome("rejected")
-            kept.append(old)
+                displaced += 1
+            else:
+                kept.append(old)
         region.created_at = self._counter
         self._counter += 1
         self._d = d
@@ -562,19 +528,6 @@ class RegionDatabase:
         kept.sort(key=lambda r: r.lo)
         self._lines.setdefault(region.dim, {})[region.anchor] = kept
         return StoreOutcome("created", superseded, displaced)
-
-    def _dim_index(self, dim: int) -> _DimIndex:
-        regions = [r for line in self._lines[dim].values() for r in line]
-        anchors = np.array([r.anchor for r in regions], dtype=np.int64)
-        anchors = np.insert(anchors.reshape(len(regions), self._d - 1), dim, 0, axis=1)
-        keys = anchors @ _row_weights(self._d)
-        order = np.argsort(keys, kind="stable")
-        regions = [regions[k] for k in order.tolist()]
-        return _DimIndex(
-            keys[order], anchors[order],
-            np.array([r.lo for r in regions]), np.array([r.hi for r in regions]),
-            np.array([r.created_at for r in regions], dtype=np.int64), regions,
-        )
 
     def lookup_many(self, codes) -> tuple[list[SmoothRegion], np.ndarray, np.ndarray]:
         """The region holding each row of an (n, d) array of node codes.
@@ -585,14 +538,16 @@ class RegionDatabase:
         other coordinates equal the region's anchor exactly and its position
         lies in the region's closed interval; among several matches, along
         one dimension or several, the earliest-created region wins.
-        Dimensions without regions are skipped.  Codes of nodes of another
-        dimension than the stored regions' raise DimensionMismatchError.
+        Dimensions without regions are skipped.  Codes of no node raise
+        InvalidNodeError, and codes of nodes of another dimension than the
+        stored regions' raise DimensionMismatchError.
         """
         codes = _code_array(codes, (None, None))
         n, d = codes.shape
         if self._d not in (None, d):
             raise DimensionMismatchError(f"codes of {d}-dimensional nodes looked up in "
                                          f"regions of {self._d}-dimensional ones")
+        split_codes(codes)  # refuses codes of no node
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
         dims = [dim for dim in range(d) if dim in self._lines]
@@ -602,15 +557,34 @@ class RegionDatabase:
         sums = codes @ weights
         pool, found = [], []
         for dim in dims:
-            index = self._dim_index(dim)
-            rows, cand = index.matches(sums - codes[:, dim] * weights[dim], codes, dim)
+            # the dimension's regions, their anchors as code rows (0 at dim)
+            # sorted by anchor key
+            regions = [r for line in self._lines[dim].values() for r in line]
+            anchors = np.array([r.anchor for r in regions], dtype=np.int64)
+            anchors = np.insert(anchors.reshape(len(regions), d - 1), dim, 0, axis=1)
+            keys = anchors @ weights
+            order = np.argsort(keys, kind="stable")
+            keys, anchors = keys[order], anchors[order]
+            regions = [regions[k] for k in order.tolist()]
+            # (row, candidate) pairs of equal keys, then of equal anchors
+            query = sums - codes[:, dim] * weights[dim]
+            first = np.searchsorted(keys, query, "left")
+            count = np.searchsorted(keys, query, "right") - first
+            rows = np.repeat(np.arange(n), count)
+            cand = np.arange(len(rows)) + np.repeat(first - (np.cumsum(count) - count), count)
+            mine = codes[rows]
+            mine[:, dim] = 0
+            same = (mine == anchors[cand]).all(axis=1)
+            rows, cand = rows[same], cand[same]
             if not len(rows):
                 continue
             at = coordinates(codes[rows, dim])
-            hit = (index.lo[cand] <= at) & (at <= index.hi[cand])
+            lo, hi = np.array([(r.lo, r.hi) for r in regions]).T
+            hit = (lo[cand] <= at) & (at <= hi[cand])
             cand = cand[hit]
-            found.append((rows[hit], index.created[cand], cand + len(pool), at[hit]))
-            pool.extend(index.regions)
+            created = np.array([r.created_at for r in regions], dtype=np.int64)
+            found.append((rows[hit], created[cand], cand + len(pool), at[hit]))
+            pool.extend(regions)
         if not found:
             return [], which, t
         rows, created, gid, at = (np.concatenate(a) for a in zip(*found))
@@ -626,13 +600,10 @@ class RegionDatabase:
     def lookup(self, codes):
         """Region containing the node of a row of d codes, or None.
 
-        Returns (region, position).  Raises InvalidNodeError for codes of no
-        node.  A one-row call of `lookup_many`, with its matching and tie
-        rules.
+        Returns (region, position).  A one-row call of `lookup_many`, with
+        its refusals and its matching and tie rules.
         """
-        row = _code_array(codes, (None,))
-        split_codes(row)  # refuses codes of no node
-        regions, which, t = self.lookup_many(row[None, :])
+        regions, which, t = self.lookup_many(_code_array(codes, (None,))[None, :])
         if which[0] < 0:
             return None
         return regions[which[0]], float(t[0])

@@ -282,3 +282,45 @@ class CubicLineSpline:
         out = (a * y[i] + b * y[i + 1]
                + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0)
         return float(out[0]) if np.ndim(t) == 0 else out
+
+
+class RegionStore:
+    """The non-overlap rule of the smooth layer's region store, on intervals.
+
+    Written as the rule reads: first the full check for a region of the line
+    that holds the new interval, and only then a walk over the line, where
+    the new interval replaces the regions it holds and a partial overlap
+    keeps the longer interval.  Regions are (lo, hi, created_at) triples;
+    lines are grouped by dimension, both in order of first store.
+    """
+
+    def __init__(self):
+        self.lines: dict[int, dict[tuple, list]] = {}
+        self.created = 0
+
+    def store(self, dim: int, anchor: tuple, lo: float, hi: float) -> tuple[str, int, int]:
+        """(status, superseded, displaced) of storing [lo, hi] on a line."""
+        line = self.lines.get(dim, {}).get(anchor, [])
+        if any(a <= lo and hi <= b for a, b, _ in line):
+            return ("covered", 0, 0)
+        kept, superseded, displaced = [], 0, 0
+        for a, b, created in line:
+            if lo <= a and b <= hi:
+                superseded += 1
+            elif lo < b and a < hi:
+                if (hi - lo) / 2.0 <= (b - a) / 2.0:
+                    return ("rejected", 0, 0)
+                displaced += 1
+            else:
+                kept.append((a, b, created))
+        kept.append((lo, hi, self.created))
+        self.created += 1
+        self.lines.setdefault(dim, {})[anchor] = sorted(kept)
+        return ("created", superseded, displaced)
+
+    def table(self) -> list[tuple]:
+        """(dim, anchor, lo, hi, created_at) of every region, line by line."""
+        return [(dim, anchor, lo, hi, created)
+                for dim, lines in self.lines.items()
+                for anchor, line in lines.items()
+                for lo, hi, created in line]

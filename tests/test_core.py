@@ -1016,6 +1016,8 @@ class TestArrayStore:
                 m.stored([[1, 1], bad])
             with pytest.raises(InvalidNodeError, match="invalid node"):
                 db.lookup(bad)
+            with pytest.raises(InvalidNodeError, match="invalid node"):
+                db.lookup_many([[1, 1], bad])
         assert db.lookup([1, 1])[1] == 0.5
         assert db.lookup_many([[1, 1], [4, 1]])[1].tolist() == [0, 0]
         for floats in ([1.9, 1.2], [1.0, 1.0]):

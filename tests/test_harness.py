@@ -497,6 +497,29 @@ class TestConfigFiles:
         with pytest.raises(SparseGridError):
             parse_config(p)
 
+    @pytest.mark.parametrize("text, key, first, again", [
+        ("i_max = 4\nepsilon = 1e-1\n\nepsilon = 1e-6\n", "epsilon", 2, 4),
+        ("kink.kink_pos = 0.3\ni_max = 4\nkink.kink_pos = 0.6\n", "kink.kink_pos", 1, 3),
+        ("seed = 1\n# seed = 2\nseed = 1\n", "seed", 1, 3),  # even to the same value
+    ], ids=["flat", "dotted", "same value"])
+    def test_parse_rejects_repeated_key(self, tmp_path, text, key, first, again):
+        # the last value was kept: epsilon 1e-6, a kink at 0.6
+        p = tmp_path / "twice.cfg"
+        p.write_text(text)
+        with pytest.raises(SparseGridError, match=rf":{again}: key '{key}' repeated, "
+                                                  rf"first set on line {first}"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("text", ["kink = 1\nkink.kink_pos = 0.3\n",
+                                      "kink.kink_pos = 0.3\nkink = 1\n"],
+                             ids=["flat first", "dotted first"])
+    def test_parse_rejects_key_both_flat_and_dotted(self, tmp_path, text):
+        # a flat key after the group replaced the group's parameters
+        p = tmp_path / "both.cfg"
+        p.write_text(text)
+        with pytest.raises(SparseGridError, match="'kink' used both flat and dotted"):
+            parse_config(p)
+
     def test_config_from_mapping(self):
         cfg = config_from_mapping(
             {"epsilon": 1e-2, "i_max": 9, "i1": 3, "m_min": 11, "phi": 0.5},
@@ -592,10 +615,15 @@ class TestCli:
         assert built == studied
 
     @pytest.mark.parametrize("setting", ["epsilon = nan", "phi = nan", "m_min = nan",
-                                         "i_max = 6.5", "i1 = 1.5", "m_min = 7.5"])
+                                         "i_max = 6.5", "i1 = 1.5", "m_min = 7.5",
+                                         # int() truncated these, or build never read them
+                                         "seed = 1.7", "seed = true", "seed = -1",
+                                         "dimension = 2.5", "dimension = 2.0"])
     def test_nan_or_fractional_config_refused(self, tmp_path, capsys, setting):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"i_max = 6\ni1 = 2\n{setting}\n")
+        base = {"i_max": 6, "i1": 2}
+        base.pop(setting.split()[0], None)  # a key set twice is refused first
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + f"{setting}\n")
         out = tmp_path / "out"
         code = cli_main(["build", "--method", "easgc", "--benchmark", "line_singularity",
                          "--config", str(cfg), "--output-dir", str(out)])
@@ -648,6 +676,18 @@ class TestCli:
                          "--output-dir", str(tmp_path / "out"), "--methods", "asgc"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", ["seed = 1.7", "seed = -2", "dimension = 1.0"])
+    def test_study_of_fractional_seed_or_dimension_refused(self, tmp_path, capsys, setting):
+        # int() ran the study with seed 1 and recorded "seed": 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 4\nn_test_points = 50\n{setting}\n")
+        code = cli_main(["study", "--benchmark", "kink", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "out"), "--methods", "asgc"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and setting.split()[0] in err["detail"]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_study_method(self, tmp_path, capsys):

@@ -412,6 +412,29 @@ class TestRegionDatabase:
             with pytest.raises(InvalidNodeError):
                 db.lookup(row)
 
+    def test_store_sequences_equal_reference_rule(self):
+        # the store decides in one walk of the line; the reference checks for
+        # a region holding the new one first.  No benchmark build displaces
+        # or rejects a region, so this is the check of those branches.
+        seen = dict.fromkeys(["created", "covered", "rejected", "superseded", "displaced"], 0)
+
+        @settings(max_examples=300, deadline=None)
+        @given(sequence=store_sequences())
+        def check(sequence):
+            db, want = RegionDatabase(), ref.RegionStore()
+            for dim, anchor, knots in sequence:
+                r = region(knots, dim=dim, anchor=anchor)
+                outcome = db.store(r)
+                assert tuple(outcome) == want.store(dim, anchor, r.lo, r.hi)
+                seen[outcome.status] += 1
+                seen["superseded"] += outcome.superseded
+                seen["displaced"] += outcome.displaced
+            assert [(r.dim, r.anchor, r.lo, r.hi, r.created_at)
+                    for r in db.regions()] == want.table()
+
+        check()
+        assert all(seen.values()), seen
+
     @pytest.mark.parametrize("anchor, fault", [
         ((0,), "code of no node"),
         ((7, 1), "code of no node"),
@@ -546,6 +569,26 @@ def region_databases(draw):
             row = draw(st.lists(st.sampled_from(QUERY_CODES), min_size=d, max_size=d))
         queries.append(row)
     return db, np.array(queries, dtype=np.int64).reshape(-1, d)
+
+
+@st.composite
+def store_sequences(draw):
+    """Up to 12 stores of 4-13 knots in sixteenths on 1-3 lines of 2-D nodes.
+
+    Each interval is a random window of [0, 1], so later ones often hold,
+    fall inside or partly overlap earlier ones on their line, and equal
+    intervals are re-stored.
+    """
+    lines = draw(st.lists(st.sampled_from([(0, (1,)), (1, (1,)), (0, (2,))]),
+                          min_size=1, max_size=3, unique=True))
+    sequence = []
+    for _ in range(draw(st.integers(1, 12))):
+        dim, anchor = draw(st.sampled_from(lines))
+        lo = draw(st.integers(0, 13))
+        hi = draw(st.integers(lo + 3, min(lo + 12, 16)))
+        inner = draw(st.sets(st.integers(lo + 1, hi - 1), min_size=2, max_size=hi - lo - 1))
+        sequence.append((dim, anchor, np.array(sorted({lo, hi, *inner})) / 16))
+    return sequence
 
 
 def reference_lookup(db, row):
