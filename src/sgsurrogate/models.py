@@ -14,9 +14,14 @@ singularity and Poisson benchmarks also register a batch form that maps
 Poisson batch builds its conductivity fields with the same elementwise
 operations as `diffusion_field`, in blocks of `POISSON_BLOCK` rows, and calls
 LAPACK's tridiagonal `dgtsv` once per row; the scalar `poisson_solve` is a
-one-row call of the same code.  The Genz and truss benchmarks have no batch
-form: their vectorised dot products and solves need not round as the scalar
-ones do.
+one-row call of the same code.  SciPy's LAPACK is imported when the first
+Poisson grid is built, not with this module, so no other model loads SciPy.
+The Genz and truss benchmarks have no batch form: their vectorised dot
+products and solves need not round as the scalar ones do.
+
+Every parameter is checked when its spec is built: counts must be integers
+(3.7 and True are refused, not truncated) and reals finite, with comparisons
+that a NaN fails.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
-from .adapt import ModelFunction
+from .adapt import ModelFunction, _check_integer
 from .errors import SparseGridError
 
 __all__ = [
@@ -77,8 +81,8 @@ class GenzParams:
     def __post_init__(self):
         if len(self.c) != 5:
             raise ValueError(f"c must have 5 entries, got {len(self.c)}")
-        if any(ci <= 0 for ci in self.c):
-            raise ValueError("c must be strictly positive")
+        if not all(0.0 < ci < math.inf for ci in self.c):
+            raise ValueError(f"c must be finite and strictly positive, got {list(self.c)}")
         if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
             raise ValueError("w1 and w2 must lie in [0, 1]")
 
@@ -136,14 +140,13 @@ class PoissonSpec:
     x_obs: float = 0.5
 
     def __post_init__(self):
-        if self.n_random < 1:
-            raise ValueError(f"n_random must be >= 1, got {self.n_random}")
-        if self.n_cells < 10:
-            raise ValueError(f"n_cells must be >= 10, got {self.n_cells}")
+        _check_integer("n_random", self.n_random, 1)
+        _check_integer("n_cells", self.n_cells, 10)
         if not 0.0 < self.x_obs < 1.0:
             raise ValueError(f"x_obs must lie in (0, 1), got {self.x_obs}")
-        if self.correlation_length <= 0:
-            raise ValueError("correlation_length must be positive")
+        if not 0.0 < self.correlation_length < math.inf:
+            raise ValueError(f"correlation_length must be finite and positive, "
+                             f"got {self.correlation_length}")
 
     @property
     def period(self) -> float:
@@ -222,6 +225,9 @@ class _PoissonGrid:
     """
 
     def __init__(self, spec: PoissonSpec):
+        from scipy.linalg.lapack import dgtsv  # the one model that needs SciPy
+
+        self.dgtsv = dgtsv
         n = spec.n_cells
         self.spec = spec
         self.x = np.linspace(0.0, 1.0, n + 1)
@@ -247,7 +253,7 @@ class _PoissonGrid:
         u = np.zeros(self.x.size)
         out = np.empty(len(kappa))
         for r in range(len(kappa)):
-            *_, interior, info = dgtsv(off[r], diag[r], off[r], self.rhs)
+            *_, interior, info = self.dgtsv(off[r], diag[r], off[r], self.rhs)
             if info:
                 raise SparseGridError(f"linear solve failed: singular matrix (dgtsv info {info})")
             u[1:-1] = interior
@@ -324,8 +330,8 @@ class TrussSpec:
     base_area: float = 6.0e-4
 
     def __post_init__(self):
-        if self.modulus <= 0 or self.load <= 0 or self.base_area <= 0:
-            raise ValueError("modulus, load and base_area must be positive")
+        if not all(0.0 < v < math.inf for v in (self.modulus, self.load, self.base_area)):
+            raise ValueError("modulus, load and base_area must be finite and positive")
 
     def critical_load(self, area: float) -> float:
         """Euler critical load of member 5 for a solid circular section."""
@@ -419,6 +425,8 @@ def _affine(lo: float, hi: float, t: float) -> float:
 
 def _make_kink(params):
     kink_pos = float(params.pop("kink_pos", 0.4375))
+    if not math.isfinite(kink_pos):
+        raise ValueError(f"kink_pos must be finite, got {kink_pos}")
     echo = {"kink_pos": kink_pos}
     return ModelFunction(lambda x: abs(float(x[0]) - kink_pos), 1, "kink",
                          batch=lambda xs: np.abs(xs[:, 0] - kink_pos)), echo
@@ -448,10 +456,13 @@ def _make_genz(kind):
 
 
 def _make_poisson(params):
+    n_random, n_cells = params.pop("n_random", 10), params.pop("n_cells", 512)
+    _check_integer("n_random", n_random, 1)  # before int(), which would truncate 3.7
+    _check_integer("n_cells", n_cells, 10)
     spec = PoissonSpec(
-        n_random=int(params.pop("n_random", 10)),
+        n_random=int(n_random),
         correlation_length=float(params.pop("correlation_length", 0.5)),
-        n_cells=int(params.pop("n_cells", 512)),
+        n_cells=int(n_cells),
         x_obs=float(params.pop("x_obs", 0.5)),
     )
     echo = {

@@ -49,12 +49,14 @@ files of the line-by-line and region-by-region code it replaced:
   key, inline and afresh on every call.  The hit regions not yet fitted
   (fits are lazy: superseded regions are never fitted) are fitted together:
   their end slopes come from divided differences over (R, k) knot arrays,
-  and one LAPACK `dgtsv` call solves all their tridiagonal systems as one
-  block-diagonal system.  Two identity rows with zero coupling separate the
-  blocks; the systems are diagonally dominant, so `dgtsv` swaps no rows,
-  and every product across a block edge is a zero coupling times a +0
-  separator value, which leaves each block's solution, the sign of a zero
-  included, bitwise as a solve of that block alone gives it.  Every hit row
+  and one NumPy solve takes all their tridiagonal systems at once, one per
+  column of (longest knot set, R) arrays, padded below with identity rows of
+  zero coupling.  It replays LAPACK `dgtsv`'s no-pivot branch operation for
+  operation, row by row across the columns.  The systems are diagonally
+  dominant, so `dgtsv` would swap no rows, and every product that reaches
+  into the padding is a zero times a +0 padding value, which leaves each
+  set's solution, the sign of a zero included, bitwise as `dgtsv` solving
+  that set alone gives it.  So the smooth layer needs no SciPy.  Every hit row
   is then evaluated at once, its knot interval found by a vectorised
   bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
   of the same code, with the same refusals.
@@ -69,7 +71,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
@@ -115,6 +116,59 @@ def _endpoint_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return slope
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal systems held in the columns of (L, R) arrays.
+
+    Column r is one system: diag[:, r] its diagonal, off[i, r] the coupling
+    of rows i and i + 1 (off[L - 1] is not read) and rhs[:, r] its
+    right-hand side.  `diag` and `rhs` are overwritten; `rhs`, returned,
+    holds the solutions.  The steps are those of LAPACK's `dgtsv` on one
+    system when it swaps no rows, in its order, row by row over all columns
+    at once, so each column is bitwise the solution `dgtsv` gives:
+
+        forward, i = 0 .. L-2:  f = off[i] / diag[i]
+                                diag[i+1] -= f * off[i];  rhs[i+1] -= f * rhs[i]
+        back:  rhs[L-1] /= diag[L-1]
+               rhs[L-2] = (rhs[L-2] - off[L-2] * rhs[L-1]) / diag[L-2]
+               rhs[i] = (rhs[i] - off[i] * rhs[i+1] - 0.0 * rhs[i+2]) / diag[i],  i = L-3 .. 0
+
+    The last term is `dgtsv`'s zeroed fill-in times rhs[i+2]: it turns a -0
+    into +0 where `dgtsv` does.  A zero pivot, or a row where `dgtsv` would
+    swap rows (|diag[i]| < |off[i]|), raises SparseGridError: such a system
+    is refused rather than solved another way.
+    """
+    size = len(diag)
+    d, e, b = list(diag), list(off), list(rhs)  # row views, made once
+    f, t = np.empty(diag.shape[1]), np.empty(diag.shape[1])
+    # about 10 ufunc calls per row: local names and positional `out` keep
+    # each call's overhead down
+    div, mul, sub = np.divide, np.multiply, np.subtract
+    with np.errstate(all="ignore"):  # a refused system may divide by zero
+        for i in range(size - 1):
+            div(e[i], d[i], f)
+            sub(d[i + 1], mul(f, e[i], t), d[i + 1])
+            sub(b[i + 1], mul(f, b[i], t), b[i + 1])
+        # diag[i] is the pivot `dgtsv` checks at step i: later steps leave it
+        swap = ~(np.abs(diag[:-1]) >= np.abs(off[:-1]))
+        if swap.any():
+            i, r = np.argwhere(swap)[0]
+            raise SparseGridError(f"tridiagonal solve refused: row {i} of system {r} "
+                                  f"would need a row interchange")
+        if not diag.all():
+            i, r = np.argwhere(diag == 0.0)[0]
+            raise SparseGridError(f"tridiagonal solve refused: zero pivot in row {i} "
+                                  f"of system {r}")
+        div(b[-1], d[-1], b[-1])
+        if size > 1:
+            sub(b[-2], mul(e[-2], b[-1], t), b[-2])
+            div(b[-2], d[-2], b[-2])
+        for i in range(size - 3, -1, -1):
+            sub(b[i], mul(e[i], b[i + 1], t), b[i])
+            sub(b[i], mul(b[i + 2], 0.0, t), b[i])
+            div(b[i], d[i], b[i])
+    return rhs
+
+
 def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
     """Knot second derivatives of the clamped cubic spline of each knot set.
 
@@ -122,14 +176,16 @@ def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
     of each end: one-sided polynomial fits, which keep the construction
     derivative-free while matching the sharp h^4 error constant of complete
     splines (the plain not-a-knot condition misses it in the end intervals),
-    and still reproduce cubics exactly.  One LAPACK `dgtsv` call (the
-    routine `solve_banded((1, 1), ...)` calls) solves all the tridiagonal
-    systems as one block-diagonal system.  Each block is followed by two
-    identity rows with a zero right-hand side and zero coupling.  The
-    systems are diagonally dominant, so `dgtsv` never swaps rows, and every
-    product that crosses a block edge multiplies a zero coupling by one of
-    those +0 separator values: it subtracts +0, which leaves every value
-    bitwise as a one-block solve gives it, the sign of a zero included.
+    and still reproduce cubics exactly.  The tridiagonal systems are solved
+    together by `_solve_tridiagonal`, laid out as the columns of (longest
+    knot set, knot sets) arrays.  Below a knot set's last knot its column
+    holds identity rows with a zero right-hand side and zero coupling.  The
+    solve replays LAPACK `dgtsv` operation for operation, and every product
+    that reaches past a knot set's end multiplies a zero coupling or `dgtsv`'s
+    zero fill-in by one of those +0 padding values: it subtracts +0, which
+    leaves every value bitwise as `dgtsv` solving that knot set alone (the
+    routine `solve_banded((1, 1), ...)` calls) gives it, the sign of a zero
+    included.
     """
     n = np.array([len(x) for x in knots])
     x, y = np.concatenate(knots), np.concatenate(values)
@@ -152,17 +208,16 @@ def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
     s_left, s_right = np.empty(len(x)), np.empty(len(x))
     s_left[first], s_right[last] = slope_lo, slope_hi
     s_left[gap + 1] = s_right[gap] = slope
-    # knot i of block b sits on row i + 2b, the separators on the rows between
-    row = np.arange(len(x)) + 2 * np.repeat(np.arange(len(n)), n)
-    size = len(x) + 2 * len(n)
-    diag, rhs, off = np.ones(size), np.zeros(size), np.zeros(size - 1)
-    diag[row] = (h_left + h_right) / 3.0
-    rhs[row] = s_right - s_left
-    off[row[gap]] = h / 6.0
-    *_, second, info = dgtsv(off, diag, off, rhs)
-    if info:
-        raise SparseGridError(f"spline fit failed: singular system (dgtsv info {info})")
-    return np.split(second[row], np.cumsum(n)[:-1])
+    # knot i of set r sits in row i of column r: flat index i * R + r
+    column = np.repeat(np.arange(len(n)), n)
+    at = (np.arange(len(x)) - first[column]) * len(n) + column
+    shape = (n.max(), len(n))
+    diag, rhs, off = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    diag.ravel()[at] = (h_left + h_right) / 3.0
+    rhs.ravel()[at] = s_right - s_left
+    off.ravel()[at[gap]] = h / 6.0
+    second = _solve_tridiagonal(diag, off, rhs).ravel()[at]
+    return np.split(second, np.cumsum(n)[:-1])
 
 
 def _spline_at(x, y, m, first, count, t) -> np.ndarray:

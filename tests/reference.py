@@ -5,7 +5,9 @@ These are the scalar definitions the arrays must agree with: (level, index)
 nodes with their exact dyadic coordinates, hat functions, refinement sons and
 basis integrals, built from the definitions in plain Python, and the clamped
 cubic spline of one line, solved one knot set at a time.  Tests compare
-the library's array results with them.
+the library's array results with them.  `second_derivatives` is the spline
+fit by one LAPACK `dgtsv` call on a block-diagonal system, the oracle of the
+library's NumPy solve.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 
 def new_nodes_on_level(level: int) -> int:
@@ -282,6 +285,49 @@ class CubicLineSpline:
         out = (a * y[i] + b * y[i + 1]
                + ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]) * h * h / 6.0)
         return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def block_tridiagonal_solve(blocks) -> list[np.ndarray]:
+    """Solutions of symmetric tridiagonal systems from one `dgtsv` call.
+
+    `blocks` holds (diag, off, rhs) per system, `off` one shorter than
+    `diag`.  The systems are laid end to end, each followed by two identity
+    rows with a zero right-hand side and zero coupling, and solved as one
+    block-diagonal system.  For systems that `dgtsv` solves without row
+    interchanges, every product across a block edge multiplies a zero by a
+    +0 separator value, so each solution is bitwise that of its block alone.
+    """
+    n = np.array([len(d) for d, _, _ in blocks])
+    last = np.cumsum(n) - 1
+    row = np.arange(n.sum()) + 2 * np.repeat(np.arange(len(n)), n)
+    inner = np.ones(n.sum(), dtype=bool)  # rows coupled to the next row of their block
+    inner[last] = False
+    size = n.sum() + 2 * len(n)
+    diag, rhs, off = np.ones(size), np.zeros(size), np.zeros(size - 1)
+    diag[row] = np.concatenate([d for d, _, _ in blocks])
+    rhs[row] = np.concatenate([b for _, _, b in blocks])
+    off[row[inner]] = np.concatenate([e for _, e, _ in blocks])
+    *_, solution, info = dgtsv(off, diag, off, rhs)
+    if info:
+        raise ValueError(f"singular system (dgtsv info {info})")
+    return np.split(solution[row], last[:-1] + 1)
+
+
+def second_derivatives(knots, values) -> list[np.ndarray]:
+    """Knot second derivatives of the clamped cubic splines of several knot
+    sets, by `block_tridiagonal_solve`: the systems of CubicLineSpline, with
+    end slopes from `endpoint_slope` over the nearest min(5, n) knots."""
+    blocks = []
+    for x, y in zip(knots, values):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        k = min(5, x.size)
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        h_left, h_right = np.append(0.0, h), np.append(h, 0.0)
+        s_left = np.append(endpoint_slope(x[:k], y[:k]), slope)
+        s_right = np.append(slope, endpoint_slope(x[-k:][::-1], y[-k:][::-1]))
+        blocks.append(((h_left + h_right) / 3.0, h / 6.0, s_right - s_left))
+    return block_tridiagonal_solve(blocks)
 
 
 class RegionStore:

@@ -635,6 +635,26 @@ class TestCli:
         assert json.loads(lines[0])["error"] == "ValueError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["poisson.n_random = 3.7", "poisson.n_cells = 20.9",
+                                         "poisson.correlation_length = nan"])
+    def test_fractional_or_nan_benchmark_parameter_refused(self, tmp_path, capsys, setting):
+        # the first two built a 3-input model and a 20-cell grid; the NaN
+        # failed only at the first model evaluation, as a linear solve
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 2\n{setting}\n")
+        out = tmp_path / "out"
+        code = cli_main(["build", "--method", "csc", "--benchmark", "poisson",
+                         "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert setting.split()[0].split(".")[1] in err["detail"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["build", "study"])
     @pytest.mark.parametrize("setting", [
         "epsilom = 1e-1",  # a misspelt key

@@ -216,6 +216,10 @@ class TestPoisson:
             PoissonSpec(n_cells=5)
         with pytest.raises(ValueError):
             PoissonSpec(x_obs=1.0)
+        with pytest.raises(ValueError, match="n_random must be an integer"):
+            PoissonSpec(n_random=2.5)
+        with pytest.raises(ValueError, match="correlation_length"):
+            PoissonSpec(correlation_length=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +400,26 @@ class TestRegistry:
     def test_unused_params_rejected(self):
         with pytest.raises(SparseGridError):
             get_benchmark("kink", {"typo": 1})
+
+    @pytest.mark.parametrize("name, params", [
+        ("poisson", {"n_random": 3.7}),  # int() made a 3-input model of it
+        ("poisson", {"n_cells": 20.9}),  # and a 20-cell grid of this
+        ("poisson", {"n_random": True}),  # and a 1-input model of this
+        ("poisson", {"n_cells": 64.0}),
+        ("poisson", {"correlation_length": math.nan}),
+        ("poisson", {"correlation_length": math.inf}),
+        ("kink", {"kink_pos": math.nan}),
+        ("kink", {"kink_pos": -math.inf}),
+        ("genz_oscillatory", {"c": [1.0, 1.0, math.nan, 1.0, 1.0]}),
+        ("genz_corner_peak", {"c": [1.0, math.inf, 1.0, 1.0, 1.0]}),
+        ("truss2", {"load": math.nan}),
+        ("truss3", {"modulus": math.inf}),
+    ])
+    def test_fractional_or_non_finite_params_refused(self, name, params):
+        # each was accepted: a count truncated, or a NaN or inf that failed
+        # only later, at every evaluation
+        with pytest.raises(ValueError, match=next(iter(params))):
+            get_benchmark(name, params)
 
     def test_dimension_wiring(self):
         for name, d in [("kink", 1), ("line_singularity", 2), ("genz_oscillatory", 5),

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgtsv
 
 import reference as ref
 from sgsurrogate import (
@@ -31,7 +30,9 @@ from sgsurrogate import (
 )
 from sgsurrogate import smooth
 from sgsurrogate.core import _codes_of_dyadic, dyadic_codes
-from sgsurrogate.smooth import LineGroup, _endpoint_slopes, _second_derivatives, _spline_values
+from sgsurrogate.smooth import (
+    LineGroup, _endpoint_slopes, _second_derivatives, _solve_tridiagonal, _spline_values,
+)
 
 
 def fitted(knots, values):
@@ -112,6 +113,63 @@ class TestCubicLineSpline:
         got = endpoint_slope(x, y)
         assert got == pytest.approx(4 * x[0] ** 3 - 4 * x[0] + 1, abs=1e-12)
         assert np.float64(got).tobytes() == np.float64(ref.endpoint_slope(x, y)).tobytes()
+
+
+def columns(blocks):
+    """(diag, off, rhs) blocks laid out as _solve_tridiagonal takes them: one
+    column each, padded below with identity rows of zero coupling."""
+    shape = (max(len(d) for d, _, _ in blocks), len(blocks))
+    diag, off, rhs = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    for r, (d, e, b) in enumerate(blocks):
+        diag[:len(d), r], off[:len(e), r], rhs[:len(b), r] = d, e, b
+    return diag, off, rhs
+
+
+@st.composite
+def dominant_blocks(draw):
+    """1-400 symmetric, strictly diagonally dominant tridiagonal systems of
+    1-70 unknowns, built as spline systems are from knot spacings down to
+    2**-40 (zero outside the end knots of some), each times +1 or -1, with
+    right-hand sides that include +0 and -0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    longest = draw(st.integers(1, 70))
+    blocks = []
+    for n in rng.integers(1, longest + 1, size=draw(st.integers(1, 400))):
+        h = 2.0 ** -rng.uniform(0, 40, n + 1) * rng.uniform(1, 2, n + 1)
+        if n > 1 and rng.random() < 0.5:
+            h[0] = h[-1] = 0.0  # the end rows of a clamped spline
+        sign = rng.choice([-1.0, 1.0])
+        rhs = rng.normal(size=n) * 2.0 ** rng.integers(-40, 40, n)
+        rhs[rng.random(n) < 0.3] = 0.0
+        rhs[rng.random(n) < 0.3] = -0.0
+        blocks.append((sign * ((h[:-1] + h[1:]) / 3.0), sign * (h[1:-1] / 6.0), rhs))
+    return blocks
+
+
+class TestTridiagonalSolve:
+    """_solve_tridiagonal against LAPACK: reference.block_tridiagonal_solve
+    solves the same systems with one `dgtsv` call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(blocks=dominant_blocks())
+    def test_equals_lapack_bitwise(self, blocks):
+        got = _solve_tridiagonal(*columns(blocks))
+        for r, want in enumerate(ref.block_tridiagonal_solve(blocks)):
+            assert got[:len(want), r].tobytes() == want.tobytes()  # -0 and +0 differ here
+
+    def test_zero_pivot_refused(self):
+        blocks = [(np.array([2.0, 1.0, 3.0]), np.array([0.5, 0.5]), np.ones(3)),
+                  (np.array([4.0, 0.0, 4.0]), np.array([0.0, 0.0]), np.ones(3))]
+        with pytest.raises(SparseGridError, match="zero pivot in row 1 of system 1"):
+            _solve_tridiagonal(*columns(blocks))
+
+    def test_row_interchange_refused(self):
+        # LAPACK would swap rows 0 and 1 of system 0 (|diag| < |off|) and
+        # solve it; the NumPy solve only follows the branch without swaps
+        blocks = [(np.array([1.0, 3.0, 3.0]), np.array([2.0, 1.0]), np.ones(3))]
+        np.testing.assert_array_equal(ref.block_tridiagonal_solve(blocks)[0], [-1.0, 1.0, 0.0])
+        with pytest.raises(SparseGridError, match="row 0 of system 0 would need a row interchange"):
+            _solve_tridiagonal(*columns(blocks))
 
 
 def csc_model(func, d, level):
@@ -947,6 +1005,10 @@ class TestBatchedSpline:
             assert same_bits(endpoint_slope(x[:k], y[:k]), ref.endpoint_slope(x[:k], y[:k]))
             assert same_bits(r._second_derivs, ref.CubicLineSpline(x, y).second_derivs)
             assert same_bits(r._second_derivs, _second_derivatives([x], [y])[0])
+        fitted = [r for r in regions if r._second_derivs is not None]
+        oracle = ref.second_derivatives([r.knots for r in fitted], [r.outputs for r in fitted])
+        for r, m in zip(fitted, oracle):
+            assert same_bits(r._second_derivs, m)
         for value, r, at in zip(values, rows, t):
             assert same_bits(value, ref.CubicLineSpline(regions[r].knots, regions[r].outputs)(at))
             assert same_bits(value, spline_value(regions[r], at))
@@ -979,11 +1041,13 @@ class TestBatching:
         calls = []
         per_level = []
 
+        solve = smooth._solve_tridiagonal
+
         def counting(*args):
             calls.append(len(args[1]))
-            return dgtsv(*args)
+            return solve(*args)
 
-        monkeypatch.setattr(smooth, "dgtsv", counting)
+        monkeypatch.setattr(smooth, "_solve_tridiagonal", counting)
         res = self.build(on_level=lambda model, record: per_level.append(len(calls)))
         assert res.model.spline_interpolations > 0
         assert sum(r.spline_hits > 0 for r in res.records) > 1
