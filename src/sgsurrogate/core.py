@@ -563,25 +563,18 @@ class SurrogateModel:
         the one candidate node's hat product is formed dimension by dimension
         in ascending order, then the terms of the groups from table position
         `first` on are added one by one onto `start` (shape
-        (n, len(columns))), if given, as a left fold (_left_fold):
+        (n, len(columns))), if given, as a left fold (_left_fold): coarse to
+        fine by default, fine to coarse with `fine_first` (for surpluses).
+        The module docstring says why each order, and why the sums of groups
+        0 .. first - 1 passed as `start` give, bit for bit, the fold over
+        every group.
 
-        - coarse to fine by default.  A left fold continues exactly, so the
-          sums of groups 0 .. first - 1 passed as `start` give, bit for bit,
-          the fold over every group: queries after a deeper level need only
-          that level's groups;
-        - fine to coarse with `fine_first` (for surpluses): the small
-          fine-level terms meet each other before the large coarse ones,
-          which keeps piecewise-linear data's surpluses exactly 0 more often
-          than coarse-to-fine or pairwise summation does.
-
-        A row forms terms only for groups that its block dominates: a grid
-        coordinate of level L sits on a support edge of every finer hat,
-        where _hat_tables gives exactly +0, so each term left out is +-0 and
-        changes no sum but the sign of a zero one, which queries return as
-        +0; builds never meet it (module docstring).  Rows are sorted by the
-        level vectors of their coordinates (_grid_levels, capped at the
-        deepest stored level, so a coordinate that is no node of a stored
-        level dominates every group).  A block holds whole runs of equal
+        A row forms terms only for groups that its block dominates; each
+        term left out is +-0 and changes no sum but the sign of a zero one
+        (module docstring).  Rows are sorted by the level vectors of their
+        coordinates (_grid_levels, capped at the deepest stored level, so a
+        coordinate that is no node of a stored level dominates every
+        group).  A block holds whole runs of equal
         vectors while rows x their groups stay within _MERGE, or else an even
         share of one run, of at most _BLOCK // max(groups, hat columns) rows;
         it forms, for each of its rows, the terms of every group that one of
@@ -672,16 +665,13 @@ class SurrogateModel:
         return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0] + 0.0
 
     def interpolate(self, x) -> float:
-        """Evaluate the surrogate at a single point in [0, 1]^d; a zero sum is +0."""
+        """Evaluate the surrogate at a single point in [0, 1]^d: a one-row interpolate_many."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"expected shape ({self.dimension},), got {x.shape}"
             )
-        if not len(self):
-            raise EmptyModelError("cannot interpolate an empty model")
-        _check_domain(x[None, :])
-        return float(self._evaluate_sum(x[None, :], (0,))[0, 0] + 0.0)
+        return float(self.interpolate_many(x[None])[0])
 
     def surpluses_against_prefix(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w and v surpluses of new values against the current model state.

@@ -3,8 +3,9 @@
 A study builds a surrogate level by level and records one row per level:
 evaluation counts, max-abs and RMS errors over a seeded test set, analytic
 moments, and the moment changes between consecutive levels.  Reports land in
-a CSV with a fixed column order plus a JSON sidecar echoing the full
-configuration, so runs are reproducible from their artifacts alone.
+a CSV whose columns are StudyRow's fields, in order, plus a JSON sidecar
+echoing the full configuration, so runs are reproducible from their
+artifacts alone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "level", "full_evals", "spline_evals", "max_abs_error", "rmse",
-    "mean", "variance", "mean_delta", "variance_delta", "wall_time",
-)
-
 METHODS = ("CSC", "ASGC", "EASGC")
 
 
@@ -57,16 +53,11 @@ def draw_test_points(dimension: int, count: int, seed: int) -> np.ndarray:
     return rng.random((count, dimension))
 
 
-def _true_values(f, points: np.ndarray) -> np.ndarray:
-    if isinstance(f, np.ndarray):
-        return f
-    return np.array([f(x) for x in points])
-
-
 def _deviation(m, f, test_points) -> np.ndarray:
-    """surrogate - model at every test point."""
+    """surrogate - model at every test point; `f` may be the model's values there."""
     test_points = np.asarray(test_points, dtype=float)
-    return m.interpolate_many(test_points) - _true_values(f, test_points)
+    truth = f if isinstance(f, np.ndarray) else np.array([f(x) for x in test_points])
+    return m.interpolate_many(test_points) - truth
 
 
 def _max_abs(dev: np.ndarray) -> float:
@@ -145,6 +136,9 @@ class StudyRow:
     wall_time: float
 
 
+CSV_COLUMNS = tuple(column.name for column in fields(StudyRow))
+
+
 @dataclass
 class StudyReport:
     """Per-level study rows plus the metadata needed to reproduce them."""
@@ -155,16 +149,10 @@ class StudyReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
+        """A header of CSV_COLUMNS, then each row's fields: ints as such, reals to 17 digits."""
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                value = getattr(row, col)
-                if isinstance(value, int):
-                    cells.append(str(value))
-                else:
-                    cells.append(format(float(value), ".17g"))
-            lines.append(",".join(cells))
+        lines += [",".join(str(v) if isinstance(v, int) else format(float(v), ".17g")
+                           for v in astuple(row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, output_dir, stem: str | None = None) -> tuple[Path, Path]:
@@ -175,7 +163,8 @@ class StudyReport:
         csv_path = output_dir / f"{stem}.csv"
         meta_path = output_dir / f"{stem}.json"
         csv_path.write_text(self.to_csv())
-        meta_path.write_text(json.dumps(self.metadata, indent=2, sort_keys=True) + "\n")
+        meta_path.write_text(json.dumps(self.metadata, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
         return csv_path, meta_path
 
 
@@ -226,7 +215,6 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
 
     report = StudyReport(method=method, benchmark=benchmark)
     start = time.perf_counter()
-    previous = {"mean": None, "variance": None}
     # the surrogate at the test points as running sums over the groups folded
     # so far: a level appends its groups, so only those are added
     running = {"sums": None, "groups": 0}
@@ -238,14 +226,7 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         running["sums"] = model._evaluate_sum(points, (0,), running["groups"], running["sums"])
         running["groups"] = model._group_count
         dev = running["sums"][:, 0] - true_values  # once for both errors
-        mean_delta = (
-            float("nan") if previous["mean"] is None else abs(est.mean - previous["mean"])
-        )
-        variance_delta = (
-            float("nan") if previous["variance"] is None else abs(est.variance - previous["variance"])
-        )
-        previous["mean"] = est.mean
-        previous["variance"] = est.variance
+        last = report.rows[-1] if report.rows else None
         report.rows.append(StudyRow(
             level=record.level,
             full_evals=record.full_evaluations,
@@ -254,8 +235,8 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
             rmse=_rms(dev),
             mean=est.mean,
             variance=est.variance,
-            mean_delta=mean_delta,
-            variance_delta=variance_delta,
+            mean_delta=math.nan if last is None else abs(est.mean - last.mean),
+            variance_delta=math.nan if last is None else abs(est.variance - last.variance),
             wall_time=time.perf_counter() - start,
         ))
 
@@ -268,15 +249,8 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         "dimension": f.dimension,
         "seed": seed,
         "n_test_points": int(points.shape[0]),
-        "config": {
-            "epsilon": cfg.epsilon,
-            "max_level": cfg.max_level,
-            "init_level": cfg.init_level,
-            "min_line_points": (
-                "inf" if math.isinf(cfg.min_line_points) else cfg.min_line_points
-            ),
-            "slope_tol": cfg.slope_tol,
-        },
+        "config": {name: "inf" if math.isinf(value) else value
+                   for name, value in asdict(cfg).items() if name != "dimension"},
         "stopped_by": result.stopped_by,
         "full_evaluations": result.model.full_evaluations,
         "spline_interpolations": result.model.spline_interpolations,

@@ -113,7 +113,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     depth, full and spline, each once, or whose depth and counts differ from
     what the node lines hold (a file cut after some node lines); and a
     region line no node could match: a dim outside [0, d), an anchor without
-    d - 1 pairs, or knots and outputs of unequal lengths or not finite.
+    d - 1 pairs, knots and outputs of unequal lengths or not finite, or a
+    midpoint and half-length other than the ones save_surrogate writes for
+    its knots.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(_MAGIC + " "):
@@ -179,7 +181,7 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
             raise ValueError(f"{len(region_lines)} region lines follow")
         fields = []
         for line in region_lines:
-            dim, anchor, knots, outputs, _mid, _half = line.split()
+            dim, anchor, knots, outputs, mid, half = line.split()
             pairs = [p.split(":") for p in anchor.split(",")] if anchor != "-" else []
             pairs = np.array([(int(num), int(exp)) for num, exp in pairs], dtype=np.int64)
             if not 0 <= int(dim) < d:
@@ -188,14 +190,19 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
                 raise ValueError(f"anchor of {len(pairs)} pairs, not d - 1 = {d - 1}")
             fields.append((int(dim), pairs.reshape(d - 1, 2),
                            np.array([float(k) for k in knots.split(",")]),
-                           np.array([float(o) for o in outputs.split(",")])))
+                           np.array([float(o) for o in outputs.split(",")]), f"{mid} {half}"))
         dyadic = np.array([f[1] for f in fields], dtype=np.int64).reshape(len(fields), d - 1, 2)
         anchors, valid = _codes_of_dyadic(dyadic[..., 0], dyadic[..., 1])
         if not valid.all():
             line = region_lines[int(np.flatnonzero(~valid.all(axis=1))[0])]
             raise ValueError("anchor pair names no node: not the canonical num:exp of one")
-        for line, (dim, _, knots, outputs), anchor in zip(region_lines, fields, anchors.tolist()):
-            db.store(SmoothRegion(dim=dim, anchor=tuple(anchor), knots=knots, outputs=outputs))
+        for line, (dim, _, knots, outputs, ends), anchor in zip(region_lines, fields,
+                                                                 anchors.tolist()):
+            region = SmoothRegion(dim=dim, anchor=tuple(anchor), knots=knots, outputs=outputs)
+            written = f"{_REAL} {_REAL}" % (region.midpoint, region.half_length)
+            if ends != written:
+                raise ValueError(f"midpoint and half-length {ends!r}, not {written!r}")
+            db.store(region)
     except (ValueError, OverflowError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db

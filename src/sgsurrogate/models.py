@@ -19,15 +19,17 @@ Poisson grid is built, not with this module, so no other model loads SciPy.
 The Genz and truss benchmarks have no batch form: their vectorised dot
 products and solves need not round as the scalar ones do.
 
-Every parameter is checked when its spec is built: counts must be integers
-(3.7 and True are refused, not truncated) and reals finite, with comparisons
-that a NaN fails.
+Every parameter is checked when its benchmark is built: counts must be
+integers (3.7 and True are refused, not truncated), and every real goes
+through one reader that refuses anything but finite real numbers with a
+ValueError naming the parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -140,8 +142,9 @@ class PoissonSpec:
     x_obs: float = 0.5
 
     def __post_init__(self):
-        _check_integer("n_random", self.n_random, 1)
-        _check_integer("n_cells", self.n_cells, 10)
+        for name, low in (("n_random", 1), ("n_cells", 10)):
+            _check_integer(name, getattr(self, name), low)
+            object.__setattr__(self, name, int(getattr(self, name)))  # a NumPy integer as int
         if not 0.0 < self.x_obs < 1.0:
             raise ValueError(f"x_obs must lie in (0, 1), got {self.x_obs}")
         if not 0.0 < self.correlation_length < math.inf:
@@ -316,6 +319,18 @@ _DIAGONAL_INDEX = 4      # member 5, the brace allowed to buckle
 _OUTPUT_INDEX = 3        # member 4, the reported vertical
 
 
+def _member_geometry(i: int, j: int):
+    delta = _TRUSS_NODES[j] - _TRUSS_NODES[i]
+    length = float(np.hypot(*delta))
+    return [2 * i, 2 * i + 1, 2 * j, 2 * j + 1], length, delta / length
+
+
+# per member: its DOFs (x and y of its first node, then of its second), its
+# length and its unit direction, the one geometry the stiffness, the force
+# recovery and the Euler load all read
+_TRUSS_GEOMETRY = [_member_geometry(i, j) for i, j in _TRUSS_MEMBERS]
+
+
 @dataclass(frozen=True)
 class TrussSpec:
     """Material, load and geometry constants of the six-member panel.
@@ -336,16 +351,11 @@ class TrussSpec:
     def critical_load(self, area: float) -> float:
         """Euler critical load of member 5 for a solid circular section."""
         inertia = area * area / (4.0 * math.pi)
-        length = _member_lengths()[_DIAGONAL_INDEX]
+        length = _TRUSS_GEOMETRY[_DIAGONAL_INDEX][1]
         return math.pi ** 2 * self.modulus * inertia / length ** 2
 
     def default_areas(self) -> np.ndarray:
         return np.full(6, self.base_area)
-
-
-def _member_lengths() -> np.ndarray:
-    d = _TRUSS_NODES[[j for _, j in _TRUSS_MEMBERS]] - _TRUSS_NODES[[i for i, _ in _TRUSS_MEMBERS]]
-    return np.linalg.norm(d, axis=1)
 
 
 def solve_member_forces(areas, spec: TrussSpec, include_diagonal: bool = True) -> np.ndarray:
@@ -359,26 +369,14 @@ def solve_member_forces(areas, spec: TrussSpec, include_diagonal: bool = True) -
         raise SparseGridError(f"expected 6 member areas, got shape {areas.shape}")
     if np.any(areas <= 0.0):
         raise SparseGridError("member areas must be positive")
-    members = [
-        (m, idx) for idx, m in enumerate(_TRUSS_MEMBERS)
-        if include_diagonal or idx != _DIAGONAL_INDEX
-    ]
+    members = [idx for idx in range(6) if include_diagonal or idx != _DIAGONAL_INDEX]
     ndof = 2 * len(_TRUSS_NODES)
     stiffness = np.zeros((ndof, ndof))
-    for (i, j), idx in members:
-        xi, xj = _TRUSS_NODES[i], _TRUSS_NODES[j]
-        delta = xj - xi
-        length = float(np.hypot(*delta))
-        cx, cy = delta / length
+    for idx in members:
+        dofs, length, direction = _TRUSS_GEOMETRY[idx]
+        signed = np.concatenate([-direction, direction])  # (-cx, -cy, cx, cy)
         k = spec.modulus * areas[idx] / length
-        block = k * np.array([
-            [cx * cx, cx * cy, -cx * cx, -cx * cy],
-            [cx * cy, cy * cy, -cx * cy, -cy * cy],
-            [-cx * cx, -cx * cy, cx * cx, cx * cy],
-            [-cx * cy, -cy * cy, cx * cy, cy * cy],
-        ])
-        dofs = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        stiffness[np.ix_(dofs, dofs)] += block
+        stiffness[np.ix_(dofs, dofs)] += k * np.outer(signed, signed)
     loads = np.zeros(ndof)
     loads[4] = -spec.load            # P to the left at C
     loads[5] = -_SQRT3 * spec.load   # sqrt(3) P downward at C
@@ -391,12 +389,9 @@ def solve_member_forces(areas, spec: TrussSpec, include_diagonal: bool = True) -
     u = np.zeros(ndof)
     u[free] = u_free
     forces = np.zeros(6)
-    for (i, j), idx in members:
-        xi, xj = _TRUSS_NODES[i], _TRUSS_NODES[j]
-        delta = xj - xi
-        length = float(np.hypot(*delta))
-        direction = delta / length
-        stretch = (u[2 * j:2 * j + 2] - u[2 * i:2 * i + 2]) @ direction
+    for idx in members:
+        dofs, length, direction = _TRUSS_GEOMETRY[idx]
+        stretch = (u[dofs[2:]] - u[dofs[:2]]) @ direction
         forces[idx] = spec.modulus * areas[idx] / length * stretch
     return forces
 
@@ -419,14 +414,26 @@ def truss_member4_force(areas, spec: TrussSpec) -> float:
 # benchmark registry
 # ---------------------------------------------------------------------------
 
-def _affine(lo: float, hi: float, t: float) -> float:
-    return lo + (hi - lo) * t
+def _real(params: dict, name: str, default):
+    """Pop benchmark parameter `name`, or take `default`, as a finite float.
+
+    Where `default` is a tuple, the parameter is a list, tuple or 1-D array
+    of as many finite reals, returned as a tuple of floats.  Anything else
+    (a bool, a string, a list where one number is due, a NaN or an
+    infinity) raises a ValueError that names the parameter.
+    """
+    value = params.pop(name, default)
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default):
+            return tuple(_real({name: v}, name, 0.0) for v in value)
+        raise ValueError(f"{name} must be {len(default)} real numbers, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _make_kink(params):
-    kink_pos = float(params.pop("kink_pos", 0.4375))
-    if not math.isfinite(kink_pos):
-        raise ValueError(f"kink_pos must be finite, got {kink_pos}")
+    kink_pos = _real(params, "kink_pos", 0.4375)
     echo = {"kink_pos": kink_pos}
     return ModelFunction(lambda x: abs(float(x[0]) - kink_pos), 1, "kink",
                          batch=lambda xs: np.abs(xs[:, 0] - kink_pos)), echo
@@ -440,11 +447,8 @@ def _make_line_singularity(params):
 def _make_genz(kind):
     def build(params):
         defaults = genz_defaults(kind)
-        p = GenzParams(
-            w1=float(params.pop("w1", defaults.w1)),
-            w2=float(params.pop("w2", defaults.w2)),
-            c=tuple(params.pop("c", defaults.c)),
-        )
+        p = GenzParams(**{name: _real(params, name, getattr(defaults, name))
+                          for name in ("w1", "w2", "c")})
         func = {
             "oscillatory": genz_oscillatory,
             "corner_peak": genz_corner_peak,
@@ -456,61 +460,35 @@ def _make_genz(kind):
 
 
 def _make_poisson(params):
-    n_random, n_cells = params.pop("n_random", 10), params.pop("n_cells", 512)
-    _check_integer("n_random", n_random, 1)  # before int(), which would truncate 3.7
-    _check_integer("n_cells", n_cells, 10)
     spec = PoissonSpec(
-        n_random=int(n_random),
-        correlation_length=float(params.pop("correlation_length", 0.5)),
-        n_cells=int(n_cells),
-        x_obs=float(params.pop("x_obs", 0.5)),
+        n_random=params.pop("n_random", 10),
+        correlation_length=_real(params, "correlation_length", 0.5),
+        n_cells=params.pop("n_cells", 512),
+        x_obs=_real(params, "x_obs", 0.5),
     )
-    echo = {
-        "n_random": spec.n_random,
-        "correlation_length": spec.correlation_length,
-        "n_cells": spec.n_cells,
-        "x_obs": spec.x_obs,
-    }
     grid = _PoissonGrid(spec)
-    return ModelFunction(grid.one, spec.n_random, "poisson", batch=grid.many), echo
+    return ModelFunction(grid.one, spec.n_random, "poisson", batch=grid.many), asdict(spec)
 
 
-def _truss_spec_from(params) -> TrussSpec:
-    return TrussSpec(
-        modulus=float(params.pop("modulus", 200e9)),
-        load=float(params.pop("load", 4000.0)),
-        base_area=float(params.pop("base_area", 6.0e-4)),
-    )
+def _make_truss(name: str, inputs):
+    """The truss benchmark whose inputs set the areas of (member, low cm^2, high cm^2)."""
+    members = [member - 1 for member, _, _ in inputs]
+    lo = np.array([low for _, low, _ in inputs]) / 1e4
+    hi = np.array([high for _, _, high in inputs]) / 1e4
 
+    def build(params):
+        spec = TrussSpec(**{field.name: _real(params, field.name, field.default)
+                            for field in fields(TrussSpec)})
 
-def _make_truss2(params):
-    spec = _truss_spec_from(params)
+        def f(x):
+            areas = spec.default_areas()
+            areas[members] = lo + (hi - lo) * np.asarray(x, dtype=float)
+            return truss_member4_force(areas, spec)
 
-    def f(x):
-        areas = spec.default_areas()
-        areas[1] = _affine(3e-4, 9e-4, float(x[0]))  # member 2
-        areas[4] = _affine(3e-4, 9e-4, float(x[1]))  # member 5
-        return truss_member4_force(areas, spec)
-
-    echo = {"modulus": spec.modulus, "load": spec.load, "base_area": spec.base_area,
-            "random_members": [2, 5], "bounds_cm2": [[3, 9], [3, 9]]}
-    return ModelFunction(f, 2, "truss2"), echo
-
-
-def _make_truss3(params):
-    spec = _truss_spec_from(params)
-
-    def f(x):
-        areas = spec.default_areas()
-        areas[0] = _affine(5.5e-4, 6.5e-4, float(x[0]))  # member 1
-        areas[2] = _affine(5.5e-4, 6.5e-4, float(x[1]))  # member 3
-        areas[4] = _affine(3e-4, 9e-4, float(x[2]))      # member 5
-        return truss_member4_force(areas, spec)
-
-    echo = {"modulus": spec.modulus, "load": spec.load, "base_area": spec.base_area,
-            "random_members": [1, 3, 5],
-            "bounds_cm2": [[5.5, 6.5], [5.5, 6.5], [3, 9]]}
-    return ModelFunction(f, 3, "truss3"), echo
+        echo = {**asdict(spec), "random_members": [member for member, _, _ in inputs],
+                "bounds_cm2": [[low, high] for _, low, high in inputs]}
+        return ModelFunction(f, len(inputs), name), echo
+    return build
 
 
 _REGISTRY = {
@@ -520,8 +498,8 @@ _REGISTRY = {
     "genz_corner_peak": _make_genz("corner_peak"),
     "genz_discontinuous": _make_genz("discontinuous"),
     "poisson": _make_poisson,
-    "truss2": _make_truss2,
-    "truss3": _make_truss3,
+    "truss2": _make_truss("truss2", [(2, 3, 9), (5, 3, 9)]),
+    "truss3": _make_truss("truss3", [(1, 5.5, 6.5), (3, 5.5, 6.5), (5, 3, 9)]),
 }
 
 

@@ -25,7 +25,7 @@ as code rows; only the text files (io) write them as dyadic coordinates.
 The work is done on arrays, in one pass per dimension or per level, so it
 scales with the dimension d and the node count N, not with the number of
 lines, runs or regions.  Every step gives bitwise the values, regions and
-files of the line-by-line and region-by-region code it replaced:
+files of the same step taken one line or one region at a time:
 
 - The scan hashes every node's code row once per pass (a wrapping int64
   weighted sum, see core._row_weights).  A node's anchor key along a
@@ -49,16 +49,10 @@ files of the line-by-line and region-by-region code it replaced:
   key, inline and afresh on every call.  The hit regions not yet fitted
   (fits are lazy: superseded regions are never fitted) are fitted together:
   their end slopes come from divided differences over (R, k) knot arrays,
-  and one NumPy solve takes all their tridiagonal systems at once, one per
-  column of (longest knot set, R) arrays, padded below with identity rows of
-  zero coupling.  It replays LAPACK `dgtsv`'s no-pivot branch operation for
-  operation, row by row across the columns.  The systems are diagonally
-  dominant, so `dgtsv` would swap no rows, and every product that reaches
-  into the padding is a zero times a +0 padding value, which leaves each
-  set's solution, the sign of a zero included, bitwise as `dgtsv` solving
-  that set alone gives it.  So the smooth layer needs no SciPy.  Every hit row
-  is then evaluated at once, its knot interval found by a vectorised
-  bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
+  and one NumPy solve takes all their tridiagonal systems at once, bitwise
+  as LAPACK `dgtsv` solving each alone (`_solve_tridiagonal` says why), so
+  the smooth layer needs no SciPy.  Every hit row is then evaluated at
+  once, its knot interval found by a vectorised bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
   of the same code, with the same refusals.
 """
 
@@ -123,8 +117,9 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     of rows i and i + 1 (off[L - 1] is not read) and rhs[:, r] its
     right-hand side.  `diag` and `rhs` are overwritten; `rhs`, returned,
     holds the solutions.  The steps are those of LAPACK's `dgtsv` on one
-    system when it swaps no rows, in its order, row by row over all columns
-    at once, so each column is bitwise the solution `dgtsv` gives:
+    system when it swaps no rows (the routine `solve_banded((1, 1), ...)`
+    calls), in its order, row by row over all columns at once, so each
+    column is bitwise the solution `dgtsv` gives:
 
         forward, i = 0 .. L-2:  f = off[i] / diag[i]
                                 diag[i+1] -= f * off[i];  rhs[i+1] -= f * rhs[i]
@@ -136,6 +131,12 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     into +0 where `dgtsv` does.  A zero pivot, or a row where `dgtsv` would
     swap rows (|diag[i]| < |off[i]|), raises SparseGridError: such a system
     is refused rather than solved another way.
+
+    Systems shorter than L are padded below with identity rows of zero
+    coupling and zero right-hand side.  Every product that reaches into the
+    padding multiplies a zero coupling or the zero fill-in by a +0 padding
+    value, so it subtracts +0 and leaves each system's solution, the sign
+    of a zero included, bitwise as `dgtsv` solving that system alone.
     """
     size = len(diag)
     d, e, b = list(diag), list(off), list(rhs)  # row views, made once
@@ -177,15 +178,8 @@ def _second_derivatives(knots: list, values: list) -> list[np.ndarray]:
     derivative-free while matching the sharp h^4 error constant of complete
     splines (the plain not-a-knot condition misses it in the end intervals),
     and still reproduce cubics exactly.  The tridiagonal systems are solved
-    together by `_solve_tridiagonal`, laid out as the columns of (longest
-    knot set, knot sets) arrays.  Below a knot set's last knot its column
-    holds identity rows with a zero right-hand side and zero coupling.  The
-    solve replays LAPACK `dgtsv` operation for operation, and every product
-    that reaches past a knot set's end multiplies a zero coupling or `dgtsv`'s
-    zero fill-in by one of those +0 padding values: it subtracts +0, which
-    leaves every value bitwise as `dgtsv` solving that knot set alone (the
-    routine `solve_banded((1, 1), ...)` calls) gives it, the sign of a zero
-    included.
+    together by `_solve_tridiagonal`, as the padded columns of (longest knot
+    set, knot sets) arrays, bitwise as `dgtsv` solving each knot set alone.
     """
     n = np.array([len(x) for x in knots])
     x, y = np.concatenate(knots), np.concatenate(values)

@@ -2,7 +2,8 @@
 
 Every name a module lists in __all__ exists in it; every name the package
 re-exports is in its module's __all__; and no module imports a name it never
-uses, so a deleted API leaves no import behind.
+uses, so a deleted API leaves no import behind.  A snapshot of the public
+names makes every addition or removal of API show in a diff of this file.
 """
 
 import ast
@@ -78,6 +79,62 @@ def test_no_unused_imports(module):
     # __init__ is left out: its imports are the package's public names
     unused = unused_imports(MODULES[module])
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+# the package's public names and every module's __all__, sorted
+PUBLIC_API = {
+    "sgsurrogate": [
+        "AdaptiveConfig", "BuildResult", "ContractViolationError", "DimensionMismatchError",
+        "EmptyModelError", "EvaluationError", "GridPoint", "HierarchicalNode",
+        "InvalidNodeError", "LevelRecord", "LineGroup", "METHODS", "ModelFunction",
+        "MomentEstimate", "MonteCarloEstimate", "OutOfDomainError", "PersistenceError",
+        "RegionDatabase", "SmoothRegion", "SparseGridError", "StudyReport", "StudyRow",
+        "SurrogateModel", "benchmark_names", "build", "config_from_mapping", "coordinates",
+        "derivative_scan", "draw_test_points", "get_benchmark", "group_lines", "join_codes",
+        "load_surrogate", "max_abs_error", "mc_reference", "moments", "parse_config",
+        "refine_candidates", "rmse", "run_asgc", "run_csc", "run_easgc", "run_study",
+        "save_surrogate", "spline_value", "split_codes", "weight_1d",
+    ],
+    "adapt": [
+        "AdaptiveConfig", "BuildResult", "LevelRecord", "ModelFunction", "refine_candidates",
+        "run_asgc", "run_csc",
+    ],
+    "cli": [],
+    "core": [
+        "GridPoint", "HierarchicalNode", "KEY_LIMIT", "MAX_LEVEL", "SurrogateModel",
+        "coordinates", "dyadic_codes", "join_codes", "split_codes",
+    ],
+    "errors": [
+        "ContractViolationError", "DimensionMismatchError", "EmptyModelError",
+        "EvaluationError", "InvalidNodeError", "OutOfDomainError", "PersistenceError",
+        "SparseGridError",
+    ],
+    "harness": [
+        "CSV_COLUMNS", "METHODS", "MonteCarloEstimate", "StudyReport", "StudyRow", "build",
+        "config_from_mapping", "draw_test_points", "max_abs_error", "mc_reference",
+        "parse_config", "rmse", "run_study",
+    ],
+    "io": ["load_surrogate", "save_surrogate"],
+    "models": [
+        "GenzParams", "POISSON_BLOCK", "PoissonSpec", "TrussSpec", "benchmark_names",
+        "diffusion_field", "genz_corner_peak", "genz_defaults", "genz_discontinuous",
+        "genz_oscillatory", "get_benchmark", "line_singularity", "poisson_solve",
+        "solve_member_forces", "truss_member4_force", "xi_coefficient",
+    ],
+    "moments": ["MomentEstimate", "moments", "weight_1d"],
+    "smooth": [
+        "LineGroup", "RegionDatabase", "SmoothRegion", "StoreOutcome", "derivative_scan",
+        "group_lines", "run_easgc", "spline_value",
+    ],
+}
+
+
+def test_public_api_snapshot():
+    got = {module: sorted(exported(tree)) for module, tree in MODULES.items()
+           if module != "__init__"}
+    got["sgsurrogate"] = sorted(name for name in defined(MODULES["__init__"])
+                                if not name.startswith("_"))
+    assert got == PUBLIC_API
 
 
 def test_the_checks_catch_what_they_look_for():

@@ -164,6 +164,19 @@ class TestRunStudy:
         assert meta["config"]["epsilon"] == 1e-3
         assert (tmp_path / "kink_easgc.surrogate").exists()
 
+    def test_sidecar_is_strict_json_with_infinite_config_values(self, tmp_path):
+        # an infinite epsilon was written as the bare token Infinity
+        cfg = AdaptiveConfig(dimension=1, epsilon=math.inf, max_level=4, init_level=1,
+                             min_line_points=math.inf)
+        run_study("ASGC", "kink", cfg, n_test_points=50, output_dir=tmp_path)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        meta = json.loads((tmp_path / "kink_asgc.json").read_text(), parse_constant=refuse)
+        assert meta["config"] == {"epsilon": "inf", "max_level": 4, "init_level": 1,
+                                  "min_line_points": "inf", "slope_tol": 0.25}
+
     @pytest.mark.parametrize("n_test_points", [0, -3, 2.5, True])
     @pytest.mark.parametrize("name, dimension", [("kink", 1), ("truss2", 2)])
     def test_fewer_than_one_test_point_refused(self, tmp_path, monkeypatch, name,
@@ -410,6 +423,12 @@ class TestPersistence:
         (lambda f: f[:3] + [f[3].rsplit(",", 1)[0]] + f[4:], "4 knots but 3 outputs"),
         (lambda f: f[:3] + ["nan," + f[3].split(",", 1)[1]] + f[4:], "non-finite"),
         (lambda f: f[:2] + [f[2].rsplit(",", 1)[0] + ",inf"] + f[3:], "non-finite"),
+        # a midpoint and half-length other than the 0.375 0.375 save writes:
+        # both fields were skipped, so these loaded and saved as other bytes
+        (lambda f: f[:4] + ["hello", "1_0"], "midpoint and half-length"),
+        (lambda f: f[:5] + ["1_0"], "midpoint and half-length"),
+        (lambda f: f[:4] + ["0.5", "0.375"], "midpoint and half-length"),
+        (lambda f: f[:4] + ["0.375", "0.3750"], "midpoint and half-length"),
     ])
     def test_region_lines_no_node_can_match_rejected(self, tmp_path, edit, reason):
         # a 2-D model with one region along dim 0 at x1 = 0.5
@@ -636,14 +655,16 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["poisson.n_random = 3.7", "poisson.n_cells = 20.9",
-                                         "poisson.correlation_length = nan"])
+                                         "poisson.correlation_length = nan",
+                                         "genz_oscillatory.c = 1", "kink.kink_pos = 0.3,0.4"])
     def test_fractional_or_nan_benchmark_parameter_refused(self, tmp_path, capsys, setting):
         # the first two built a 3-input model and a 20-cell grid; the NaN
-        # failed only at the first model evaluation, as a linear solve
+        # failed only at the first model evaluation, as a linear solve; the
+        # last two ended in a TypeError traceback
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"i_max = 2\n{setting}\n")
         out = tmp_path / "out"
-        code = cli_main(["build", "--method", "csc", "--benchmark", "poisson",
+        code = cli_main(["build", "--method", "csc", "--benchmark", setting.split(".")[0],
                          "--config", str(cfg), "--output-dir", str(out)])
         assert code == 2
         captured = capsys.readouterr()

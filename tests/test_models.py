@@ -1,5 +1,6 @@
 """Benchmark models: analytic identities, solver oracles, buckling behavior."""
 
+import json
 import math
 import tracemalloc
 
@@ -380,6 +381,14 @@ class TestTruss:
         steps = np.abs(np.diff(values))
         assert steps.max() < 5.0  # newtons per fine step, no jumps
 
+    def test_euler_load_reads_the_stiffness_length(self):
+        # the Euler load took member 5's length as 3.9999999999999996 from
+        # np.linalg.norm, the stiffness as 4.0 from np.hypot
+        spec = TrussSpec()
+        for area in (3e-4, 6e-4, 8.5e-4):
+            inertia = area * area / (4.0 * math.pi)
+            assert spec.critical_load(area) == math.pi ** 2 * spec.modulus * inertia / 4.0 ** 2
+
     def test_bad_areas_rejected(self):
         spec = TrussSpec()
         with pytest.raises(SparseGridError):
@@ -414,12 +423,36 @@ class TestRegistry:
         ("genz_corner_peak", {"c": [1.0, math.inf, 1.0, 1.0, 1.0]}),
         ("truss2", {"load": math.nan}),
         ("truss3", {"modulus": math.inf}),
+        # wrongly typed: each escaped as a TypeError from float(), tuple() or
+        # a comparison, or its bool or string was read as a number
+        ("genz_oscillatory", {"c": 1}),
+        ("genz_corner_peak", {"c": ["a"] * 5}),
+        ("genz_oscillatory", {"c": [1.0, 1.0, True, 1.0, 1.0]}),
+        ("genz_discontinuous", {"w1": [0.1, 0.2]}),
+        ("kink", {"kink_pos": [0.3, 0.4]}),
+        ("kink", {"kink_pos": "0.3"}),
+        ("truss2", {"modulus": [1, 2]}),
+        ("truss3", {"load": None}),
+        ("poisson", {"correlation_length": [1, 2]}),
+        ("truss2", {"load": True}),
     ])
     def test_fractional_or_non_finite_params_refused(self, name, params):
         # each was accepted: a count truncated, or a NaN or inf that failed
         # only later, at every evaluation
         with pytest.raises(ValueError, match=next(iter(params))):
             get_benchmark(name, params)
+
+    def test_numpy_counts_echo_as_python_ints(self):
+        f, echo = get_benchmark("poisson", {"n_random": np.int64(4), "n_cells": np.int32(32)})
+        assert f.dimension == 4 and type(echo["n_random"]) is int
+        assert json.loads(json.dumps(echo)) == {"n_random": 4, "correlation_length": 0.5,
+                                                "n_cells": 32, "x_obs": 0.5}
+
+    def test_truss_echo(self):
+        _, echo = get_benchmark("truss3", {"load": 3000})
+        assert json.dumps(echo) == (
+            '{"modulus": 200000000000.0, "load": 3000.0, "base_area": 0.0006, '
+            '"random_members": [1, 3, 5], "bounds_cm2": [[5.5, 6.5], [5.5, 6.5], [3, 9]]}')
 
     def test_dimension_wiring(self):
         for name, d in [("kink", 1), ("line_singularity", 2), ("genz_oscillatory", 5),
