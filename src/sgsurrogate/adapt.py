@@ -51,7 +51,8 @@ class AdaptiveConfig:
     (`min_line_points`, `slope_tol`) are read only by run_easgc, and
     `min_line_points` may be math.inf to disable certification entirely.
     The levels, the dimension and a finite `min_line_points` must be
-    integers, and no field may be NaN (ValueError otherwise).
+    integers, `epsilon` and `slope_tol` real numbers > 0 (inf allowed), and
+    no field may be NaN (ValueError naming the field otherwise).
     """
 
     dimension: int
@@ -65,15 +66,20 @@ class AdaptiveConfig:
         # the comparisons are written so that NaN fails every one of them
         for name, low in (("dimension", 1), ("max_level", 1), ("init_level", 0)):
             _check_integer(name, getattr(self, name), low)
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        for name in ("epsilon", "slope_tol"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise ValueError(f"{name} must be a real number > 0, got {value!r}")
         if not self.init_level < self.max_level:
             raise ValueError(f"need init_level < max_level, got {self.init_level}, "
                              f"{self.max_level}")
         if self.min_line_points != math.inf:
             _check_integer("min_line_points", self.min_line_points, 5)
-        if not self.slope_tol > 0:
-            raise ValueError(f"slope_tol must be > 0, got {self.slope_tol}")
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a real number; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -226,20 +232,6 @@ def refine_candidates(active) -> np.ndarray:
     return sons[fresh]
 
 
-def _evaluate_candidates(f, codes, coords, value_source):
-    """Evaluate a level's candidates, via region lookup when available.
-
-    The whole level is looked up first; the misses then go to the model in
-    one `f.many` call.  Returns (values, spline mask).
-    """
-    if value_source is None:
-        values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
-    else:
-        values, spline = value_source(codes)
-    values[~spline] = f.many(coords[~spline])
-    return values, spline
-
-
 def _check_finite(coords, w, v) -> None:
     """EvaluationError at the first row whose w or v surplus is not finite."""
     bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(v)))
@@ -262,7 +254,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     `value_source(codes)` takes the level's (n, d) code array and returns
     (values, hit mask): cheap values for the rows it can serve, which skip
     the full evaluation, and a mask of those rows (the other values are
-    ignored and overwritten).  `after_level(model, level)` runs after each
+    ignored and overwritten).  `after_level(model)` runs after each
     adaptive level is inserted, before the next level's candidates are
     evaluated, and returns counts for the next level's record (a dict of
     LevelRecord fields); `on_level(model, record)` observes every level for
@@ -285,7 +277,11 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         start = clock()
         coords = coordinates(candidates)
         try:
-            values, spline = _evaluate_candidates(f, candidates, coords, value_source)
+            if value_source is None:
+                values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
+            else:
+                values, spline = value_source(candidates)
+            values[~spline] = f.many(coords[~spline])
             evaluated = clock()
             w, v = model.surpluses_against_prefix(coords, values)
             _check_finite(coords, w, v)
@@ -324,7 +320,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         start = clock()
         scan_counts = {}
         if after_level is not None and level > init_level:
-            scan_counts = after_level(model, level)
+            scan_counts = after_level(model)
         scanned = clock()
         candidates = refine_candidates(active)
         prepared = {"refine": clock() - scanned, "after_level": scanned - start}

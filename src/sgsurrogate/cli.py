@@ -7,6 +7,7 @@ to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,9 @@ import numpy as np
 
 from .adapt import _check_integer
 from .errors import SparseGridError
-from .harness import _CONFIG_KEYS, METHODS, build, config_from_mapping, parse_config, run_study
+from .harness import (
+    _CONFIG_KEYS, METHODS, _build_record, build, config_from_mapping, parse_config, run_study,
+)
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
 from .moments import moments
@@ -60,16 +63,7 @@ def _cmd_build(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.benchmark}_{args.method}.surrogate"
     save_surrogate(path, result.model, result.region_db)
-    meta = {
-        "method": method,
-        "benchmark": args.benchmark,
-        "benchmark_params": echo,
-        "nodes": len(result.model),
-        "full_evaluations": result.model.full_evaluations,
-        "spline_interpolations": result.model.spline_interpolations,
-        "stopped_by": result.stopped_by,
-        "surrogate": path.name,
-    }
+    meta = {**_build_record(method, args.benchmark, echo, result), "surrogate": path.name}
     (out_dir / f"{args.benchmark}_{args.method}.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n"
     )
@@ -79,12 +73,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_moments(args) -> int:
     model, _ = load_surrogate(args.surrogate)
-    est = moments(model)
-    print(json.dumps({
-        "mean": est.mean,
-        "mean_square": est.mean_square,
-        "variance": est.variance,
-    }))
+    print(json.dumps(dataclasses.asdict(moments(model))))
     return 0
 
 

@@ -677,10 +677,9 @@ class SurrogateModel:
         """w and v surpluses of new values against the current model state.
 
         Caller guarantees the model holds only strictly coarser levels (the
-        level-ordered drivers do this by construction).
+        level-ordered drivers do this by construction).  An empty model sums
+        to +0, so the surpluses are the values (a -0 stays -0) and their squares.
         """
-        if len(self) == 0:
-            return values.copy(), values.copy() ** 2
         sums = self._evaluate_sum(points, (0, 1), fine_first=True)
         return values - sums[:, 0], values ** 2 - sums[:, 1]
 

@@ -195,13 +195,16 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     Deterministic for a fixed seed and configuration (the wall_time column
     and `level_build_s` aside).  When `output_dir` is given, writes
     `<stem>.csv`, `<stem>.json` and optionally `<stem>.surrogate`.
-    `n_test_points` must be an integer >= 1 (ValueError before any model
+    `n_test_points` must be an integer >= 1, and `stem` and
+    `persist_surrogate` need an `output_dir` (ValueError before any model
     call otherwise).
     """
     method = method.upper()
     if method not in METHODS:
         raise SparseGridError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_integer("n_test_points", n_test_points, 1)
+    if output_dir is None and (persist_surrogate or stem is not None):
+        raise ValueError("persist_surrogate and stem need an output_dir to write to")
     f, echo = get_benchmark(benchmark, benchmark_params)
     if cfg is None:
         cfg = AdaptiveConfig(dimension=f.dimension)
@@ -218,10 +221,8 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     # the surrogate at the test points as running sums over the groups folded
     # so far: a level appends its groups, so only those are added
     running = {"sums": None, "groups": 0}
-    build_s = []
 
     def on_level(model, record):
-        build_s.append(sum(record.phase_s.values()))
         est = moments(model)
         running["sums"] = model._evaluate_sum(points, (0,), running["groups"], running["sums"])
         running["groups"] = model._group_count
@@ -243,26 +244,33 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     result = build(f, cfg, method, on_level)
 
     report.metadata = {
-        "method": method,
-        "benchmark": benchmark,
-        "benchmark_params": echo,
+        **_build_record(method, benchmark, echo, result),
         "dimension": f.dimension,
         "seed": seed,
         "n_test_points": int(points.shape[0]),
         "config": {name: "inf" if math.isinf(value) else value
                    for name, value in asdict(cfg).items() if name != "dimension"},
-        "stopped_by": result.stopped_by,
-        "full_evaluations": result.model.full_evaluations,
-        "spline_interpolations": result.model.spline_interpolations,
-        "nodes": len(result.model),
         "version": _version,
-        "level_build_s": build_s,
+        "level_build_s": [sum(record.phase_s.values()) for record in result.records],
     }
     if output_dir is not None:
         csv_path, _ = report.write(output_dir, stem)
         if persist_surrogate:
             save_surrogate(csv_path.with_suffix(".surrogate"), result.model, result.region_db)
     return report
+
+
+def _build_record(method: str, benchmark: str, echo: dict, result: BuildResult) -> dict:
+    """What a build made, as `sgsurrogate build` prints it and a study's sidecar holds it."""
+    return {
+        "method": method,
+        "benchmark": benchmark,
+        "benchmark_params": echo,
+        "nodes": len(result.model),
+        "full_evaluations": result.model.full_evaluations,
+        "spline_interpolations": result.model.spline_interpolations,
+        "stopped_by": result.stopped_by,
+    }
 
 
 def build(f: ModelFunction, cfg: AdaptiveConfig, method: str, on_level=None) -> BuildResult:

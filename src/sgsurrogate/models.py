@@ -28,12 +28,11 @@ ValueError naming the parameter.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .adapt import ModelFunction, _check_integer
+from .adapt import ModelFunction, _check_integer, _is_real
 from .errors import SparseGridError
 
 __all__ = [
@@ -92,14 +91,13 @@ class GenzParams:
 def genz_defaults(kind: str) -> GenzParams:
     """Default constants: c_i proportional to 1/(i+1), scaled per family.
 
-    The weight sums are 5.0 (oscillatory), 2.0 (corner peak) and 4.0
-    (discontinuous), a standard difficulty normalisation.
+    The c_i sum to the family's weight sum in `_GENZ`, a standard
+    difficulty normalisation.
     """
-    totals = {"oscillatory": 5.0, "corner_peak": 2.0, "discontinuous": 4.0}
-    if kind not in totals:
+    if kind not in _GENZ:
         raise ValueError(f"unknown kind {kind!r}")
     raw = np.array([1.0 / (i + 1) for i in range(1, 6)])
-    c = raw * (totals[kind] / raw.sum())
+    c = raw * (_GENZ[kind][1] / raw.sum())
     return GenzParams(c=tuple(float(ci) for ci in c))
 
 
@@ -121,6 +119,15 @@ def genz_discontinuous(x, p: GenzParams) -> float:
     if x[0] >= p.w1 or x[1] >= p.w2:
         return 0.0
     return float(np.exp(np.dot(p.c, x)))
+
+
+# kind -> (function, weight sum of its default c): the registered `genz_<kind>`
+# benchmarks and their defaults
+_GENZ = {
+    "oscillatory": (genz_oscillatory, 5.0),
+    "corner_peak": (genz_corner_peak, 2.0),
+    "discontinuous": (genz_discontinuous, 4.0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +207,14 @@ def _conductivity(draws: np.ndarray, modes: np.ndarray, spec: PoissonSpec) -> np
     return 0.5 + np.exp(expo)
 
 
+def _draw(y, spec: PoissonSpec) -> np.ndarray:
+    """One unit-cube draw as a float array; SparseGridError unless of shape (n_random,)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (spec.n_random,):
+        raise SparseGridError(f"expected {spec.n_random} random inputs, got shape {y.shape}")
+    return y
+
+
 def diffusion_field(x, y, spec: PoissonSpec) -> np.ndarray:
     """Conductivity 0.5 + exp(expansion) at positions x for unit-cube draw y.
 
@@ -208,11 +223,7 @@ def diffusion_field(x, y, spec: PoissonSpec) -> np.ndarray:
     the period.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n_random,):
-        raise SparseGridError(
-            f"expected {spec.n_random} random inputs, got shape {y.shape}"
-        )
+    y = _draw(y, spec)
     return _conductivity(y[None], _weighted_modes(x.ravel(), spec), spec)[0].reshape(x.shape)
 
 
@@ -273,12 +284,7 @@ class _PoissonGrid:
 
     def one(self, y) -> float:
         """u(x_obs) for one draw y of shape (n_random,)."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.spec.n_random,):
-            raise SparseGridError(
-                f"expected {self.spec.n_random} random inputs, got shape {y.shape}"
-            )
-        return float(self.many(y[None])[0])
+        return float(self.many(_draw(y, self.spec)[None])[0])
 
 
 def poisson_solve(y, spec: PoissonSpec, kappa_fn=None) -> float:
@@ -427,7 +433,7 @@ def _real(params: dict, name: str, default):
         if isinstance(value, (list, tuple, np.ndarray)) and len(value) == len(default):
             return tuple(_real({name: v}, name, 0.0) for v in value)
         raise ValueError(f"{name} must be {len(default)} real numbers, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not (_is_real(value) and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -449,11 +455,7 @@ def _make_genz(kind):
         defaults = genz_defaults(kind)
         p = GenzParams(**{name: _real(params, name, getattr(defaults, name))
                           for name in ("w1", "w2", "c")})
-        func = {
-            "oscillatory": genz_oscillatory,
-            "corner_peak": genz_corner_peak,
-            "discontinuous": genz_discontinuous,
-        }[kind]
+        func, _ = _GENZ[kind]
         echo = {"w1": p.w1, "w2": p.w2, "c": list(p.c)}
         return ModelFunction(lambda x: func(x, p), 5, f"genz_{kind}"), echo
     return build
@@ -494,9 +496,7 @@ def _make_truss(name: str, inputs):
 _REGISTRY = {
     "kink": _make_kink,
     "line_singularity": _make_line_singularity,
-    "genz_oscillatory": _make_genz("oscillatory"),
-    "genz_corner_peak": _make_genz("corner_peak"),
-    "genz_discontinuous": _make_genz("discontinuous"),
+    **{f"genz_{kind}": _make_genz(kind) for kind in _GENZ},
     "poisson": _make_poisson,
     "truss2": _make_truss("truss2", [(2, 3, 9), (5, 3, 9)]),
     "truss3": _make_truss("truss3", [(1, 5.5, 6.5), (3, 5.5, 6.5), (5, 3, 9)]),

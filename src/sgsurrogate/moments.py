@@ -10,6 +10,7 @@ here are read-only over a finished model.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,22 +33,16 @@ class MomentEstimate:
     variance: float
 
 
+def _weights(levels: np.ndarray) -> np.ndarray:
+    """Integral over [0, 1] of the 1-D basis at each level >= 1, elementwise."""
+    return np.where(levels == 2, 0.25, np.ldexp(1.0, 1 - levels))
+
+
 def weight_1d(level: int) -> float:
     """Integral over [0, 1] of a 1-D basis function at the given level."""
-    if level < 1:
-        raise InvalidNodeError(f"level must be >= 1, got {level}")
-    if level == 1:
-        return 1.0
-    if level == 2:
-        return 0.25
-    return 2.0 ** (1 - level)
-
-
-def _weights_vector(m: SurrogateModel) -> np.ndarray:
-    """Integral of every node's basis over the cube: the product of its
-    dimensions' weight_1d, from the code array; exact (powers of 2)."""
-    levels, _ = split_codes(m.codes)
-    return np.prod(np.where(levels == 2, 0.25, np.ldexp(1.0, 1 - levels)), axis=1)
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 1:
+        raise InvalidNodeError(f"level must be an integer >= 1, got {level!r}")
+    return float(_weights(np.asarray(level)))
 
 
 def moments(m: SurrogateModel) -> MomentEstimate:
@@ -59,7 +54,8 @@ def moments(m: SurrogateModel) -> MomentEstimate:
     """
     if len(m) == 0:
         raise EmptyModelError("cannot take moments of an empty model")
-    weights = _weights_vector(m)
+    levels, _ = split_codes(m.codes)
+    weights = np.prod(_weights(levels), axis=1)  # each node's basis integral, exact
     mean = float(m.w @ weights)
     mean_square = float(m.v @ weights)
     variance = mean_square - mean * mean

@@ -4,12 +4,12 @@ After each adaptive level, the model's points are projected along every
 dimension; points sharing all other coordinates form a 1-D line.  Lines with
 enough samples get a finite-difference slope scan over their (generally
 non-uniform) spacing.  Wherever successive slopes change by less than a
-tolerance, scaled by the line's output magnitude, the knot run is certified
-smooth and stored as a region carrying an interpolating cubic spline.  Candidates
-of later levels that fall inside a stored region take their value from the
-spline instead of a full model evaluation; they enter the surplus hierarchy
-exactly like evaluated nodes, and their squared spline value feeds the
-variance surpluses.
+tolerance times the line's largest |output|, a limit in the outputs' own
+unit, the knot run is certified smooth and stored as a region carrying an
+interpolating cubic spline.  Candidates of later levels that fall inside a
+stored region take their value from the spline instead of a full model
+evaluation; they enter the surplus hierarchy exactly like evaluated nodes,
+and their squared spline value feeds the variance surpluses.
 
 Regions on the same line never overlap: a newly certified superset replaces
 its subsets, and on a genuine partial overlap the longer interval wins (with
@@ -40,8 +40,8 @@ files of the same step taken one line or one region at a time:
   operations as the one-line scan, so the breaks and runs are the same.
   `derivative_scan` is a one-line call of it.
 - A run is stored in its turn, and skipped before a SmoothRegion is built
-  when a region of its line covers it then: `store`, whose one walk of the
-  line would meet that region, would find it covered and change nothing.
+  when a region of its line covers it then: `store`, which starts with the
+  same cover test, would find it covered and change nothing.
 - The driver hands `value_source(codes)` a level's whole (n, d) code array,
   and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`.
   That call checks the codes once, with one `split_codes` over the batch,
@@ -350,7 +350,7 @@ def _smooth_runs(positions: np.ndarray, outputs: np.ndarray, bounds: np.ndarray,
     gap = np.flatnonzero(within)
     slopes = np.zeros(len(within))
     slopes[gap] = (outputs[gap + 1] - outputs[gap]) / (positions[gap + 1] - positions[gap])
-    scale = np.fmax(1.0, np.maximum.reduceat(np.abs(outputs), bounds[:-1]))
+    scale = np.maximum.reduceat(np.abs(outputs), bounds[:-1])
     limit = np.repeat(slope_tol * scale, np.diff(bounds))
     knot = np.flatnonzero(inner)
     breaks = knot[np.abs(slopes[knot] - slopes[knot - 1]) > limit[knot]]
@@ -366,7 +366,9 @@ def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[t
 
     Slopes use the true (non-uniform) spacing.  A junction between two
     consecutive segments breaks the line when the slope change exceeds
-    slope_tol * max(1, max |output| on the line).  Returns maximal unbroken
+    slope_tol * max |output| on the line.  The limit has the outputs' unit,
+    as the slopes do, so scaling the outputs by a power of 2 scales both
+    alike and finds the same runs.  Returns maximal unbroken
     runs as (start, stop) index pairs (stop exclusive), keeping only runs of
     at least 4 knots; a break knot terminates one run and starts the next.
     Lines with fewer than `min_points` samples yield no runs.  A one-line
@@ -503,11 +505,10 @@ class RegionDatabase:
 
     A database holds the regions of one model: its first region fixes the
     node dimension d, and a region or a lookup of another d is refused.  A
-    line is named by the dimension it runs along and by its anchor.  A store
-    walks the regions of its line once.  Every lookup lays out the regions
-    of each dimension it searches afresh, in one pass: their anchors as code
-    rows (0 at `dim`) sorted by their hash, which is group_lines' anchor key,
-    with their intervals and creation order.
+    line is named by the dimension it runs along and by its anchor.  Every
+    lookup lays out the regions of each dimension it searches afresh, in one
+    pass: their anchors as code rows (0 at `dim`) sorted by their hash, which
+    is group_lines' anchor key, with their intervals and creation order.
     """
 
     def __init__(self):
@@ -536,24 +537,21 @@ class RegionDatabase:
     def store(self, region: SmoothRegion) -> StoreOutcome:
         """Insert a region, enforcing the non-overlap rules of its line.
 
-        One walk of the line decides.  An old region that holds the new one
-        makes the store a no-op; the new region replaces the old ones it
-        holds; a partial overlap keeps the longer interval and logs a
-        diagnostic.  Returns what happened.  The regions of a line never
-        overlap, so an old region that holds the new one overlaps no other
-        old region the new one meets: meeting it anywhere in the walk decides
-        as checking it first would.  A region of nodes of another dimension
-        than the stored ones raises InvalidNodeError.
+        An old region that holds the new one makes the store a no-op; else
+        the new region replaces the old ones it holds, and a partial overlap
+        keeps the longer interval and logs a diagnostic.  Returns what
+        happened.  A region of nodes of another dimension than the stored
+        ones raises InvalidNodeError.
         """
         d = len(region.anchor) + 1
         if self._d not in (None, d):
             raise InvalidNodeError(f"region of {d}-dimensional nodes in a database of "
                                    f"{self._d}-dimensional ones")
+        if self._covers(region.dim, region.anchor, region.lo, region.hi):
+            return StoreOutcome("covered")  # e.g. an idempotent re-store
         kept = []
         superseded = displaced = 0
         for old in self._lines.get(region.dim, {}).get(region.anchor, []):
-            if old.lo <= region.lo and region.hi <= old.hi:
-                return StoreOutcome("covered")  # e.g. an idempotent re-store
             if region.lo <= old.lo and region.hi >= old.hi:
                 superseded += 1
             elif region.lo < old.hi and old.lo < region.hi:
@@ -724,7 +722,7 @@ def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResu
         regions, which, t = db.lookup_many(codes)
         return _spline_values(regions, which, t), which >= 0
 
-    def after_level(model: SurrogateModel, level: int) -> dict:
+    def after_level(model: SurrogateModel) -> dict:
         return _scan_and_store(db, model, cfg.slope_tol, cfg.min_line_points)
 
     return _drive(

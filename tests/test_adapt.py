@@ -76,6 +76,11 @@ class TestConfig:
         ("max_level", 6.0),
         ("dimension", 2.0),
         ("init_level", True),
+        # True was taken as 1, and a string or a list escaped as a TypeError
+        ("epsilon", True),
+        ("slope_tol", True),
+        ("epsilon", "1e-3"),
+        ("slope_tol", [1]),
     ])
     def test_nan_and_fractional_fields_rejected(self, field, value):
         # NaN failed no `<=` check, so epsilon=nan stopped a line_singularity
@@ -89,6 +94,11 @@ class TestConfig:
     def test_infinite_min_line_points_allowed(self):
         cfg = AdaptiveConfig(dimension=2, min_line_points=math.inf)
         assert math.isinf(cfg.min_line_points)
+
+    def test_infinite_epsilon_and_slope_tol_allowed(self):
+        # a study sidecar writes them as "inf"
+        cfg = AdaptiveConfig(dimension=2, epsilon=math.inf, slope_tol=math.inf)
+        assert math.isinf(cfg.epsilon) and math.isinf(cfg.slope_tol)
 
 
 class TestModelFunction:

@@ -289,6 +289,14 @@ class TestSurrogateModel:
         with pytest.raises(EmptyModelError):
             m.depth
 
+    def test_batch_shape_checked(self):
+        m = SurrogateModel(2)
+        m.add_level([[1, 1]], [3.7], [3.7], [3.7 ** 2])
+        for bad in (np.zeros((3, 3)), np.zeros(2)):
+            with pytest.raises(DimensionMismatchError):
+                m.interpolate_many(bad)
+        assert m.interpolate_many(np.zeros((0, 2))).shape == (0,)
+
     def test_duplicate_key_rejected(self):
         m = SurrogateModel(1)
         m.add_level([[1]], [1.0], [1.0], [1.0])
@@ -371,6 +379,13 @@ class TestComputeSurplus:
     def test_root_against_empty(self):
         m = SurrogateModel(3)
         assert surplus(m, root_point(3), 4.2) == 4.2
+
+    def test_empty_model_surpluses_are_the_values_bitwise(self):
+        # the kernel sums no group to +0: a -0 value keeps its sign
+        values = np.array([-0.0, 0.0, 4.2, -1e100])
+        w, v = SurrogateModel(1).surpluses_against_prefix(np.full((4, 1), 0.5), values)
+        assert w.tobytes() == values.tobytes()
+        assert v.tobytes() == (values ** 2).tobytes()
 
     def test_level2_against_root_model(self):
         m = SurrogateModel(1)
@@ -989,6 +1004,15 @@ class TestArrayStore:
             with pytest.raises(expected):
                 for p in batch:
                     twin.add_node(HierarchicalNode(GridPoint(tuple(p.codes)), 0.0, 0.0, 0.0))
+
+    def test_columns_of_another_length_rejected_and_empty_batch_ignored(self):
+        m = SurrogateModel(1)
+        with pytest.raises(DimensionMismatchError):
+            m.add_level([[1]], [0.0, 1.0], [0.0], [0.0])
+        with pytest.raises(DimensionMismatchError):
+            m.add_level([[1]], [0.0], [0.0], [0.0], spline=[False, True])
+        m.add_level(np.zeros((0, 1), dtype=np.int64), [], [], [])
+        assert len(m) == 0
 
     def test_mixed_levels_and_non_integer_codes_rejected(self):
         m = SurrogateModel(1)

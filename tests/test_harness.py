@@ -233,9 +233,27 @@ class TestRunStudy:
             assert row.max_abs_error == float(np.abs(dev).max())
             assert row.rmse == float(np.sqrt(np.mean(dev * dev)))
 
+    @pytest.mark.parametrize("kwargs", [{"persist_surrogate": True}, {"stem": "run"}])
+    def test_output_options_without_output_dir_refused(self, monkeypatch, kwargs):
+        # each returned a report and wrote nothing
+        made = []
+        real = harness.get_benchmark
+        monkeypatch.setattr(harness, "get_benchmark",
+                            lambda *args: made.append(real(*args)) or made[-1])
+        with pytest.raises(ValueError, match="output_dir"):
+            run_study("ASGC", "kink", AdaptiveConfig(dimension=1, max_level=3), **kwargs)
+        assert all(f.evaluations == 0 for f, _ in made)
+
+    def test_default_config(self):
+        rep = run_study("ASGC", "kink", n_test_points=50)
+        assert rep.metadata["config"] == {"epsilon": 1e-3, "max_level": 10, "init_level": 2,
+                                          "min_line_points": 9, "slope_tol": 0.25}
+
     def test_unknown_method(self):
         with pytest.raises(SparseGridError):
             run_study("NOPE", "kink")
+        with pytest.raises(SparseGridError, match="unknown method"):
+            build(get_benchmark("kink")[0], AdaptiveConfig(dimension=1), "FOO")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SparseGridError):
@@ -379,6 +397,7 @@ class TestPersistence:
             nodes[:5] + [nodes[5].replace(" F", " Q")] + nodes[6:],  # unknown provenance
             nodes[:5] + ["9:999 0 0 0 F"] + nodes[6:],  # index out of range for its level
             nodes[:6] + [nodes[4]] + nodes[6:],  # duplicate node
+            nodes[:5] + [nodes[5].replace(" ", ",2:0 ", 1)] + nodes[6:],  # two pairs in 1-D
             regions[:11] + [""] + regions[11:],  # blank line between regions
             regions[:12],  # one region line missing
             regions[:10] + ["regions two"] + regions[11:],
@@ -637,7 +656,9 @@ class TestCli:
                                          "i_max = 6.5", "i1 = 1.5", "m_min = 7.5",
                                          # int() truncated these, or build never read them
                                          "seed = 1.7", "seed = true", "seed = -1",
-                                         "dimension = 2.5", "dimension = 2.0"])
+                                         "dimension = 2.5", "dimension = 2.0",
+                                         # a TypeError traceback, or built with slope_tol True
+                                         "epsilon = abc", "epsilon = 1,2", "phi = true"])
     def test_nan_or_fractional_config_refused(self, tmp_path, capsys, setting):
         cfg = tmp_path / "bad.cfg"
         base = {"i_max": 6, "i1": 2}
@@ -701,6 +722,16 @@ class TestCli:
         assert err["error"] == "SparseGridError"
         assert repr(setting.split()[0].split(".")[0]) in err["detail"]
         assert not out.exists()
+
+    def test_dimension_of_another_benchmark_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("i_max = 4\ndimension = 3\n")
+        code = cli_main(["build", "--method", "asgc", "--benchmark", "line_singularity",
+                         "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SparseGridError" and "dimension 3" in err["detail"]
+        assert not (tmp_path / "out").exists()
 
     def test_benchmark_parameters_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -86,6 +86,8 @@ class TestGenz:
             GenzParams(c=(1.0, 1.0, 0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             GenzParams(w1=1.5)
+        with pytest.raises(ValueError, match="unknown kind"):
+            genz_defaults("nope")
 
     def test_oscillatory_identities(self):
         zero = np.zeros(5)
@@ -127,6 +129,8 @@ class TestPoisson:
         values = [xi_coefficient(n, ratio) for n in range(2, 12)]
         assert values[0] == values[1]  # same floor(n/2)
         assert all(values[2 * i] > values[2 * i + 2] for i in range(4))
+        with pytest.raises(ValueError, match="n >= 2"):
+            xi_coefficient(1, ratio)
 
     def test_field_positive_and_shape(self):
         spec = PoissonSpec(n_random=7, n_cells=32)
@@ -137,6 +141,14 @@ class TestPoisson:
             assert kappa.shape == x.shape
             assert np.all(kappa > 0.5)
 
+    def test_draw_of_wrong_length_rejected(self):
+        spec = PoissonSpec(n_random=3, n_cells=16)
+        f, _ = get_benchmark("poisson", {"n_random": 3, "n_cells": 16})
+        for call in (lambda y: diffusion_field(np.linspace(0, 1, 5), y, spec), f.func):
+            for y in (np.full(4, 0.5), np.full((1, 3), 0.5)):
+                with pytest.raises(SparseGridError, match="expected 3 random inputs"):
+                    call(y)
+
     def test_constant_kappa_analytic_solution(self):
         # u = (x - x^3) / (3 kappa0) solves the problem; the cubic is
         # represented exactly by the second-difference scheme
@@ -144,6 +156,8 @@ class TestPoisson:
             spec = PoissonSpec(n_random=1, n_cells=n_cells, x_obs=0.5)
             u = poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.full_like(x, kappa0))
             assert u == pytest.approx(0.125 / kappa0, abs=1e-12)
+            # a scalar kappa is the constant field
+            assert poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: kappa0) == u
 
     def test_second_order_convergence_variable_kappa(self):
         # manufactured: kappa = 1 + x gives u' = -(x^2 + C)/(1 + x) with
@@ -388,6 +402,12 @@ class TestTruss:
         for area in (3e-4, 6e-4, 8.5e-4):
             inertia = area * area / (4.0 * math.pi)
             assert spec.critical_load(area) == math.pi ** 2 * spec.modulus * inertia / 4.0 ** 2
+
+    @pytest.mark.parametrize("field, value", [("modulus", math.inf), ("load", 0.0),
+                                              ("base_area", -1e-4), ("load", math.nan)])
+    def test_spec_validation(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TrussSpec(**{field: value})
 
     def test_bad_areas_rejected(self):
         spec = TrussSpec()

@@ -40,6 +40,12 @@ class TestWeights:
         with pytest.raises(InvalidNodeError):
             weight_1d(0)
 
+    @pytest.mark.parametrize("level", [2.5, 3.0, True])
+    def test_weight_1d_of_no_integer_refused(self, level):
+        # 2.5 gave 2 ** -1.5, and 3.0 and True the weights of levels 3 and 1
+        with pytest.raises(InvalidNodeError):
+            weight_1d(level)
+
     def test_weight_1d_is_basis_integral(self):
         # quadrature oracle over each basis function; the 1025-point grid
         # contains every hat breakpoint through level 7, so trapz is exact

@@ -200,6 +200,11 @@ class TestGroupLines:
             groups = group_lines(m, dim)
             assert sum(g.multiplicity for g in groups) == len(m)
 
+    @pytest.mark.parametrize("dim", [-1, 2])
+    def test_dim_out_of_range_refused(self, dim):
+        with pytest.raises(ValueError, match="out of range"):
+            group_lines(csc_model(lambda x: x[0], 2, 2), dim)
+
     def test_positions_sorted_strictly(self):
         m = csc_model(lambda x: x[0] * x[1], 2, 4)
         for dim in range(2):
@@ -670,7 +675,62 @@ def reference_lookup(db, row):
     return best, best_t
 
 
+def same_build_scaled(base, scaled, k):
+    """Whether `scaled` is `base` with every output and w times 2**k, v times
+    4**k, bit for bit: same nodes, provenance, regions and stop reason."""
+    a, b = base.model, scaled.model
+    regions = [[] if res.region_db is None else list(res.region_db.regions())
+               for res in (base, scaled)]
+    return (a.codes.tolist() == b.codes.tolist()
+            and a.spline.tolist() == b.spline.tolist()
+            and all(np.ldexp(x, e).tobytes() == y.tobytes() for x, y, e in
+                    ((a.outputs, b.outputs, k), (a.w, b.w, k), (a.v, b.v, 2 * k)))
+            and base.stopped_by == scaled.stopped_by
+            and [(r.dim, r.anchor, r.knots.tobytes(), np.ldexp(r.outputs, k).tobytes())
+                 for r in regions[0]]
+            == [(r.dim, r.anchor, r.knots.tobytes(), r.outputs.tobytes()) for r in regions[1]])
+
+
 class TestRunEasgc:
+    @pytest.mark.parametrize("scale", [1 / 8, 1 / 64])
+    def test_kink_scaled_down_builds_as_unscaled(self, scale):
+        # with the line scale floored at 1, |x - 0.4375| / 8 built 25 nodes,
+        # 18 of them from one spline across the kink: 4.6e-2 relative error
+        def kink_build(s):
+            f = ModelFunction(lambda x: s * abs(float(x[0]) - 0.4375), 1, "kink")
+            return run_easgc(f, AdaptiveConfig(dimension=1, epsilon=1e-3 * s, max_level=10,
+                                               init_level=1, min_line_points=7))
+
+        base, scaled = kink_build(1.0), kink_build(scale)
+        assert len(scaled.model) == 11
+        assert same_build_scaled(base, scaled, round(math.log2(scale)))
+        x = np.linspace(0.0, 1.0, 2001)
+        error = scaled.model.interpolate_many(x[:, None]) - scale * np.abs(x - 0.4375)
+        assert np.abs(error).max() <= 1e-15 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["kink", "sine"]), dimension=st.integers(1, 2),
+           amplitude=st.floats(0.05, 4.0), shift=st.floats(0.05, 0.95),
+           k=st.integers(-100, 100))
+    def test_builds_equivariant_under_power_of_two_scaling(self, kind, dimension, amplitude,
+                                                           shift, k):
+        # every step of every method scales by 2**k exactly, the line scan's
+        # limit included, while no value overflows or goes subnormal
+        def g(x):
+            if kind == "kink":
+                return amplitude * abs(float(x[0]) - shift) + 0.25 * float(x[-1])
+            return amplitude * math.sin(3.0 * float(x[0]) + shift * float(x[-1]))
+
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=6, init_level=1,
+                             min_line_points=5)
+        scaled_cfg = AdaptiveConfig(dimension=dimension, epsilon=math.ldexp(1e-3, k),
+                                    max_level=6, init_level=1, min_line_points=5)
+        for driver in (lambda f, c: run_csc(f, dimension, 4), run_asgc, run_easgc):
+            base = driver(ModelFunction(g, dimension, "g"), cfg)
+            scaled = driver(ModelFunction(lambda x: math.ldexp(g(x), k), dimension, "g"),
+                            scaled_cfg)
+            assert same_build_scaled(base, scaled, k)
+
     def test_constant_identical_to_asgc(self):
         fa = ModelFunction(lambda x: 2.0, 2, "c")
         fe = ModelFunction(lambda x: 2.0, 2, "c")
@@ -799,7 +859,7 @@ def reference_scan(positions, outputs, slope_tol, min_points):
     if n < min_points or n < 4:
         return []
     slopes = np.diff(outputs) / np.diff(positions)
-    scale = max(1.0, float(np.max(np.abs(outputs))))
+    scale = float(np.max(np.abs(outputs)))
     breaks = np.flatnonzero(np.abs(np.diff(slopes)) > slope_tol * scale) + 1
     runs = []
     start = 0
