@@ -52,7 +52,7 @@ from .harness import (
 )
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
-from .moments import MomentEstimate, moments, weight_1d
+from .moments import MomentEstimate, moments
 from .smooth import (
     LineGroup,
     RegionDatabase,

@@ -656,22 +656,12 @@ class SurrogateModel:
             raise ValueError(f"coeff must be 'w' or 'v', got {coeff!r}")
         if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
-        x_many = np.asarray(x_many, dtype=float)
-        if x_many.ndim != 2 or x_many.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected shape (n, {self.dimension}), got {x_many.shape}"
-            )
-        _check_domain(x_many)
+        x_many = _queries(x_many, self.dimension)
         return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0] + 0.0
 
     def interpolate(self, x) -> float:
         """Evaluate the surrogate at a single point in [0, 1]^d: a one-row interpolate_many."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"expected shape ({self.dimension},), got {x.shape}"
-            )
-        return float(self.interpolate_many(x[None])[0])
+        return float(self.interpolate_many(np.asarray(x, dtype=float)[None])[0])
 
     def surpluses_against_prefix(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """w and v surpluses of new values against the current model state.
@@ -679,7 +669,14 @@ class SurrogateModel:
         Caller guarantees the model holds only strictly coarser levels (the
         level-ordered drivers do this by construction).  An empty model sums
         to +0, so the surpluses are the values (a -0 stays -0) and their squares.
+        `points` are refused as `interpolate_many` refuses them, and `values`
+        unless of shape (n,), one per point (DimensionMismatchError).
         """
+        points = _queries(points, self.dimension)
+        if np.shape(values) != (len(points),):
+            raise DimensionMismatchError(
+                f"expected {len(points)} values, got shape {np.shape(values)}"
+            )
         sums = self._evaluate_sum(points, (0, 1), fine_first=True)
         return values - sums[:, 0], values ** 2 - sums[:, 1]
 
@@ -839,13 +836,18 @@ def _dominated(vectors: np.ndarray, n_levels: int, cols: np.ndarray):
     return np.concatenate(group), np.cumsum(np.concatenate([[0], *counts]))
 
 
-def _check_domain(x_many: np.ndarray) -> None:
-    """Refuse query rows outside the closed unit cube or containing NaN.
+def _queries(x_many, d: int) -> np.ndarray:
+    """`x_many` as a float array of shape (n, d) of points in the closed unit cube.
 
-    The hat basis would otherwise extend the surrogate outside the cube with
-    plausible-looking values.
+    Another shape raises DimensionMismatchError, and a row outside the cube
+    or holding NaN OutOfDomainError: the hat basis would otherwise extend
+    the surrogate outside the cube with plausible-looking values.
     """
+    x_many = np.asarray(x_many, dtype=float)
+    if x_many.ndim != 2 or x_many.shape[1] != d:
+        raise DimensionMismatchError(f"expected shape (n, {d}), got {x_many.shape}")
     inside = (x_many >= 0.0) & (x_many <= 1.0)  # False for NaN
     if not inside.all():
         row = int(np.flatnonzero(~inside.all(axis=1))[0])
         raise OutOfDomainError(f"query {x_many[row].tolist()} lies outside [0, 1]^d")
+    return x_many

@@ -48,7 +48,14 @@ METHODS = ("CSC", "ASGC", "EASGC")
 
 
 def draw_test_points(dimension: int, count: int, seed: int) -> np.ndarray:
-    """Uniform test points in the cube with a recorded seed."""
+    """Uniform test points in the cube with a recorded seed.
+
+    `dimension` and `count` must be integers >= 1 and `seed` one >= 0
+    (ValueError naming the argument otherwise).
+    """
+    _check_integer("dimension", dimension, 1)
+    _check_integer("count", count, 1)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return rng.random((count, dimension))
 
@@ -98,11 +105,12 @@ def mc_reference(f, n_samples: int, seed: int) -> MonteCarloEstimate:
     """Plain Monte Carlo moments of `f` under uniform inputs.
 
     The variance standard error uses the fourth central moment, so it stays
-    honest for skewed outputs.  Needs at least 2 samples; the samples are
-    evaluated in one `f.many` call.
+    honest for skewed outputs.  `n_samples` must be an integer >= 2 and
+    `seed` one >= 0 (ValueError naming the argument otherwise); the samples
+    are evaluated in one `f.many` call.
     """
-    if n_samples < 2:
-        raise ValueError(f"mc_reference needs n_samples >= 2, got {n_samples}")
+    _check_integer("n_samples", n_samples, 2)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = rng.random((n_samples, f.dimension))
     values = f.many(x)
@@ -195,14 +203,15 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
     Deterministic for a fixed seed and configuration (the wall_time column
     and `level_build_s` aside).  When `output_dir` is given, writes
     `<stem>.csv`, `<stem>.json` and optionally `<stem>.surrogate`.
-    `n_test_points` must be an integer >= 1, and `stem` and
-    `persist_surrogate` need an `output_dir` (ValueError before any model
-    call otherwise).
+    `n_test_points` must be an integer >= 1 and `seed` one >= 0, and `stem`
+    and `persist_surrogate` need an `output_dir` (ValueError before any
+    model call otherwise).
     """
     method = method.upper()
     if method not in METHODS:
         raise SparseGridError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_integer("n_test_points", n_test_points, 1)
+    _check_integer("seed", seed, 0)
     if output_dir is None and (persist_surrogate or stem is not None):
         raise ValueError("persist_surrogate and stem need an output_dir to write to")
     f, echo = get_benchmark(benchmark, benchmark_params)

@@ -11,11 +11,11 @@ cube to a scalar and are pure, so they are safe to evaluate concurrently.
 name and echoes every parameter for reproducible reports.  The kink, line
 singularity and Poisson benchmarks also register a batch form that maps
 (n, d) inputs to n outputs, bitwise equal to the scalar form row by row.  The
-Poisson batch builds its conductivity fields with the same elementwise
-operations as `diffusion_field`, in blocks of `POISSON_BLOCK` rows, and calls
-LAPACK's tridiagonal `dgtsv` once per row; the scalar `poisson_solve` is a
-one-row call of the same code.  SciPy's LAPACK is imported when the first
-Poisson grid is built, not with this module, so no other model loads SciPy.
+Poisson batch builds its conductivity fields in blocks of `POISSON_BLOCK`
+rows, each row bitwise the field of its draw alone, and calls LAPACK's
+tridiagonal `dgtsv` once per row; the scalar form is a one-row call of the
+same code.  SciPy's LAPACK is imported when the first Poisson grid is built,
+not with this module, so no other model loads SciPy.
 The Genz and truss benchmarks have no batch form: their vectorised dot
 products and solves need not round as the scalar ones do.
 
@@ -44,8 +44,6 @@ __all__ = [
     "genz_discontinuous",
     "PoissonSpec",
     "xi_coefficient",
-    "diffusion_field",
-    "poisson_solve",
     "POISSON_BLOCK",
     "TrussSpec",
     "solve_member_forces",
@@ -207,26 +205,6 @@ def _conductivity(draws: np.ndarray, modes: np.ndarray, spec: PoissonSpec) -> np
     return 0.5 + np.exp(expo)
 
 
-def _draw(y, spec: PoissonSpec) -> np.ndarray:
-    """One unit-cube draw as a float array; SparseGridError unless of shape (n_random,)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n_random,):
-        raise SparseGridError(f"expected {spec.n_random} random inputs, got shape {y.shape}")
-    return y
-
-
-def diffusion_field(x, y, spec: PoissonSpec) -> np.ndarray:
-    """Conductivity 0.5 + exp(expansion) at positions x for unit-cube draw y.
-
-    Term 1 is the constant mode y_1 * sqrt(sqrt(pi) L / 2); terms n >= 2
-    alternate sine (even n) and cosine (odd n) of frequency floor(n/2) over
-    the period.
-    """
-    x = np.asarray(x, dtype=float)
-    y = _draw(y, spec)
-    return _conductivity(y[None], _weighted_modes(x.ravel(), spec), spec)[0].reshape(x.shape)
-
-
 POISSON_BLOCK = 128  # rows per block: bounds the (rows, n_cells + 1) scratch arrays
 
 
@@ -234,8 +212,8 @@ class _PoissonGrid:
     """The finite-difference grid of one PoissonSpec and its draw-free parts.
 
     `solve` takes conductivity rows, `many` unit-cube draws; both return
-    u(x_obs) per row.  `poisson_solve` and the registered benchmark are
-    calls of these, so there is one discretisation.
+    u(x_obs) per row.  The registered benchmark's scalar and batch forms
+    are calls of these, so there is one discretisation.
     """
 
     def __init__(self, spec: PoissonSpec):
@@ -283,26 +261,12 @@ class _PoissonGrid:
         return out
 
     def one(self, y) -> float:
-        """u(x_obs) for one draw y of shape (n_random,)."""
-        return float(self.many(_draw(y, self.spec)[None])[0])
-
-
-def poisson_solve(y, spec: PoissonSpec, kappa_fn=None) -> float:
-    """Solve -(kappa u')' = 2x on (0,1) with u(0) = u(1) = 0; return u(x_obs).
-
-    Conservative second-order finite differences on n_cells cells with
-    harmonic-mean face conductivities; the observation value is linearly
-    interpolated from the nodal solution.  `kappa_fn` overrides the random
-    field (test hook for manufactured solutions).  One row of the batched
-    solver the `poisson` benchmark registers.
-    """
-    grid = _PoissonGrid(spec)
-    if kappa_fn is None:
-        return grid.one(y)
-    kappa = np.asarray(kappa_fn(grid.x), dtype=float)
-    if kappa.shape != grid.x.shape:
-        kappa = np.full_like(grid.x, float(kappa))
-    return float(grid.solve(kappa[None])[0])
+        """u(x_obs) for one draw y; SparseGridError unless of shape (n_random,)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.spec.n_random,):
+            raise SparseGridError(f"expected {self.spec.n_random} random inputs, "
+                                  f"got shape {y.shape}")
+        return float(self.many(y[None])[0])
 
 
 # ---------------------------------------------------------------------------

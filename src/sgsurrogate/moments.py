@@ -2,23 +2,23 @@
 
 Each hierarchical basis function integrates over [0, 1]^d to a product of
 per-level 1-D weights (1 for the constant level, 1/4 for the boundary
-half-hats, 2**(1-i) for full hats).  The mean is therefore the dot product of
-the w surpluses with these weights; the mean square uses the v surpluses,
-which track the squared output through the same hierarchy.  All operations
-here are read-only over a finished model.
+half-hats, 2**(1-i) for full hats), which `_weights` gives for a whole array
+of levels at once.  The mean is therefore the dot product of the w surpluses
+with these weights; the mean square uses the v surpluses, which track the
+squared output through the same hierarchy.  All operations here are
+read-only over a finished model.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SurrogateModel, split_codes
-from .errors import EmptyModelError, InvalidNodeError
+from .errors import EmptyModelError
 
-__all__ = ["MomentEstimate", "weight_1d", "moments"]
+__all__ = ["MomentEstimate", "moments"]
 
 # relative slack allowed before a negative variance is treated as an error
 _VARIANCE_TOL = 1e-12
@@ -36,13 +36,6 @@ class MomentEstimate:
 def _weights(levels: np.ndarray) -> np.ndarray:
     """Integral over [0, 1] of the 1-D basis at each level >= 1, elementwise."""
     return np.where(levels == 2, 0.25, np.ldexp(1.0, 1 - levels))
-
-
-def weight_1d(level: int) -> float:
-    """Integral over [0, 1] of a 1-D basis function at the given level."""
-    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 1:
-        raise InvalidNodeError(f"level must be an integer >= 1, got {level!r}")
-    return float(_weights(np.asarray(level)))
 
 
 def moments(m: SurrogateModel) -> MomentEstimate:

@@ -70,7 +70,9 @@ from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
     SurrogateModel, _code_array, _is_code, _row_weights, coordinates, dyadic_codes, split_codes,
 )
-from .errors import DimensionMismatchError, InvalidNodeError, SparseGridError
+from .errors import (
+    ContractViolationError, DimensionMismatchError, InvalidNodeError, SparseGridError,
+)
 
 __all__ = [
     "LineGroup",
@@ -384,7 +386,7 @@ def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[t
 # the region database
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SmoothRegion:
     """A certified smooth 1-D interval along `dim` at fixed other coordinates.
 
@@ -392,8 +394,9 @@ class SmoothRegion:
     plus the spline's knot second derivatives (fitted on first use, since
     superseded candidate regions are never evaluated).  `created_at` orders
     regions for lookup tie-breaking across dimensions.  `RegionDatabase.store`
-    sets it and the fit sets the second derivatives, so neither is a
-    constructor argument.  The anchor holds the codes of the other d - 1
+    sets it (it is None until then) and the fit sets the second derivatives,
+    so neither is a constructor argument.  Regions compare by identity, as
+    the database holds them.  The anchor holds the codes of the other d - 1
     dimensions, stored as a tuple of ints; knots and outputs are stored as
     float arrays, and the interval's ends as the floats `lo` and `hi`.
     Anchors that are not node codes, a `dim` outside [0, len(anchor)], and
@@ -404,11 +407,10 @@ class SmoothRegion:
     anchor: tuple[int, ...]
     knots: np.ndarray
     outputs: np.ndarray
-    created_at: int = field(default=0, init=False)
-    _second_derivs: np.ndarray | None = field(default=None, init=False, repr=False,
-                                              compare=False)
-    lo: float = field(init=False, repr=False, compare=False)
-    hi: float = field(init=False, repr=False, compare=False)
+    created_at: int | None = field(default=None, init=False)
+    _second_derivs: np.ndarray | None = field(default=None, init=False, repr=False)
+    lo: float = field(init=False, repr=False)
+    hi: float = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -541,7 +543,10 @@ class RegionDatabase:
         the new region replaces the old ones it holds, and a partial overlap
         keeps the longer interval and logs a diagnostic.  Returns what
         happened.  A region of nodes of another dimension than the stored
-        ones raises InvalidNodeError.
+        ones raises InvalidNodeError.  A region already stored, here or in
+        another database, raises ContractViolationError, since its
+        `created_at` orders the ties of the database holding it; a re-store
+        that this database finds covered is "covered".
         """
         d = len(region.anchor) + 1
         if self._d not in (None, d):
@@ -549,6 +554,8 @@ class RegionDatabase:
                                    f"{self._d}-dimensional ones")
         if self._covers(region.dim, region.anchor, region.lo, region.hi):
             return StoreOutcome("covered")  # e.g. an idempotent re-store
+        if region.created_at is not None:
+            raise ContractViolationError("region already stored in a region database")
         kept = []
         superseded = displaced = 0
         for old in self._lines.get(region.dim, {}).get(region.anchor, []):

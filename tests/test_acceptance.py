@@ -29,7 +29,7 @@ from sgsurrogate import (
     save_surrogate,
     split_codes,
 )
-from sgsurrogate.models import PoissonSpec, TrussSpec, poisson_solve, truss_member4_force
+from sgsurrogate.models import PoissonSpec, TrussSpec, _PoissonGrid, truss_member4_force
 from test_models import force_method_oracle  # independent flexibility oracle
 from sgsurrogate.models import solve_member_forces
 from sgsurrogate.smooth import _spline_values
@@ -250,9 +250,9 @@ def test_08_poisson_solver_and_study():
     """Constant-conductivity analytic check at 512 cells, monotone moment
     deltas for the 10-dimensional study, spline build never costs more, and
     a 100-dimensional spline build substitutes splines with pinned counts."""
+    grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=512, x_obs=0.5))
     for kappa0 in (1.0, 2.0):
-        spec = PoissonSpec(n_random=1, n_cells=512, x_obs=0.5)
-        u = poisson_solve(np.array([0.7]), spec, kappa_fn=lambda x: np.full_like(x, kappa0))
+        u = grid.solve(np.full_like(grid.x, kappa0)[None])[0]
         assert abs(u - 0.125 / kappa0) <= 1e-5
 
     cfg = AdaptiveConfig(dimension=10, epsilon=1e-6, max_level=4, init_level=2,

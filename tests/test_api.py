@@ -1,9 +1,11 @@
 """The package's public names, checked statically from the source with ast.
 
 Every name a module lists in __all__ exists in it; every name the package
-re-exports is in its module's __all__; and no module imports a name it never
-uses, so a deleted API leaves no import behind.  A snapshot of the public
-names makes every addition or removal of API show in a diff of this file.
+re-exports is in its module's __all__; no module imports a name it never
+uses, so a deleted API leaves no import behind; and every public name has a
+caller outside the tests, so no API lives on for its own tests alone.  A
+snapshot of the public names makes every addition or removal of API show in
+a diff of this file.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sgsurrogate"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sgsurrogate"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -54,6 +57,36 @@ def unused_imports(tree) -> list:
     return [(name, line) for name, line in imports if name not in used]
 
 
+def loaded(tree, strings: bool = False) -> set:
+    """The names the tree loads, as an ast.Name or the attribute of an ast.Attribute.
+
+    With `strings`, the dot-separated parts of every string constant count
+    too, for code that names functions in strings ("module.Class.method").
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def callers() -> set:
+    """The names loaded by the package (bar __init__), the demos and the benchmark.
+
+    The benchmark's tracer names the functions it wraps in strings.
+    """
+    names = set().union(*(loaded(tree) for module, tree in MODULES.items()
+                          if module != "__init__"))
+    for folder, strings in (("demos", False), ("perfbench", True)):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            names |= loaded(ast.parse(path.read_text(), filename=str(path)), strings)
+    return names
+
+
 def test_every_module_parsed():
     assert {"core", "smooth", "io", "moments", "adapt", "__init__"} <= set(MODULES)
 
@@ -93,7 +126,7 @@ PUBLIC_API = {
         "derivative_scan", "draw_test_points", "get_benchmark", "group_lines", "join_codes",
         "load_surrogate", "max_abs_error", "mc_reference", "moments", "parse_config",
         "refine_candidates", "rmse", "run_asgc", "run_csc", "run_easgc", "run_study",
-        "save_surrogate", "spline_value", "split_codes", "weight_1d",
+        "save_surrogate", "spline_value", "split_codes",
     ],
     "adapt": [
         "AdaptiveConfig", "BuildResult", "LevelRecord", "ModelFunction", "refine_candidates",
@@ -117,16 +150,25 @@ PUBLIC_API = {
     "io": ["load_surrogate", "save_surrogate"],
     "models": [
         "GenzParams", "POISSON_BLOCK", "PoissonSpec", "TrussSpec", "benchmark_names",
-        "diffusion_field", "genz_corner_peak", "genz_defaults", "genz_discontinuous",
-        "genz_oscillatory", "get_benchmark", "line_singularity", "poisson_solve",
-        "solve_member_forces", "truss_member4_force", "xi_coefficient",
+        "genz_corner_peak", "genz_defaults", "genz_discontinuous", "genz_oscillatory",
+        "get_benchmark", "line_singularity", "solve_member_forces", "truss_member4_force",
+        "xi_coefficient",
     ],
-    "moments": ["MomentEstimate", "moments", "weight_1d"],
+    "moments": ["MomentEstimate", "moments"],
     "smooth": [
         "LineGroup", "RegionDatabase", "SmoothRegion", "StoreOutcome", "derivative_scan",
         "group_lines", "run_easgc", "spline_value",
     ],
 }
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the tests load is dead API: delete it, or
+    # call it from the package, a demo or the benchmark
+    called = callers()
+    uncalled = {module: names for module, tree in MODULES.items()
+                if (names := [name for name in exported(tree) if name not in called])}
+    assert not uncalled, f"public names no code outside tests/ loads: {uncalled}"
 
 
 def test_public_api_snapshot():
@@ -143,3 +185,8 @@ def test_the_checks_catch_what_they_look_for():
                      "__all__ = ['f', 'gone']\n\ndef f():\n    return split_codes\n")
     assert [n for n in exported(tree) if n not in defined(tree)] == ["gone"]
     assert [name for name, _ in unused_imports(tree)] == ["enum", "GridPoint"]
+    # an import binds a name without loading it; a string names it only
+    # where strings count
+    caller = ast.parse("from m import gone\nimport m\nm.f()\nlabel = 'm.gone'\n")
+    assert [n for n in exported(tree) if n not in loaded(caller)] == ["gone"]
+    assert [n for n in exported(tree) if n not in loaded(caller, strings=True)] == []

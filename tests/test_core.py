@@ -387,6 +387,21 @@ class TestComputeSurplus:
         assert w.tobytes() == values.tobytes()
         assert v.tobytes() == (values ** 2).tobytes()
 
+    def test_input_interpolate_many_refuses_is_refused(self):
+        # points outside the cube and a (1, 2) batch on this 1-D model gave
+        # surpluses, NaN warned, and a 1-D array raised IndexError
+        m = run_csc(get_benchmark("kink")[0], 1, 4).model
+        for bad in (-0.25, 1.5, np.nan):
+            with pytest.raises(OutOfDomainError):
+                m.surpluses_against_prefix(np.array([[0.5], [bad]]), np.array([0.5, 0.5]))
+        for points in (np.full((1, 2), 0.5), np.full(1, 0.5)):
+            with pytest.raises(DimensionMismatchError, match=r"expected shape \(n, 1\)"):
+                m.surpluses_against_prefix(points, np.array([0.5]))
+        # one value against three points was broadcast into three surpluses
+        for values in (np.array([0.5]), np.full((3, 1), 0.5), np.array(0.5)):
+            with pytest.raises(DimensionMismatchError, match="expected 3 values"):
+                m.surpluses_against_prefix(np.full((3, 1), 0.5), values)
+
     def test_level2_against_root_model(self):
         m = SurrogateModel(1)
         m.add_level([[1]], [0.5], [0.5], [0.25])

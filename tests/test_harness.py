@@ -50,6 +50,17 @@ class TestMetrics:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (100, 3)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2, 2.5, 0), "count"), ((2, 0, 0), "count"), ((2, True, 0), "count"),
+        ((0, 10, 1), "dimension"), ((2.0, 10, 1), "dimension"),
+        ((2, 10, 1.5), "seed"), ((2, 10, -3), "seed"),
+    ])
+    def test_bad_counts_and_seeds_refused(self, args, name):
+        # 2.5 points and a 1.5 seed raised numpy's TypeError, and dimension 0
+        # gave a (10, 0) array
+        with pytest.raises(ValueError, match=name):
+            draw_test_points(*args)
+
     def test_constant_model_zero_error(self):
         m = csc_model(lambda x: 7.0, 2, 1)
         pts = draw_test_points(2, 1000, 0)
@@ -98,8 +109,18 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_rejected(self, n_samples):
         f, _ = get_benchmark("kink")
-        with pytest.raises(ValueError, match="n_samples >= 2"):
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
             mc_reference(f, n_samples, 0)
+
+    @pytest.mark.parametrize("n_samples, seed, name", [
+        (2.5, 0, "n_samples"), (10.0, 0, "n_samples"), (10, 1.5, "seed"), (10, -1, "seed"),
+    ])
+    def test_fractional_samples_and_bad_seed_refused(self, n_samples, seed, name):
+        # 2.5 samples and a 1.5 seed raised numpy's TypeError
+        f, _ = get_benchmark("kink")
+        with pytest.raises(ValueError, match=name):
+            mc_reference(f, n_samples, seed)
+        assert f.evaluations == 0
 
     def test_batched_samples_counted(self):
         f, _ = get_benchmark("kink")
@@ -191,6 +212,16 @@ class TestRunStudy:
             run_study("ASGC", name, AdaptiveConfig(dimension=dimension, max_level=3),
                       n_test_points=n_test_points, output_dir=tmp_path / "out")
         assert all(f.evaluations == 0 for f, _ in made)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, -3, True, "1"])
+    @pytest.mark.parametrize("name, dimension", [("kink", 1), ("truss2", 2)])
+    def test_bad_seed_refused(self, tmp_path, name, dimension, seed):
+        # 1.5 raised numpy's TypeError and -3 a ValueError naming no argument;
+        # truss2 draws no random points, so took any seed
+        with pytest.raises(ValueError, match="seed"):
+            run_study("ASGC", name, AdaptiveConfig(dimension=dimension, max_level=3),
+                      seed=seed, n_test_points=50, output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_sidecar_level_build_seconds(self, tmp_path):

@@ -16,15 +16,16 @@ from sgsurrogate.models import (
     GenzParams,
     PoissonSpec,
     TrussSpec,
+    _conductivity,
+    _PoissonGrid,
+    _weighted_modes,
     benchmark_names,
-    diffusion_field,
     genz_corner_peak,
     genz_defaults,
     genz_discontinuous,
     genz_oscillatory,
     get_benchmark,
     line_singularity,
-    poisson_solve,
     solve_member_forces,
     truss_member4_force,
     xi_coefficient,
@@ -137,27 +138,23 @@ class TestPoisson:
         x = np.linspace(0, 1, 33)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            kappa = diffusion_field(x, rng.random(7), spec)
+            kappa = _conductivity(rng.random(7)[None], _weighted_modes(x, spec), spec)[0]
             assert kappa.shape == x.shape
             assert np.all(kappa > 0.5)
 
     def test_draw_of_wrong_length_rejected(self):
-        spec = PoissonSpec(n_random=3, n_cells=16)
         f, _ = get_benchmark("poisson", {"n_random": 3, "n_cells": 16})
-        for call in (lambda y: diffusion_field(np.linspace(0, 1, 5), y, spec), f.func):
-            for y in (np.full(4, 0.5), np.full((1, 3), 0.5)):
-                with pytest.raises(SparseGridError, match="expected 3 random inputs"):
-                    call(y)
+        for y in (np.full(4, 0.5), np.full((1, 3), 0.5)):
+            with pytest.raises(SparseGridError, match="expected 3 random inputs"):
+                f.func(y)
 
     def test_constant_kappa_analytic_solution(self):
         # u = (x - x^3) / (3 kappa0) solves the problem; the cubic is
         # represented exactly by the second-difference scheme
         for kappa0, n_cells in [(1.0, 512), (2.0, 128), (0.5, 64)]:
-            spec = PoissonSpec(n_random=1, n_cells=n_cells, x_obs=0.5)
-            u = poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.full_like(x, kappa0))
+            grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=n_cells, x_obs=0.5))
+            u = grid.solve(np.full_like(grid.x, kappa0)[None])[0]
             assert u == pytest.approx(0.125 / kappa0, abs=1e-12)
-            # a scalar kappa is the constant field
-            assert poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: kappa0) == u
 
     def test_second_order_convergence_variable_kappa(self):
         # manufactured: kappa = 1 + x gives u' = -(x^2 + C)/(1 + x) with
@@ -170,21 +167,21 @@ class TestPoisson:
         errors = []
         for n_cells in [32, 64, 128, 256]:
             # 0.25 is a node of every grid, isolating the scheme error
-            spec = PoissonSpec(n_random=1, n_cells=n_cells, x_obs=0.25)
-            u = poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: 1.0 + x)
+            grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=n_cells, x_obs=0.25))
+            u = grid.solve((1.0 + grid.x)[None])[0]
             errors.append(abs(u - exact(0.25)))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         assert all(3.4 < r < 4.6 for r in ratios), (errors, ratios)
 
     def test_nonpositive_kappa_rejected(self):
-        spec = PoissonSpec(n_random=1, n_cells=32)
+        grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=32))
         with pytest.raises(SparseGridError):
-            poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.zeros_like(x))
+            grid.solve(np.zeros_like(grid.x)[None])
 
     def test_non_finite_kappa_rejected(self):
-        spec = PoissonSpec(n_random=1, n_cells=32)
+        grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=32))
         with pytest.raises(SparseGridError, match="linear solve failed"):
-            poisson_solve(np.array([0.5]), spec, kappa_fn=lambda x: np.where(x > 0.5, np.nan, 1.0))
+            grid.solve(np.where(grid.x > 0.5, np.nan, 1.0)[None])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -201,14 +198,16 @@ class TestPoisson:
         draws = np.random.default_rng(seed).random((3, n_random))
         draws[0] = 0.0
         x = np.linspace(0.0, 1.0, n_cells + 1)
+        grid = _PoissonGrid(spec)
         f, _ = get_benchmark("poisson", {"n_random": n_random, "n_cells": n_cells,
                                          "correlation_length": correlation_length,
                                          "x_obs": x_obs})
         batch = f.many(draws)
         for row, y in enumerate(draws):
-            assert diffusion_field(x, y, spec).tobytes() == reference_field(x, y, spec).tobytes()
+            field = _conductivity(y[None], _weighted_modes(x, spec), spec)[0]
+            assert field.tobytes() == reference_field(x, y, spec).tobytes()
             want = reference_poisson(y, spec)
-            assert poisson_solve(y, spec) == want
+            assert grid.one(y) == want
             assert batch[row] == want
 
     def test_batch_memory_stays_blocked(self):

