@@ -42,11 +42,9 @@ from .harness import (
     StudyReport,
     StudyRow,
     build,
-    config_from_mapping,
     draw_test_points,
     max_abs_error,
     mc_reference,
-    parse_config,
     rmse,
     run_study,
 )

@@ -1,7 +1,9 @@
 """Command line interface: build, moments, query, study.
 
-Exit code 0 on success; on failure a single machine-readable JSON line goes
-to stderr and the exit code is nonzero.
+The commands read their settings from a flat `key = value` file: the keys
+of _KEYS, plus the chosen benchmark's parameters as dotted keys such as
+`poisson.n_cells = 256`.  Exit code 0 on success; on failure a single
+machine-readable JSON line goes to stderr and the exit code is nonzero.
 """
 
 from __future__ import annotations
@@ -9,40 +11,95 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .adapt import _check_integer
+from .adapt import AdaptiveConfig, _check_integer
 from .errors import SparseGridError
-from .harness import (
-    _CONFIG_KEYS, METHODS, _build_record, build, config_from_mapping, parse_config, run_study,
-)
+from .harness import METHODS, _build_record, build, run_study
 from .io import load_surrogate, save_surrogate
 from .models import benchmark_names, get_benchmark
 from .moments import moments
 
 _METHOD_CHOICES = [m.lower() for m in METHODS]
 
+# the flat settings keys: each names the AdaptiveConfig field it sets, or
+# None for one the commands read themselves
+_KEYS = {"epsilon": "epsilon", "i_max": "max_level", "i1": "init_level",
+         "m_min": "min_line_points", "phi": "slope_tol",
+         "dimension": None, "seed": None, "n_test_points": None}
 
-# the flat keys a settings file may hold, besides the benchmark's dotted group
-_SETTINGS_KEYS = {*_CONFIG_KEYS, "dimension", "seed", "n_test_points"}
+
+def _parse_value(raw: str):
+    raw = raw.strip()
+    lowered = raw.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    if lowered in ("inf", "+inf"):
+        return math.inf
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    if "," in raw:
+        return [_parse_value(part) for part in raw.split(",")]
+    return raw
+
+
+def _parse_config(path) -> dict:
+    """Read a settings file; dotted keys nest one level deep.
+
+    Blank lines and `#` comments are ignored.  Only the syntax is checked
+    here, and a key set twice, flat or dotted, is refused.
+    """
+    out: dict = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise SparseGridError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key in seen:
+            raise SparseGridError(f"{path}:{lineno}: key {key!r} repeated, "
+                                  f"first set on line {seen[key]}")
+        seen[key] = lineno
+        value = _parse_value(raw)
+        if "." in key:
+            group, sub = key.split(".", 1)
+            out.setdefault(group, {})
+            if not isinstance(out[group], dict):
+                raise SparseGridError(f"{path}:{lineno}: key {group!r} used both flat and dotted")
+            out[group][sub] = value
+        elif key in out:  # not set before, so the name of a dotted group
+            raise SparseGridError(f"{path}:{lineno}: key {key!r} used both flat and dotted")
+        else:
+            out[key] = value
+    return out
 
 
 def _benchmark_and_config(settings: dict, benchmark: str):
     """The benchmark model, its parameter echo and the config for its dimension.
 
-    Refuses a key that nothing reads: one of neither _SETTINGS_KEYS nor the
+    Refuses a key that nothing reads: one of neither _KEYS nor the
     `<benchmark>.<parameter>` group of the chosen benchmark.  `build` takes
     `seed` and `n_test_points` too, so one file serves both commands, and
     refuses a `dimension` or `seed` that is no integer, as `study` does.
     """
-    unknown = sorted(key for key in settings if key not in _SETTINGS_KEYS
+    unknown = sorted(key for key in settings if key not in _KEYS
                      and not (key == benchmark and isinstance(settings[key], dict)))
     if unknown:
         raise SparseGridError(f"unknown config keys {unknown}; expected some of "
-                              f"{sorted(_SETTINGS_KEYS)} or {benchmark}.<parameter>")
+                              f"{sorted(_KEYS)} or {benchmark}.<parameter>")
     _check_integer("seed", settings.get("seed", 0), 0)
     f, echo = get_benchmark(benchmark, settings.get(benchmark))
     stated = settings.get("dimension", f.dimension)
@@ -51,12 +108,13 @@ def _benchmark_and_config(settings: dict, benchmark: str):
         raise SparseGridError(
             f"config dimension {stated} != benchmark dimension {f.dimension}"
         )
-    return f, echo, config_from_mapping(settings, f.dimension)
+    fields = {_KEYS[key]: value for key, value in settings.items() if _KEYS.get(key)}
+    return f, echo, AdaptiveConfig(dimension=f.dimension, **fields)
 
 
 def _cmd_build(args) -> int:
     method = args.method.upper()
-    settings = parse_config(args.config) if args.config else {}
+    settings = _parse_config(args.config) if args.config else {}
     f, echo, cfg = _benchmark_and_config(settings, args.benchmark)
     result = build(f, cfg, method)
     out_dir = Path(args.output_dir)
@@ -93,15 +151,15 @@ def _cmd_study(args) -> int:
     unknown = [m for m in methods if m not in _METHOD_CHOICES]
     if unknown:
         raise SparseGridError(f"unknown methods {unknown}; expected a subset of {_METHOD_CHOICES}")
-    settings = parse_config(args.config) if args.config else {}
+    settings = _parse_config(args.config) if args.config else {}
     _, _, cfg = _benchmark_and_config(settings, args.benchmark)
+    # run_study's defaults stand for the keys the file leaves out
+    counts = {key: settings[key] for key in ("seed", "n_test_points") if key in settings}
     written = []
     for method in methods:
         report = run_study(
             method, args.benchmark, cfg, benchmark_params=settings.get(args.benchmark),
-            seed=settings.get("seed", 0), n_test_points=settings.get("n_test_points", 10_000),
-            output_dir=args.output_dir,
-            persist_surrogate=args.persist,
+            output_dir=args.output_dir, persist_surrogate=args.persist, **counts,
         )
         written.append(f"{args.benchmark}_{method}.csv")
         last = report.rows[-1]

@@ -1,4 +1,4 @@
-"""Error metrics, Monte Carlo reference, convergence studies and configuration.
+"""Error metrics, Monte Carlo reference, convergence studies and the method switch.
 
 A study builds a surrogate level by level and records one row per level:
 evaluation counts, max-abs and RMS errors over a seeded test set, analytic
@@ -22,7 +22,7 @@ from . import __version__ as _version
 from .adapt import (
     AdaptiveConfig, BuildResult, ModelFunction, _check_integer, run_asgc, run_csc,
 )
-from .errors import SparseGridError
+from .errors import DimensionMismatchError, SparseGridError
 from .io import save_surrogate
 from .models import get_benchmark
 from .moments import moments
@@ -39,8 +39,6 @@ __all__ = [
     "MonteCarloEstimate",
     "mc_reference",
     "run_study",
-    "parse_config",
-    "config_from_mapping",
     "CSV_COLUMNS",
 ]
 
@@ -61,10 +59,21 @@ def draw_test_points(dimension: int, count: int, seed: int) -> np.ndarray:
 
 
 def _deviation(m, f, test_points) -> np.ndarray:
-    """surrogate - model at every test point; `f` may be the model's values there."""
+    """surrogate - model at every test point; `f` may be the model's values there.
+
+    An empty test set raises ValueError, and model values of any shape but
+    (n,) for n test points raise DimensionMismatchError: a broadcast would
+    measure some other error.
+    """
     test_points = np.asarray(test_points, dtype=float)
+    if test_points.shape[:1] == (0,):
+        raise ValueError(f"empty test set of shape {test_points.shape}: no error to measure")
     truth = f if isinstance(f, np.ndarray) else np.array([f(x) for x in test_points])
-    return m.interpolate_many(test_points) - truth
+    values = m.interpolate_many(test_points)
+    if truth.shape != values.shape:
+        raise DimensionMismatchError(f"model values of shape {truth.shape} for "
+                                     f"{len(values)} test points, not {values.shape}")
+    return values - truth
 
 
 def _max_abs(dev: np.ndarray) -> float:
@@ -76,9 +85,9 @@ def _rms(dev: np.ndarray) -> float:
 
 
 def max_abs_error(m, f, test_points) -> float:
-    """Max |surrogate - model| over the test set.
+    """Max |surrogate - model| over a non-empty test set.
 
-    `f` may be a callable or an array of precomputed model values.
+    `f` may be a callable or an array of the model's values at the points.
     """
     return _max_abs(_deviation(m, f, test_points))
 
@@ -296,82 +305,3 @@ def build(f: ModelFunction, cfg: AdaptiveConfig, method: str, on_level=None) -> 
     if method == "EASGC":
         return run_easgc(f, cfg, on_level=on_level)
     raise SparseGridError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-# ---------------------------------------------------------------------------
-# flat key=value configuration files
-# ---------------------------------------------------------------------------
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("inf", "+inf"):
-        return math.inf
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    if "," in raw:
-        return [_parse_value(part) for part in raw.split(",")]
-    return raw
-
-
-def parse_config(path) -> dict:
-    """Read a flat `key = value` file; dotted keys nest one level deep.
-
-    Blank lines and `#` comments are ignored.  Only the syntax is checked
-    here, and a key set twice, flat or dotted, is refused; the CLI refuses
-    every key but dimension, epsilon, i_max, i1, m_min, phi, seed,
-    n_test_points and the chosen benchmark's parameters, such as
-    `poisson.n_cells = 256`.
-    """
-    out: dict = {}
-    seen: dict[str, int] = {}  # key -> the line that set it
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise SparseGridError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key in seen:
-            raise SparseGridError(f"{path}:{lineno}: key {key!r} repeated, "
-                                  f"first set on line {seen[key]}")
-        seen[key] = lineno
-        value = _parse_value(raw)
-        if "." in key:
-            group, sub = key.split(".", 1)
-            out.setdefault(group, {})
-            if not isinstance(out[group], dict):
-                raise SparseGridError(f"{path}:{lineno}: key {group!r} used both flat and dotted")
-            out[group][sub] = value
-        elif key in out:  # not set before, so the name of a dotted group
-            raise SparseGridError(f"{path}:{lineno}: key {key!r} used both flat and dotted")
-        else:
-            out[key] = value
-    return out
-
-
-_CONFIG_KEYS = {
-    "epsilon": "epsilon",
-    "i_max": "max_level",
-    "i1": "init_level",
-    "m_min": "min_line_points",
-    "phi": "slope_tol",
-}
-
-
-def config_from_mapping(mapping: dict, dimension: int) -> AdaptiveConfig:
-    """Build an AdaptiveConfig from parsed file keys for a given dimension."""
-    kwargs = {"dimension": dimension}
-    for file_key, field_name in _CONFIG_KEYS.items():
-        if file_key in mapping:
-            kwargs[field_name] = mapping[file_key]
-    return AdaptiveConfig(**kwargs)

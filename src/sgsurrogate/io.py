@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import SurrogateModel, _codes_of_dyadic, dyadic_codes, join_codes, split_codes
 from .errors import PersistenceError, SparseGridError
-from .smooth import RegionDatabase, SmoothRegion
+from .smooth import RegionDatabase, SmoothRegion, StoreOutcome
 
 __all__ = ["save_surrogate", "load_surrogate"]
 
@@ -113,9 +113,10 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     depth, full and spline, each once, or whose depth and counts differ from
     what the node lines hold (a file cut after some node lines); and a
     region line no node could match: a dim outside [0, d), an anchor without
-    d - 1 pairs, knots and outputs of unequal lengths or not finite, or a
+    d - 1 pairs, knots and outputs of unequal lengths or not finite, a
     midpoint and half-length other than the ones save_surrogate writes for
-    its knots.
+    its knots, or an interval that overlaps an earlier line's on its line
+    (save_surrogate writes a database's regions, which never overlap).
     """
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(_MAGIC + " "):
@@ -202,7 +203,8 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
             written = f"{_REAL} {_REAL}" % (region.midpoint, region.half_length)
             if ends != written:
                 raise ValueError(f"midpoint and half-length {ends!r}, not {written!r}")
-            db.store(region)
+            if db.store(region) != StoreOutcome("created"):
+                raise ValueError("overlaps an earlier region line")
     except (ValueError, OverflowError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db

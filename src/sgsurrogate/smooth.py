@@ -290,7 +290,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     codes = codes[rows]
     num, exp = dyadic_codes(codes)
     others = [k for k in range(m.dimension) if k != dim]
-    positions = coordinates(codes[:, dim])
+    positions = np.ldexp(num[:, dim], -exp[:, dim])  # coordinates(), without a second split
     # lines sort by their anchors' exact coordinates, as tuples of (num, exp)
     # pairs, which fixes the order of region creation; the position sorts last
     order = np.lexsort([positions] + [a[:, k] for k in reversed(others) for a in (exp, num)])

@@ -122,9 +122,9 @@ PUBLIC_API = {
         "InvalidNodeError", "LevelRecord", "LineGroup", "METHODS", "ModelFunction",
         "MomentEstimate", "MonteCarloEstimate", "OutOfDomainError", "PersistenceError",
         "RegionDatabase", "SmoothRegion", "SparseGridError", "StudyReport", "StudyRow",
-        "SurrogateModel", "benchmark_names", "build", "config_from_mapping", "coordinates",
+        "SurrogateModel", "benchmark_names", "build", "coordinates",
         "derivative_scan", "draw_test_points", "get_benchmark", "group_lines", "join_codes",
-        "load_surrogate", "max_abs_error", "mc_reference", "moments", "parse_config",
+        "load_surrogate", "max_abs_error", "mc_reference", "moments",
         "refine_candidates", "rmse", "run_asgc", "run_csc", "run_easgc", "run_study",
         "save_surrogate", "spline_value", "split_codes",
     ],
@@ -144,8 +144,7 @@ PUBLIC_API = {
     ],
     "harness": [
         "CSV_COLUMNS", "METHODS", "MonteCarloEstimate", "StudyReport", "StudyRow", "build",
-        "config_from_mapping", "draw_test_points", "max_abs_error", "mc_reference",
-        "parse_config", "rmse", "run_study",
+        "draw_test_points", "max_abs_error", "mc_reference", "rmse", "run_study",
     ],
     "io": ["load_surrogate", "save_surrogate"],
     "models": [

@@ -1,7 +1,9 @@
 """Metrics, Monte Carlo reference, studies, configuration, persistence, CLI."""
 
+import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from sgsurrogate import (
     METHODS,
     AdaptiveConfig,
+    DimensionMismatchError,
     ModelFunction,
     PersistenceError,
     RegionDatabase,
@@ -24,8 +27,6 @@ from sgsurrogate import (
     load_surrogate,
     max_abs_error,
     mc_reference,
-    parse_config,
-    config_from_mapping,
     rmse,
     run_csc,
     run_easgc,
@@ -34,8 +35,10 @@ from sgsurrogate import (
 )
 import sgsurrogate.io
 from sgsurrogate import harness
+from sgsurrogate.cli import _KEYS, _benchmark_and_config, _parse_config
 from sgsurrogate.cli import main as cli_main
 from sgsurrogate.harness import CSV_COLUMNS
+from sgsurrogate.smooth import StoreOutcome
 
 
 def csc_model(func, d, level):
@@ -91,6 +94,32 @@ class TestMetrics:
         pts = draw_test_points(1, 50, 3)
         true = pts[:, 0].copy()
         assert max_abs_error(m, true, pts) <= 1e-15
+
+    @pytest.mark.parametrize("cut", [lambda t: t[:1], lambda t: t[:, None],
+                                     lambda t: t[:-1], lambda t: t[0]],
+                             ids=["(1,)", "(50, 1)", "(49,)", "()"])
+    @pytest.mark.parametrize("metric", [max_abs_error, rmse])
+    def test_truth_of_another_shape_refused(self, metric, cut):
+        # the (1,) and (50, 1) truths were broadcast: max_abs_error read 0.3475
+        # and 0.5316, rmse 0.2010 for (50, 1), where the right truth gives 0
+        f, _ = get_benchmark("kink")
+        m = run_csc(f, 1, 4).model
+        pts = draw_test_points(1, 50, 3)
+        truth = f.many(pts)
+        assert metric(m, truth, pts) == 0.0
+        shape = np.shape(cut(truth))
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"shape {re.escape(str(shape))} for 50 test points, not \(50,\)"):
+            metric(m, np.asarray(cut(truth)), pts)
+
+    @pytest.mark.parametrize("metric", [max_abs_error, rmse])
+    def test_empty_test_set_refused(self, metric):
+        # max_abs_error raised NumPy's zero-size reduction error, and rmse
+        # warned "Mean of empty slice" and gave NaN
+        m = csc_model(lambda x: x[0], 1, 2)
+        for f in (lambda x: float(x[0]), np.zeros(0)):
+            with pytest.raises(ValueError, match=r"empty test set of shape \(0, 1\)"):
+                metric(m, f, np.zeros((0, 1)))
 
 
 class TestMonteCarlo:
@@ -498,6 +527,39 @@ class TestPersistence:
             load_surrogate(p)
         assert repr(bad_line) in str(info.value)
 
+    @pytest.mark.parametrize("knots, outcome", [
+        ([0.0, 0.25, 0.5, 0.75], StoreOutcome("covered")),  # the same line twice
+        ([0.25, 0.375, 0.5, 0.75], StoreOutcome("covered")),
+        ([0.5, 0.625, 0.75, 0.875], StoreOutcome("rejected")),  # no longer than the first
+        ([0.125, 0.25, 0.5, 0.75, 1.0], StoreOutcome("created", displaced=1)),
+        ([0.0, 0.25, 0.5, 0.75, 1.0], StoreOutcome("created", superseded=1)),
+        ([0.75, 0.8125, 0.875, 1.0], StoreOutcome("created")),  # touching is no overlap
+    ], ids=["duplicate", "covered", "partial", "displacing", "superseding", "touching"])
+    def test_overlapping_region_lines_refused(self, tmp_path, knots, outcome):
+        # the second line was dropped, or removed the first, without an error
+        def region(k):
+            return SmoothRegion(dim=0, anchor=(1,), knots=np.array(k), outputs=np.array(k) + 0.5)
+
+        model = csc_model(lambda x: x[0] + x[1], 2, 3)
+        lines = []
+        for k in ([0.0, 0.25, 0.5, 0.75], knots):  # each saved alone, so both are written
+            db = RegionDatabase()
+            db.store(region(k))
+            save_surrogate(tmp_path / "one.surrogate", model, db)
+            lines.append((tmp_path / "one.surrogate").read_text().splitlines()[-1])
+        db = RegionDatabase()
+        db.store(region([0.0, 0.25, 0.5, 0.75]))
+        assert db.store(region(knots)) == outcome
+        p = tmp_path / "two.surrogate"
+        save_surrogate(p, model)
+        p.write_text(p.read_text() + "regions 2\n" + "\n".join(lines) + "\n")
+        if outcome == StoreOutcome("created"):
+            assert len(load_surrogate(p)[1]) == 2
+            return
+        with pytest.raises(PersistenceError, match="overlaps an earlier region line") as info:
+            load_surrogate(p)
+        assert repr(lines[1]) in str(info.value)
+
     @settings(max_examples=30, deadline=None)
     @given(
         method=st.sampled_from(METHODS),
@@ -552,7 +614,7 @@ class TestConfigFiles:
             "poisson.n_cells = 128\n"
             "use_fancy = true\n"
         )
-        got = parse_config(p)
+        got = _parse_config(p)
         assert got["epsilon"] == 1e-3 and isinstance(got["epsilon"], float)
         assert got["i_max"] == 12 and isinstance(got["i_max"], int)
         assert math.isinf(got["m_min"])
@@ -564,7 +626,7 @@ class TestConfigFiles:
         p = tmp_path / "bad.cfg"
         p.write_text("this line has no equals sign\n")
         with pytest.raises(SparseGridError):
-            parse_config(p)
+            _parse_config(p)
 
     @pytest.mark.parametrize("text, key, first, again", [
         ("i_max = 4\nepsilon = 1e-1\n\nepsilon = 1e-6\n", "epsilon", 2, 4),
@@ -577,7 +639,7 @@ class TestConfigFiles:
         p.write_text(text)
         with pytest.raises(SparseGridError, match=rf":{again}: key '{key}' repeated, "
                                                   rf"first set on line {first}"):
-            parse_config(p)
+            _parse_config(p)
 
     @pytest.mark.parametrize("text", ["kink = 1\nkink.kink_pos = 0.3\n",
                                       "kink.kink_pos = 0.3\nkink = 1\n"],
@@ -587,19 +649,25 @@ class TestConfigFiles:
         p = tmp_path / "both.cfg"
         p.write_text(text)
         with pytest.raises(SparseGridError, match="'kink' used both flat and dotted"):
-            parse_config(p)
+            _parse_config(p)
 
     def test_config_from_mapping(self):
-        cfg = config_from_mapping(
-            {"epsilon": 1e-2, "i_max": 9, "i1": 3, "m_min": 11, "phi": 0.5},
-            dimension=4,
-        )
+        settings = {"epsilon": 1e-2, "i_max": 9, "i1": 3, "m_min": 11, "phi": 0.5,
+                    "poisson": {"n_random": 4}}
+        f, echo, cfg = _benchmark_and_config(settings, "poisson")
+        assert f.dimension == echo["n_random"] == 4
         assert cfg.dimension == 4
         assert cfg.epsilon == 1e-2
         assert cfg.max_level == 9
         assert cfg.init_level == 3
         assert cfg.min_line_points == 11
         assert cfg.slope_tol == 0.5
+
+    def test_settings_keys_name_every_config_field_once(self):
+        # so a config field added later cannot be left out of the settings file
+        named = sorted(field for field in _KEYS.values() if field is not None)
+        assert named == sorted(field.name for field in dataclasses.fields(AdaptiveConfig)
+                               if field.name != "dimension")
 
 
 class TestCli:
@@ -676,7 +744,8 @@ class TestCli:
         assert cli_main(["build", "--method", method, "--benchmark", "kink",
                          "--config", str(cfg), "--output-dir", str(tmp_path / "cli")]) == 0
         capsys.readouterr()
-        run_study(method.upper(), "kink", config_from_mapping(parse_config(cfg), 1),
+        _, _, config = _benchmark_and_config(_parse_config(cfg), "kink")
+        run_study(method.upper(), "kink", config,
                   seed=3, n_test_points=500, output_dir=tmp_path / "study",
                   persist_surrogate=True)
         built = (tmp_path / "cli" / f"kink_{method}.surrogate").read_bytes()
