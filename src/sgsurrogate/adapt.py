@@ -7,8 +7,8 @@ conventionally, then generates a point at the next level only if it is a son
 of a current-level node whose surplus magnitude reaches the tolerance.
 Construction stops when no surplus passes the threshold or when the level cap
 is hit; the result records which criterion fired.  Sons of level-k nodes
-lie on level k + 1 and the model holds levels <= k, so no son is looked up
-in it (add_level's duplicate check raises ContractViolationError if one is).
+lie on level k + 1 and the model holds levels <= k, so no son is stored
+(add_level raises ContractViolationError for a level that is not deeper).
 
 Within a level all candidate evaluations are independent (the model is
 read-only until the batch is inserted), so each level looks up its whole code
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVEL, SurrogateModel, _code_array, coordinates, split_codes
+from .core import MAX_LEVEL, SurrogateModel, _code_array, _is_integer, coordinates, split_codes
 from .errors import DimensionMismatchError, EvaluationError, InvalidNodeError
 
 __all__ = [
@@ -84,7 +84,7 @@ def _is_real(value) -> bool:
 
 def _check_integer(name: str, value, low: int) -> None:
     """ValueError unless `value` is an integer (bools and 2.0 are not) >= `low`."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")

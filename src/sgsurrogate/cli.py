@@ -26,11 +26,13 @@ from .moments import moments
 
 _METHOD_CHOICES = [m.lower() for m in METHODS]
 
+# the counts the commands read themselves, each with its least value
+_COUNTS = {"dimension": 1, "seed": 0, "n_test_points": 1}
+
 # the flat settings keys: each names the AdaptiveConfig field it sets, or
-# None for one the commands read themselves
+# None for one of _COUNTS
 _KEYS = {"epsilon": "epsilon", "i_max": "max_level", "i1": "init_level",
-         "m_min": "min_line_points", "phi": "slope_tol",
-         "dimension": None, "seed": None, "n_test_points": None}
+         "m_min": "min_line_points", "phi": "slope_tol", **dict.fromkeys(_COUNTS)}
 
 
 def _parse_value(raw: str):
@@ -93,17 +95,19 @@ def _benchmark_and_config(settings: dict, benchmark: str):
     Refuses a key that nothing reads: one of neither _KEYS nor the
     `<benchmark>.<parameter>` group of the chosen benchmark.  `build` takes
     `seed` and `n_test_points` too, so one file serves both commands, and
-    refuses a `dimension` or `seed` that is no integer, as `study` does.
+    refuses any of _COUNTS that `study` refuses: one that is no integer or
+    lies below its least value.
     """
     unknown = sorted(key for key in settings if key not in _KEYS
                      and not (key == benchmark and isinstance(settings[key], dict)))
     if unknown:
         raise SparseGridError(f"unknown config keys {unknown}; expected some of "
                               f"{sorted(_KEYS)} or {benchmark}.<parameter>")
-    _check_integer("seed", settings.get("seed", 0), 0)
+    for key, low in _COUNTS.items():
+        if key in settings:
+            _check_integer(key, settings[key], low)
     f, echo = get_benchmark(benchmark, settings.get(benchmark))
     stated = settings.get("dimension", f.dimension)
-    _check_integer("dimension", stated, 1)
     if stated != f.dimension:
         raise SparseGridError(
             f"config dimension {stated} != benchmark dimension {f.dimension}"
@@ -153,7 +157,7 @@ def _cmd_study(args) -> int:
         raise SparseGridError(f"unknown methods {unknown}; expected a subset of {_METHOD_CHOICES}")
     settings = _parse_config(args.config) if args.config else {}
     _, _, cfg = _benchmark_and_config(settings, args.benchmark)
-    # run_study's defaults stand for the keys the file leaves out
+    # the counts checked there; run_study's defaults stand for those left out
     counts = {key: settings[key] for key in ("seed", "n_test_points") if key in settings}
     written = []
     for method in methods:

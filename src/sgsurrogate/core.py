@@ -44,8 +44,8 @@ cost O(candidates * dominated groups).  A uniformly drawn query reads as
 level 50 or so in every dimension and visits every group.
 
 The group table is kept coarse to fine (total level, then level vector,
-ascending) and grows as levels are inserted; one kernel folds the groups'
-terms in either direction:
+ascending) and grows by appending each inserted level, which is deeper than
+every stored one; one kernel folds the groups' terms in either direction:
 
 - queries (interpolate, interpolate_many) add them coarse to fine.  A new,
   deeper level appends its groups at the table's end, so the sum after level
@@ -72,8 +72,8 @@ A model stores its nodes as a struct of arrays, in insertion order: one
 (N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
 surpluses; and a boolean provenance array, True where the output came from a
 spline, from which the evaluation counts are read.  The kernel's sorted key
-table (below) is the one index of the nodes and of their level vectors: it
-answers membership, rejects duplicates and gives each stored level vector's
+table (below) is the one index of the nodes and of their level vectors:
+it rejects a node repeated within a level and gives each level vector its
 first key, and codes of no node are refused.  The code of the 1-D node of
 level l and index i is c = 2**(l-1) + i:
 
@@ -114,6 +114,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -221,6 +222,11 @@ def _is_code(c: int) -> bool:
     """
     level = c.bit_length()
     return c > 0 and level <= MAX_LEVEL and (level < 3 or c >> (level - 2) == 2)
+
+
+def _is_integer(value) -> bool:
+    """Whether `value` is an integer; bools and 2.0 are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
@@ -371,6 +377,8 @@ class SurrogateModel:
     """
 
     def __init__(self, dimension: int):
+        if not _is_integer(dimension):
+            raise InvalidNodeError(f"dimension must be an integer, got {dimension!r}")
         if dimension < 1:
             raise InvalidNodeError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
@@ -386,27 +394,6 @@ class SurrogateModel:
 
     def __len__(self) -> int:
         return len(self._outputs)
-
-    def __contains__(self, codes) -> bool:
-        """Whether a row of d codes is stored (InvalidNodeError for codes of no node)."""
-        return bool(self.stored(_code_array(codes, (self.dimension,))[None, :])[0])
-
-    def stored(self, codes) -> np.ndarray:
-        """Boolean mask of the rows of an (n, d) code array already stored.
-
-        The rows of level vectors the model holds are looked up by their
-        kernel keys in the table; the others are not stored, and their keys,
-        which may wrap int64, are never formed.  Raises InvalidNodeError for
-        codes of no node.
-        """
-        codes = _code_array(codes, (None, self.dimension))
-        _, indices, distinct, member, offsets = self._grouped(codes)
-        known = np.flatnonzero(offsets[member] >= 0)
-        keys = _node_keys(distinct, member[known], offsets, indices[known])
-        table = self._table.keys
-        found = np.zeros(len(codes), dtype=bool)
-        found[known] = table[np.searchsorted(table, keys)] == keys
-        return found
 
     @property
     def codes(self) -> np.ndarray:
@@ -465,11 +452,11 @@ class SurrogateModel:
     def add_level(self, codes, outputs, w, v, spline=None) -> None:
         """Insert one level's nodes; row k of `codes` holds node k's codes.
 
-        Every row must lie on one level, not below the deepest stored one,
-        and no row may be stored already or repeat another.  The node counts
-        of the model's level vectors must stay below KEY_LIMIT (InvalidNodeError
-        otherwise).  `spline` marks the rows whose output came from a spline
-        (default: none).  When a check fails nothing is inserted.
+        Every row must lie on one level, deeper than every stored one, and
+        no row may repeat another.  The node counts of the model's level
+        vectors must stay below KEY_LIMIT (InvalidNodeError otherwise).
+        `spline` marks the rows whose output came from a spline (default:
+        none).  When a check fails nothing is inserted.
         """
         if self._frozen:
             raise ContractViolationError("model is frozen")
@@ -484,30 +471,36 @@ class SurrogateModel:
             )
         if n == 0:
             return
-        levels, indices, distinct, member, offsets = self._grouped(codes)
+        levels, indices = split_codes(codes)
         level = levels.sum(axis=1) - self.dimension
         if level.min() != level.max():
             raise ContractViolationError(
                 f"one level per call, got levels {level.min()} .. {level.max()}"
             )
         level = int(level[0])
-        if self._depth is not None and level < self._depth:
+        if self._depth is not None and level <= self._depth:
             raise ContractViolationError(f"level {level} inserted after level {self._depth}")
-        # new level vectors take the next keys in turn; node counts are
+        # the level's vectors, found by hash, and after a collision by exact rows
+        _, first, member = np.unique(levels @ _row_weights(self.dimension),
+                                     return_index=True, return_inverse=True)
+        if not (levels[first[member]] == levels).all():
+            _, first, member = np.unique(levels, axis=0, return_index=True,
+                                         return_inverse=True)
+        distinct, member = levels[first], member.ravel()
+        # the vectors take the next keys in hash order; node counts are
         # powers of two: 2**(l-1) on levels 1 and 2, 2**(l-2) above
-        fresh = offsets < 0
         exponents = np.where(distinct <= 2, distinct - 1, distinct - 2).sum(axis=1)
-        ends = list(itertools.accumulate((1 << e for e in exponents[fresh].tolist()),
+        ends = list(itertools.accumulate((1 << e for e in exponents.tolist()),
                                          initial=self._key_span))
         if ends[-1] >= KEY_LIMIT:
             raise InvalidNodeError(
                 f"the level vectors would hold {ends[-1]} nodes in all, reaching the "
                 f"kernel's key limit KEY_LIMIT = 2**63 - 1"
             )
-        offsets[fresh] = ends[:-1]
+        offsets = np.array(ends[:-1], dtype=np.int64)
         _, w, v, _ = columns
         self._table = _grown(self._table, _node_keys(distinct, member, offsets, indices),
-                             codes, w, v, distinct[fresh], offsets[fresh])
+                             codes, w, v, distinct, offsets)
         self._key_span = ends[-1]
         self._depth = level
         self._codes = _readonly(np.concatenate([self._codes, codes]))
@@ -516,29 +509,8 @@ class SurrogateModel:
             zip((self._outputs, self._w, self._v, self._spline), columns)
         )
 
-    def _grouped(self, codes: np.ndarray):
-        """(levels, indices, distinct, member, offsets) of an (n, d) code array.
-
-        split_codes' levels and indices, the distinct level vectors of the
-        rows, each row's one among them, and each vector's first kernel key,
-        -1 where the model holds no node of it.  The rows' vectors are found
-        among the kernel table's by hash, and after a collision by exact rows.
-        """
-        levels, indices = split_codes(codes)
-        table = self._table
-        vectors = np.concatenate([table.levels, levels])
-        _, first, member = np.unique(vectors @ _row_weights(self.dimension),
-                                     return_index=True, return_inverse=True)
-        if not (vectors[first[member[len(table.levels):]]] == levels).all():
-            _, first, member = np.unique(vectors, axis=0, return_index=True,
-                                         return_inverse=True)
-        used, member = np.unique(member.ravel()[len(table.levels):], return_inverse=True)
-        first = first[used]  # the rows' vectors, in hash order
-        offsets = np.append(table.offsets, -1)[np.minimum(first, len(table.levels))]
-        return levels, indices, vectors[first], member, offsets
-
     def add_node(self, node: HierarchicalNode) -> None:
-        """Insert one node: a one-row add_level."""
+        """Insert one node as a level of its own: a one-row add_level."""
         self.add_level([node.point.codes], [node.output], [node.w], [node.v], [node.spline])
 
     def freeze(self) -> None:
@@ -708,32 +680,29 @@ def _node_keys(distinct, member, offsets, indices) -> np.ndarray:
     return offsets[member] + (indices * strides[member]).sum(axis=1)
 
 
-def _grown(table: _Table, node_keys, codes, w, v, fresh, offsets) -> _Table:
-    """`table` with one level's nodes merged in.
+def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
+    """`table` with one level appended, deeper than every level in it.
 
-    `node_keys` are the nodes' keys and `codes` their rows, `fresh` the level
-    vectors not yet in the table and `offsets` their first keys.  Keys and
-    coefficients go to their sorted places and new groups to their
-    coarse-to-fine places, so the table is the same whichever way the nodes
-    were split into calls.  The per-group columns are laid out anew, since
-    a deeper level moves every column of the hat tables.  A node already in
-    the table, or twice among the new ones, raises ContractViolationError.
+    `node_keys` are the level's node keys and `codes` their rows, `vectors`
+    its level vectors and `offsets` their first keys.  The keys lie above
+    the table's and the vectors' total level above every group's, so keys
+    and coefficients go in key order before the sentinel, and new groups
+    after the old ones in level-vector order.  The per-group columns are
+    laid out anew, since a deeper level moves every column of the hat
+    tables.  A node twice among the new ones raises ContractViolationError.
     """
     order = np.argsort(node_keys)
     node_keys = node_keys[order]
-    at = np.searchsorted(table.keys, node_keys)
-    repeat = table.keys[at] == node_keys
-    repeat[1:] |= node_keys[1:] == node_keys[:-1]
+    repeat = node_keys[1:] == node_keys[:-1]
     if repeat.any():
-        raise ContractViolationError(f"duplicate node {codes[order[repeat.argmax()]].tolist()}")
-    keys = np.insert(table.keys, at, node_keys)
-    coeffs = np.insert(table.coeffs, at, np.stack([w[order], v[order]], axis=1), axis=0)
-    if not len(fresh):
-        return table._replace(keys=keys, coeffs=coeffs)
-    groups = np.concatenate([table.levels, fresh])
-    rank = np.lexsort(np.vstack([groups.T[::-1], groups.sum(axis=1)]))
-    groups = groups[rank]
-    offsets = np.concatenate([table.offsets, offsets])[rank]
+        row = codes[order[repeat.argmax() + 1]]
+        raise ContractViolationError(f"duplicate node {row.tolist()}")
+    keys = np.concatenate([table.keys[:-1], node_keys, table.keys[-1:]])
+    coeffs = np.concatenate([table.coeffs[:-1], np.stack([w[order], v[order]], axis=1),
+                             table.coeffs[-1:]])
+    rank = np.lexsort(vectors.T[::-1])
+    groups = np.concatenate([table.levels, vectors[rank]])
+    offsets = np.concatenate([table.offsets, offsets[rank]])
     radix = _nodes_per_level(groups)
     strides = np.cumprod(radix, axis=1) // radix
     n_levels = int(groups.max())

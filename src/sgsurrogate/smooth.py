@@ -68,7 +68,8 @@ import numpy as np
 
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
-    SurrogateModel, _code_array, _is_code, _row_weights, coordinates, dyadic_codes, split_codes,
+    SurrogateModel, _code_array, _is_code, _is_integer, _row_weights, coordinates, dyadic_codes,
+    split_codes,
 )
 from .errors import (
     ContractViolationError, DimensionMismatchError, InvalidNodeError, SparseGridError,
@@ -399,8 +400,9 @@ class SmoothRegion:
     the database holds them.  The anchor holds the codes of the other d - 1
     dimensions, stored as a tuple of ints; knots and outputs are stored as
     float arrays, and the interval's ends as the floats `lo` and `hi`.
-    Anchors that are not node codes, a `dim` outside [0, len(anchor)], and
-    malformed knots or outputs are refused at construction.
+    Anchors that are not node codes, a `dim` that is not an integer in
+    [0, len(anchor)], and malformed knots or outputs are refused at
+    construction.
     """
 
     dim: int
@@ -419,6 +421,8 @@ class SmoothRegion:
             raise InvalidNodeError(f"region anchor {self.anchor!r} holds a non-integer") from exc
         if not all(map(_is_code, self.anchor)):
             raise InvalidNodeError(f"region anchor {self.anchor} holds a code of no node")
+        if not _is_integer(self.dim):
+            raise InvalidNodeError(f"region dim {self.dim!r} is not an integer")
         if not 0 <= self.dim <= len(self.anchor):
             raise InvalidNodeError(f"region dim {self.dim} outside [0, {len(self.anchor)}] "
                                    f"for an anchor of {len(self.anchor)} codes")

@@ -211,6 +211,12 @@ def model_points(m) -> list[Point]:
     return [point_of_codes(row) for row in m.codes.tolist()]
 
 
+def stored(m, rows) -> np.ndarray:
+    """Boolean mask of the code rows that a model holds: a set of its rows."""
+    held = {tuple(row) for row in m.codes.tolist()}
+    return np.array([tuple(row) in held for row in np.asarray(rows).tolist()], dtype=bool)
+
+
 def brute_force(m, x, coeff):
     """Sum of coeff * basis_nd over every stored node, and the sum of the
     terms' magnitudes, which bounds any summation-order difference."""

@@ -396,11 +396,11 @@ class TestRefineCandidates:
 
     def test_existing_model_points_excluded(self):
         # refining a stored level other than the deepest meets stored sons,
-        # which a caller filters with model.stored
+        # which a caller filters against model.codes
         f = ModelFunction(lambda x: float(x[0]), 1, "l")
         res = run_csc(f, 1, 2)
         sons = refine_candidates(codes(root_point(1)))
-        got = sons[~res.model.stored(sons)]
+        got = sons[~ref.stored(res.model, sons)]
         assert got.shape == (0, 1)
 
     def test_refinement_capped_at_level_62(self):
@@ -413,7 +413,7 @@ class TestRefineCandidates:
     @given(data=st.data())
     def test_matches_make_sons_reference(self, data):
         """Order and content equal the object form: make_sons, dedupe by key,
-        sort by dims; model.stored then drops the stored points."""
+        sort by dims; filtering against model.codes then drops the stored points."""
         dimension = data.draw(st.integers(1, 4))
         node = st.integers(1, 7).flatmap(lambda level: st.integers(
             0, (1 if level == 1 else 2 if level == 2 else 2 ** (level - 2)) - 1,
@@ -437,9 +437,9 @@ class TestRefineCandidates:
                     want.append(son)
         want.sort(key=lambda p: p.dims)
         unfiltered = refine_candidates(codes(*active).reshape(-1, dimension))
-        got = unfiltered[~model.stored(unfiltered)]
+        got = unfiltered[~ref.stored(model, unfiltered)]
         assert got.tolist() == codes(*want).reshape(-1, dimension).tolist()
-        assert not model.stored(got).any()
+        assert not ref.stored(model, got).any()
         assert len(unfiltered) == len({son.key for son in sons})
 
 

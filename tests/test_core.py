@@ -282,6 +282,13 @@ class TestSurrogateModel:
         for x in np.linspace(0, 1, 11):
             assert m.interpolate([x]) == pytest.approx(x, abs=1e-15)
 
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, True, np.float64(1.0), "2", 0, -1])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        # 2.5 and True escaped as a bare TypeError from NumPy
+        with pytest.raises(InvalidNodeError, match="dimension must be"):
+            SurrogateModel(dimension)
+        assert SurrogateModel(np.int64(3)).dimension == 3
+
     def test_empty_model_errors(self):
         m = SurrogateModel(2)
         with pytest.raises(EmptyModelError):
@@ -300,29 +307,32 @@ class TestSurrogateModel:
     def test_duplicate_key_rejected(self):
         m = SurrogateModel(1)
         m.add_level([[1]], [1.0], [1.0], [1.0])
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="level 0 inserted after level 0"):
             m.add_level([[1]], [2.0], [2.0], [4.0])
-        # a row stored already, or repeated in the batch, is named and
-        # nothing of the batch is inserted; new level vectors included
+        # a row repeated in the batch is named and nothing of the batch is
+        # inserted, whether or not other rows share its level vector
         m = SurrogateModel(2)
         m.add_level([[1, 1]], [1.0], [1.0], [1.0])
-        m.add_level([[2, 1]], [0.0], [-1.0], [1.0])
         x = np.random.default_rng(4).random((50, 2))
         before = len(m), m.codes.tobytes(), m.interpolate_many(x).tobytes()
-        for batch, row in (([[1, 2], [2, 1]], r"\[2, 1\]"),  # stored
-                           ([[3, 1], [1, 2], [3, 1]], r"\[3, 1\]"),  # repeated, vector stored
-                           ([[1, 2], [1, 3], [1, 3]], r"\[1, 3\]")):  # repeated, new vector
+        for batch, row in (([[2, 1], [1, 2], [2, 1]], r"\[2, 1\]"),  # alone in its vector
+                           ([[3, 1], [2, 1], [1, 2], [3, 1]], r"\[3, 1\]"),  # with a sibling
+                           ([[1, 2], [1, 3], [1, 3]], r"\[1, 3\]")):
             ones = [5.0] * len(batch)
             with pytest.raises(ContractViolationError, match=rf"duplicate node {row}"):
                 m.add_level(batch, ones, ones, ones)
             assert (len(m), m.codes.tobytes(), m.interpolate_many(x).tobytes()) == before
         m.add_level([[3, 1], [1, 2], [1, 3]], [5.0] * 3, [5.0] * 3, [5.0] * 3)
-        assert len(m) == 5
-        assert m.stored([[3, 1], [1, 2], [1, 3], [2, 2]]).tolist() == [True, True, True, False]
+        # a second call at the stored depth is refused, a new row included
+        with pytest.raises(ContractViolationError, match="level 1 inserted after level 1"):
+            m.add_level([[2, 1]], [0.0], [-1.0], [1.0])
+        assert len(m) == 4
+        assert ref.stored(m, [[3, 1], [1, 2], [1, 3], [2, 1]]).tolist() == [True] * 3 + [False]
 
     def test_no_per_node_python_containers(self):
-        # node membership lives in the kernel's key table alone: no attribute
-        # of a built model is a Python container with an entry per node
+        # nodes live in the model's arrays and the kernel's key table alone:
+        # no attribute of a built model is a Python container with an entry
+        # per node
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=6, init_level=2)
         m = build(ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s"), cfg,
                   "ASGC").model
@@ -597,7 +607,7 @@ class TestEvaluationKernel:
         m = (run_csc(f, dimension, max_level) if method == "CSC"
              else build(f, cfg, method)).model
         sons = refine_candidates(m.codes)
-        sons = sons[~m.stored(sons)]
+        sons = sons[~ref.stored(m, sons)]
         sons = sons[data.draw(st.lists(st.integers(0, len(sons) - 1), min_size=1,
                                        max_size=25, unique=True))]
         values = np.array(data.draw(st.lists(
@@ -670,7 +680,7 @@ class TestEvaluationKernel:
         assert single.tobytes() == m.interpolate_many(queries).tobytes()
 
         sons = refine_candidates(m.codes)
-        sons = coordinates(sons[~m.stored(sons)])
+        sons = coordinates(sons[~ref.stored(m, sons)])
         values = rng.choice([k / 8 for k in range(-16, 17)] + [-0.0], len(sons))
         whole = m.surpluses_against_prefix(sons, values)
         split = [m.surpluses_against_prefix(sons[rows], values[rows])
@@ -824,31 +834,31 @@ class TestEvaluationKernel:
         assert carried["levels"] == 10
 
     def test_table_growth_does_not_change_results(self, tmp_path):
-        # one model inserted three ways: a level per call, a node per call
-        # (shuffled within each level, so groups and keys land mid-table), and
-        # through save -> load; all must evaluate bitwise alike
+        # one model inserted three ways: as built, a level per call with
+        # each level's rows shuffled, and through save -> load; all must
+        # evaluate bitwise alike
         f, _ = get_benchmark("line_singularity")
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=9, init_level=2)
         result = build(f, cfg, "EASGC")
         built = result.model
         assert built.spline.any()
-        per_node = SurrogateModel(2)
+        shuffled = SurrogateModel(2)
         rng = np.random.default_rng(2)
-        nodes = built.nodes()
         depth = split_codes(built.codes)[0].sum(axis=1) - 2
         for level in range(built.depth + 1):
-            for k in rng.permutation(np.flatnonzero(depth == level)):
-                per_node.add_node(nodes[k])
+            rows = rng.permutation(np.flatnonzero(depth == level))
+            shuffled.add_level(built.codes[rows], built.outputs[rows], built.w[rows],
+                               built.v[rows], built.spline[rows])
         path = tmp_path / "model.surrogate"
         save_surrogate(path, built, result.region_db)
         loaded, _ = load_surrogate(path)
         queries = np.vstack([rng.random((2000, 2)), coordinates(built.codes)])
         sons = refine_candidates(built.codes)
-        sons = sons[~built.stored(sons)]
+        sons = sons[~ref.stored(built, sons)]
         values = rng.standard_normal(len(sons))
         want = [built.interpolate_many(queries, c) for c in "wv"]
         want_surplus = built.surpluses_against_prefix(coordinates(sons), values)
-        for twin in (per_node, loaded):
+        for twin in (shuffled, loaded):
             for got, expected in zip((twin.interpolate_many(queries, c) for c in "wv"), want):
                 np.testing.assert_array_equal(got, expected)
             for got, expected in zip(
@@ -960,7 +970,7 @@ class TestArrayStore:
         want = [HierarchicalNode(GridPoint(tuple(p.codes)), out, w, v, s)
                 for p, out, w, v, s in rows]
         assert m.nodes() == want
-        assert len(m) == len(want) and all(p.codes in m for p in pts)
+        assert len(m) == len(want) and ref.stored(m, [p.codes for p in pts]).all()
         # each level's rows, in the order they were inserted
         level = split_codes(m.codes)[0].sum(axis=1) - dimension
         for lv in {p.level for p in pts}:
@@ -971,13 +981,14 @@ class TestArrayStore:
     def test_add_level_fails_where_add_node_did(self, data):
         """Batches of one level, against the row-by-row rules of add_node.
 
-        add_node refused a frozen model, a point of another dimension, a key
-        already stored and a level below the deepest one; add_level refuses
-        the same batches, and a batch that fails inserts nothing.
+        add_node refuses a frozen model, a point of another dimension and a
+        level not deeper than the deepest one, so a key already stored too;
+        add_level refuses the same batches, and a batch that fails inserts
+        nothing.
         """
         dimension = data.draw(st.integers(1, 3))
         m = SurrogateModel(dimension)
-        keys, deepest, frozen = set(), None, False
+        deepest, frozen = None, False
         for _ in range(data.draw(st.integers(1, 6))):
             if data.draw(st.integers(0, 9)) == 0:
                 m.freeze()
@@ -993,8 +1004,8 @@ class TestArrayStore:
                 expected = ContractViolationError
             elif width != dimension:
                 expected = DimensionMismatchError
-            elif (len(batch_keys) < len(batch) or keys & batch_keys
-                  or (deepest is not None and first.level < deepest)):
+            elif (len(batch_keys) < len(batch)
+                  or (deepest is not None and first.level <= deepest)):
                 expected = ContractViolationError
             else:
                 expected = None
@@ -1003,17 +1014,20 @@ class TestArrayStore:
             zeros = [0.0] * len(batch)
             if expected is None:
                 m.add_level(codes, zeros, zeros, zeros)
-                keys |= batch_keys
                 deepest = first.level
                 assert len(m) == size + len(batch)
                 continue
             with pytest.raises(expected):
                 m.add_level(codes, zeros, zeros, zeros)
             assert len(m) == size
-            # node by node, into a copy of the model, fails by the same rule
+            # node by node, into a copy of the model built a level per call,
+            # fails by the same rule
             twin = SurrogateModel(dimension)
-            for node in m.nodes():
-                twin.add_node(node)
+            depth = split_codes(m.codes)[0].sum(axis=1)
+            for level in np.unique(depth):
+                rows = depth == level
+                twin.add_level(m.codes[rows], m.outputs[rows], m.w[rows], m.v[rows],
+                               m.spline[rows])
             if frozen:
                 twin.freeze()
             with pytest.raises(expected):
@@ -1044,15 +1058,8 @@ class TestArrayStore:
         db = RegionDatabase()
         db.store(SmoothRegion(dim=0, anchor=(1,), knots=[0.0, 0.25, 0.5, 1.0],
                               outputs=[0.0, 1.0, 2.0, 3.0]))
-        assert [1, 1] in m and np.array([1, 1], dtype=np.uint8) in m and [1, 2] not in m
-        assert m.stored([[1, 1], [2, 1]]).tolist() == [True, False]
-        assert m.stored(np.empty((0, 2), dtype=np.int64)).shape == (0,)
         # codes of no node: 0, and 6 = 0b110, whose top two bits are 11
         for bad in ([0, 1], [6, 1], [1, -3]):
-            with pytest.raises(InvalidNodeError, match="invalid node"):
-                bad in m
-            with pytest.raises(InvalidNodeError, match="invalid node"):
-                m.stored([[1, 1], bad])
             with pytest.raises(InvalidNodeError, match="invalid node"):
                 db.lookup(bad)
             with pytest.raises(InvalidNodeError, match="invalid node"):
@@ -1061,9 +1068,7 @@ class TestArrayStore:
         assert db.lookup_many([[1, 1], [4, 1]])[1].tolist() == [0, 0]
         for floats in ([1.9, 1.2], [1.0, 1.0]):
             with pytest.raises(InvalidNodeError, match="must be integers"):
-                floats in m
-            with pytest.raises(InvalidNodeError, match="must be integers"):
-                m.stored([floats])
+                m.add_level([floats], [0.0], [0.0], [0.0])
             with pytest.raises(InvalidNodeError, match="must be integers"):
                 db.lookup_many([floats])
             with pytest.raises(InvalidNodeError, match="must be integers"):
@@ -1077,14 +1082,9 @@ class TestArrayStore:
                      lambda: join_codes([2], [0.9])):
             with pytest.raises(InvalidNodeError, match="must be integers"):
                 call()
-        for wrong in ([1], [1, 1, 1], [[1, 1]]):
-            with pytest.raises(DimensionMismatchError):
-                wrong in m
         for wrong in ([[1]], [[1, 1, 1]], [1, 1], [[[1, 1]]]):
             with pytest.raises(DimensionMismatchError):
-                m.stored(wrong)
-        with pytest.raises(DimensionMismatchError):
-            SurrogateModel(1).stored([[1, 2]])
+                m.add_level(wrong, [0.0], [0.0], [0.0])
         with pytest.raises(DimensionMismatchError):
             db.lookup_many([1, 1])
         with pytest.raises(DimensionMismatchError):
@@ -1092,30 +1092,6 @@ class TestArrayStore:
         for wrong in ([1, 2], [[[1]]]):  # [1, 2] raised IndexError
             with pytest.raises(DimensionMismatchError):
                 refine_candidates(wrong)
-
-    @settings(max_examples=40, deadline=None)
-    @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),
-           max_level=st.integers(1, 6), data=st.data())
-    def test_membership_equals_a_set_of_code_rows(self, method, dimension, max_level, data):
-        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=max_level,
-                             init_level=min(2, max_level - 1), min_line_points=5)
-        f = ModelFunction(lambda x: float(abs(x[0] - 0.3) + np.sin(x[-1])), dimension, "k")
-        m = build(f, cfg, method).model
-        rows = {tuple(row) for row in m.codes.tolist()}
-        probes = [m.codes, refine_candidates(m.codes)]
-        # rows of level vectors the model may not hold, of any level up to 9
-        drawn = data.draw(st.lists(points(dimension, max_level=9), max_size=20))
-        probes.append(ref.codes(*drawn).reshape(-1, dimension))
-        # level vector (40, 30): 2**66 nodes, whose keys would wrap int64
-        deep = join_codes([[40, 30, 1][:dimension]], [[5, 1000, 0][:dimension]])
-        probes.append(deep)
-        codes = np.concatenate(probes)
-        order = data.draw(st.permutations(range(len(codes))))
-        codes = codes[list(order)]
-        want = [tuple(row) in rows for row in codes.tolist()]
-        assert m.stored(codes).tolist() == want
-        assert [row in m for row in codes] == want
-        assert not m.stored(deep)[0] and deep[0] not in m
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(METHODS), dimension=st.integers(1, 3),
@@ -1169,13 +1145,19 @@ class TestArrayStore:
         y = coordinates(fits)
         np.testing.assert_array_equal(m.interpolate_many(y), [3.0, 4.0])
         assert m.interpolate([y[0, 0], 0.9]) == 1.0
-        # the limit counts every level vector of the model, not one at a time
-        m = SurrogateModel(2)
-        m.add_level([[1, 1]], [1.0], [1.0], [1.0])
-        m.add_level(join_codes([[62, 4]], [[0, 0]]), [0.0], [0.0], [0.0])  # 2**62 nodes
+        # the limit counts every level vector of the model, not one at a time:
+        # (62, 4, 1) on level 64 and (62, 3, 3) on level 65 hold 2**62 nodes each
+        m = SurrogateModel(3)
+        m.add_level([[1, 1, 1]], [1.0], [1.0], [1.0])
+        m.add_level(join_codes([[62, 4, 1]], [[0, 0, 0]]), [0.0], [0.0], [0.0])
+        deeper = join_codes([[62, 3, 3]], [[0, 0, 0]])
         with pytest.raises(InvalidNodeError, match="KEY_LIMIT"):
-            m.add_level(join_codes([[4, 62]], [[0, 0]]), [0.0], [0.0], [0.0])
+            m.add_level(deeper, [0.0], [0.0], [0.0])
         assert len(m) == 2
+        fresh = SurrogateModel(3)
+        fresh.add_level([[1, 1, 1]], [1.0], [1.0], [1.0])
+        fresh.add_level(deeper, [0.0], [0.0], [0.0])  # alone it fits
+        assert len(fresh) == 2
 
     def test_kernel_key_limit_counts_colliding_level_vectors(self, monkeypatch):
         # add_level finds a level's vectors by hash: when every hash collides,

@@ -20,8 +20,10 @@ from sgsurrogate import (
 )
 
 # the test_01 acceptance configs, a small Poisson build whose digest pins the
-# solver's outputs, and two Poisson builds that pin refinement at 10 and 100
-# dimensions (the first the benchmark's poisson_easgc_10d build):
+# solver's outputs, two Poisson builds that pin refinement at 10 and 100
+# dimensions (the first the benchmark's poisson_easgc_10d build), and a
+# deeper 100-D build whose splines do real work (40,196 nodes, 1,624 of them
+# spline values, 599 regions):
 # case -> (benchmark, benchmark params, CSC level, adaptive config)
 CASES = {
     "kink": ("kink", None, 5,
@@ -37,6 +39,9 @@ CASES = {
     "poisson_100d": ("poisson", {"n_random": 100, "n_cells": 64}, None,
                      AdaptiveConfig(dimension=100, epsilon=1e-4, max_level=4, init_level=1,
                                     min_line_points=7)),
+    "poisson_100d_splines": ("poisson", {"n_random": 100, "n_cells": 64}, None,
+                             AdaptiveConfig(dimension=100, epsilon=1e-5, max_level=8,
+                                            init_level=1, min_line_points=7)),
 }
 
 DIGESTS = {
@@ -49,6 +54,8 @@ DIGESTS = {
     ("poisson", "EASGC"): "6d1b655803bc23e160e89b53fc55ddecaa17cec83aa14c931e21aac2d06696d6",
     ("poisson_10d", "EASGC"): "0e1387d0f75ef7e82d90f5e193a1155d0125b91aa84d0f63b4a978425f37358e",
     ("poisson_100d", "EASGC"): "d6a5b6b94e22bfe0e4344ee9720774bd8af21315b6f8a7fae04cf2170efaaa05",
+    ("poisson_100d_splines", "EASGC"):
+        "35b800f4582de91a33105c3f8a581275885973cf342b78ffd6a053df1233f6fd",
 }
 
 

@@ -850,6 +850,22 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["2.5", "abc", "0", "true"])
+    def test_build_refuses_the_test_point_counts_study_refuses(self, tmp_path, capsys, value):
+        # build never read n_test_points, so it built kink CSC and exited 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"i_max = 3\nn_test_points = {value}\n")
+        errors = []
+        for command, args in (("build", ["--method", "csc"]), ("study", ["--methods", "csc"])):
+            out = tmp_path / command
+            code = cli_main([command, *args, "--benchmark", "kink", "--config", str(cfg),
+                             "--output-dir", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and not out.exists(), command
+            errors.append(json.loads(captured.err))
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == "ValueError" and "n_test_points" in errors[0]["detail"]
+
     @pytest.mark.parametrize("setting", ["seed = 1.7", "seed = -2", "dimension = 1.0"])
     def test_study_of_fractional_seed_or_dimension_refused(self, tmp_path, capsys, setting):
         # int() ran the study with seed 1 and recorded "seed": 1

@@ -548,6 +548,14 @@ class TestRegionDatabase:
             region([0.0, 0.25, 0.5, 0.75], dim=dim, anchor=anchor)
         assert region([0.0, 0.25, 0.5, 0.75], dim=len(anchor), anchor=anchor).dim == len(anchor)
 
+    @pytest.mark.parametrize("dim", [0.5, 1.0, True, np.float64(0.0), "0"])
+    def test_dim_of_no_integer_refused(self, dim):
+        # dim 0.5 was stored, missed by every lookup, and saved as dim 0, so
+        # the reloaded file held a region along dimension 0; True read as 1
+        with pytest.raises(InvalidNodeError, match="is not an integer"):
+            region([0.0, 0.25, 0.5, 0.75], dim=dim, anchor=(1,))
+        assert region([0.0, 0.25, 0.5, 0.75], dim=np.int64(1), anchor=(1,)).dim == 1
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_level_lookup_equals_per_key_reference_bitwise(self, data):
