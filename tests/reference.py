@@ -7,7 +7,8 @@ basis integrals, built from the definitions in plain Python, and the clamped
 cubic spline of one line, solved one knot set at a time.  Tests compare
 the library's array results with them.  `second_derivatives` is the spline
 fit by one LAPACK `dgtsv` call on a block-diagonal system, the oracle of the
-library's NumPy solve.
+library's NumPy solve.  `surrogate_text` is the saved file of a model, built
+as one string, line by line, the oracle of the library's chunked writer.
 """
 
 from __future__ import annotations
@@ -215,6 +216,30 @@ def stored(m, rows) -> np.ndarray:
     """Boolean mask of the code rows that a model holds: a set of its rows."""
     held = {tuple(row) for row in m.codes.tolist()}
     return np.array([tuple(row) in held for row in np.asarray(rows).tolist()], dtype=bool)
+
+
+def surrogate_text(model, region_db=None) -> str:
+    """The text save_surrogate writes for a model and its regions, one line
+    per node and per region: reals in 17 significant digits, region anchors
+    as the exact dyadic coordinates num:exp of their codes."""
+    lines = [f"surrogate d={model.dimension} depth={model.depth} "
+             f"full={model.full_evaluations} spline={model.spline_interpolations}"]
+    for row, output, w, v, spline in zip(model.codes.tolist(), model.outputs.tolist(),
+                                         model.w.tolist(), model.v.tolist(),
+                                         model.spline.tolist()):
+        pairs = ",".join(f"{n.level}:{n.index}" for n in map(node_of_code, row))
+        reals = " ".join(format(x, ".17g") for x in (output, w, v))
+        lines.append(f"{pairs} {reals} {'S' if spline else 'F'}")
+    if region_db is not None and len(region_db) > 0:
+        lines.append(f"regions {len(region_db)}")
+        for r in sorted(region_db.regions(), key=lambda r: r.created_at):
+            anchor = ",".join("%d:%d" % dyadic_1d(node_of_code(c)) for c in r.anchor) or "-"
+            lines.append(" ".join([
+                str(r.dim), anchor, ",".join(format(x, ".17g") for x in r.knots.tolist()),
+                ",".join(format(x, ".17g") for x in r.outputs.tolist()),
+                format(r.midpoint, ".17g"), format(r.half_length, ".17g"),
+            ]))
+    return "\n".join(lines) + "\n"
 
 
 def brute_force(m, x, coeff):

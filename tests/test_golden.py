@@ -6,6 +6,8 @@ Each build digest is the SHA-256 of a saved surrogate's node lines reduced to
 lines verbatim; the w and v fields are left out, so a kernel change that
 moves surpluses only in their last bits keeps the digests, while any change
 to which nodes are built, their order, their outputs or the regions fails.
+Each saved file must also load back to the same codes, outputs, w, v,
+spline flags and region count, and save again to the same bytes.
 Each study digest pair covers a study's CSV and JSON sidecar, without the
 timings and the library version.
 """
@@ -13,10 +15,11 @@ timings and the library version.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from sgsurrogate import (
-    AdaptiveConfig, build, get_benchmark, run_csc, run_study, save_surrogate,
+    AdaptiveConfig, build, get_benchmark, load_surrogate, run_csc, run_study, save_surrogate,
 )
 
 # the test_01 acceptance configs, a small Poisson build whose digest pins the
@@ -82,6 +85,14 @@ def test_outputs_match_golden_digest(name, method, tmp_path):
     path = tmp_path / "model.surrogate"
     save_surrogate(path, result.model, result.region_db)
     assert output_digest(path.read_text()) == DIGESTS[name, method]
+    # the file loads back to the same model, which saves to the same bytes
+    loaded, regions = load_surrogate(path)
+    for field in ("codes", "outputs", "w", "v", "spline"):
+        np.testing.assert_array_equal(getattr(loaded, field), getattr(result.model, field))
+    assert len(regions or ()) == len(result.region_db or ())
+    again = tmp_path / "again.surrogate"
+    save_surrogate(again, loaded, regions)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # study reports: CSC, ASGC and EASGC on four benchmarks, digested so that

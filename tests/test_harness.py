@@ -21,6 +21,7 @@ from sgsurrogate import (
     RegionDatabase,
     SmoothRegion,
     SparseGridError,
+    SurrogateModel,
     build,
     draw_test_points,
     get_benchmark,
@@ -32,7 +33,9 @@ from sgsurrogate import (
     run_easgc,
     run_study,
     save_surrogate,
+    split_codes,
 )
+import reference as ref
 import sgsurrogate.io
 from sgsurrogate import harness
 from sgsurrogate.cli import _KEYS, _benchmark_and_config, _parse_config
@@ -350,8 +353,9 @@ class TestPersistence:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
-        # the write dies halfway: the old file must survive whole, and the
-        # half-written file beside it must be gone
+        # a write dies halfway, the header's or the node lines' after it: the
+        # old file must survive whole, and the half-written file beside it
+        # must be gone
         path = tmp_path / "model.surrogate"
         save_surrogate(path, csc_model(lambda x: x[0], 1, 2))
         old = path.read_bytes()
@@ -368,16 +372,22 @@ class TestPersistence:
                 self.handle.close()
 
             def write(self, text):
+                writes.append(text)
+                if len(writes) < failing_write:
+                    return self.handle.write(text)
                 self.handle.write(text[:len(text) // 2])
                 raise OSError("disk full")
 
-        monkeypatch.setattr(sgsurrogate.io, "open",
-                            lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
-        with pytest.raises(OSError, match="disk full"):
-            save_surrogate(path, csc_model(lambda x: x[0] ** 2, 1, 4))
-        assert path.read_bytes() == old
-        assert [p.name for p in tmp_path.iterdir()] == ["model.surrogate"]
-        monkeypatch.undo()
+        for failing_write in (1, 2):
+            writes = []
+            monkeypatch.setattr(sgsurrogate.io, "open",
+                                lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                save_surrogate(path, csc_model(lambda x: x[0] ** 2, 1, 4))
+            monkeypatch.undo()
+            assert len(writes) == failing_write
+            assert path.read_bytes() == old
+            assert [p.name for p in tmp_path.iterdir()] == ["model.surrogate"]
         # a save that succeeds replaces the file, byte for byte as written fresh
         model = csc_model(lambda x: x[0] ** 2, 1, 4)
         save_surrogate(path, model)
@@ -385,6 +395,41 @@ class TestPersistence:
         assert path.read_bytes() == (tmp_path / "fresh.surrogate").read_bytes() != old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.surrogate",
                                                               "model.surrogate"]
+
+    @pytest.mark.parametrize("count", [lambda k: 1, lambda k: k - 1, lambda k: k,
+                                       lambda k: k + 1, lambda k: 2 * k + 1],
+                             ids=["1", "K-1", "K", "K+1", "2K+1"])
+    def test_chunk_edges_match_the_one_shot_writer(self, tmp_path, count):
+        # models of 1, K - 1, K, K + 1 and 2K + 1 node lines, K the lines per
+        # chunk: each saves as the one-string writer writes it and loads back
+        # to the same arrays, with outputs and surpluses of every exponent.
+        # The nodes are a 1-D grid's without its root, so levels start on
+        # rows 0, 2, 4, 8, ..., and a power-of-two K starts a level on a chunk
+        k = sgsurrogate.io._CHUNK
+        n = count(k)
+        grid = csc_model(lambda x: x[0], 1, (2 * k).bit_length() + 1).codes[1:n + 1]
+        assert len(grid) == n
+        rng = np.random.default_rng(n)
+        reals = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-320, 300, (3, n))
+        reals[:, ::7] = -0.0
+        reals[:, 3::11] = 5e-324
+        spline = rng.random(n) < 0.3
+        model = SurrogateModel(1)
+        depth = split_codes(grid)[0].sum(axis=1)
+        bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            model.add_level(grid[lo:hi], *reals[:, lo:hi], spline[lo:hi])
+        db = RegionDatabase()
+        knots = np.array([0.0, 0.25, 0.5, 0.75])
+        db.store(SmoothRegion(dim=0, anchor=(), knots=knots, outputs=knots ** 3))
+        path = tmp_path / "model.surrogate"
+        save_surrogate(path, model, db)
+        assert path.read_text() == ref.surrogate_text(model, db)
+        loaded, regions = load_surrogate(path)
+        assert len(regions) == 1
+        assert loaded.codes.tobytes() == model.codes.tobytes()
+        for field in ("outputs", "w", "v", "spline"):
+            assert getattr(loaded, field).tobytes() == getattr(model, field).tobytes()
 
     @pytest.mark.parametrize("anchor", [(), (1, 1)])
     def test_region_on_no_line_of_the_model_refused_before_writing(self, tmp_path, anchor):
@@ -448,41 +493,65 @@ class TestPersistence:
             model, _ = load_surrogate(path)
             assert len(model) == 9
 
+        # (file lines, index of the line the refusal names): line 0 is the
+        # header, lines 1 .. 9 the nodes, and from line 10 the region section
         bad_inputs = [
-            ["surrogate d=1 depth garbage full=9 spline=0"] + nodes[1:],  # header item without '='
-            ["surrogate d=0 depth=3 full=9 spline=0"] + nodes[1:],
-            nodes[:5] + [""] + nodes[5:],  # blank line after node 4
-            nodes[:5] + ["# a comment"] + nodes[5:],
-            nodes[:5] + [nodes[5] + " extra"] + nodes[6:],
-            nodes[:5] + [nodes[5].replace(" F", " Q")] + nodes[6:],  # unknown provenance
-            nodes[:5] + ["9:999 0 0 0 F"] + nodes[6:],  # index out of range for its level
-            nodes[:6] + [nodes[4]] + nodes[6:],  # duplicate node
-            nodes[:5] + [nodes[5].replace(" ", ",2:0 ", 1)] + nodes[6:],  # two pairs in 1-D
-            regions[:11] + [""] + regions[11:],  # blank line between regions
-            regions[:12],  # one region line missing
-            regions[:10] + ["regions two"] + regions[11:],
-            regions[:11] + [regions[11].replace(",", ";", 1)] + regions[12:],
+            (["surrogate d=1 depth garbage full=9 spline=0"] + nodes[1:], 0),  # item without '='
+            (["surrogate d=0 depth=3 full=9 spline=0"] + nodes[1:], 0),
+            (["surrogate d=1 depth=3 full=9\x0cspline=0"] + nodes[1:], 0),  # two lines to splitlines
+            (nodes[:5] + [""] + nodes[5:], 5),  # blank line after node 4
+            (nodes[:5] + ["# a comment"] + nodes[5:], 5),
+            (nodes[:5] + [nodes[5] + " extra"] + nodes[6:], 5),
+            (nodes[:5] + [nodes[5].replace(" F", " Q")] + nodes[6:], 5),  # unknown provenance
+            (nodes[:5] + ["9:999 0 0 0 F"] + nodes[6:], 5),  # index out of range for its level
+            (nodes[:5] + ["99999999999999999999:0 0 0 0 F"] + nodes[6:], 5),  # past int64
+            # a repeated node: its level's run of lines starts at line 4
+            (nodes[:6] + [nodes[4]] + nodes[6:], 4),
+            # the root after a level-1 line: the root's run is refused
+            (nodes[:1] + [nodes[2], nodes[1]] + nodes[3:], 2),
+            (nodes[:5] + [nodes[5].replace(" ", ",2:0 ", 1)] + nodes[6:], 5),  # two pairs in 1-D
+            # spellings save never writes, which loaded and saved as other bytes
+            (nodes[:2] + [nodes[2].replace("2:0 ", "\uff12:\uff10 ", 1)] + nodes[3:], 2),
+            (nodes[:2] + [nodes[2].replace("2:0 ", "+2:+0 ", 1)] + nodes[3:], 2),
+            (nodes[:2] + [nodes[2].replace("2:0 ", "02:0 ", 1)] + nodes[3:], 2),
+            (nodes[:5] + [" ".join([nodes[5].split()[0], "0.43_75", *nodes[5].split()[2:]])]
+             + nodes[6:], 5),
+            (nodes[:5] + [" ".join([nodes[5].split()[0], "0.50", *nodes[5].split()[2:]])]
+             + nodes[6:], 5),
+            (nodes[:5] + [nodes[5].replace(" ", "  ", 1)] + nodes[6:], 5),
+            (regions[:11] + [""] + regions[11:], 10),  # blank line between regions
+            (regions[:12], 10),  # one region line missing
+            (regions[:10] + ["regions two"] + regions[11:], 10),
+            (regions[:11] + [regions[11].replace(",", ";", 1)] + regions[12:], 11),
             # header items other than d, depth, full and spline, each once
-            ["surrogate d=1 depth=3 full=9 full=4 spline=0"] + nodes[1:],
-            ["surrogate d=1 depth=3 full=9 spline=0 foo=1"] + nodes[1:],
+            (["surrogate d=1 depth=3 full=9 full=4 spline=0"] + nodes[1:], 0),
+            (["surrogate d=1 depth=3 full=9 spline=0 foo=1"] + nodes[1:], 0),
             # a header that differs from what the node lines hold
-            ["surrogate d=1 depth=7 full=9 spline=0"] + nodes[1:],
-            ["surrogate d=1 depth=3 full=8 spline=0"] + nodes[1:],
-            ["surrogate d=1 depth=3 full=9 spline=1"] + nodes[1:],
+            (["surrogate d=1 depth=7 full=9 spline=0"] + nodes[1:], 0),
+            (["surrogate d=1 depth=3 full=8 spline=0"] + nodes[1:], 0),
+            (["surrogate d=1 depth=3 full=9 spline=1"] + nodes[1:], 0),
         ]
         assert nodes[0] == "surrogate d=1 depth=3 full=9 spline=0"
+        assert nodes[2].startswith("2:0 ") and nodes[1].startswith("1:0 ")
         # the file cut after each of node lines 1 .. 8
-        bad_inputs += [nodes[:1 + k] for k in range(1, 9)]
+        bad_inputs += [(nodes[:1 + k], 0) for k in range(1, 9)]
         # a non-finite output, w or v
         for field in range(1, 4):
-            for value in ("nan", "inf"):
+            for value in ("nan", "inf", "-inf", "1e999"):
                 fields = nodes[5].split()
                 fields[field] = value
-                bad_inputs.append(nodes[:5] + [" ".join(fields)] + nodes[6:])
-        for lines in bad_inputs:
+                bad_inputs.append((nodes[:5] + [" ".join(fields)] + nodes[6:], 5))
+        for lines, k in bad_inputs:
             p.write_text("\n".join(lines) + "\n")
-            with pytest.raises(PersistenceError):
+            with pytest.raises(PersistenceError) as info:
                 load_surrogate(p)
+            if k == 0:
+                named = repr(lines[0])
+            elif k < 10:
+                named = f"bad node line {k + 1}: {lines[k]!r}"
+            else:
+                named = f"bad region line: {lines[k]!r}"
+            assert named in str(info.value), lines
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda f: ["7", "1:1,3:2,5:9"] + f[2:], "dim 7 outside"),
