@@ -16,9 +16,9 @@ Evaluation costs one basis lookup per level vector, not one per node.  The
 nodes that share a level vector have disjoint supports, so at any x at most
 one of them has a non-zero basis: per dimension, the node of index
 min(floor(x * n_l), n_l - 1) among the level's n_l nodes.  The model groups its
-nodes by level vector under integer codes and finds each group's candidate
-with one binary search, so a batch of queries costs
-O(queries * level vectors * (d + log nodes)) instead of O(queries * nodes * d)
+nodes by level vector under integer keys and finds each group's candidate
+in a hashed slot index, so a batch of queries costs
+O(queries * level vectors * d) instead of O(queries * nodes * d)
 (Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
 "Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
 
@@ -48,10 +48,10 @@ ascending) and grows by appending each inserted level, which is deeper than
 every stored one; one kernel folds the groups' terms in either direction:
 
 - queries (interpolate, interpolate_many) add them coarse to fine.  A new,
-  deeper level appends its groups at the table's end, so the sum after level
-  k continues the sum after level k-1 exactly: a caller holding the sums of a
-  model's earlier levels adds only the new groups and gets, bit for bit, a
-  fresh evaluation of the grown model (run_study's error columns do this);
+  deeper level appends its groups at the table's end, so the fold's partial
+  sum over a model's first groups is, bit for bit, a fresh evaluation of the
+  model as it stood when those were its groups: one pass over the finished
+  model gives every level's values (run_study's error columns do this);
 - surpluses (surpluses_against_prefix) add them fine to coarse.  The small
   fine-level terms meet each other before the large coarse ones, which keeps
   piecewise-linear data's surpluses exactly 0 more often than coarse to fine
@@ -60,22 +60,24 @@ every stored one; one kernel folds the groups' terms in either direction:
 
 The kernel works in blocks laid out group by group: a block's hat tables
 are (hat columns, rows) and its products, node keys and table positions are
-(groups, rows).  One binary search then walks one group's keys after
-another, and each group's keys lie in that group's own key range; rows
-sorted by code (as refinement candidates arrive, and the kernel's sort by
-level vector is stable) ask for them mostly in ascending order, so
-consecutive searches land close together.  The fold adds whole contiguous
-group rows, one group after the other in table order, in one of two forms
-chosen by the block's shape that add the same pairs in the same order.
+(groups, rows).  The keys are looked up in an open-addressing slot index
+with linear probing: a power-of-two array, at most half full, of key
+positions, where a key's home slot is the top bits of the key times an odd
+64-bit constant, and an empty slot holds -1, the sentinel's position.  So a
+lookup costs a probe or two whatever the model's size, and a key of no node
+reads the sentinel's key and zero coefficients.  The fold adds whole
+contiguous group rows, one group after the other in table order, in one of
+two forms chosen by the block's shape that add the same pairs in the same
+order (Murarasu et al., PPoPP 2011, on hashed sparse grid indices).
 
 A model stores its nodes as a struct of arrays, in insertion order: one
 (N, d) int64 array of per-dimension codes; float arrays of outputs, w and v
 surpluses; and a boolean provenance array, True where the output came from a
 spline, from which the evaluation counts are read.  The kernel's sorted key
-table (below) is the one index of the nodes and of their level vectors:
-it rejects a node repeated within a level and gives each level vector its
-first key, and codes of no node are refused.  The code of the 1-D node of
-level l and index i is c = 2**(l-1) + i:
+table (below), with its slot index, is the one index of the nodes and of
+their level vectors: it rejects a node repeated within a level and gives
+each level vector its first key, and codes of no node are refused.  The
+code of the 1-D node of level l and index i is c = 2**(l-1) + i:
 
 - level 1 is code 1, level 2 codes 2 and 3, and level l >= 3 the codes
   2**(l-1) .. 2**(l-1) + 2**(l-2) - 1, so a code's bit length is its level;
@@ -348,7 +350,10 @@ class _Table(NamedTuple):
     - offsets (G,): each group's first key, in the order the groups were
       inserted, so a group's keys never change;
     - per_level: the `_per_level` constants of levels 1 .. n_levels, the
-      deepest level of any group.
+      deepest level of any group;
+    - slots: the open-addressing index of `keys` (`_indexed`), a power of
+      two at least twice the nodes in size, holding key positions and -1,
+      the sentinel's, in empty slots.
     """
 
     keys: np.ndarray
@@ -358,12 +363,14 @@ class _Table(NamedTuple):
     strides: np.ndarray
     offsets: np.ndarray
     per_level: np.ndarray
+    slots: np.ndarray
 
 
 def _empty_table(d: int) -> _Table:
     groups = np.empty((0, d), dtype=np.int64)
-    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), groups,
-                  groups[:, :1], groups[:, :1], np.empty(0, dtype=np.int64), _per_level(1))
+    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), groups, groups[:, :1],
+                  groups[:, :1], np.empty(0, dtype=np.int64), _per_level(1),
+                  np.full(2, -1, dtype=np.int32))
 
 
 class SurrogateModel:
@@ -527,94 +534,59 @@ class SurrogateModel:
         """Level-vector groups in the kernel's table."""
         return len(self._table.offsets)
 
-    def _evaluate_sum(self, x_many: np.ndarray, columns, first: int = 0, start=None,
+    def _evaluate_sum(self, x_many: np.ndarray, columns, stops=None,
                       fine_first: bool = False) -> np.ndarray:
-        """Sums of coeff * basis over the nodes, shape (n, len(columns)).
+        """Sums of coeff * basis over the nodes, shape (len(columns), len(stops), n).
 
         `columns` picks coefficients: 0 for w, 1 for v.  Per query and group
         the one candidate node's hat product is formed dimension by dimension
-        in ascending order, then the terms of the groups from table position
-        `first` on are added one by one onto `start` (shape
-        (n, len(columns))), if given, as a left fold (_left_fold): coarse to
-        fine by default, fine to coarse with `fine_first` (for surpluses).
-        The module docstring says why each order, and why the sums of groups
-        0 .. first - 1 passed as `start` give, bit for bit, the fold over
-        every group.
+        in ascending order, then the groups' terms are added one by one as a
+        left fold (_left_folds): coarse to fine by default, fine to coarse
+        with `fine_first` (for surpluses).  Entry [j, s] holds the fold's
+        partial sums over the first stops[s] groups of the table, the model
+        as it stood with that many groups (module docstring); `stops`
+        defaults to every group, the only stop of a fine-to-coarse fold.
+        A stop below every group a row visits reads +0.
 
         A row forms terms only for groups that its block dominates; each
         term left out is +-0 and changes no sum but the sign of a zero one
         (module docstring).  Rows are sorted by the level vectors of their
         coordinates (_grid_levels, capped at the deepest stored level, so a
         coordinate that is no node of a stored level dominates every
-        group).  A block holds whole runs of equal
-        vectors while rows x their groups stay within _MERGE, or else an even
-        share of one run, of at most _BLOCK // max(groups, hat columns) rows;
-        it forms, for each of its rows, the terms of every group that one of
-        its vectors dominates (_dominated), in table order, from hat tables of
-        just the columns those groups use.  So every scratch array stays near
-        _BLOCK floats.  Blocks are group-major (see the module docstring):
-        hat tables are (columns, rows), taken from the block's coordinates
-        as (d, rows), and products, keys and positions are (groups, rows),
-        so one searchsorted call looks up each group's keys together and
-        each fold step adds one contiguous group row.  The sums go back to
-        the rows' own order.
+        group), and cut into blocks by _blocks; a block forms, for each of
+        its rows, the terms of every group that one of its vectors dominates
+        (_dominated), in table order, from hat tables of just the columns
+        those groups use.  So every scratch array stays near _BLOCK floats.
+        Blocks are group-major (see the module docstring): hat tables are
+        (columns, rows), taken from the block's coordinates as (d, rows), and
+        products, keys and positions are (groups, rows), so each fold step
+        adds one contiguous group row.  Each block's sums are written
+        straight to its rows' places in the result.
         """
-        keys, coeffs, levels, cols, strides, offsets, per_level = self._table
-        cols, strides, offsets = cols[first:], strides[first:], offsets[first:]
-        out = np.zeros((x_many.shape[0], len(columns))) if start is None else start.copy()
-        if not len(offsets) or not len(out):
+        table = self._table
+        stops = np.array([len(table.offsets)] if stops is None else stops)
+        out = np.zeros((len(columns), len(stops), x_many.shape[0]))
+        if not len(table.offsets) or not out.size:
             return out
-        n_levels = per_level.shape[1]
+        n_levels = table.per_level.shape[1]
         row_levels = _grid_levels(x_many, n_levels)
         order = np.lexsort(row_levels.T[::-1])
-        row_levels, sums = row_levels[order], out[order]
+        row_levels = row_levels[order]
         # run u of equal level vectors holds the sorted rows bounds[u]:bounds[u + 1]
         bounds = np.flatnonzero((row_levels[1:] != row_levels[:-1]).any(axis=1)) + 1
-        bounds = np.concatenate(([0], bounds, [len(sums)]))
-        run_group, run_pairs = _dominated(row_levels[bounds[:-1]], n_levels, cols)
-        width = levels.shape[1] * n_levels  # hat columns per row
-        picked, needed = np.zeros(len(offsets), dtype=bool), np.zeros(width, dtype=bool)
-        lo = 0
-        while lo < len(sums):
-            u = np.searchsorted(bounds, lo, side="right") - 1  # the run holding row lo
-            rows = bounds[u + 1:] - lo
-            selected = np.maximum(run_pairs[u + 1:] - run_pairs[u], width)
-            # whole runs that fit in _MERGE, or else an even share of the one run
-            m = np.searchsorted(rows * selected, _MERGE, side="right") if lo == bounds[u] else 0
-            if m:
-                hi = bounds[u + m]
-            else:
-                shares = -(-rows[0] * selected[0] // _BLOCK)
-                hi = lo + -(-rows[0] // shares)
+        bounds = np.concatenate(([0], bounds, [len(order)]))
+        run_group, run_pairs = _dominated(row_levels[bounds[:-1]], n_levels, table.cols)
+        width = self.dimension * n_levels  # hat columns per row
+        picked = np.zeros(len(table.offsets), dtype=bool)
+        for lo, hi, a, b in _blocks(bounds, run_pairs, width):
             picked[:] = False
-            picked[run_group[run_pairs[u]:run_pairs[u + max(m, 1)]]] = True
+            picked[run_group[a:b]] = True
             group = np.flatnonzero(picked)
-            block, lo = slice(lo, hi), hi
             if not len(group):  # a model without its root, queried on the grid
                 continue
-            # the hat columns the groups use, renumbered 0 .. used - 1
-            needed[:] = False
-            needed[cols[group]] = True
-            column = np.cumsum(needed) - 1
-            used = np.flatnonzero(needed)
-            dim, level = np.divmod(used, n_levels)
-            hat, index = _hat_tables(x_many[order[block]].T[dim], *per_level[:, level, None])
-            c, s = column[cols[group]], strides[group, :, None]
-            prod = hat[c[:, 0]]
-            code = index[c[:, 0]] * s[:, 0] + offsets[group, None]
-            for k in range(1, c.shape[1]):
-                prod *= hat[c[:, k]]
-                code += index[c[:, k]] * s[:, k]
-            pos = np.searchsorted(keys, code)  # group by group: keys close together
-            prod *= keys[pos] == code  # 0 where no node of the group holds x
-            for j, col in enumerate(columns):
-                terms = coeffs[pos, col] * prod
-                if fine_first:
-                    terms = terms[::-1]
-                if start is not None:
-                    terms[0] += sums[block, j]
-                sums[block, j] = _left_fold(terms)
-        out[order] = sums
+            rows = order[lo:hi]
+            out[:, :, rows] = _block_sums(table, x_many[rows], group, columns, stops,
+                                          fine_first)
         return out
 
     def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
@@ -629,7 +601,7 @@ class SurrogateModel:
         if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
         x_many = _queries(x_many, self.dimension)
-        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[:, 0] + 0.0
+        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[0, 0] + 0.0
 
     def interpolate(self, x) -> float:
         """Evaluate the surrogate at a single point in [0, 1]^d: a one-row interpolate_many."""
@@ -650,7 +622,7 @@ class SurrogateModel:
                 f"expected {len(points)} values, got shape {np.shape(values)}"
             )
         sums = self._evaluate_sum(points, (0, 1), fine_first=True)
-        return values - sums[:, 0], values ** 2 - sums[:, 1]
+        return values - sums[0, 0], values ** 2 - sums[1, 0]
 
 
 # queries x groups per kernel block: bounds the kernel's scratch arrays
@@ -713,23 +685,151 @@ def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
     lv = np.take_along_axis(groups, dims, axis=1)
     cols = np.where(used, dims * n_levels + lv - 1, 0)
     strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
-    return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels))
+    return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels),
+                  _indexed(table.slots, keys, len(table.keys) - 1))
 
 
-def _left_fold(terms: np.ndarray) -> np.ndarray:
-    """((terms[0] + terms[1]) + terms[2]) + ... over the rows of a (G, n) array.
+# the slot index's hash multiplier: 2**64 over the golden ratio, made odd,
+# whose top product bits spread runs of consecutive keys evenly (Knuth's
+# multiplicative hashing)
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _homes(keys: np.ndarray, size: int) -> np.ndarray:
+    """Home slots of int64 keys (any shape) in an index of `size` slots, a
+    power of two >= 2: the top log2(size) bits of key * _HASH mod 2**64."""
+    homes = keys.view(np.uint64) * _HASH
+    homes >>= np.uint64(65 - size.bit_length())
+    return homes.view(np.int64)
+
+
+def _indexed(slots: np.ndarray, keys: np.ndarray, known: int) -> np.ndarray:
+    """The slot index of `keys` (sorted, sentinel last), given `slots`, the
+    index of keys[:known].
+
+    The new positions known .. len(keys) - 2 go into a copy of `slots` by
+    linear probing; the index is rebuilt at the least power of two at least
+    twice the nodes once they would fill more than half of it, in int32
+    while every position fits.  Keys are placed in rounds: each writes
+    itself to its current slot if that is free, and those that did not
+    stay there (the slot was full, or another key of the round wrote it
+    last) move one slot on, so every key lies on an unbroken run of full
+    slots from its home, which a lookup's probe walks.
+    """
+    n = len(keys) - 1
+    if 2 * n > len(slots):
+        size = 1 << (2 * n - 1).bit_length()
+        slots = np.full(size, -1, dtype=np.int32 if size <= 1 << 31 else np.int64)
+        known = 0
+    else:
+        slots = slots.copy()
+    pending = np.arange(known, n, dtype=slots.dtype)
+    slot = _homes(keys[known:n], len(slots))
+    while len(pending):
+        free = slots[slot] < 0
+        slots[slot[free]] = pending[free]
+        left = slots[slot] != pending
+        pending, slot = pending[left], (slot[left] + 1) & (len(slots) - 1)
+    return slots
+
+
+def _positions(slots: np.ndarray, keys: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Positions in `keys` of the int64 keys `code`, any shape; -1, the
+    sentinel's position, for a key no node holds.
+
+    One gather reads every key's home slot; the keys that find another key
+    there walk on, a slot per round, until they meet their own key or an
+    empty slot.
+    """
+    found = _homes(code, len(slots))
+    pos = slots[found]
+    # the keys at the home slots, over the homes; -1 wraps to the sentinel
+    np.take(keys, pos, out=found, mode="wrap")
+    flat, wanted = pos.reshape(-1), code.reshape(-1)
+    probe = np.flatnonzero(found.reshape(-1) != wanted)
+    probe = probe[flat[probe] >= 0]  # occupied by another key
+    slot = _homes(wanted[probe], len(slots))
+    while len(probe):
+        slot = (slot + 1) & (len(slots) - 1)
+        found = flat[probe] = slots[slot]
+        on = (keys[found] != wanted[probe]) & (found >= 0)
+        probe, slot = probe[on], slot[on]
+    return pos
+
+
+def _left_folds(terms: np.ndarray) -> np.ndarray:
+    """Row k: the left fold ((terms[0] + terms[1]) + ...) + terms[k] over the
+    rows of a (G, n) array.
 
     Both forms add the same pairs in the same order, so they agree bit for
-    bit: one in-place add per row (into terms[0]) when the rows are long
+    bit: one in-place add per row (into `terms`) when the rows are long
     enough to carry the loop's per-row cost, else one accumulate (never
-    pairwise summation) down the columns, whose last row is the fold.
+    pairwise summation) down the columns.
     """
     if terms.shape[1] < len(terms):
-        return np.cumsum(terms, axis=0)[-1]
-    acc = terms[0]
-    for row in terms[1:]:
-        acc += row
-    return acc
+        return np.cumsum(terms, axis=0)
+    for k in range(1, len(terms)):
+        terms[k] += terms[k - 1]
+    return terms
+
+
+def _block_sums(table: _Table, x: np.ndarray, group: np.ndarray, columns, stops,
+                fine_first: bool) -> np.ndarray:
+    """One kernel block's sums, shape (len(columns), len(stops), rows): the
+    folds of the terms of the table's groups `group` (ascending) at the
+    block's rows `x`, as _evaluate_sum describes.  Every scratch array is
+    freed on return, before the next block's are made."""
+    keys, coeffs, levels, cols, strides, offsets, per_level, slots = table
+    n_levels = per_level.shape[1]
+    # the hat columns the groups use, renumbered 0 .. used - 1
+    needed = np.zeros(levels.shape[1] * n_levels, dtype=bool)  # per hat column
+    needed[cols[group]] = True
+    column = np.cumsum(needed) - 1
+    dim, level = np.divmod(np.flatnonzero(needed), n_levels)
+    hat, index = _hat_tables(x.T[dim], *per_level[:, level, None])
+    c, s = column[cols[group]], strides[group, :, None]
+    prod = hat[c[:, 0]]
+    code = index[c[:, 0]] * s[:, 0] + offsets[group, None]
+    for k in range(1, c.shape[1]):
+        prod *= hat[c[:, k]]
+        code += index[c[:, k]] * s[:, k]
+    pos = _positions(slots, keys, code)  # -1 reads the sentinel's zero coeffs
+    cut = (group[:, None] < stops).sum(axis=0)  # the groups below each stop
+    sums = np.zeros((len(columns), len(stops), len(x)))
+    for j, col in enumerate(columns):
+        terms = coeffs[pos, col]
+        terms *= prod
+        folds = _left_folds(terms[::-1] if fine_first else terms)
+        sums[j, cut > 0] = folds[cut[cut > 0] - 1]
+    return sums
+
+
+def _blocks(bounds: np.ndarray, pairs: np.ndarray, width: int):
+    """The kernel's blocks of sorted rows, as (lo, hi, a, b): rows lo .. hi - 1
+    form the terms of run_group[a:b], the groups their runs dominate.
+
+    Run u holds rows bounds[u] .. bounds[u + 1] - 1 and dominates
+    run_group[pairs[u]:pairs[u + 1]] (_dominated); `width` is the hat
+    columns per row.  A block holds whole runs while rows x their groups
+    stay within _MERGE (each run's count bounding its groups' union), or
+    else an even share of one run, of at most _BLOCK // max(groups, width)
+    rows.
+    """
+    u, lo = 0, 0
+    while lo < bounds[-1]:
+        rows = bounds[u + 1:] - lo
+        selected = np.maximum(pairs[u + 1:] - pairs[u], width)
+        # whole runs that fit in _MERGE (rows * selected only grows), or else
+        # an even share of the one run
+        m = np.count_nonzero(rows * selected <= _MERGE) if lo == bounds[u] else 0
+        if m:
+            hi, last = bounds[u + m], u + m
+        else:
+            shares = -(-rows[0] * selected[0] // _BLOCK)
+            hi = lo + -(-rows[0] // shares)
+            last = u + 1 if hi == bounds[u + 1] else u
+        yield lo, hi, pairs[u], pairs[u + max(m, 1)]
+        lo, u = hi, last
 
 
 def _per_level(n_levels: int) -> np.ndarray:

@@ -201,13 +201,15 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
               persist_surrogate: bool = False) -> StudyReport:
     """Build a surrogate with one method, recording one report row per level.
 
-    The error columns come from running sums at the test points: each level
-    adds only the terms of the level-vector groups it appended, and the sums
-    equal, bit for bit, `interpolate_many` on that level's model (see core),
-    bar the sign of a zero sum, which `interpolate_many` returns as +0 and
-    which no error column can show.
-    The JSON sidecar's `level_build_s` lists each level's build seconds, the
-    sum of its `phase_s`, without the study's own error and moment work.
+    The error columns come from one kernel pass over the finished model at
+    the test points: each level only appends level-vector groups, so the
+    coarse-to-fine fold's partial sums at each level's group count equal,
+    bit for bit, `interpolate_many` on that level's model (see core), bar
+    the sign of a zero sum, which `interpolate_many` returns as +0 and which
+    no error column can show.  A row's `wall_time` counts the build and the
+    moments up to its level, not the error pass, which runs once after the
+    build.  The JSON sidecar's `level_build_s` lists each level's build
+    seconds, the sum of its `phase_s`, without the study's moment work.
 
     Deterministic for a fixed seed and configuration (the wall_time column
     and `level_build_s` aside).  When `output_dir` is given, writes
@@ -236,22 +238,18 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
 
     report = StudyReport(method=method, benchmark=benchmark)
     start = time.perf_counter()
-    # the surrogate at the test points as running sums over the groups folded
-    # so far: a level appends its groups, so only those are added
-    running = {"sums": None, "groups": 0}
+    groups = []  # the model's level-vector groups after each level
 
     def on_level(model, record):
         est = moments(model)
-        running["sums"] = model._evaluate_sum(points, (0,), running["groups"], running["sums"])
-        running["groups"] = model._group_count
-        dev = running["sums"][:, 0] - true_values  # once for both errors
+        groups.append(model._group_count)
         last = report.rows[-1] if report.rows else None
         report.rows.append(StudyRow(
             level=record.level,
             full_evals=record.full_evaluations,
             spline_evals=record.spline_interpolations,
-            max_abs_error=_max_abs(dev),
-            rmse=_rms(dev),
+            max_abs_error=math.nan,  # from the error pass below
+            rmse=math.nan,
             mean=est.mean,
             variance=est.variance,
             mean_delta=math.nan if last is None else abs(est.mean - last.mean),
@@ -260,6 +258,10 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         ))
 
     result = build(f, cfg, method, on_level)
+    # every level's surrogate at the test points, one row per level
+    for row, dev in zip(report.rows, result.model._evaluate_sum(points, (0,), groups)[0]):
+        dev -= true_values
+        row.max_abs_error, row.rmse = _max_abs(dev), _rms(dev)
 
     report.metadata = {
         **_build_record(method, benchmark, echo, result),

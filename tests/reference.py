@@ -9,6 +9,8 @@ the library's array results with them.  `second_derivatives` is the spline
 fit by one LAPACK `dgtsv` call on a block-diagonal system, the oracle of the
 library's NumPy solve.  `surrogate_text` is the saved file of a model, built
 as one string, line by line, the oracle of the library's chunked writer.
+`key_positions` finds kernel keys by binary search, the oracle of the
+kernel's hashed slot index.
 """
 
 from __future__ import annotations
@@ -240,6 +242,14 @@ def surrogate_text(model, region_db=None) -> str:
                 format(r.midpoint, ".17g"), format(r.half_length, ".17g"),
             ]))
     return "\n".join(lines) + "\n"
+
+
+def key_positions(keys, queries) -> np.ndarray:
+    """Positions of `queries` in the sorted key array `keys`, found by binary
+    search; -1 for a query that is not among the keys."""
+    keys, queries = np.asarray(keys), np.asarray(queries)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[pos] == queries, pos, -1)
 
 
 def brute_force(m, x, coeff):

@@ -4,8 +4,10 @@ The library holds nodes as integer code rows; tests/reference.py holds the
 one-node-at-a-time definitions they are checked against.
 """
 
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,6 +505,17 @@ def level_groups(m):
     return groups
 
 
+def level_rows(dimension: int, level: int) -> np.ndarray:
+    """Every code row of the given level (level-vector sum minus dimension)."""
+    rows = []
+    for vector in itertools.product(range(1, level + 2), repeat=dimension):
+        if sum(vector) - dimension == level:
+            ranges = [range(1 << (lv - 1), (1 << (lv - 1)) + ref.new_nodes_on_level(lv))
+                      for lv in vector]
+            rows.extend(itertools.product(*ranges))
+    return np.array(rows, dtype=np.int64)
+
+
 class TestEvaluationKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -689,19 +702,58 @@ class TestEvaluationKernel:
             got = np.concatenate([part[j] for part in split])
             assert got.tobytes() == whole[j].tobytes(), coeff
 
+    @settings(max_examples=30, deadline=None)
+    @given(dimension=st.integers(1, 3), depth=st.integers(3, 6), collide=st.booleans(),
+           data=st.data())
+    def test_slot_index_finds_every_key(self, dimension, depth, collide, data):
+        # random level sets, one add_level call per level; with `collide`
+        # every key hashes to one home slot, so inserts and lookups walk
+        # probe runs as long as the model
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        levels = []
+        for level in range(depth + 1):
+            rows = level_rows(dimension, level)
+            keep = rows[rng.random(len(rows)) < data.draw(st.floats(0.1, 1.0))]
+            # at least as many rows as are stored, where the level has them,
+            # so the model keeps doubling and the index keeps growing
+            need = min(len(rows), 1 + sum(map(len, levels)))
+            levels.append(keep if len(keep) >= need else rows[:need])
+        queries = rng.random((200, dimension))
+        plain = SurrogateModel(dimension)
+        for rows in levels:
+            plain.add_level(rows, *rng.standard_normal((3, len(rows))))
+        m, sizes = SurrogateModel(dimension), set()
+        with mock.patch.object(core, "_HASH", np.uint64(0) if collide else core._HASH):
+            for rows, k in zip(levels, itertools.accumulate(map(len, levels))):
+                m.add_level(rows, plain.outputs[k - len(rows):k], plain.w[k - len(rows):k],
+                            plain.v[k - len(rows):k])
+                slots, keys = m._table.slots, m._table.keys
+                sizes.add(len(slots))
+                assert len(slots) >= 2 * len(m)
+                stored = keys[:-1]
+                np.testing.assert_array_equal(core._positions(slots, keys, stored),
+                                              np.arange(len(m)))
+                # mostly codes of no node, some stored, in a 2-D batch
+                probes = rng.integers(0, m._key_span + 64, size=(4, 60))
+                np.testing.assert_array_equal(core._positions(slots, keys, probes),
+                                              ref.key_positions(stored, probes))
+            got = m.interpolate_many(queries)
+        # the index grew past two resizes, and finds what a default one finds
+        assert len(sizes) >= 3, sizes
+        assert got.tobytes() == plain.interpolate_many(queries).tobytes()
+
     def test_surplus_terms_only_for_dominated_groups(self, monkeypatch):
         # count the node keys the kernel looks up in a CSC build: it should
         # look up about one per candidate and dominated group, well below
         # one per candidate and stored group
         looked_up = []
-        searchsorted = np.searchsorted
+        positions = core._positions
 
-        def counting(a, v, *args, **kwargs):
-            if np.ndim(v) == 2:  # the kernel's (rows, groups) array of node keys
-                looked_up.append(np.size(v))
-            return searchsorted(a, v, *args, **kwargs)
+        def counting(slots, keys, code):  # the kernel's (groups, rows) node keys
+            looked_up.append(np.size(code))
+            return positions(slots, keys, code)
 
-        monkeypatch.setattr(np, "searchsorted", counting)
+        monkeypatch.setattr(core, "_positions", counting)
         m = run_csc(ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s"),
                     2, 10).model
         monkeypatch.undo()
@@ -759,8 +811,11 @@ class TestEvaluationKernel:
         np.testing.assert_array_equal(m.interpolate_many([[0.5], [0.25], [1.0]]), [0.0, 0.5, 3.0])
         w, v = m.surpluses_against_prefix(np.array([[0.5]]), np.array([2.0]))
         assert (w[0], v[0]) == (2.0, 4.0)
-        sums = m._evaluate_sum(np.array([[0.5]]), (0, 1), start=np.array([[1.5, 2.5]]))
-        np.testing.assert_array_equal(sums, [[1.5, 2.5]])
+        # partial sums stop after 0 and after 1 group: a stop with no group
+        # below it reads +0, wherever the row lies
+        sums = m._evaluate_sum(np.array([[0.5], [0.25]]), (0, 1), stops=[0, 1])
+        want = np.array([[[0.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.5]]])
+        assert sums.tobytes() == want.tobytes()
 
     def test_lookup_rebuilt_after_insert(self):
         # x^2 on {0.5, 0, 1}, then the finer node 0.25
@@ -813,25 +868,26 @@ class TestEvaluationKernel:
             assert m.interpolate(queries[i]) == got[i]
 
     def test_running_sums_equal_fresh_evaluation_bitwise(self):
-        # coarse-to-fine query folds continue exactly: the sums of a model's
-        # earlier levels plus the new level's groups are a fresh evaluation
+        # coarse-to-fine query folds continue exactly: the partial sums of the
+        # finished model at each level's group count are a fresh evaluation
+        # of the model as it stood after that level
         f = ModelFunction(lambda x: math.exp(x[0]) * math.sin(4 * x[1]) + abs(x[1] - 0.3),
                           2, "m")
         queries = np.random.default_rng(8).random((3000, 2))
-        carried = {"sums": None, "groups": 0, "levels": 0}
+        groups, fresh = [], []
 
         def on_level(model, record):
-            carried["sums"] = model._evaluate_sum(queries, (0, 1), carried["groups"],
-                                                  carried["sums"])
-            carried["groups"] = model._group_count
-            carried["levels"] += 1
-            for j, coeff in enumerate("wv"):
-                np.testing.assert_array_equal(carried["sums"][:, j],
-                                              model.interpolate_many(queries, coeff))
+            groups.append(model._group_count)
+            fresh.append([model.interpolate_many(queries, coeff) for coeff in "wv"])
 
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=9, init_level=2)
-        build(f, cfg, "ASGC", on_level)
-        assert carried["levels"] == 10
+        model = build(f, cfg, "ASGC", on_level).model
+        assert len(groups) == 10
+        sums = model._evaluate_sum(queries, (0, 1), stops=groups)
+        assert sums.shape == (2, 10, 3000)
+        for level, values in enumerate(fresh):
+            for j, coeff in enumerate("wv"):
+                np.testing.assert_array_equal(sums[j, level], values[j], err_msg=coeff)
 
     def test_table_growth_does_not_change_results(self, tmp_path):
         # one model inserted three ways: as built, a level per call with

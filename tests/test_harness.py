@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from sgsurrogate import (
 )
 import reference as ref
 import sgsurrogate.io
-from sgsurrogate import harness
+from sgsurrogate import core, harness
 from sgsurrogate.cli import _KEYS, _benchmark_and_config, _parse_config
 from sgsurrogate.cli import main as cli_main
 from sgsurrogate.harness import CSV_COLUMNS
@@ -295,6 +296,31 @@ class TestRunStudy:
             dev = values - truth
             assert row.max_abs_error == float(np.abs(dev).max())
             assert row.rmse == float(np.sqrt(np.mean(dev * dev)))
+
+    def test_error_pass_memory_is_one_row_per_level(self, monkeypatch):
+        # after the build, the error pass holds one row of sums per level,
+        # a few per-point arrays (the sort order, a row's deviation and its
+        # square) and the kernel's block-sized scratch: a second copy of the
+        # (levels, points) sums, or every level's deviations at once, would
+        # add a whole levels x points array
+        points, real_build = 80_000, harness.build
+
+        def traced_build(*args):
+            result = real_build(*args)
+            tracemalloc.start()  # the build's own memory stays out
+            return result
+
+        monkeypatch.setattr(harness, "build", traced_build)
+        try:
+            rep = run_study("EASGC", "line_singularity",
+                            AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=12, init_level=2),
+                            seed=3, n_test_points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        levels = len(rep.rows)
+        assert levels == 13
+        assert peak < (levels + 3) * points * 8 + 8 * core._BLOCK * 8, (peak, levels)
 
     @pytest.mark.parametrize("kwargs", [{"persist_surrogate": True}, {"stem": "run"}])
     def test_output_options_without_output_dir_refused(self, monkeypatch, kwargs):
