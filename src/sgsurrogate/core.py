@@ -17,8 +17,9 @@ nodes that share a level vector have disjoint supports, so at any x at most
 one of them has a non-zero basis: per dimension, the node of index
 min(floor(x * n_l), n_l - 1) among the level's n_l nodes.  The model groups its
 nodes by level vector under integer keys and finds each group's candidate
-in a hashed slot index, so a batch of queries costs
-O(queries * level vectors * d) instead of O(queries * nodes * d)
+by offset in a full group and in a hashed slot index in a sparse one, so a
+batch of queries costs O(queries * level vectors * d) instead of
+O(queries * nodes * d)
 (Bungartz & Griebel, "Sparse grids", Acta Numerica 13, 2004; Pflueger,
 "Spatially Adaptive Sparse Grids for High-Dimensional Problems", 2010).
 
@@ -60,12 +61,19 @@ every stored one; one kernel folds the groups' terms in either direction:
 
 The kernel works in blocks laid out group by group: a block's hat tables
 are (hat columns, rows) and its products, node keys and table positions are
-(groups, rows).  The keys are looked up in an open-addressing slot index
-with linear probing: a power-of-two array, at most half full, of key
-positions, where a key's home slot is the top bits of the key times an odd
-64-bit constant, and an empty slot holds -1, the sentinel's position.  So a
-lookup costs a probe or two whatever the model's size, and a key of no node
-reads the sentinel's key and zero coefficients.  The fold adds whole
+(groups, rows).  A group that holds every node of its level vector, as all
+of a CSC build's do, is full: its nodes are one run of the sorted keys, so
+a candidate's position is the group's first position plus its code, one
+add with no lookup and no miss.  The keys of the other, sparse groups are
+looked up in an open-addressing slot index with linear probing that holds
+only their nodes: a power-of-two array, at most 1/8 full, of key positions,
+where a key's home slot is the top bits of the key times an odd 64-bit
+constant, and an empty slot holds -1, the sentinel's position.  Most
+lookups in a sparse group are misses (a uniform query visits every group,
+and an adaptive grid holds few of its candidates), and at that load most
+misses end at an empty home slot.  So a lookup costs a probe or two
+whatever the model's size, and a key of no node reads the sentinel's key
+and zero coefficients.  The fold adds whole
 contiguous group rows, one group after the other in table order, in one of
 two forms chosen by the block's shape that add the same pairs in the same
 order (Murarasu et al., PPoPP 2011, on hashed sparse grid indices).
@@ -347,13 +355,20 @@ class _Table(NamedTuple):
       ascending order as columns (dimension * n_levels + level - 1) of the
       hat tables of `_hat_tables`, with their radix strides; short
       rows are padded with column 0 (level 1: hat 1, index 0) and stride 0;
-    - offsets (G,): each group's first key, in the order the groups were
-      inserted, so a group's keys never change;
+    - full (G,): whether the group holds every one of its level vector's
+      nodes, the product of the per-level counts; a level vector's nodes
+      all arrive in one add_level, so this never changes;
+    - bases (G,): per group, where its node of code 0 lies: for a full
+      group its position in `keys`, so base + code is a node's position,
+      and for a sparse one its key, the group's offset, so base + code is
+      a node's key, found through `slots`.  A group's keys, and so its
+      positions, never change once inserted;
     - per_level: the `_per_level` constants of levels 1 .. n_levels, the
       deepest level of any group;
-    - slots: the open-addressing index of `keys` (`_indexed`), a power of
-      two at least twice the nodes in size, holding key positions and -1,
-      the sentinel's, in empty slots.
+    - slots: the open-addressing index of the sparse groups' keys
+      (`_indexed`), at least _ROOM times their nodes in size, holding key
+      positions and -1, the sentinel's, in empty slots; no slot at all
+      while every group is full.
     """
 
     keys: np.ndarray
@@ -361,7 +376,8 @@ class _Table(NamedTuple):
     levels: np.ndarray
     cols: np.ndarray
     strides: np.ndarray
-    offsets: np.ndarray
+    full: np.ndarray
+    bases: np.ndarray
     per_level: np.ndarray
     slots: np.ndarray
 
@@ -369,8 +385,8 @@ class _Table(NamedTuple):
 def _empty_table(d: int) -> _Table:
     groups = np.empty((0, d), dtype=np.int64)
     return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), groups, groups[:, :1],
-                  groups[:, :1], np.empty(0, dtype=np.int64), _per_level(1),
-                  np.full(2, -1, dtype=np.int32))
+                  groups[:, :1], np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
+                  _per_level(1), np.empty(0, dtype=np.int32))
 
 
 class SurrogateModel:
@@ -532,7 +548,7 @@ class SurrogateModel:
     @property
     def _group_count(self) -> int:
         """Level-vector groups in the kernel's table."""
-        return len(self._table.offsets)
+        return len(self._table.levels)
 
     def _evaluate_sum(self, x_many: np.ndarray, columns, stops=None,
                       fine_first: bool = False) -> np.ndarray:
@@ -564,9 +580,9 @@ class SurrogateModel:
         straight to its rows' places in the result.
         """
         table = self._table
-        stops = np.array([len(table.offsets)] if stops is None else stops)
+        stops = np.array([len(table.levels)] if stops is None else stops)
         out = np.zeros((len(columns), len(stops), x_many.shape[0]))
-        if not len(table.offsets) or not out.size:
+        if not len(table.levels) or not out.size:
             return out
         n_levels = table.per_level.shape[1]
         row_levels = _grid_levels(x_many, n_levels)
@@ -577,7 +593,7 @@ class SurrogateModel:
         bounds = np.concatenate(([0], bounds, [len(order)]))
         run_group, run_pairs = _dominated(row_levels[bounds[:-1]], n_levels, table.cols)
         width = self.dimension * n_levels  # hat columns per row
-        picked = np.zeros(len(table.offsets), dtype=bool)
+        picked = np.zeros(len(table.levels), dtype=bool)
         for lo, hi, a, b in _blocks(bounds, run_pairs, width):
             picked[:] = False
             picked[run_group[a:b]] = True
@@ -656,10 +672,13 @@ def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
     """`table` with one level appended, deeper than every level in it.
 
     `node_keys` are the level's node keys and `codes` their rows, `vectors`
-    its level vectors and `offsets` their first keys.  The keys lie above
-    the table's and the vectors' total level above every group's, so keys
-    and coefficients go in key order before the sentinel, and new groups
-    after the old ones in level-vector order.  The per-group columns are
+    its level vectors and `offsets` their first keys, ascending.  The keys
+    lie above the table's and the vectors' total level above every group's,
+    so keys and coefficients go in key order before the sentinel, and new
+    groups after the old ones in level-vector order.  A vector's keys lie
+    below the next one's offset, so its nodes are one run of the sorted
+    keys; it is full when the run holds all of its nodes, and only the
+    sparse vectors' keys enter the slot index.  The per-group columns are
     laid out anew, since a deeper level moves every column of the hat
     tables.  A node twice among the new ones raises ContractViolationError.
     """
@@ -669,12 +688,17 @@ def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
     if repeat.any():
         row = codes[order[repeat.argmax() + 1]]
         raise ContractViolationError(f"duplicate node {row.tolist()}")
+    known = len(table.keys) - 1  # the new keys' first position
+    first = np.searchsorted(node_keys, offsets)
+    count = np.diff(first, append=len(node_keys))
+    full = count == _nodes_per_level(vectors).prod(axis=1)
+    bases = np.where(full, known + first, offsets)
     keys = np.concatenate([table.keys[:-1], node_keys, table.keys[-1:]])
     coeffs = np.concatenate([table.coeffs[:-1], np.stack([w[order], v[order]], axis=1),
                              table.coeffs[-1:]])
+    slots = _indexed(table.slots, keys, known + np.flatnonzero(np.repeat(~full, count)))
     rank = np.lexsort(vectors.T[::-1])
     groups = np.concatenate([table.levels, vectors[rank]])
-    offsets = np.concatenate([table.offsets, offsets[rank]])
     radix = _nodes_per_level(groups)
     strides = np.cumprod(radix, axis=1) // radix
     n_levels = int(groups.max())
@@ -685,14 +709,20 @@ def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
     lv = np.take_along_axis(groups, dims, axis=1)
     cols = np.where(used, dims * n_levels + lv - 1, 0)
     strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
-    return _Table(keys, coeffs, groups, cols, strides, offsets, _per_level(n_levels),
-                  _indexed(table.slots, keys, len(table.keys) - 1))
+    return _Table(keys, coeffs, groups, cols, strides,
+                  np.concatenate([table.full, full[rank]]),
+                  np.concatenate([table.bases, bases[rank]]), _per_level(n_levels), slots)
 
 
 # the slot index's hash multiplier: 2**64 over the golden ratio, made odd,
 # whose top product bits spread runs of consecutive keys evenly (Knuth's
 # multiplicative hashing)
 _HASH = np.uint64(0x9E3779B97F4A7C15)
+
+# slots per indexed key, at least: most kernel lookups in a sparse group are
+# misses, which walk to an empty slot, so the index is kept at most 1/_ROOM
+# full (see _indexed)
+_ROOM = 8
 
 
 def _homes(keys: np.ndarray, size: int) -> np.ndarray:
@@ -703,28 +733,31 @@ def _homes(keys: np.ndarray, size: int) -> np.ndarray:
     return homes.view(np.int64)
 
 
-def _indexed(slots: np.ndarray, keys: np.ndarray, known: int) -> np.ndarray:
-    """The slot index of `keys` (sorted, sentinel last), given `slots`, the
-    index of keys[:known].
+def _indexed(slots: np.ndarray, keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The slot index `slots` with the positions `new` of `keys` (sorted,
+    sentinel last) added.
 
-    The new positions known .. len(keys) - 2 go into a copy of `slots` by
-    linear probing; the index is rebuilt at the least power of two at least
-    twice the nodes once they would fill more than half of it, in int32
-    while every position fits.  Keys are placed in rounds: each writes
-    itself to its current slot if that is free, and those that did not
-    stay there (the slot was full, or another key of the round wrote it
+    The positions go into a copy of `slots` by linear probing; the index is
+    rebuilt, with the positions it held, at the least power of two at least
+    _ROOM times its keys once they would fill more than 1/_ROOM of it, in
+    int32 while every position fits.  Keys are placed in rounds: each
+    writes itself to its current slot if that is free, and those that did
+    not stay there (the slot was full, or another key of the round wrote it
     last) move one slot on, so every key lies on an unbroken run of full
     slots from its home, which a lookup's probe walks.
     """
-    n = len(keys) - 1
-    if 2 * n > len(slots):
-        size = 1 << (2 * n - 1).bit_length()
+    if not len(new):
+        return slots
+    held = slots[slots >= 0]
+    n = len(held) + len(new)
+    if _ROOM * n > len(slots):
+        size = 1 << (_ROOM * n - 1).bit_length()
         slots = np.full(size, -1, dtype=np.int32 if size <= 1 << 31 else np.int64)
-        known = 0
+        new = np.concatenate([held, new])
     else:
         slots = slots.copy()
-    pending = np.arange(known, n, dtype=slots.dtype)
-    slot = _homes(keys[known:n], len(slots))
+    pending = new.astype(slots.dtype)
+    slot = _homes(keys[new], len(slots))
     while len(pending):
         free = slots[slot] < 0
         slots[slot[free]] = pending[free]
@@ -734,20 +767,18 @@ def _indexed(slots: np.ndarray, keys: np.ndarray, known: int) -> np.ndarray:
 
 
 def _positions(slots: np.ndarray, keys: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Positions in `keys` of the int64 keys `code`, any shape; -1, the
-    sentinel's position, for a key no node holds.
+    """Positions in `keys` of the int64 keys `code`, any shape, that `slots`
+    indexes; -1, the sentinel's position, for a key it does not hold.
 
-    One gather reads every key's home slot; the keys that find another key
-    there walk on, a slot per round, until they meet their own key or an
-    empty slot.
+    One gather reads every key's home slot.  An empty home ends a key's
+    lookup as a miss without reading `keys`, as most misses do at the
+    index's load (_ROOM); the keys that find another key there walk on, a
+    slot per round, until they meet their own key or an empty slot.
     """
-    found = _homes(code, len(slots))
-    pos = slots[found]
-    # the keys at the home slots, over the homes; -1 wraps to the sentinel
-    np.take(keys, pos, out=found, mode="wrap")
+    pos = slots[_homes(code, len(slots))]
     flat, wanted = pos.reshape(-1), code.reshape(-1)
-    probe = np.flatnonzero(found.reshape(-1) != wanted)
-    probe = probe[flat[probe] >= 0]  # occupied by another key
+    probe = np.flatnonzero(flat >= 0)
+    probe = probe[keys[flat[probe]] != wanted[probe]]  # occupied by another key
     slot = _homes(wanted[probe], len(slots))
     while len(probe):
         slot = (slot + 1) & (len(slots) - 1)
@@ -779,7 +810,7 @@ def _block_sums(table: _Table, x: np.ndarray, group: np.ndarray, columns, stops,
     folds of the terms of the table's groups `group` (ascending) at the
     block's rows `x`, as _evaluate_sum describes.  Every scratch array is
     freed on return, before the next block's are made."""
-    keys, coeffs, levels, cols, strides, offsets, per_level, slots = table
+    keys, coeffs, levels, cols, strides, full, bases, per_level, slots = table
     n_levels = per_level.shape[1]
     # the hat columns the groups use, renumbered 0 .. used - 1
     needed = np.zeros(levels.shape[1] * n_levels, dtype=bool)  # per hat column
@@ -789,11 +820,15 @@ def _block_sums(table: _Table, x: np.ndarray, group: np.ndarray, columns, stops,
     hat, index = _hat_tables(x.T[dim], *per_level[:, level, None])
     c, s = column[cols[group]], strides[group, :, None]
     prod = hat[c[:, 0]]
-    code = index[c[:, 0]] * s[:, 0] + offsets[group, None]
+    pos = index[c[:, 0]] * s[:, 0] + bases[group, None]
     for k in range(1, c.shape[1]):
         prod *= hat[c[:, k]]
-        code += index[c[:, k]] * s[:, k]
-    pos = _positions(slots, keys, code)  # -1 reads the sentinel's zero coeffs
+        pos += index[c[:, k]] * s[:, k]
+    # a full group's codes are positions; a sparse group's are keys, looked
+    # up in the index, where -1 reads the sentinel's zero coeffs
+    sparse = ~full[group]
+    if sparse.any():
+        pos[sparse] = _positions(slots, keys, pos[sparse])
     cut = (group[:, None] < stops).sum(axis=0)  # the groups below each stop
     sums = np.zeros((len(columns), len(stops), len(x)))
     for j, col in enumerate(columns):

@@ -402,7 +402,8 @@ class SmoothRegion:
     float arrays, and the interval's ends as the floats `lo` and `hi`.
     Anchors that are not node codes, a `dim` that is not an integer in
     [0, len(anchor)], and malformed knots or outputs are refused at
-    construction.
+    construction; the line scan, whose fields come from checked model
+    arrays, builds its regions with _scanned_region instead.
     """
 
     dim: int
@@ -449,6 +450,23 @@ class SmoothRegion:
     @property
     def half_length(self) -> float:
         return (self.hi - self.lo) / 2.0
+
+
+def _scanned_region(dim: int, anchor: tuple, knots: np.ndarray,
+                    outputs: np.ndarray) -> SmoothRegion:
+    """The SmoothRegion of a run the scan found, built without the checks of
+    SmoothRegion.__post_init__, which it otherwise matches field for field.
+
+    The scan takes every field from the model's own checked arrays: `dim`
+    is an int below d, the anchor a tuple of the ints of a code row, and
+    knots and outputs float arrays of at least 4 node coordinates and
+    outputs along one line, outputs the drivers refuse unless finite.  Only
+    rising knots are not implied; _scan_and_store checks them in one pass.
+    """
+    region = SmoothRegion.__new__(SmoothRegion)
+    region.dim, region.anchor, region.knots, region.outputs = dim, anchor, knots, outputs
+    region.lo, region.hi = float(knots[0]), float(knots[-1])
+    return region
 
 
 def _spline_values(regions, which, t) -> np.ndarray:
@@ -682,7 +700,9 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
     Hashes the node codes once, scans each dimension's long lines in one
     batch, and stores the runs in order.  A run that a region of its line
     covers at its turn is skipped before a SmoothRegion is built: `store`
-    would find it covered and change nothing.  Returns the pass's counts
+    would find it covered and change nothing.  Regions are built by
+    _scanned_region, whose one check, rising knots, runs once per dimension
+    over all of the dimension's long lines.  Returns the pass's counts
     under the LevelRecord field names: lines scanned, and regions created,
     superseded, displaced and rejected.
     """
@@ -694,6 +714,14 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
     for dim in range(model.dimension):
         lines = _long_lines(model, dim, min_points, sums, weights)
         counts["lines_scanned"] += len(lines.bounds) - 1
+        # knots are node coordinates, ascending along a line, so they rise
+        # strictly but where two nodes deeper than level 54 round to one double
+        falls = lines.positions[1:] <= lines.positions[:-1]
+        falls[lines.bounds[1:-1] - 1] = False  # from one line to the next
+        if falls.any():
+            raise SparseGridError(f"two nodes along dim {dim} share the coordinate "
+                                  f"{float(lines.positions[falls.argmax()])!r}: region knots "
+                                  f"must be strictly increasing")
         start, stop = _smooth_runs(lines.positions, lines.outputs, lines.bounds, slope_tol)
         line = np.searchsorted(lines.bounds, start, "right") - 1
         anchors = np.delete(lines.codes[line], dim, axis=1).tolist()
@@ -702,12 +730,8 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
             anchor = tuple(anchor)
             if db._covers(dim, anchor, first, last):
                 continue
-            outcome = db.store(SmoothRegion(
-                dim=dim,
-                anchor=anchor,
-                knots=lines.positions[lo:hi].copy(),
-                outputs=lines.outputs[lo:hi].copy(),
-            ))
+            outcome = db.store(_scanned_region(dim, anchor, lines.positions[lo:hi].copy(),
+                                               lines.outputs[lo:hi].copy()))
             counts["regions_created"] += outcome.status == "created"
             counts["regions_rejected"] += outcome.status == "rejected"
             counts["regions_superseded"] += outcome.superseded

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from conftest import record_acceptance
 
@@ -179,8 +180,8 @@ def test_05_moment_exactness():
     xs = np.linspace(0, 1, 5)
     interp = model.interpolate_many(xs[:, None])
     sq = model.interpolate_many(xs[:, None], coeff="v")
-    assert np.trapezoid(interp, xs) == pytest.approx(est.mean, abs=1e-15)
-    assert np.trapezoid(sq, xs) == pytest.approx(est.mean_square, abs=1e-15)
+    assert trapezoid(interp, xs) == pytest.approx(est.mean, abs=1e-15)
+    assert trapezoid(sq, xs) == pytest.approx(est.mean_square, abs=1e-15)
 
     deep = run_csc(ModelFunction(lambda x: float(x[0]), 1, "id"), 1, 10).model
     assert abs(moments(deep).variance - 1.0 / 12.0) < 1e-3

@@ -516,6 +516,22 @@ def level_rows(dimension: int, level: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def node_positions(m, rows):
+    """Positions in the kernel's table of the nodes of code `rows`, found as
+    the kernel finds them, and where the slot index found them: by offset in
+    a full group, through the index in a sparse one."""
+    t = m._table
+    levels, indices = split_codes(rows)
+    radix = np.vectorize(ref.new_nodes_on_level)(levels)
+    code = (indices * (np.cumprod(radix, axis=1) // radix)).sum(axis=1)
+    group = {v: g for g, v in enumerate(map(tuple, t.levels.tolist()))}
+    g = np.array([group[v] for v in map(tuple, levels.tolist())])
+    at, hashed = t.bases[g] + code, ~t.full[g]
+    if hashed.any():
+        at[hashed] = core._positions(t.slots, t.keys, at[hashed])
+    return at, hashed
+
+
 class TestEvaluationKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -706,18 +722,36 @@ class TestEvaluationKernel:
     @given(dimension=st.integers(1, 3), depth=st.integers(3, 6), collide=st.booleans(),
            data=st.data())
     def test_slot_index_finds_every_key(self, dimension, depth, collide, data):
-        # random level sets, one add_level call per level; with `collide`
+        # random level sets, one add_level call per level, that mix full
+        # level vectors with sparse ones made by random drops; with `collide`
         # every key hashes to one home slot, so inserts and lookups walk
-        # probe runs as long as the model
+        # probe runs as long as the index
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        levels = []
+        sparse_share, keep_share = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.1, 0.9))
+        levels, full, sparse, held = [], set(), set(), 0
         for level in range(depth + 1):
             rows = level_rows(dimension, level)
-            keep = rows[rng.random(len(rows)) < data.draw(st.floats(0.1, 1.0))]
-            # at least as many rows as are stored, where the level has them,
-            # so the model keeps doubling and the index keeps growing
-            need = min(len(rows), 1 + sum(map(len, levels)))
-            levels.append(keep if len(keep) >= need else rows[:need])
+            vectors = split_codes(rows)[0]
+            # level_rows lists each level vector's rows as one run
+            starts = np.flatnonzero(np.append(True, (vectors[1:] != vectors[:-1]).any(axis=1)))
+            runs = np.split(np.arange(len(rows)), starts[1:])
+            keep = np.ones(len(rows), dtype=bool)
+            for run in runs:
+                if len(run) > 1 and rng.random() < sparse_share:
+                    keep[run] = rng.random(len(run)) < keep_share
+                    keep[rng.choice(run)] = False
+            # more sparse rows than the index holds, where the level has
+            # them, so the index keeps growing: else all but one row of every
+            # vector
+            if sum(keep[run].sum() for run in runs if not keep[run].all()) <= held:
+                keep[:] = True
+                for run in runs:
+                    keep[rng.choice(run)] = len(run) == 1
+            for run in runs:
+                if keep[run].any():
+                    (full if keep[run].all() else sparse).add(tuple(vectors[run[0]].tolist()))
+            held += sum(keep[run].sum() for run in runs if not keep[run].all())
+            levels.append(rows[keep])
         queries = rng.random((200, dimension))
         plain = SurrogateModel(dimension)
         for rows in levels:
@@ -727,33 +761,92 @@ class TestEvaluationKernel:
             for rows, k in zip(levels, itertools.accumulate(map(len, levels))):
                 m.add_level(rows, plain.outputs[k - len(rows):k], plain.w[k - len(rows):k],
                             plain.v[k - len(rows):k])
-                slots, keys = m._table.slots, m._table.keys
-                sizes.add(len(slots))
-                assert len(slots) >= 2 * len(m)
-                stored = keys[:-1]
-                np.testing.assert_array_equal(core._positions(slots, keys, stored),
-                                              np.arange(len(m)))
-                # mostly codes of no node, some stored, in a 2-D batch
+                t = m._table
+                stored = {tuple(v) for v in split_codes(m.codes)[0].tolist()}
+                assert {tuple(v) for v in t.levels[t.full].tolist()} == full & stored
+                assert {tuple(v) for v in t.levels[~t.full].tolist()} == sparse & stored
+                # every node resolves to its own coefficients, by offset or
+                # through the index, which holds exactly the sparse groups' nodes
+                at, hashed = node_positions(m, m.codes)
+                np.testing.assert_array_equal(np.sort(at), np.arange(len(m)))
+                assert t.coeffs[at].tobytes() == np.stack([m.w, m.v], axis=1).tobytes()
+                indexed = t.slots[t.slots >= 0]
+                np.testing.assert_array_equal(np.sort(indexed), np.sort(at[hashed]))
+                # a full group's keys run on from its base, so base + code is
+                # the position of every code of the group
+                for base, vector in zip(t.bases[t.full].tolist(), t.levels[t.full].tolist()):
+                    count = math.prod(map(ref.new_nodes_on_level, vector))
+                    np.testing.assert_array_equal(t.keys[base:base + count],
+                                                  t.keys[base] + np.arange(count))
+                if not len(indexed):
+                    assert len(t.slots) == 0
+                    continue
+                # within the load bound
+                assert core._ROOM * len(indexed) <= len(t.slots) < 2 * core._ROOM * len(indexed)
+                sizes.add(len(t.slots))
+                # mostly codes of no node, some stored, in a 2-D batch; the
+                # index finds the sparse groups' keys only
                 probes = rng.integers(0, m._key_span + 64, size=(4, 60))
-                np.testing.assert_array_equal(core._positions(slots, keys, probes),
-                                              ref.key_positions(stored, probes))
+                want = ref.key_positions(t.keys[:-1], probes)
+                want[~np.isin(want, indexed)] = -1
+                np.testing.assert_array_equal(core._positions(t.slots, t.keys, probes), want)
             got = m.interpolate_many(queries)
-        # the index grew past two resizes, and finds what a default one finds
+            # the same table with every group hashed, none addressed by offset;
+            # a full group holds its code 0, whose key is the group's offset
+            t = m._table
+            offsets = t.bases.copy()
+            offsets[t.full] = t.keys[t.bases[t.full]]
+            every = t._replace(full=np.zeros_like(t.full), bases=offsets,
+                               slots=core._indexed(np.empty(0, dtype=np.int32), t.keys,
+                                                   np.arange(len(m))))
+            with mock.patch.object(m, "_table", every):
+                hashed = m.interpolate_many(queries)
+        # the index grew past two resizes, and every form finds what a
+        # default index finds
         assert len(sizes) >= 3, sizes
         assert got.tobytes() == plain.interpolate_many(queries).tobytes()
+        assert hashed.tobytes() == got.tobytes()
+
+    def test_only_sparse_groups_are_hashed(self, tmp_path):
+        # a CSC model holds every node of each of its level vectors, so it
+        # addresses them all by offset and has no slot index
+        f, _ = get_benchmark("line_singularity")
+        m = run_csc(f, 2, 8).model
+        assert m._table.full.all() and len(m._table.slots) == 0
+        # an ASGC model hashes exactly the nodes of its sparse groups, also
+        # once saved and loaded
+        m = build(f, AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=10, init_level=2),
+                  "ASGC").model
+        save_surrogate(tmp_path / "m.surrogate", m)
+        for model in (m, load_surrogate(tmp_path / "m.surrogate")[0]):
+            levels = split_codes(model.codes)[0]
+            vectors, member, count = np.unique(levels, axis=0, return_inverse=True,
+                                               return_counts=True)
+            whole = count == [math.prod(map(ref.new_nodes_on_level, v)) for v in vectors.tolist()]
+            assert 1 < whole.sum() < len(vectors)
+            t = model._table
+            assert ({tuple(v) for v in t.levels[t.full].tolist()}
+                    == {tuple(v) for v in vectors[whole].tolist()})
+            hashed = ~whole[member.ravel()]
+            indexed = t.slots[t.slots >= 0]
+            assert len(indexed) == hashed.sum()
+            assert (sorted(map(tuple, t.coeffs[indexed].tolist()))
+                    == sorted(zip(model.w[hashed].tolist(), model.v[hashed].tolist())))
+            at, through_index = node_positions(model, model.codes)
+            np.testing.assert_array_equal(through_index, hashed)
 
     def test_surplus_terms_only_for_dominated_groups(self, monkeypatch):
-        # count the node keys the kernel looks up in a CSC build: it should
-        # look up about one per candidate and dominated group, well below
+        # count the (group, row) terms the kernel forms in a CSC build: it
+        # should form about one per candidate and dominated group, well below
         # one per candidate and stored group
-        looked_up = []
-        positions = core._positions
+        formed = []
+        block_sums = core._block_sums
 
-        def counting(slots, keys, code):  # the kernel's (groups, rows) node keys
-            looked_up.append(np.size(code))
-            return positions(slots, keys, code)
+        def counting(table, x, group, *args):  # a block's rows x its groups
+            formed.append(len(group) * len(x))
+            return block_sums(table, x, group, *args)
 
-        monkeypatch.setattr(core, "_positions", counting)
+        monkeypatch.setattr(core, "_block_sums", counting)
         m = run_csc(ModelFunction(lambda x: float(np.sin(3 * x[0]) * x[1]), 2, "s"),
                     2, 10).model
         monkeypatch.undo()
@@ -766,9 +859,10 @@ class TestEvaluationKernel:
             dominated += int((candidate[:, None, :] >= group[None, :, :]).all(axis=2).sum())
             stored += len(candidate) * len(group)
         assert (dominated, stored) == (139272, 337924)
-        # a block that spans several level vectors looks up the union of their
-        # groups for each of its rows, so the count may exceed `dominated`
-        assert dominated <= sum(looked_up) <= 1.25 * dominated
+        # a block that spans several level vectors forms terms for the union
+        # of their groups for each of its rows, so the count may exceed
+        # `dominated`
+        assert dominated <= sum(formed) <= 1.25 * dominated
 
     def test_grid_levels(self):
         xs = np.array([[0.5, 0.0, 1.0, 0.25, 0.75, 0.375, 2.0 ** -60, 0.3, -0.0,

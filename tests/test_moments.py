@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import reference as ref
 from reference import NodeIndex1D, point, root_point
@@ -26,7 +27,7 @@ def tensor_trapezoid_mean(model, points_per_axis=65):
     pts = np.column_stack([m.ravel() for m in mesh])
     values = model.interpolate_many(pts).reshape([points_per_axis] * model.dimension)
     for _ in range(model.dimension):
-        values = np.trapezoid(values, dx=1.0 / (points_per_axis - 1), axis=-1)
+        values = trapezoid(values, dx=1.0 / (points_per_axis - 1), axis=-1)
     return float(values)
 
 
@@ -42,7 +43,7 @@ class TestWeights:
         got = _weights(np.arange(1, 8))
         for level in range(1, 8):
             n = NodeIndex1D(level, 0)
-            integral = np.trapezoid([ref.basis_1d(n, x) for x in xs], xs)
+            integral = trapezoid([ref.basis_1d(n, x) for x in xs], xs)
             assert integral == pytest.approx(got[level - 1], abs=1e-7)
             assert ref.weight_1d(level) == got[level - 1]
 
@@ -94,7 +95,7 @@ class TestMoments:
         # the v surpluses interpolate the squared output on the same grid
         xs = np.linspace(0, 1, 4097)
         v_interp = m.interpolate_many(xs[:, None], coeff="v")
-        oracle = np.trapezoid(v_interp, xs)
+        oracle = trapezoid(v_interp, xs)
         assert moments(m).mean_square == pytest.approx(float(oracle), abs=1e-10)
 
     def test_scaling_linearity(self):

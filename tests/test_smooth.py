@@ -20,6 +20,7 @@ from sgsurrogate import (
     RegionDatabase,
     SmoothRegion,
     SparseGridError,
+    SurrogateModel,
     coordinates,
     derivative_scan,
     get_benchmark,
@@ -1150,26 +1151,62 @@ class TestBatching:
         assert solves.max() == 1 and solves.sum() == len(calls)
 
     def test_scan_builds_regions_only_for_runs_it_may_store(self, monkeypatch):
-        built = []
-        scanning = []
-        scan = smooth._scan_and_store
+        built, checked = [], []
+        scanned = smooth._scanned_region
+        post_init = SmoothRegion.__post_init__
 
-        def counting(**fields):
-            built.append(bool(scanning))
-            return SmoothRegion(**fields)
+        def counting(*fields):
+            built.append(fields)
+            return scanned(*fields)
 
-        def flagged(*args):
-            scanning.append(True)
-            try:
-                return scan(*args)
-            finally:
-                scanning.pop()
+        def checking(region):
+            checked.append(region)
+            post_init(region)
 
-        monkeypatch.setattr(smooth, "SmoothRegion", counting)
-        monkeypatch.setattr(smooth, "_scan_and_store", flagged)
+        monkeypatch.setattr(smooth, "_scanned_region", counting)
+        monkeypatch.setattr(SmoothRegion, "__post_init__", checking)
         res = self.build()
         kept = sum(r.regions_created + r.regions_rejected for r in res.records)
-        assert 0 < sum(built) <= kept
+        assert 0 < len(built) <= kept
+        # the scan builds its regions from the model's checked arrays, and
+        # does not check them again
+        assert not checked
+
+    def test_scanned_regions_match_checked_ones(self, monkeypatch):
+        # field for field, dtypes and types included
+        pairs = []
+        scanned = smooth._scanned_region
+
+        def both(*fields):
+            region = scanned(*fields)
+            pairs.append((dict(vars(region)), vars(SmoothRegion(*fields))))
+            return region
+
+        monkeypatch.setattr(smooth, "_scanned_region", both)
+        self.build()
+        assert pairs
+        for got, want in pairs:
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                assert type(got[name]) is type(value), name
+                if isinstance(value, np.ndarray):
+                    assert got[name].dtype == value.dtype, name
+                    assert got[name].tobytes() == value.tobytes(), name
+                else:
+                    assert got[name] == value, name
+
+    def test_scan_refuses_knots_that_do_not_rise(self):
+        # a level-56 node at (2**54 + 1) / 2**55, which rounds to 0.5, the
+        # root's coordinate: the line holds two knots at 0.5, where no slope
+        # is defined and a spline through them has no value
+        m = SurrogateModel(1)
+        for codes in ([1], [2, 3], [4, 5], [(1 << 55) + (1 << 53)]):
+            rows = np.array(codes)[:, None]
+            x = coordinates(rows)[:, 0]
+            m.add_level(rows, x, x, x * x)
+        assert (coordinates(m.codes)[[0, -1], 0] == 0.5).all()
+        with pytest.raises(SparseGridError, match="dim 0 share the coordinate 0.5: "):
+            smooth._scan_and_store(RegionDatabase(), m, 1e-2, 5)
 
     def test_scan_hashes_node_codes_once(self, monkeypatch):
         operands = []
