@@ -37,10 +37,7 @@ _KEYS = {"epsilon": "epsilon", "i_max": "max_level", "i1": "init_level",
 
 def _parse_value(raw: str):
     raw = raw.strip()
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("inf", "+inf"):
+    if raw.lower() in ("inf", "+inf"):
         return math.inf
     try:
         return int(raw)

@@ -539,10 +539,6 @@ class SurrogateModel:
     def freeze(self) -> None:
         self._frozen = True
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     # -- level-vector-indexed evaluation kernel ---------------------------------
 
     @property
@@ -605,19 +601,16 @@ class SurrogateModel:
                                           fine_first)
         return out
 
-    def interpolate_many(self, x_many, coeff: str = "w") -> np.ndarray:
+    def interpolate_many(self, x_many) -> np.ndarray:
         """Evaluate the surrogate at a batch of points in [0, 1]^d, shape (n, d).
 
-        `coeff` picks the surpluses summed: "w" for the surrogate of the
-        output, "v" for that of the squared output.  A zero sum is +0, so a
-        row's value does not depend on the rows batched with it.
+        A zero sum is +0, so a row's value does not depend on the rows
+        batched with it.
         """
-        if coeff not in ("w", "v"):
-            raise ValueError(f"coeff must be 'w' or 'v', got {coeff!r}")
         if not len(self):
             raise EmptyModelError("cannot interpolate an empty model")
         x_many = _queries(x_many, self.dimension)
-        return self._evaluate_sum(x_many, (0,) if coeff == "w" else (1,))[0, 0] + 0.0
+        return self._evaluate_sum(x_many, (0,))[0, 0] + 0.0
 
     def interpolate(self, x) -> float:
         """Evaluate the surrogate at a single point in [0, 1]^d: a one-row interpolate_many."""

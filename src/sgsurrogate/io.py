@@ -13,13 +13,15 @@ integer fields round-trip exactly; reals use 17 significant digits, which
 round-trips doubles exactly.  Writing is deterministic for a given model,
 byte for byte, and atomic: the file is written beside its target and
 renamed over it.  It formats and writes the node lines _CHUNK at a time, so
-no step holds a Python string per line of the file.  Reading takes node
-lines only in the ASCII grammar that writing produces (_node_grammar; it
-does not check a real's digits against its value, so 0.1 loads, and saves
-back as 0.10000000000000001), and parses them _CHUNK at a time with
-np.loadtxt into preallocated arrays; a refused node line is named by its
-number and text.  It checks the header's depth and counts against what the
-node lines hold.
+no step holds a Python string per line of the file.  The header and region
+lines are stated once, by the formatters writing uses (_header,
+_region_lines): reading parses them loosely, builds the model and its
+regions, and refuses any such line other than the one writing produces
+for what it built.  Node lines are read in the ASCII grammar that writing
+produces (_node_grammar; it does not check a real's digits against its
+value, so 0.1 loads, and saves back as 0.10000000000000001), _CHUNK at a
+time with np.loadtxt into preallocated arrays.  A refused line is named by
+its text, and a node line by its number too.
 """
 
 from __future__ import annotations
@@ -48,17 +50,23 @@ _REAL = "%.17g"
 _CHUNK = 4096
 
 
+def _header(model: SurrogateModel) -> str:
+    """The header line of a file of `model`, without its newline."""
+    return (f"{_MAGIC} d={model.dimension} depth={model.depth} "
+            f"full={model.full_evaluations} spline={model.spline_interpolations}")
+
+
 def _region_lines(db: RegionDatabase):
     # creation order, so reloaded databases resolve lookup ties identically
     regions = sorted(db.regions(), key=lambda r: r.created_at)
-    num, exp = dyadic_codes(np.array([c for r in regions for c in r.anchor], dtype=np.int64))
-    pairs = (f"{n}:{e}" for n, e in zip(num.tolist(), exp.tolist()))
+    dyadic = dyadic_codes(np.array([c for r in regions for c in r.anchor], dtype=np.int64))
+    pairs = iter(np.stack(dyadic, axis=1).ravel().tolist())  # num, exp, num, exp, ...
     for region in regions:
-        anchor = ",".join(itertools.islice(pairs, len(region.anchor))) or "-"
+        anchor = ",".join(["%d:%d"] * len(region.anchor)) or "-"
         reals = ",".join([_REAL] * len(region.knots))
-        yield f"%d %s {reals} {reals} {_REAL} {_REAL}" % (
-            region.dim, anchor, *region.knots.tolist(), *region.outputs.tolist(),
-            region.midpoint, region.half_length,
+        yield f"%d {anchor} {reals} {reals} {_REAL} {_REAL}" % (
+            region.dim, *itertools.islice(pairs, 2 * len(region.anchor)),
+            *region.knots.tolist(), *region.outputs.tolist(), region.midpoint, region.half_length,
         )
 
 
@@ -81,8 +89,7 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
 def _file_pieces(model: SurrogateModel, region_db: RegionDatabase | None):
     """The file's text in pieces: the header, _CHUNK node lines at a time,
     then the region section."""
-    yield (f"{_MAGIC} d={model.dimension} depth={model.depth} "
-           f"full={model.full_evaluations} spline={model.spline_interpolations}\n")
+    yield _header(model) + "\n"
     line = ",".join(["%d:%d"] * model.dimension) + f" {_REAL} {_REAL} {_REAL} %s\n"
     for lo in range(0, len(model), _CHUNK):
         hi = lo + _CHUNK
@@ -123,10 +130,11 @@ def _node_grammar(d: int) -> re.Pattern:
     or leading zero (a level of one or two digits, an index below 2**63),
     the output, w and v as %.17g writes a double (no leading zero or
     trailing fraction zero, an exponent of two or three digits), and the
-    flag F or S."""
+    flag F or S.  The pairs are one counted repetition, so the pattern's
+    size does not grow with d."""
     pair = "[1-9][0-9]?:(?:0|[1-9][0-9]{0,17}|1[0-9]{18})"
     real = "(?:-?(?:(?:0|[1-9][0-9]*)(?:\\.[0-9]*[1-9])?(?:e[-+][0-9]{2,3})?|inf)|nan)"
-    return re.compile(f"{','.join([pair] * d)} {real} {real} {real} [FS]\n")
+    return re.compile(f"(?:{pair},){{{d - 1}}}{pair} {real} {real} {real} [FS]\n")
 
 
 def _line(text: str, pos: int, k: int = 0) -> str:
@@ -150,9 +158,12 @@ def _node_arrays(path, text: str, start: int, n: int, d: int):
     line whose output, w or v is not finite, or whose pairs name no node, is
     refused by its number.
     """
-    grammar = _node_grammar(d)
-    record = np.dtype([("pairs", np.int64, (2 * d,)), ("reals", np.float64, (3,)),
-                       ("flag", "U1")])
+    try:
+        grammar = _node_grammar(d)
+        record = np.dtype([("pairs", np.int64, (2 * d,)), ("reals", np.float64, (3,)),
+                           ("flag", "U1")])
+    except (ValueError, OverflowError) as exc:  # a d past what re or numpy can size
+        raise PersistenceError(f"{path}: no node line of d = {d} can be read") from exc
     codes = np.empty((n, d), dtype=np.int64)
     reals = np.empty((n, 3))
     spline = np.empty(n, dtype=bool)
@@ -194,20 +205,18 @@ def _node_arrays(path, text: str, start: int, n: int, d: int):
 def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     """Read a surrogate file back; the inverse of save_surrogate.
 
-    Parsing is strict: any line that is not a well-formed node or region
-    line, including a blank one, raises PersistenceError, and so do a node
-    line written other than save_surrogate writes it (see _node_grammar),
-    or whose output, w or v is not finite, or whose pairs name no node; a
-    run of node lines on one level that repeats a node or follows a deeper
-    run; a header whose items are not d, depth, full and spline, each once,
-    or whose depth and counts differ from what the node lines hold (a file
-    cut after some node lines); and a region line no node could match: a
-    dim outside [0, d), an anchor without d - 1 pairs, knots and outputs of
-    unequal lengths or not finite, a midpoint and half-length other than
-    the ones save_surrogate writes for its knots, or an interval that
-    overlaps an earlier line's on its line (save_surrogate writes a
-    database's regions, which never overlap).  Each refused node line is
-    named by its number and text; a refused level names its first line.
+    Raises PersistenceError on a header or region line other than the one
+    save_surrogate writes for the model and regions read: so on a header
+    whose depth or counts differ from what its node lines hold (a file cut
+    after some node lines) or that no node line follows, and on a count
+    line other than `regions N` for the N > 0 lines after it.  Also on a
+    node line not in _node_grammar (a blank one included), not finite or
+    of no node; a level's run of lines that repeats a node or follows a
+    deeper run; and a region line no node could match: one SmoothRegion
+    refuses, an anchor of other than d - 1 pairs or with a pair of no node,
+    or an interval that overlaps an earlier line's on its line.  A refused
+    line is named by its text, a node line by its number too, and a
+    refused level by its first line.
     """
     text = Path(path).read_text()
     if not text.endswith("\n"):
@@ -215,15 +224,9 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     head = text[:text.index("\n")]
     if not head.startswith(_MAGIC + " "):
         raise PersistenceError(f"{path}: not a surrogate file")
-    try:
-        if not head.isprintable():
-            raise ValueError("a header of printable characters on one line")
-        items = [item.split("=") for item in head.split()[1:]]
-        header = {key: int(value) for key, value in items}
-        if sorted(key for key, _ in items) != ["d", "depth", "full", "spline"]:
-            raise ValueError("header items must be d, depth, full and spline, each once")
-        model = SurrogateModel(header["d"])
-    except (ValueError, SparseGridError) as exc:
+    try:  # d, read loosely: the whole header is checked against the nodes below
+        model = SurrogateModel(int(head.split()[1].removeprefix("d=")))
+    except (ValueError, IndexError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: malformed header: {head!r}") from exc
     # node lines run from the second line to the first that starts "regions "
     start = len(head) + 1
@@ -237,48 +240,43 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
             model.add_level(codes[lo:hi], *reals[lo:hi].T, spline[lo:hi])
         except SparseGridError as exc:
             raise _bad_node(path, lo, _line(text, start, lo), exc) from exc
-    counted = {"depth": model.depth if len(model) else None,
-               "full": model.full_evaluations, "spline": model.spline_interpolations}
-    if counted != {key: header[key] for key in counted}:
-        held = " ".join(f"{key}={value}" for key, value in counted.items())
-        raise PersistenceError(f"{path}: header says {head!r}, its {len(model)} node "
-                               f"lines hold {held}")
+    written = _header(model) if n else "none, as save refuses an empty model"
+    if head != written:
+        raise PersistenceError(f"{path}: header says {head!r}; the header of its {n} node "
+                               f"lines is {written!r}")
     model.freeze()
     if stop == len(text):
         return model, None
     db = RegionDatabase()
     d = model.dimension
-    line, *region_lines = text[stop:].splitlines()
+    line, *lines = text[stop:].splitlines()
     try:
-        _, count = line.split()
-        if int(count) != len(region_lines):
-            raise ValueError(f"{len(region_lines)} region lines follow")
+        if not lines or line != f"regions {len(lines)}":
+            raise ValueError(f"{len(lines)} region lines follow, so save writes "
+                             + (f"'regions {len(lines)}'" if lines else "no region section"))
         fields = []
-        for line in region_lines:
-            dim, anchor, knots, outputs, mid, half = line.split()
-            pairs = [p.split(":") for p in anchor.split(",")] if anchor != "-" else []
-            pairs = np.array([(int(num), int(exp)) for num, exp in pairs], dtype=np.int64)
-            if not 0 <= int(dim) < d:
-                raise ValueError(f"dim {dim} outside [0, {d})")
-            if len(pairs) != d - 1:
-                raise ValueError(f"anchor of {len(pairs)} pairs, not d - 1 = {d - 1}")
-            fields.append((int(dim), pairs.reshape(d - 1, 2),
-                           np.array([float(k) for k in knots.split(",")]),
-                           np.array([float(o) for o in outputs.split(",")]), f"{mid} {half}"))
-        dyadic = np.array([f[1] for f in fields], dtype=np.int64).reshape(len(fields), d - 1, 2)
-        anchors, valid = _codes_of_dyadic(dyadic[..., 0], dyadic[..., 1])
-        if not valid.all():
-            line = region_lines[int(np.flatnonzero(~valid.all(axis=1))[0])]
-            raise ValueError("anchor pair names no node: not the canonical num:exp of one")
-        for line, (dim, _, knots, outputs, ends), anchor in zip(region_lines, fields,
-                                                                 anchors.tolist()):
-            region = SmoothRegion(dim=dim, anchor=tuple(anchor), knots=knots, outputs=outputs)
-            written = f"{_REAL} {_REAL}" % (region.midpoint, region.half_length)
-            if ends != written:
-                raise ValueError(f"midpoint and half-length {ends!r}, not {written!r}")
+        for line in lines:
+            dim, anchor, knots, outputs, _, _ = line.split()
+            pairs = [pair.split(":") for pair in anchor.split(",")] if anchor != "-" else []
+            dyadic = np.array([(int(num), int(exp)) for num, exp in pairs], dtype=np.int64)
+            fields.append((line, int(dim), dyadic.reshape(-1, 2), knots, outputs))
+        # every anchor in one call; a pair of no node has code 0, which no node has
+        codes = iter(_codes_of_dyadic(*np.concatenate([f[2] for f in fields]).T)[0].tolist())
+        for line, dim, dyadic, knots, outputs in fields:
+            anchor = list(itertools.islice(codes, len(dyadic)))
+            if 0 in anchor:
+                raise ValueError("anchor pair names no node: not the canonical num:exp of one")
+            region = SmoothRegion(dim=dim, anchor=anchor,
+                                  knots=[float(k) for k in knots.split(",")],
+                                  outputs=[float(o) for o in outputs.split(",")])
+            if len(anchor) != d - 1:
+                raise ValueError(f"anchor of {len(anchor)} pairs, not d - 1 = {d - 1}")
             if db.store(region) != StoreOutcome("created"):
                 raise ValueError("overlaps an earlier region line")
+        # the regions are stored in file order, the order save writes them in
+        for line, written in zip(lines, _region_lines(db)):
+            if line != written:
+                raise ValueError(f"not the line save writes for its region, {written!r}")
     except (ValueError, OverflowError, SparseGridError) as exc:
         raise PersistenceError(f"{path}: bad region line: {line!r}: {exc}") from exc
     return model, db
-

@@ -249,7 +249,7 @@ class TestRunAsgc:
         partial = err.value.partial
         assert partial.stopped_by == "evaluation_error"
         assert [r.level for r in partial.records] == [0]
-        assert len(partial.model) == 1 and partial.model.frozen
+        assert len(partial.model) == 1 and partial.model._frozen
         assert partial.model.full_evaluations == 1
         assert partial.model.interpolate([0.3]) == 0.25
 
@@ -269,7 +269,7 @@ class TestRunAsgc:
         partial = err.value.partial
         assert partial.stopped_by == "evaluation_error"
         assert [r.level for r in partial.records] == [0]
-        assert len(partial.model) == 1 and partial.model.frozen
+        assert len(partial.model) == 1 and partial.model._frozen
         assert partial.model.full_evaluations == 1
 
     def test_overflowing_square_fails_loudly(self):
@@ -281,7 +281,7 @@ class TestRunAsgc:
         assert err.value.coordinate.tolist() == [0.5]
         partial = err.value.partial
         assert partial.stopped_by == "evaluation_error"
-        assert partial.records == [] and len(partial.model) == 0 and partial.model.frozen
+        assert partial.records == [] and len(partial.model) == 0 and partial.model._frozen
 
     @pytest.mark.parametrize("driver", [run_asgc, run_easgc])
     def test_overflowing_surplus_keeps_completed_levels(self, driver):
@@ -292,7 +292,7 @@ class TestRunAsgc:
         partial = err.value.partial
         assert partial.stopped_by == "evaluation_error"
         assert [r.level for r in partial.records] == [0]
-        assert len(partial.model) == 1 and partial.model.frozen
+        assert len(partial.model) == 1 and partial.model._frozen
         assert np.isfinite(partial.model.v).all()
 
     @pytest.mark.parametrize("driver", [run_asgc, run_easgc])

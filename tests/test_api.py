@@ -170,6 +170,19 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"public names no code outside tests/ loads: {uncalled}"
 
 
+def test_every_public_member_of_an_exported_class_has_a_caller():
+    # the same rule one level down: a public method or property of an
+    # exported class that only the tests load is dead API
+    called = callers()
+    uncalled = [f"{module}.{cls.name}.{item.name}" for module, tree in MODULES.items()
+                for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name in exported(tree)
+                for item in cls.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_") and item.name not in called]
+    assert not uncalled, f"public members no code outside tests/ loads: {uncalled}"
+
+
 def test_public_api_snapshot():
     got = {module: sorted(exported(tree)) for module, tree in MODULES.items()
            if module != "__init__"}

@@ -371,14 +371,10 @@ class TestSurrogateModel:
         assert m.interpolate([0.0]) == 0.0 and m.interpolate([1.0]) == 1.0
         np.testing.assert_array_equal(m.interpolate_many([[0.0], [1.0]]), [0.0, 1.0])
 
-    def test_unknown_coeff_rejected(self):
-        # x^2 on CSC level 3: w-sum 0.09375 and v-sum 0.01025390625 at 0.3
-        m = run_csc(ModelFunction(lambda x: x[0] ** 2, 1, "sq"), 1, 3).model
-        assert m.interpolate_many([[0.3]], coeff="w")[0] == pytest.approx(0.09375)
-        assert m.interpolate_many([[0.3]], coeff="v")[0] == pytest.approx(0.01025390625)
-        for bad in ("W", "", "wv"):
-            with pytest.raises(ValueError):
-                m.interpolate_many([[0.3]], coeff=bad)
+
+def v_sums(m, x):
+    """The surrogate of the squared output at the rows of x: interpolate_many's v twin."""
+    return m._evaluate_sum(x, (1,))[0, 0] + 0.0
 
 
 def surplus(m, p, value):
@@ -558,8 +554,7 @@ class TestEvaluationKernel:
         queries = np.array(data.draw(st.lists(
             st.lists(coordinate, min_size=dimension, max_size=dimension),
             min_size=1, max_size=20)))
-        for coeff in ("w", "v"):
-            got = m.interpolate_many(queries, coeff=coeff)
+        for coeff, got in zip("wv", (m.interpolate_many(queries), v_sums(m, queries))):
             for x, value in zip(queries, got):
                 want, scale = ref.brute_force(m, x, coeff)
                 assert abs(value - want) <= 1e-12 * scale, (x, coeff, value, want)
@@ -701,9 +696,9 @@ class TestEvaluationKernel:
             cuts = np.cumsum(data.draw(st.lists(size, min_size=1, max_size=30)))
             return np.split(np.arange(n), cuts[cuts < n])
 
-        for coeff in ("w", "v"):
-            whole = m.interpolate_many(queries, coeff)
-            split = [m.interpolate_many(queries[rows], coeff) for rows in pieces(len(queries))]
+        for coeff, sums in zip("wv", (m.interpolate_many, lambda x: v_sums(m, x))):
+            whole = sums(queries)
+            split = [sums(queries[rows]) for rows in pieces(len(queries))]
             assert np.concatenate(split).tobytes() == whole.tobytes(), coeff
         single = np.array([m.interpolate(x) for x in queries])
         assert single.tobytes() == m.interpolate_many(queries).tobytes()
@@ -972,7 +967,7 @@ class TestEvaluationKernel:
 
         def on_level(model, record):
             groups.append(model._group_count)
-            fresh.append([model.interpolate_many(queries, coeff) for coeff in "wv"])
+            fresh.append([model.interpolate_many(queries), v_sums(model, queries)])
 
         cfg = AdaptiveConfig(dimension=2, epsilon=1e-3, max_level=9, init_level=2)
         model = build(f, cfg, "ASGC", on_level).model
@@ -1006,10 +1001,11 @@ class TestEvaluationKernel:
         sons = refine_candidates(built.codes)
         sons = sons[~ref.stored(built, sons)]
         values = rng.standard_normal(len(sons))
-        want = [built.interpolate_many(queries, c) for c in "wv"]
+        want = [built.interpolate_many(queries), v_sums(built, queries)]
         want_surplus = built.surpluses_against_prefix(coordinates(sons), values)
         for twin in (shuffled, loaded):
-            for got, expected in zip((twin.interpolate_many(queries, c) for c in "wv"), want):
+            for got, expected in zip((twin.interpolate_many(queries), v_sums(twin, queries)),
+                                     want):
                 np.testing.assert_array_equal(got, expected)
             for got, expected in zip(
                     twin.surpluses_against_prefix(coordinates(sons), values), want_surplus):

@@ -493,6 +493,26 @@ class TestPersistence:
         with pytest.raises(PersistenceError, match="KEY_LIMIT"):
             load_surrogate(p)
 
+    def test_header_dimension_does_not_size_the_node_grammar(self, tmp_path):
+        # the node grammar held d copies of the pair pattern, so refusing
+        # this two-line file took 12.9 s and 491 MB
+        p = tmp_path / "wide.surrogate"
+        p.write_text("surrogate d=100000 depth=0 full=1 spline=0\n1:0 0 0 0 F\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PersistenceError, match="bad node line 2: '1:0 0 0 0 F'"):
+                load_surrogate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        # a d too large for numpy's record dtype (2**31 + 5) or re's repeat
+        # count (2**32) is refused by name
+        for d in (2 ** 31 + 5, 2 ** 32):
+            p.write_text(f"surrogate d={d} depth=0 full=1 spline=0\n1:0 0 0 0 F\n")
+            with pytest.raises(PersistenceError, match=f"no node line of d = {d} can be read"):
+                load_surrogate(p)
+
     def test_bad_files_rejected(self, tmp_path):
         p = tmp_path / "junk.surrogate"
         p.write_text("not a surrogate\n")
@@ -549,6 +569,16 @@ class TestPersistence:
             (regions[:12], 10),  # one region line missing
             (regions[:10] + ["regions two"] + regions[11:], 10),
             (regions[:11] + [regions[11].replace(",", ";", 1)] + regions[12:], 11),
+            # header and region spellings save never writes, which loaded and
+            # saved as other bytes
+            (["surrogate d=+1 depth=3 full=9 spline=0"] + nodes[1:], 0),
+            (["surrogate depth=3 d=1 full=9 spline=0"] + nodes[1:], 0),
+            (["surrogate d=1 full=9 depth=3 spline=0"] + nodes[1:], 0),
+            (regions[:11] + [regions[11].replace(" ", "  ", 1)] + regions[12:], 11),
+            (regions[:11] + [regions[11].replace(",0.25,", ",0.250,", 1)] + regions[12:], 11),
+            (regions[:11] + ["+" + regions[11]] + regions[12:], 11),
+            (regions[:10] + ["regions 02"] + regions[11:], 10),
+            (regions[:10] + ["regions 0"], 10),
             # header items other than d, depth, full and spline, each once
             (["surrogate d=1 depth=3 full=9 full=4 spline=0"] + nodes[1:], 0),
             (["surrogate d=1 depth=3 full=9 spline=0 foo=1"] + nodes[1:], 0),
@@ -558,6 +588,7 @@ class TestPersistence:
             (["surrogate d=1 depth=3 full=9 spline=1"] + nodes[1:], 0),
         ]
         assert nodes[0] == "surrogate d=1 depth=3 full=9 spline=0"
+        assert regions[11].startswith("0 - 0,0.125,0.25,0.375 ")
         assert nodes[2].startswith("2:0 ") and nodes[1].startswith("1:0 ")
         # the file cut after each of node lines 1 .. 8
         bad_inputs += [(nodes[:1 + k], 0) for k in range(1, 9)]
@@ -599,10 +630,10 @@ class TestPersistence:
         (lambda f: f[:2] + [f[2].rsplit(",", 1)[0] + ",inf"] + f[3:], "non-finite"),
         # a midpoint and half-length other than the 0.375 0.375 save writes:
         # both fields were skipped, so these loaded and saved as other bytes
-        (lambda f: f[:4] + ["hello", "1_0"], "midpoint and half-length"),
-        (lambda f: f[:5] + ["1_0"], "midpoint and half-length"),
-        (lambda f: f[:4] + ["0.5", "0.375"], "midpoint and half-length"),
-        (lambda f: f[:4] + ["0.375", "0.3750"], "midpoint and half-length"),
+        (lambda f: f[:4] + ["hello", "1_0"], "not the line save writes"),
+        (lambda f: f[:5] + ["1_0"], "not the line save writes"),
+        (lambda f: f[:4] + ["0.5", "0.375"], "not the line save writes"),
+        (lambda f: f[:4] + ["0.375", "0.3750"], "not the line save writes"),
     ])
     def test_region_lines_no_node_can_match_rejected(self, tmp_path, edit, reason):
         # a 2-D model with one region along dim 0 at x1 = 0.5
@@ -666,9 +697,10 @@ class TestPersistence:
         epsilon=st.sampled_from([1e-1, 1e-2, 1e-4]),
         query_seed=st.integers(0, 2 ** 16),
         cut=st.floats(0.0, 1.0, exclude_max=True),
+        at=st.floats(0.0, 1.0, exclude_max=True),
     )
     def test_random_builds_round_trip(self, method, dimension, amplitude, frequency,
-                                      kink, max_level, epsilon, query_seed, cut):
+                                      kink, max_level, epsilon, query_seed, cut, at):
         def func(x):
             return amplitude * math.sin(frequency * x[0]) + abs(x[-1] - kink)
 
@@ -682,8 +714,24 @@ class TestPersistence:
             loaded, db = load_surrogate(first)
             save_surrogate(second, loaded, db)
             assert first.read_bytes() == second.read_bytes()
-            # cut before a node line: the header no longer matches
+            # one field of the header, and of a region line if there are any,
+            # respelled as save never writes it: a leading +, a doubled space,
+            # and a trailing zero on a region's midpoint
             lines = first.read_text().splitlines()
+            for k in [0] + ([len(lines) - 1 - int(at * len(db))] if db else []):
+                fields = lines[k].split(" ")
+                j = 1 + int(at * (len(fields) - 1))
+                key, eq, value = fields[j].rpartition("=")
+                respelled = [" ".join(fields[:j] + [f"{key}{eq}+{value}"] + fields[j + 1:]),
+                             lines[k].replace(" ", "  ", 1)]
+                if k:
+                    mid = fields[4] + ("0" if "." in fields[4] else ".0")
+                    respelled.append(" ".join(fields[:4] + [mid] + fields[5:]))
+                for line in respelled:
+                    second.write_text("\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n")
+                    with pytest.raises(PersistenceError, match=re.escape(repr(line))):
+                        load_surrogate(second)
+            # cut before a node line: the header no longer matches
             first.write_text("\n".join(lines[:1 + int(cut * len(loaded))]) + "\n")
             with pytest.raises(PersistenceError, match="header says"):
                 load_surrogate(first)
@@ -715,7 +763,7 @@ class TestConfigFiles:
         assert math.isinf(got["m_min"])
         assert got["seed"] == 42
         assert got["poisson"] == {"n_random": 10, "n_cells": 128}
-        assert got["use_fancy"] is True
+        assert got["use_fancy"] == "true"  # no key takes a bool: it stays text
 
     def test_parse_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.cfg"
