@@ -46,10 +46,12 @@ class AdaptiveConfig:
     """Every knob the adaptive construction algorithms expose.
 
     Levels are counted from 0 at the root point.  `init_level` is the last
-    conventionally swept level; `max_level` caps refinement.  The method is
-    chosen by the driver, not by the config: the line-scan parameters
-    (`min_line_points`, `slope_tol`) are read only by run_easgc, and
-    `min_line_points` may be math.inf to disable certification entirely.
+    conventionally swept level; `max_level` caps refinement, at most at
+    MAX_LEVEL - 1, the deepest level node codes hold (a 1-D node of level L
+    has a code of level L + 1).  The method is chosen by the driver, not by
+    the config: the line-scan parameters (`min_line_points`, `slope_tol`)
+    are read only by run_easgc, and `min_line_points` may be math.inf to
+    disable certification entirely.
     The levels, the dimension and a finite `min_line_points` must be
     integers, `epsilon` and `slope_tol` real numbers > 0 (inf allowed), and
     no field may be NaN (ValueError naming the field otherwise).
@@ -70,6 +72,9 @@ class AdaptiveConfig:
             value = getattr(self, name)
             if not (_is_real(value) and value > 0):
                 raise ValueError(f"{name} must be a real number > 0, got {value!r}")
+        if self.max_level > MAX_LEVEL - 1:
+            raise ValueError(f"max_level must be <= MAX_LEVEL - 1 = {MAX_LEVEL - 1}, the "
+                             f"deepest level node codes hold, got {self.max_level}")
         if not self.init_level < self.max_level:
             raise ValueError(f"need init_level < max_level, got {self.init_level}, "
                              f"{self.max_level}")

@@ -239,6 +239,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_dimension(dimension) -> None:
+    """InvalidNodeError unless `dimension`, a node dimension, is an integer >= 1."""
+    if not _is_integer(dimension):
+        raise InvalidNodeError(f"dimension must be an integer, got {dimension!r}")
+    if dimension < 1:
+        raise InvalidNodeError(f"dimension must be >= 1, got {dimension}")
+
+
 def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     """Exact coordinates of codes as (numerator, exponent) arrays: num / 2**exp.
 
@@ -400,10 +408,7 @@ class SurrogateModel:
     """
 
     def __init__(self, dimension: int):
-        if not _is_integer(dimension):
-            raise InvalidNodeError(f"dimension must be an integer, got {dimension!r}")
-        if dimension < 1:
-            raise InvalidNodeError(f"dimension must be >= 1, got {dimension}")
+        _check_dimension(dimension)
         self.dimension = dimension
         self._codes = _readonly(np.empty((0, dimension), dtype=np.int64))
         self._outputs = self._w = self._v = _readonly(np.empty(0))
@@ -478,8 +483,10 @@ class SurrogateModel:
         Every row must lie on one level, deeper than every stored one, and
         no row may repeat another.  The node counts of the model's level
         vectors must stay below KEY_LIMIT (InvalidNodeError otherwise).
-        `spline` marks the rows whose output came from a spline (default:
-        none).  When a check fails nothing is inserted.
+        Outputs, w and v must be finite, which a file needs to load
+        (ContractViolationError naming the first row otherwise).  `spline`
+        marks the rows whose output came from a spline (default: none).
+        When a check fails nothing is inserted.
         """
         if self._frozen:
             raise ContractViolationError("model is frozen")
@@ -492,6 +499,10 @@ class SurrogateModel:
             raise DimensionMismatchError(
                 f"{n} nodes need outputs, w, v and spline of length {n}"
             )
+        bad = np.flatnonzero(~np.isfinite(columns[:3]).all(axis=0))
+        if len(bad):
+            raise ContractViolationError(f"row {bad[0]} has a non-finite output, w or v: "
+                                         f"{[float(a[bad[0]]) for a in columns[:3]]}")
         if n == 0:
             return
         levels, indices = split_codes(codes)

@@ -4,7 +4,8 @@ Layout: a header line (dimension, depth, evaluation counts), one node per
 line (per-dimension level:index pairs, output, surplus, squared-output
 surplus, provenance flag F for a full evaluation or S for a spline value),
 then an optional region section (dimension, anchor, knots, outputs,
-midpoint, half-length; one region per line).  The library holds a region's
+midpoint, half-length; one region per line, in the database's creation
+order, which breaks its lookup ties).  The library holds a region's
 anchor as the codes of its line's other d - 1 dimensions; the file holds
 each as the exact dyadic coordinate num:exp of its node (value num / 2**exp,
 the canonical pair of core.dyadic_codes), read back by core's vectorised
@@ -57,8 +58,7 @@ def _header(model: SurrogateModel) -> str:
 
 
 def _region_lines(db: RegionDatabase):
-    # creation order, so reloaded databases resolve lookup ties identically
-    regions = sorted(db.regions(), key=lambda r: r.created_at)
+    regions = list(db.regions())
     dyadic = dyadic_codes(np.array([c for r in regions for c in r.anchor], dtype=np.int64))
     pairs = iter(np.stack(dyadic, axis=1).ravel().tolist())  # num, exp, num, exp, ...
     for region in regions:
@@ -66,7 +66,8 @@ def _region_lines(db: RegionDatabase):
         reals = ",".join([_REAL] * len(region.knots))
         yield f"%d {anchor} {reals} {reals} {_REAL} {_REAL}" % (
             region.dim, *itertools.islice(pairs, 2 * len(region.anchor)),
-            *region.knots.tolist(), *region.outputs.tolist(), region.midpoint, region.half_length,
+            *region.knots.tolist(), *region.outputs.tolist(), (region.lo + region.hi) / 2.0,
+            (region.hi - region.lo) / 2.0,
         )
 
 
@@ -74,15 +75,13 @@ def save_surrogate(path, model: SurrogateModel, region_db: RegionDatabase | None
     """Write a surrogate (and its smooth regions, if any) to a text file.
 
     An existing file at `path` is replaced whole, or left as it was if the
-    write fails.  A region whose anchor does not hold d - 1 codes lies on no
-    line of the model and raises PersistenceError before anything is written.
+    write fails.  A database of another node dimension than the model's
+    holds regions on no line of the model and raises PersistenceError before
+    anything is written.
     """
-    # a database holds regions of one node dimension: its first region speaks for all
-    region = next(region_db.regions(), None) if region_db is not None else None
-    if region is not None and len(region.anchor) != model.dimension - 1:
-        raise PersistenceError(
-            f"{path}: region along dim {region.dim} has an anchor of "
-            f"{len(region.anchor)} codes, not d - 1 = {model.dimension - 1}")
+    if region_db is not None and region_db.dimension != model.dimension:
+        raise PersistenceError(f"{path}: a region database of {region_db.dimension}-dimensional "
+                               f"nodes saved with a model of {model.dimension}-dimensional ones")
     _replace_file(Path(path), _file_pieces(model, region_db))
 
 
@@ -212,11 +211,11 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     line other than `regions N` for the N > 0 lines after it.  Also on a
     node line not in _node_grammar (a blank one included), not finite or
     of no node; a level's run of lines that repeats a node or follows a
-    deeper run; and a region line no node could match: one SmoothRegion
-    refuses, an anchor of other than d - 1 pairs or with a pair of no node,
-    or an interval that overlaps an earlier line's on its line.  A refused
-    line is named by its text, a node line by its number too, and a
-    refused level by its first line.
+    deeper run; and a region line no node could match: one SmoothRegion or
+    RegionDatabase(d).store refuses (an anchor of other than d - 1 pairs
+    too), an anchor with a pair of no node, or an interval that overlaps an
+    earlier line's on its line.  A refused line is named by its text, a node
+    line by its number too, and a refused level by its first line.
     """
     text = Path(path).read_text()
     if not text.endswith("\n"):
@@ -247,8 +246,7 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     model.freeze()
     if stop == len(text):
         return model, None
-    db = RegionDatabase()
-    d = model.dimension
+    db = RegionDatabase(model.dimension)
     line, *lines = text[stop:].splitlines()
     try:
         if not lines or line != f"regions {len(lines)}":
@@ -269,8 +267,6 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
             region = SmoothRegion(dim=dim, anchor=anchor,
                                   knots=[float(k) for k in knots.split(",")],
                                   outputs=[float(o) for o in outputs.split(",")])
-            if len(anchor) != d - 1:
-                raise ValueError(f"anchor of {len(anchor)} pairs, not d - 1 = {d - 1}")
             if db.store(region) != StoreOutcome("created"):
                 raise ValueError("overlaps an earlier region line")
         # the regions are stored in file order, the order save writes them in

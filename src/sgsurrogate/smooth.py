@@ -13,9 +13,11 @@ and their squared spline value feeds the variance surpluses.
 
 Regions on the same line never overlap: a newly certified superset replaces
 its subsets, and on a genuine partial overlap the longer interval wins (with
-a diagnostic logged).  Lookups that match several dimensions resolve to the
-earliest-created region.  One database holds the regions of one model, so
-of one node dimension d.
+a diagnostic logged).  A RegionDatabase(d) holds the regions of one model of
+node dimension d, and keeps them in creation order: lookups that match
+several dimensions resolve to the earliest-created region, and files list
+the regions in that order.  A region is only its data; its place in that
+order belongs to the database that stored it.
 
 A line is named by its anchor: the codes of its nodes in the other d - 1
 dimensions, as the model's code rows hold them.  The scan carries anchors
@@ -45,15 +47,16 @@ files of the same step taken one line or one region at a time:
 - The driver hands `value_source(codes)` a level's whole (n, d) code array,
   and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`.
   That call checks the codes once, with one `split_codes` over the batch,
-  and sorts the regions of each dimension that has any by the same anchor
-  key, inline and afresh on every call.  The hit regions not yet fitted
-  (fits are lazy: superseded regions are never fitted) are fitted together:
-  their end slopes come from divided differences over (R, k) knot arrays,
-  and one NumPy solve takes all their tridiagonal systems at once, bitwise
-  as LAPACK `dgtsv` solving each alone (`_solve_tridiagonal` says why), so
-  the smooth layer needs no SciPy.  Every hit row is then evaluated at
-  once, its knot interval found by a vectorised bisection.  `RegionDatabase.lookup` and `spline_value` are one-row calls
-  of the same code, with the same refusals.
+  lays the regions out in creation order, and sorts each dimension's by the
+  same anchor key, inline and afresh on every call.  The hit regions not
+  yet fitted (fits are lazy: superseded regions are never fitted) are
+  fitted together: their end slopes come from divided differences over
+  (R, k) knot arrays, and one NumPy solve takes all their tridiagonal
+  systems at once, bitwise as LAPACK `dgtsv` solving each alone
+  (`_solve_tridiagonal` says why), so the smooth layer needs no SciPy.
+  Every hit row is then evaluated at once, its knot interval found by a
+  vectorised bisection.  `RegionDatabase.lookup` and `spline_value` are
+  one-row calls of the same code, with the same refusals.
 """
 
 from __future__ import annotations
@@ -68,12 +71,10 @@ import numpy as np
 
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
-    SurrogateModel, _code_array, _is_code, _is_integer, _row_weights, coordinates, dyadic_codes,
-    split_codes,
+    SurrogateModel, _check_dimension, _code_array, _is_code, _is_integer, _row_weights,
+    coordinates, dyadic_codes, split_codes,
 )
-from .errors import (
-    ContractViolationError, DimensionMismatchError, InvalidNodeError, SparseGridError,
-)
+from .errors import InvalidNodeError, SparseGridError
 
 __all__ = [
     "LineGroup",
@@ -391,15 +392,13 @@ def derivative_scan(g: LineGroup, slope_tol: float, min_points: float) -> list[t
 class SmoothRegion:
     """A certified smooth 1-D interval along `dim` at fixed other coordinates.
 
-    Carries the knot inputs, knot outputs, interval midpoint and half-length,
-    plus the spline's knot second derivatives (fitted on first use, since
-    superseded candidate regions are never evaluated).  `created_at` orders
-    regions for lookup tie-breaking across dimensions.  `RegionDatabase.store`
-    sets it (it is None until then) and the fit sets the second derivatives,
-    so neither is a constructor argument.  Regions compare by identity, as
-    the database holds them.  The anchor holds the codes of the other d - 1
-    dimensions, stored as a tuple of ints; knots and outputs are stored as
-    float arrays, and the interval's ends as the floats `lo` and `hi`.
+    Carries the knot inputs and knot outputs, plus the spline's knot second
+    derivatives (fitted on first use, since superseded candidate regions are
+    never evaluated); the fit sets them, so they are no constructor
+    argument.  Regions compare and hash by identity, as the database holds
+    them.  The anchor holds the codes of the other d - 1 dimensions, stored
+    as a tuple of ints; knots and outputs are stored as float arrays, and
+    the interval's ends as the floats `lo` and `hi`.
     Anchors that are not node codes, a `dim` that is not an integer in
     [0, len(anchor)], and malformed knots or outputs are refused at
     construction; the line scan, whose fields come from checked model
@@ -410,7 +409,6 @@ class SmoothRegion:
     anchor: tuple[int, ...]
     knots: np.ndarray
     outputs: np.ndarray
-    created_at: int | None = field(default=None, init=False)
     _second_derivs: np.ndarray | None = field(default=None, init=False, repr=False)
     lo: float = field(init=False, repr=False)
     hi: float = field(init=False, repr=False)
@@ -442,14 +440,6 @@ class SmoothRegion:
         if (self.knots[1:] <= self.knots[:-1]).any():
             raise SparseGridError("region knots must be strictly increasing")
         self.lo, self.hi = float(self.knots[0]), float(self.knots[-1])
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def half_length(self) -> float:
-        return (self.hi - self.lo) / 2.0
 
 
 def _scanned_region(dim: int, anchor: tuple, knots: np.ndarray,
@@ -525,35 +515,35 @@ class StoreOutcome(NamedTuple):
 
 
 class RegionDatabase:
-    """Smooth regions by line, non-overlapping per line.
+    """Smooth regions by line, non-overlapping per line, in creation order.
 
-    A database holds the regions of one model: its first region fixes the
-    node dimension d, and a region or a lookup of another d is refused.  A
-    line is named by the dimension it runs along and by its anchor.  Every
-    lookup lays out the regions of each dimension it searches afresh, in one
-    pass: their anchors as code rows (0 at `dim`) sorted by their hash, which
-    is group_lines' anchor key, with their intervals and creation order.
+    `RegionDatabase(d)` holds the regions of one model of node dimension d,
+    as `SurrogateModel(d)` holds its nodes: each region's anchor holds d - 1
+    codes, and lookups take rows of d codes.  A line is named by the
+    dimension it runs along and by its anchor.  The live regions are kept
+    in the order they were created, which `regions()` yields and by which
+    lookup ties are broken; a region another replaces leaves that order.
+    Every lookup lays out the regions afresh, in one pass: their anchors as
+    code rows (0 at `dim`) sorted by their hash, which is group_lines'
+    anchor key, with their intervals.
     """
 
-    def __init__(self):
-        # dim -> anchor -> the line's regions by position; dims and anchors
-        # in order of first store
-        self._lines: dict[int, dict[tuple, list[SmoothRegion]]] = {}
-        self._d: int | None = None  # the node dimension, fixed by the first store
-        self._counter = 0
+    def __init__(self, dimension: int):
+        _check_dimension(dimension)
+        self.dimension = dimension
+        self._lines: dict[tuple[int, tuple], list[SmoothRegion]] = {}  # by (dim, anchor)
+        self._order: dict[SmoothRegion, None] = {}  # the live regions, in creation order
 
     def __len__(self) -> int:
-        return sum(len(line) for lines in self._lines.values() for line in lines.values())
+        return len(self._order)
 
     def regions(self):
-        """All regions, grouped by dimension and line in order of first store."""
-        for lines in self._lines.values():
-            for line in lines.values():
-                yield from line
+        """All regions, in creation order."""
+        return iter(self._order)
 
     def _covers(self, dim: int, anchor: tuple, lo: float, hi: float) -> bool:
         """Whether a region of the line along `dim` at `anchor` holds [lo, hi]."""
-        for r in self._lines.get(dim, {}).get(anchor, ()):
+        for r in self._lines.get((dim, anchor), ()):
             if r.lo <= lo and hi <= r.hi:
                 return True
         return False
@@ -561,30 +551,26 @@ class RegionDatabase:
     def store(self, region: SmoothRegion) -> StoreOutcome:
         """Insert a region, enforcing the non-overlap rules of its line.
 
-        An old region that holds the new one makes the store a no-op; else
-        the new region replaces the old ones it holds, and a partial overlap
-        keeps the longer interval and logs a diagnostic.  Returns what
-        happened.  A region of nodes of another dimension than the stored
-        ones raises InvalidNodeError.  A region already stored, here or in
-        another database, raises ContractViolationError, since its
-        `created_at` orders the ties of the database holding it; a re-store
-        that this database finds covered is "covered".
+        An old region that holds the new one makes the store a no-op (so a
+        re-store is "covered"); else the new region replaces the old ones it
+        holds, and a partial overlap keeps the longer interval and logs a
+        diagnostic.  A created region goes last in creation order.  Returns
+        what happened.  A region whose anchor does not hold d - 1 codes lies
+        on no line of the database's nodes and raises InvalidNodeError.
         """
-        d = len(region.anchor) + 1
-        if self._d not in (None, d):
-            raise InvalidNodeError(f"region of {d}-dimensional nodes in a database of "
-                                   f"{self._d}-dimensional ones")
+        if len(region.anchor) != self.dimension - 1:
+            raise InvalidNodeError(f"region anchor of {len(region.anchor)} codes, not "
+                                   f"d - 1 = {self.dimension - 1}")
         if self._covers(region.dim, region.anchor, region.lo, region.hi):
-            return StoreOutcome("covered")  # e.g. an idempotent re-store
-        if region.created_at is not None:
-            raise ContractViolationError("region already stored in a region database")
-        kept = []
-        superseded = displaced = 0
-        for old in self._lines.get(region.dim, {}).get(region.anchor, []):
+            return StoreOutcome("covered")
+        kept, gone = [], []
+        displaced = 0
+        length = region.hi - region.lo
+        for old in self._lines.get((region.dim, region.anchor), ()):
             if region.lo <= old.lo and region.hi >= old.hi:
-                superseded += 1
+                gone.append(old)
             elif region.lo < old.hi and old.lo < region.hi:
-                if region.half_length <= old.half_length:
+                if length <= old.hi - old.lo:
                     log.debug(
                         "partial overlap on dim %d: keeping [%g, %g], dropping [%g, %g]",
                         region.dim, old.lo, old.hi, region.lo, region.hi,
@@ -594,16 +580,16 @@ class RegionDatabase:
                     "partial overlap on dim %d: replacing [%g, %g] with [%g, %g]",
                     region.dim, old.lo, old.hi, region.lo, region.hi,
                 )
+                gone.append(old)
                 displaced += 1
             else:
                 kept.append(old)
-        region.created_at = self._counter
-        self._counter += 1
-        self._d = d
+        for old in gone:
+            del self._order[old]
+        self._order[region] = None
         kept.append(region)
-        kept.sort(key=lambda r: r.lo)
-        self._lines.setdefault(region.dim, {})[region.anchor] = kept
-        return StoreOutcome("created", superseded, displaced)
+        self._lines[region.dim, region.anchor] = kept
+        return StoreOutcome("created", len(gone) - displaced, displaced)
 
     def lookup_many(self, codes) -> tuple[list[SmoothRegion], np.ndarray, np.ndarray]:
         """The region holding each row of an (n, d) array of node codes.
@@ -613,35 +599,33 @@ class RegionDatabase:
         which[i] is -1 (t[i] is then 0).  A row matches a region when its
         other coordinates equal the region's anchor exactly and its position
         lies in the region's closed interval; among several matches, along
-        one dimension or several, the earliest-created region wins.
-        Dimensions without regions are skipped.  Codes of no node raise
-        InvalidNodeError, and codes of nodes of another dimension than the
-        stored regions' raise DimensionMismatchError.
+        one dimension or several, the earliest-created region wins.  Codes
+        of no node raise InvalidNodeError, and rows of other than d codes
+        DimensionMismatchError.
         """
-        codes = _code_array(codes, (None, None))
-        n, d = codes.shape
-        if self._d not in (None, d):
-            raise DimensionMismatchError(f"codes of {d}-dimensional nodes looked up in "
-                                         f"regions of {self._d}-dimensional ones")
+        d = self.dimension
+        codes = _code_array(codes, (None, d))
         split_codes(codes)  # refuses codes of no node
+        n = len(codes)
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
-        dims = [dim for dim in range(d) if dim in self._lines]
-        if not (dims and n):
+        regions = list(self._order)  # a region's index is its rank in creation order
+        if not (regions and n):
             return [], which, t
         weights = _row_weights(d)
         sums = codes @ weights
-        pool, found = [], []
-        for dim in dims:
+        along = np.array([r.dim for r in regions])
+        anchors = np.array([r.anchor for r in regions], dtype=np.int64)  # (R, d - 1)
+        lo, hi = np.array([(r.lo, r.hi) for r in regions]).T
+        found = []
+        for dim in np.unique(along).tolist():
             # the dimension's regions, their anchors as code rows (0 at dim)
             # sorted by anchor key
-            regions = [r for line in self._lines[dim].values() for r in line]
-            anchors = np.array([r.anchor for r in regions], dtype=np.int64)
-            anchors = np.insert(anchors.reshape(len(regions), d - 1), dim, 0, axis=1)
-            keys = anchors @ weights
+            ids = np.flatnonzero(along == dim)
+            rows_of = np.insert(anchors[ids], dim, 0, axis=1)
+            keys = rows_of @ weights
             order = np.argsort(keys, kind="stable")
-            keys, anchors = keys[order], anchors[order]
-            regions = [regions[k] for k in order.tolist()]
+            keys, rows_of, ids = keys[order], rows_of[order], ids[order]
             # (row, candidate) pairs of equal keys, then of equal anchors
             query = sums - codes[:, dim] * weights[dim]
             first = np.searchsorted(keys, query, "left")
@@ -650,28 +634,24 @@ class RegionDatabase:
             cand = np.arange(len(rows)) + np.repeat(first - (np.cumsum(count) - count), count)
             mine = codes[rows]
             mine[:, dim] = 0
-            same = (mine == anchors[cand]).all(axis=1)
-            rows, cand = rows[same], cand[same]
+            same = (mine == rows_of[cand]).all(axis=1)
+            rows, cand = rows[same], ids[cand[same]]
             if not len(rows):
                 continue
             at = coordinates(codes[rows, dim])
-            lo, hi = np.array([(r.lo, r.hi) for r in regions]).T
             hit = (lo[cand] <= at) & (at <= hi[cand])
-            cand = cand[hit]
-            created = np.array([r.created_at for r in regions], dtype=np.int64)
-            found.append((rows[hit], created[cand], cand + len(pool), at[hit]))
-            pool.extend(regions)
+            found.append((rows[hit], cand[hit], at[hit]))
         if not found:
             return [], which, t
-        rows, created, gid, at = (np.concatenate(a) for a in zip(*found))
-        order = np.lexsort((created, rows))  # per row, earliest-created first
-        rows, gid, at = rows[order], gid[order], at[order]
+        rows, rank, at = (np.concatenate(a) for a in zip(*found))
+        order = np.lexsort((rank, rows))  # per row, earliest-created first
+        rows, rank, at = rows[order], rank[order], at[order]
         best = np.ones(len(rows), dtype=bool)
         best[1:] = rows[1:] != rows[:-1]
-        used, pick = np.unique(gid[best], return_inverse=True)
+        used, pick = np.unique(rank[best], return_inverse=True)
         which[rows[best]] = pick
         t[rows[best]] = at[best]
-        return [pool[g] for g in used.tolist()], which, t
+        return [regions[k] for k in used.tolist()], which, t
 
     def lookup(self, codes):
         """Region containing the node of a row of d codes, or None.
@@ -751,7 +731,7 @@ def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResu
     feed the same surplus threshold.  After each adaptive level the line scan
     refreshes the database for the next level's candidates.
     """
-    db = RegionDatabase()
+    db = RegionDatabase(cfg.dimension)
 
     def value_source(codes):
         regions, which, t = db.lookup_many(codes)

@@ -1,21 +1,23 @@
 """Print one fingerprint line per build of a fixed identity set.
 
-Run it on two trees and compare the outputs:
+The lines are pinned in fingerprints.txt, and test_fingerprints.py compares
+them with the ones a tree prints; so does
 
-    PYTHONPATH=src python tests/fingerprints.py > fp.txt
-    diff fp_before.txt fp_after.txt
+    PYTHONPATH=src python tests/fingerprints.py | diff tests/fingerprints.txt -
 
 A change that is meant to keep every output bit for bit must leave the
-output unchanged.  Each build line holds the saved file's SHA-256 (w and v
+lines unchanged; one that moves an output edits fingerprints.txt and says
+why.  Each build line holds the saved file's SHA-256 (w and v
 included), a digest of every LevelRecord field except the phase timings,
 the stop reason, the analytic moments as float.hex, and a digest of
 the w and v surrogates at 3,000 seeded uniform points.  The study of
 the benchmark's easgc_line_study operation also prints its CSV without
 wall_time and its sidecar without level_build_s, line by line.
 
-The identity set: the benchmark's three operations, the golden build
-configs of test_golden.py, truss2 and truss3 with each method, and the
-100-D Poisson EASGC build.  pytest does not collect this file.
+The identity set: the benchmark's three operations, the golden builds of
+test_golden.py (built through its golden_build, so a pytest session builds
+each once), truss2 and truss3 with each method, and the 100-D Poisson EASGC
+build.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from sgsurrogate import (
     METHODS, AdaptiveConfig, build, get_benchmark, load_surrogate, moments, run_csc,
     run_study, save_surrogate,
 )
-from test_golden import CASES, DIGESTS
+from test_golden import GOLDEN, golden_build
 
 N_POINTS = 3000
+
+PINNED = Path(__file__).with_name("fingerprints.txt")
 
 # the benchmark's easgc_line_study operation
 STUDY_CONFIG = AdaptiveConfig(dimension=2, epsilon=1e-2, max_level=20, init_level=2)
@@ -71,18 +75,12 @@ def builds():
     """(name, thunk) per build of the identity set."""
     line = get_benchmark("line_singularity")[0]
     yield "bench csc_line_l12", lambda: run_csc(line, 2, 12)
-    poisson10 = AdaptiveConfig(dimension=10, epsilon=1e-6, max_level=4, init_level=2,
-                               min_line_points=7)
-    yield "bench poisson_easgc_10d", lambda: build(
-        get_benchmark("poisson", {"n_random": 10})[0], poisson10, "EASGC")
+    # the benchmark's poisson_easgc_10d build is the golden poisson_10d one
+    yield "bench poisson_easgc_10d", lambda: golden_build("poisson_10d", "EASGC")
     yield "bench easgc_line_study build", lambda: build(
         get_benchmark("line_singularity")[0], STUDY_CONFIG, "EASGC")
-    for name, method in sorted(DIGESTS):
-        benchmark, params, csc_level, cfg = CASES[name]
-        f = get_benchmark(benchmark, params)[0]
-        yield (f"golden {name} {method}",
-               (lambda f=f, level=csc_level: run_csc(f, f.dimension, level)) if method == "CSC"
-               else (lambda f=f, cfg=cfg, method=method: build(f, cfg, method)))
+    for name, method in GOLDEN:
+        yield f"golden {name} {method}", lambda name=name, method=method: golden_build(name, method)
     truss = {"truss2": AdaptiveConfig(dimension=2, epsilon=10.0, max_level=5, init_level=2),
              "truss3": AdaptiveConfig(dimension=3, epsilon=10.0, max_level=5, init_level=2)}
     for name, cfg in truss.items():
@@ -106,13 +104,17 @@ def study_lines(tmp: Path) -> list[str]:
     return lines
 
 
+def fingerprint_lines(tmp: Path):
+    """The identity set's fingerprint lines, in order; `tmp` takes the files."""
+    for name, thunk in builds():
+        yield build_line(name, thunk(), tmp)
+    yield from study_lines(tmp)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name, thunk in builds():
-            print(build_line(name, thunk(), tmp), flush=True)
-        for line in study_lines(tmp):
-            print(line)
+        for line in fingerprint_lines(Path(tmp)):
+            print(line, flush=True)
 
 
 if __name__ == "__main__":

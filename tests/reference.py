@@ -234,12 +234,12 @@ def surrogate_text(model, region_db=None) -> str:
         lines.append(f"{pairs} {reals} {'S' if spline else 'F'}")
     if region_db is not None and len(region_db) > 0:
         lines.append(f"regions {len(region_db)}")
-        for r in sorted(region_db.regions(), key=lambda r: r.created_at):
+        for r in region_db.regions():  # in creation order
             anchor = ",".join("%d:%d" % dyadic_1d(node_of_code(c)) for c in r.anchor) or "-"
             lines.append(" ".join([
                 str(r.dim), anchor, ",".join(format(x, ".17g") for x in r.knots.tolist()),
                 ",".join(format(x, ".17g") for x in r.outputs.tolist()),
-                format(r.midpoint, ".17g"), format(r.half_length, ".17g"),
+                format((r.lo + r.hi) / 2, ".17g"), format((r.hi - r.lo) / 2, ".17g"),
             ]))
     return "\n".join(lines) + "\n"
 
@@ -377,8 +377,9 @@ class RegionStore:
     Written as the rule reads: first the full check for a region of the line
     that holds the new interval, and only then a walk over the line, where
     the new interval replaces the regions it holds and a partial overlap
-    keeps the longer interval.  Regions are (lo, hi, created_at) triples;
-    lines are grouped by dimension, both in order of first store.
+    keeps the longer interval.  Regions are (lo, hi, created) triples, where
+    `created` counts the regions created before; lines are grouped by
+    dimension, both in order of first store.
     """
 
     def __init__(self):
@@ -406,8 +407,9 @@ class RegionStore:
         return ("created", superseded, displaced)
 
     def table(self) -> list[tuple]:
-        """(dim, anchor, lo, hi, created_at) of every region, line by line."""
-        return [(dim, anchor, lo, hi, created)
-                for dim, lines in self.lines.items()
-                for anchor, line in lines.items()
-                for lo, hi, created in line]
+        """(dim, anchor, lo, hi) of every region, in creation order."""
+        regions = sorted((created, dim, anchor, lo, hi)
+                         for dim, lines in self.lines.items()
+                         for anchor, line in lines.items()
+                         for lo, hi, created in line)
+        return [region[1:] for region in regions]

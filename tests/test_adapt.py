@@ -19,12 +19,14 @@ from sgsurrogate import (
     SurrogateModel,
     build,
     coordinates,
+    get_benchmark,
     refine_candidates,
     run_asgc,
     run_csc,
     run_easgc,
     split_codes,
 )
+from sgsurrogate.core import MAX_LEVEL
 from sgsurrogate.io import save_surrogate
 
 
@@ -90,6 +92,16 @@ class TestConfig:
         kwargs = {"dimension": 2, "max_level": 6, "init_level": 1, field: value}
         with pytest.raises(ValueError, match=field):
             AdaptiveConfig(**kwargs)
+
+    def test_max_level_the_codes_cannot_refine_refused(self):
+        # max_level=80 was taken: a 1-D kink build made 383 model calls, then
+        # refinement past level 62 raised and kept no completed level
+        with pytest.raises(ValueError, match="max_level must be <= MAX_LEVEL - 1 = 61"):
+            AdaptiveConfig(dimension=1, epsilon=1e-300, max_level=MAX_LEVEL)
+        f, _ = get_benchmark("kink", {"kink_pos": 0.3})
+        res = build(f, AdaptiveConfig(dimension=1, epsilon=1e-300, max_level=MAX_LEVEL - 1),
+                    "ASGC")
+        assert res.stopped_by == "level_cap" and res.model.depth == MAX_LEVEL - 1
 
     def test_infinite_min_line_points_allowed(self):
         cfg = AdaptiveConfig(dimension=2, min_line_points=math.inf)

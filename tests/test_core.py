@@ -1197,11 +1197,27 @@ class TestArrayStore:
             m.add_level([[1.5]], [0.0], [0.0], [0.0])
         assert len(m) == 0
 
+    def test_non_finite_output_w_or_v_refused(self, tmp_path):
+        # such a row was inserted: save then wrote "2:0 nan nan nan F", which
+        # load refuses, and the moments were NaN
+        m = SurrogateModel(1)
+        m.add_level([[1]], [1.0], [1.0], [1.0])
+        for column, bad in itertools.product(range(3), (math.nan, math.inf, -math.inf)):
+            reals = np.ones((3, 2))
+            reals[column, 1] = bad
+            with pytest.raises(ContractViolationError,
+                               match="row 1 has a non-finite output, w or v"):
+                m.add_level([[2], [3]], *reals)
+            assert len(m) == 1 and m.depth == 0
+        m.add_level([[2], [3]], *np.ones((3, 2)))
+        save_surrogate(tmp_path / "m.surrogate", m)
+        assert len(load_surrogate(tmp_path / "m.surrogate")[0]) == 3
+
     def test_code_entry_points_refuse_floats_and_wrong_widths(self):
         # a cast to int64 truncated 1.9 to 1, so [1.9, 1.2] read as the root
         m = SurrogateModel(2)
         m.add_level([[1, 1]], [1.0], [1.0], [1.0])
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         db.store(SmoothRegion(dim=0, anchor=(1,), knots=[0.0, 0.25, 0.5, 1.0],
                               outputs=[0.0, 1.0, 2.0, 3.0]))
         # codes of no node: 0, and 6 = 0b110, whose top two bits are 11

@@ -1,17 +1,16 @@
-"""Golden-output regression: the node set, node order, outputs and regions,
-and the study reports.
+"""Golden-output regression: the golden builds' files round-trip, and the
+study reports keep their digests.
 
-Each build digest is the SHA-256 of a saved surrogate's node lines reduced to
-"level:index token, output, provenance" in file order, followed by its region
-lines verbatim; the w and v fields are left out, so a kernel change that
-moves surpluses only in their last bits keeps the digests, while any change
-to which nodes are built, their order, their outputs or the regions fails.
-Each saved file must also load back to the same codes, outputs, w, v,
+The golden builds' outputs are pinned in fingerprints.txt, one line per
+build: the saved file's SHA-256 (w and v included), its records, moments
+and queries (see fingerprints.py, which builds them through golden_build).
+Here each saved file must load back to the same codes, outputs, w, v,
 spline flags and region count, and save again to the same bytes.
 Each study digest pair covers a study's CSV and JSON sidecar, without the
 timings and the library version.
 """
 
+import functools
 import hashlib
 import json
 
@@ -47,44 +46,32 @@ CASES = {
                                             init_level=1, min_line_points=7)),
 }
 
-DIGESTS = {
-    ("kink", "CSC"): "c826011a66c5d787b6f9c503a01e0371c60a9561eeb7bafbcb8cfb5d6009fe84",
-    ("kink", "ASGC"): "4f2e26be62a2b1f72e9d879db466d61014722ee0b1d5f6f43f27b6704dd93a98",
-    ("kink", "EASGC"): "be0dc057cf6681258a8bc2b90d6aea33a3efefabb78433d5665b5712f59f0dd4",
-    ("line_singularity", "CSC"): "e573fab9c752d3c061b84c25a9c988035c66d7bca25ac75fbafdefcfe9b7f3cd",
-    ("line_singularity", "ASGC"): "bb5f22633c41c8514bd273a49ce8c20cf5f0530a7b377ada2a10a79612670ffc",
-    ("line_singularity", "EASGC"): "955257a77864d169ad0000bb5ec39ac4d67bd1f9498254d1a9f40b60dcd4a44d",
-    ("poisson", "EASGC"): "6d1b655803bc23e160e89b53fc55ddecaa17cec83aa14c931e21aac2d06696d6",
-    ("poisson_10d", "EASGC"): "0e1387d0f75ef7e82d90f5e193a1155d0125b91aa84d0f63b4a978425f37358e",
-    ("poisson_100d", "EASGC"): "d6a5b6b94e22bfe0e4344ee9720774bd8af21315b6f8a7fae04cf2170efaaa05",
-    ("poisson_100d_splines", "EASGC"):
-        "35b800f4582de91a33105c3f8a581275885973cf342b78ffd6a053df1233f6fd",
-}
+# the golden builds: (case, method)
+GOLDEN = [
+    ("kink", "ASGC"), ("kink", "CSC"), ("kink", "EASGC"),
+    ("line_singularity", "ASGC"), ("line_singularity", "CSC"), ("line_singularity", "EASGC"),
+    ("poisson", "EASGC"), ("poisson_100d", "EASGC"), ("poisson_100d_splines", "EASGC"),
+    ("poisson_10d", "EASGC"),
+]
 
 
-def output_digest(text: str) -> str:
-    h = hashlib.sha256()
-    for line in text.splitlines()[1:]:  # the header is left out
-        fields = line.split()
-        if len(fields) == 5:  # node: token output w v provenance
-            token, output, _w, _v, flag = fields
-            h.update(f"{token} {output} {flag}\n".encode())
-        elif fields[0] != "regions":
-            h.update((line + "\n").encode())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("name, method", sorted(DIGESTS))
-def test_outputs_match_golden_digest(name, method, tmp_path):
+@functools.cache
+def golden_build(name: str, method: str):
+    """The BuildResult of a golden build, built once per process: this test
+    and fingerprints.py share it."""
     benchmark, params, csc_level, cfg = CASES[name]
     f, _ = get_benchmark(benchmark, params)
     if method == "CSC":
-        result = run_csc(f, f.dimension, csc_level)
-    else:
-        result = build(f, cfg, method)
+        return run_csc(f, f.dimension, csc_level)
+    return build(f, cfg, method)
+
+
+@pytest.mark.parametrize("name, method", GOLDEN)
+def test_outputs_match_golden_digest(name, method, tmp_path):
+    # the file's digest is pinned in its line of fingerprints.txt
+    result = golden_build(name, method)
     path = tmp_path / "model.surrogate"
     save_surrogate(path, result.model, result.region_db)
-    assert output_digest(path.read_text()) == DIGESTS[name, method]
     # the file loads back to the same model, which saves to the same bytes
     loaded, regions = load_surrogate(path)
     for field in ("codes", "outputs", "w", "v", "spline"):

@@ -445,7 +445,7 @@ class TestPersistence:
         bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), n]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             model.add_level(grid[lo:hi], *reals[:, lo:hi], spline[lo:hi])
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         knots = np.array([0.0, 0.25, 0.5, 0.75])
         db.store(SmoothRegion(dim=0, anchor=(), knots=knots, outputs=knots ** 3))
         path = tmp_path / "model.surrogate"
@@ -460,15 +460,18 @@ class TestPersistence:
     @pytest.mark.parametrize("anchor", [(), (1, 1)])
     def test_region_on_no_line_of_the_model_refused_before_writing(self, tmp_path, anchor):
         # a 2-D model's lines have 1-code anchors: a region with another
-        # anchor length would be saved to a file that does not load
+        # anchor length, held by a database of other nodes, would be saved
+        # to a file that does not load
         path = tmp_path / "model.surrogate"
         model = csc_model(lambda x: x[0] + x[1], 2, 3)
         save_surrogate(path, model)
         old = path.read_bytes()
-        db = RegionDatabase()
+        d = len(anchor) + 1
+        db = RegionDatabase(d)
         knots = np.array([0.0, 0.25, 0.5, 0.75])
         db.store(SmoothRegion(dim=0, anchor=anchor, knots=knots, outputs=knots))
-        with pytest.raises(PersistenceError, match=f"anchor of {len(anchor)} codes, not d - 1 = 1"):
+        with pytest.raises(PersistenceError, match=f"database of {d}-dimensional nodes saved "
+                                                   f"with a model of 2-dimensional ones"):
             save_surrogate(path, model, db)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["model.surrogate"]
@@ -528,7 +531,7 @@ class TestPersistence:
         nodes = good.read_text().splitlines()
         assert len(nodes) == 10
         with_regions = tmp_path / "regions.surrogate"
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         for knots in ([0.0, 0.125, 0.25, 0.375], [0.5, 0.625, 0.75, 1.0]):
             knots = np.array(knots)
             db.store(SmoothRegion(dim=0, anchor=(), knots=knots, outputs=knots ** 2))
@@ -614,8 +617,8 @@ class TestPersistence:
         (lambda f: ["7", "1:1,3:2,5:9"] + f[2:], "dim 7 outside"),
         (lambda f: ["2"] + f[1:], "dim 2 outside"),
         (lambda f: ["-1"] + f[1:], "dim -1 outside"),
-        (lambda f: f[:1] + ["-"] + f[2:], "anchor of 0 pairs"),
-        (lambda f: f[:1] + ["1:1,3:2"] + f[2:], "anchor of 2 pairs"),
+        (lambda f: f[:1] + ["-"] + f[2:], "anchor of 0 codes, not d - 1"),
+        (lambda f: f[:1] + ["1:1,3:2"] + f[2:], "anchor of 2 codes, not d - 1"),
         # 0.5 and 1 not in lowest terms, 7/4 outside the cube, level 63, and
         # a numerator past int64: pairs of no node, so no lookup could match
         (lambda f: f[:1] + ["2:2"] + f[2:], "names no node"),
@@ -637,7 +640,7 @@ class TestPersistence:
     ])
     def test_region_lines_no_node_can_match_rejected(self, tmp_path, edit, reason):
         # a 2-D model with one region along dim 0 at x1 = 0.5
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         knots = np.array([0.0, 0.25, 0.5, 0.75])
         db.store(SmoothRegion(dim=0, anchor=(1,), knots=knots, outputs=knots + 0.5))
         good = tmp_path / "good.surrogate"
@@ -669,11 +672,11 @@ class TestPersistence:
         model = csc_model(lambda x: x[0] + x[1], 2, 3)
         lines = []
         for k in ([0.0, 0.25, 0.5, 0.75], knots):  # each saved alone, so both are written
-            db = RegionDatabase()
+            db = RegionDatabase(2)
             db.store(region(k))
             save_surrogate(tmp_path / "one.surrogate", model, db)
             lines.append((tmp_path / "one.surrogate").read_text().splitlines()[-1])
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         db.store(region([0.0, 0.25, 0.5, 0.75]))
         assert db.store(region(knots)) == outcome
         p = tmp_path / "two.surrogate"

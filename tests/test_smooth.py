@@ -13,7 +13,6 @@ from scipy.interpolate import CubicSpline
 import reference as ref
 from sgsurrogate import (
     AdaptiveConfig,
-    ContractViolationError,
     DimensionMismatchError,
     InvalidNodeError,
     ModelFunction,
@@ -350,19 +349,19 @@ def region(knots, outputs=None, dim=0, anchor=()):
 
 class TestRegionDatabase:
     def test_store_and_size(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0]))
         assert len(db) == 1
 
     def test_idempotent_restore(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         r = region([0.0, 0.25, 0.5, 0.75, 1.0])
         db.store(r)
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0]))
         assert len(db) == 1
 
     def test_superset_replaces_subset(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.25, 0.375, 0.5, 0.625]))
         db.store(region([0.0, 0.25, 0.375, 0.5, 0.625, 0.75]))
         assert len(db) == 1
@@ -370,14 +369,14 @@ class TestRegionDatabase:
         assert stored.lo == 0.0 and stored.hi == 0.75
 
     def test_subset_is_noop(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0]))
         db.store(region([0.25, 0.375, 0.5, 0.625]))
         assert len(db) == 1
         assert next(iter(db.regions())).hi == 1.0
 
     def test_partial_overlap_keeps_larger(self, caplog):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.0, 0.25, 0.5, 0.625]))
         with caplog.at_level(logging.DEBUG, logger="sgsurrogate.smooth"):
             db.store(region([0.3, 0.5, 0.625, 0.75, 0.875, 1.0]))
@@ -385,20 +384,20 @@ class TestRegionDatabase:
         assert next(iter(db.regions())).hi == 1.0
 
     def test_partial_overlap_keeps_larger_existing(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.0, 0.25, 0.5, 0.625, 0.75]))
         db.store(region([0.625, 0.75, 0.875, 1.0]))  # shorter, dropped
         assert len(db) == 1
         assert next(iter(db.regions())).hi == 0.75
 
     def test_disjoint_regions_coexist(self):
-        db = RegionDatabase()
+        db = RegionDatabase(1)
         db.store(region([0.0, 0.125, 0.25, 0.375]))
         db.store(region([0.5, 0.625, 0.75, 1.0]))
         assert len(db) == 2
 
     def test_lookup_empty_and_hit_and_miss(self):
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         p_mid = [1, 2]  # (0.5, 0)
         assert db.lookup(p_mid) is None
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=(2,)))
@@ -407,13 +406,13 @@ class TestRegionDatabase:
         r, t = hit
         assert t == 0.5
         # a point on the same line but outside the interval misses
-        db2 = RegionDatabase()
+        db2 = RegionDatabase(2)
         db2.store(region([0.0, 0.125, 0.25, 0.375], dim=0, anchor=(2,)))
         p_out = [3, 2]  # (1, 0)
         assert db2.lookup(p_out) is None
 
     def test_lookup_earliest_created_wins(self):
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         # centre point (0.5, 0.5) lies on one line per dimension
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=1, anchor=(1,),
                         outputs=np.ones(5)))
@@ -423,7 +422,7 @@ class TestRegionDatabase:
         assert r.dim == 1  # stored first
 
     def test_store_reports_its_outcome(self):
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         line = dict(dim=0, anchor=(1,))  # a line of 2-D nodes, as the other one
         assert db.store(region([0.25, 0.375, 0.5, 0.625], **line)) == ("created", 0, 0)
         assert db.store(region([0.75, 0.8125, 0.875, 0.9375], **line)) == ("created", 0, 0)
@@ -438,31 +437,35 @@ class TestRegionDatabase:
         assert len(db) == 2
 
     def test_second_node_dimension_refused(self):
-        # one database holds the regions of one model: its first region fixes d
-        db = RegionDatabase()
-        assert db.lookup([1, 1, 1]) is None  # an empty database fixes no d
+        # one database holds the regions of one model of d-dimensional nodes,
+        # as RegionDatabase(d) says from the start: an anchor holds d - 1
+        # codes, and a lookup takes rows of d codes, stored regions or not
+        for d in (0, -1, 2.0, True, None):
+            with pytest.raises(InvalidNodeError, match="dimension must be"):
+                RegionDatabase(d)
+        db = RegionDatabase(2)
+        assert db.dimension == 2
+        with pytest.raises(DimensionMismatchError, match=r"shape \(n, 2\)"):
+            db.lookup([1, 1, 1])
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=1, anchor=(2,)))
-        with pytest.raises(InvalidNodeError, match="3-dimensional nodes in a database "
-                                                   "of 2-dimensional"):
+        with pytest.raises(InvalidNodeError, match="anchor of 2 codes, not d - 1 = 1"):
             db.store(region([0.0, 0.25, 0.5, 0.75], dim=0, anchor=(1, 1)))
-        with pytest.raises(InvalidNodeError, match="1-dimensional nodes"):
+        with pytest.raises(InvalidNodeError, match="anchor of 0 codes, not d - 1 = 1"):
             db.store(region([0.0, 0.25, 0.5, 0.75]))
         assert len(db) == 1
         for codes in ([[1, 1, 1]], [[1]], np.zeros((0, 3), dtype=np.int64)):
-            with pytest.raises(DimensionMismatchError, match="regions of 2-dimensional"):
+            with pytest.raises(DimensionMismatchError, match=r"shape \(n, 2\)"):
                 db.lookup_many(codes)
         with pytest.raises(DimensionMismatchError):
             db.lookup([2, 1, 1])
         assert db.lookup([2, 1])[1] == 0.5
 
-    @pytest.mark.parametrize("name, value", [("created_at", 3),
-                                             ("_second_derivs", np.zeros(4))])
-    def test_store_and_fit_fields_are_no_arguments(self, name, value):
-        # store sets created_at and the fit the second derivatives; a value
-        # given here was overwritten or taken as a fit of other knots
-        with pytest.raises(TypeError, match=name):
+    def test_fit_field_is_no_argument(self):
+        # the fit sets the second derivatives; a value given here was taken
+        # as a fit of other knots
+        with pytest.raises(TypeError, match="_second_derivs"):
             SmoothRegion(dim=0, anchor=(), knots=[0.0, 0.25, 0.5, 0.75],
-                         outputs=[0.0, 1.0, 2.0, 3.0], **{name: value})
+                         outputs=[0.0, 1.0, 2.0, 3.0], _second_derivs=np.zeros(4))
 
     def test_regions_compare_by_identity(self):
         # the generated __eq__ compared the knot arrays and raised ValueError
@@ -470,27 +473,27 @@ class TestRegionDatabase:
         assert a == a and a != b
         assert [a, b].index(b) == 1
 
-    def test_a_region_stored_in_another_database_refused(self):
-        # store wrote created_at onto the region, so storing the dim-1 region
-        # first in a second database made it win the first one's tie at the
-        # centre, where the dim-0 region was stored first
+    def test_a_region_stored_in_two_databases_has_a_place_in_each(self):
+        # the creation order once lived on the region, so storing the dim-1
+        # region first in a second database made it win the first one's tie
+        # at the centre, where the dim-0 region was stored first
         knots = [0.0, 0.25, 0.5, 0.75, 1.0]
         along = [region(knots, np.full(5, value), dim=dim, anchor=(1,))
                  for dim, value in ((0, 0.5), (1, 1.0))]
-        db1, db2 = RegionDatabase(), RegionDatabase()
+        db1, db2 = RegionDatabase(2), RegionDatabase(2)
         for r in along:
             assert db1.store(r).status == "created"
-        with pytest.raises(ContractViolationError, match="already stored"):
-            db2.store(along[1])
-        assert len(db2) == 0
+        assert db2.store(along[1]).status == "created"
         r, t = db1.lookup([1, 1])
         assert r is along[0] and spline_value(r, t) == 0.5
-        assert [r.created_at for r in along] == [0, 1]
+        assert list(db1.regions()) == along and list(db2.regions()) == along[1:]
+        assert db2.lookup([1, 1])[0] is along[1]
         # a re-store into its own database is covered
         assert db1.store(along[0]).status == "covered"
+        assert db2.store(along[1]).status == "covered"
 
     def test_lookup_of_a_key_of_no_node(self):
-        db = RegionDatabase()
+        db = RegionDatabase(2)
         db.store(region([0.0, 0.25, 0.5, 0.75, 1.0], dim=0, anchor=(2,)))
         # the dyadic pairs 2/4 (0.5, not in lowest terms), 3/2 (outside the
         # cube) and -1/1 name no node: the file reader gives them no code
@@ -511,7 +514,7 @@ class TestRegionDatabase:
         @settings(max_examples=300, deadline=None)
         @given(sequence=store_sequences())
         def check(sequence):
-            db, want = RegionDatabase(), ref.RegionStore()
+            db, want = RegionDatabase(2), ref.RegionStore()
             for dim, anchor, knots in sequence:
                 r = region(knots, dim=dim, anchor=anchor)
                 outcome = db.store(r)
@@ -519,8 +522,7 @@ class TestRegionDatabase:
                 seen[outcome.status] += 1
                 seen["superseded"] += outcome.superseded
                 seen["displaced"] += outcome.displaced
-            assert [(r.dim, r.anchor, r.lo, r.hi, r.created_at)
-                    for r in db.regions()] == want.table()
+            assert [(r.dim, r.anchor, r.lo, r.hi) for r in db.regions()] == want.table()
 
         check()
         assert all(seen.values()), seen
@@ -587,13 +589,13 @@ class TestRegionDatabase:
     def test_spline_value_contract(self):
         r = region([0.0, 0.25, 0.5, 0.75, 1.0])
         assert spline_value(r, 0.75) == pytest.approx(0.75 ** 2, abs=1e-14)
-        assert spline_value(r, r.midpoint) == pytest.approx(0.25, abs=1e-12)
+        assert spline_value(r, 0.5) == pytest.approx(0.25, abs=1e-12)
         with pytest.raises(SparseGridError):
-            spline_value(r, r.midpoint + 1.5 * r.half_length)
+            spline_value(r, 1.25)
 
     def test_region_invariants(self):
         r = region([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert r.midpoint == 0.5 and r.half_length == 0.5
+        assert (r.lo, r.hi) == (0.0, 1.0)
         with pytest.raises(SparseGridError):
             region([0.0, 0.25, 0.5])  # too few knots
         with pytest.raises(SparseGridError):
@@ -632,7 +634,7 @@ def region_databases(draw):
     check those refusals.)
     """
     d = draw(st.integers(1, 3))
-    db = RegionDatabase()
+    db = RegionDatabase(d)
     lines = []  # (dim, full code row with the line's anchor, 0 at dim)
     for _ in range(draw(st.integers(0, 14))):
         dim = draw(st.integers(0, d - 1))
@@ -692,8 +694,10 @@ def store_sequences(draw):
 def reference_lookup(db, row):
     """Reference: the per-node loop the level-wide lookup replaced."""
     lines = {}
+    rank = {}  # creation order
     for r in db.regions():
         lines.setdefault((r.dim, r.anchor), []).append(r)
+        rank[r] = len(rank)
     best = None
     best_t = None
     row = tuple(row)
@@ -703,7 +707,7 @@ def reference_lookup(db, row):
         t = ref.coord_1d(ref.node_of_code(row[dim]))
         for region in regions:
             if region.lo <= t <= region.hi:
-                if best is None or region.created_at < best.created_at:
+                if best is None or rank[region] < rank[best]:
                     best, best_t = region, t
     if best is None:
         return None
@@ -1003,8 +1007,7 @@ class TestBatchedScan:
 
 
 def region_table(db):
-    return [(r.dim, r.anchor, r.knots.tobytes(), r.outputs.tobytes(), r.created_at)
-            for r in db.regions()]
+    return [(r.dim, r.anchor, r.knots.tobytes(), r.outputs.tobytes()) for r in db.regions()]
 
 
 def check_every_scan_pass(f, cfg) -> int:
@@ -1206,7 +1209,7 @@ class TestBatching:
             m.add_level(rows, x, x, x * x)
         assert (coordinates(m.codes)[[0, -1], 0] == 0.5).all()
         with pytest.raises(SparseGridError, match="dim 0 share the coordinate 0.5: "):
-            smooth._scan_and_store(RegionDatabase(), m, 1e-2, 5)
+            smooth._scan_and_store(RegionDatabase(1), m, 1e-2, 5)
 
     def test_scan_hashes_node_codes_once(self, monkeypatch):
         operands = []
