@@ -7,8 +7,9 @@ refinement decisions; EASGC also scans the lines of every dimension after
 each adaptive level and serves candidates in certified smooth regions from
 cubic splines.  The table reports what that saves in full evaluations, what
 it costs in accuracy on 2,000 seeded test points, and where the build
-seconds went, summed over the levels' `phase_s` ("after_level" is the EASGC
-line scan).  The `slope_tol` and `min_line_points` defaults are not tuned
+seconds went, summed over the levels' `phase_s` ("model" is the Poisson
+solves, "evaluate" the coordinates, region lookups and spline values, and
+"after_level" the EASGC line scan).  The `slope_tol` and `min_line_points` defaults are not tuned
 here: `min_line_points=7` is the paper-scale setting used throughout.
 
     python demos/demo_high_dimensional.py
@@ -23,7 +24,7 @@ CONFIGS = [  # (epsilon, max_level)
     (1e-4, 4),
     (1e-5, 8),
 ]
-PHASES = ("evaluate", "surplus", "insert", "refine", "after_level")
+PHASES = ("evaluate", "model", "surplus", "insert", "refine", "after_level")
 
 points = draw_test_points(100, 2000, seed=2024)
 truth = get_benchmark("poisson", dict(PARAMS))[0].many(points)

@@ -167,10 +167,12 @@ class ModelFunction:
 class LevelRecord:
     """Per-level progress emitted to the harness.
 
-    `phase_s` holds the seconds the level cost, by phase: "evaluate" (model
-    or spline values of its candidates), "surplus", "insert", and the
-    "refine" and "after_level" work (EASGC's line scan) that produced its
-    candidates from the level before; those two are 0 on level 0.
+    `phase_s` holds the seconds the level cost, by phase: "evaluate" (the
+    candidates' coordinates, and EASGC's region lookups and spline values),
+    "model" (the model's `many` call on the rows without a spline value),
+    "surplus", "insert", and the "refine" and "after_level" work (EASGC's
+    line scan) that produced its candidates from the level before; those
+    two are 0 on level 0.
 
     The smooth-layer counts are 0 outside EASGC.  `region_lookups` and
     `spline_hits` count the level's candidates looked up in the region
@@ -286,6 +288,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
                 values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
             else:
                 values, spline = value_source(candidates)
+            called = clock()
             values[~spline] = f.many(coords[~spline])
             evaluated = clock()
             w, v = model.surpluses_against_prefix(coords, values)
@@ -307,7 +310,8 @@ def _drive(f, dimension, epsilon, init_level, max_level,
             spline_interpolations=model.spline_interpolations,
             max_abs_surplus=float(abs_w.max()),
             active=len(active),
-            phase_s={"evaluate": evaluated - start, "surplus": surplused - evaluated,
+            phase_s={"evaluate": called - start, "model": evaluated - called,
+                     "surplus": surplused - evaluated,
                      "insert": inserted - surplused, **prepared},
             region_lookups=len(candidates) if value_source is not None else 0,
             spline_hits=int(spline.sum()),

@@ -12,10 +12,11 @@ name and echoes every parameter for reproducible reports.  The kink, line
 singularity and Poisson benchmarks also register a batch form that maps
 (n, d) inputs to n outputs, bitwise equal to the scalar form row by row.  The
 Poisson batch builds its conductivity fields in blocks of `POISSON_BLOCK`
-rows, each row bitwise the field of its draw alone, and calls LAPACK's
-tridiagonal `dgtsv` once per row; the scalar form is a one-row call of the
-same code.  SciPy's LAPACK is imported when the first Poisson grid is built,
-not with this module, so no other model loads SciPy.
+rows, each row bitwise the field of its draw alone, and solves each block's
+finite-difference systems in closed form: four sums per row, each within
+about half an ulp and computed in steps that do not depend on the other
+rows.  The scalar form is a one-row call of the same
+code.  The model needs NumPy alone, so no model loads SciPy.
 The Genz and truss benchmarks have no batch form: their vectorised dot
 products and solves need not round as the scalar ones do.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,12 +202,33 @@ def _conductivity(draws: np.ndarray, modes: np.ndarray, spec: PoissonSpec) -> np
     """
     expo = np.empty((len(draws), modes.shape[1]))
     expo[:] = 1.0 + draws[:, :1] * math.sqrt(math.sqrt(math.pi) * spec.decay_ratio / 2.0)
-    for n in range(2, spec.n_random + 1):
-        expo += modes[n - 2] * draws[:, n - 1:n]
+    for mode, y in zip(modes, draws.T[1:, :, None]):  # xi_n * mode_n, column y_n
+        expo += mode * y
     return 0.5 + np.exp(expo)
 
 
-POISSON_BLOCK = 128  # rows per block: bounds the (rows, n_cells + 1) scratch arrays
+# rows per block: bounds the (rows, n_cells + 1) scratch arrays.  At the
+# default 512 cells, 128-row blocks made the allocator return and re-fault
+# about 2.9 MB of pages per block; 64-row blocks fault almost none.
+POISSON_BLOCK = 64
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of `terms`, each within about half an ulp.
+
+    The terms of each sum must share one sign.  Each is split exactly into
+    a multiple of a power-of-two grid, coarse enough that these multiples
+    add without rounding, and a remainder under one grid step, whose plain
+    sum errs by far less than an ulp of the total (the error-free
+    extraction of Rump, Ogita and Oishi).  Each row's sum takes the same
+    steps whatever the other rows hold.  `terms` is overwritten.
+    """
+    _, exponent = np.frexp(np.add.reduce(terms, axis=-1))
+    sigma = np.ldexp(4.0, exponent)[..., None]  # a power of two over 4 |sum|
+    high = terms + sigma
+    high -= sigma
+    terms -= high
+    return np.add.reduce(high, axis=-1) + np.add.reduce(terms, axis=-1)
 
 
 class _PoissonGrid:
@@ -217,15 +240,45 @@ class _PoissonGrid:
     """
 
     def __init__(self, spec: PoissonSpec):
-        from scipy.linalg.lapack import dgtsv  # the one model that needs SciPy
-
-        self.dgtsv = dgtsv
         n = spec.n_cells
         self.spec = spec
         self.x = np.linspace(0.0, 1.0, n + 1)
         self.modes = _weighted_modes(self.x, spec)
         h = 1.0 / n
-        self.rhs = -2.0 * self.x[1:-1] * h * h
+        rhs = -2.0 * self.x[1:-1] * h * h  # node k's source at rhs[k - 1]
+        # x_obs lies in cell j; `share` holds the fractions of the cell's
+        # width left and right of it
+        j = int(np.searchsorted(self.x, spec.x_obs, side="right")) - 1
+        width = self.x[j + 1] - self.x[j]
+        share = ((spec.x_obs - self.x[j]) / width, (self.x[j + 1] - spec.x_obs) / width)
+        # T_i, the source summed over the nodes between cells j and i: over
+        # nodes j+1..i right of cell j, and minus that over nodes i+1..j left
+        # of it.  T_j = 0, T >= 0 left of cell j and T <= 0 right of it.
+        # Each T_i is summed exactly, in integers over one power-of-two
+        # denominator, and rounded once: a float cumsum puts some solves more
+        # than 4 ulps off the exact one.
+        def exact_cumsum(values):
+            ratios = [value.as_integer_ratio() for value in values.tolist()]
+            scale = max((q for _, q in ratios), default=1)
+            return [total / scale for total in accumulate(p * (scale // q) for p, q in ratios)]
+
+        source = np.zeros(n)
+        source[j + 1:] = exact_cumsum(rhs[j:])
+        source[:j] = exact_cumsum(-rhs[:j][::-1])[::-1]
+        # the terms of the four sums of `solve`, A_l, A_r, L and R, are
+        # numer / face[:, cells], one row per sum; a row's padding divides a
+        # zero by cell j's face
+        left, right = np.arange(j), np.arange(j + 1, n)
+        self.cells = np.full((4, max(j + 1, n - j)), j)
+        self.numer = np.zeros(self.cells.shape)
+        for row, cells in enumerate((left, right, left, right)):
+            self.cells[row, :len(cells)] = cells
+        self.numer[0, :j] = source[left]
+        self.numer[1, :n - j - 1] = source[right]
+        self.numer[2, :j] = 1.0
+        self.numer[2, j] = share[0]
+        self.numer[3, :n - j - 1] = 1.0
+        self.numer[3, n - j - 1] = share[1]
 
     def solve(self, kappa: np.ndarray) -> np.ndarray:
         """Solve -(kappa u')' = 2x, u(0) = u(1) = 0, per row of nodal kappa.
@@ -233,23 +286,30 @@ class _PoissonGrid:
         Conservative second-order finite differences on n_cells cells with
         harmonic-mean face conductivities; u(x_obs) is linearly interpolated
         from the nodal solution.
+
+        The system is solved in closed form.  The flux balance makes the flux
+        G_i = face_i (u_{i+1} - u_i) through cell i equal to G_j + T_i.  Let
+        A_l and A_r sum T_i / face_i over the cells left and right of cell j,
+        and L and R sum 1 / face_i over the same cells plus cell j's share on
+        that side of x_obs.  Then u(x_obs) = G_j L + A_l, and u(1) = 0 gives
+        G_j = -(A_l + A_r) / (L + R), so u(x_obs) = (A_l R - A_r L) / (L + R).
+        A_l, -A_r, L and R are sums of terms of one sign, so no step cancels.
+        SparseGridError for a non-positive conductivity, and for a row whose
+        faces or solution are not finite (a face that underflows to 0 makes
+        the system singular).
         """
-        if np.any(kappa <= 0.0):
+        if np.fmin.reduce(kappa, axis=None) <= 0.0:  # skips NaNs, which are refused below
             raise SparseGridError("conductivity must be positive everywhere")
-        face = 2.0 * kappa[:, :-1] * kappa[:, 1:] / (kappa[:, :-1] + kappa[:, 1:])
-        # tridiagonal system over interior nodes, off-diagonals face[1:-1]
-        off = face[:, 1:-1]
-        diag = -(face[:, :-1] + face[:, 1:])
-        if not np.isfinite(diag).all():
-            raise SparseGridError("linear solve failed: array must not contain infs or NaNs")
-        u = np.zeros(self.x.size)
-        out = np.empty(len(kappa))
-        for r in range(len(kappa)):
-            *_, interior, info = self.dgtsv(off[r], diag[r], off[r], self.rhs)
-            if info:
-                raise SparseGridError(f"linear solve failed: singular matrix (dgtsv info {info})")
-            u[1:-1] = interior
-            out[r] = np.interp(self.spec.x_obs, self.x, u)
+        k0, k1 = kappa[:, :-1], kappa[:, 1:]
+        with np.errstate(all="ignore"):  # a face that over- or underflows is refused below
+            face = 2.0 * k0 * k1 / (k0 + k1)
+            terms = self.numer / np.take(face, self.cells, axis=1)
+            a_left, a_right, left, right = _row_sums(terms).T
+            out = (a_left * right - a_right * left) / (left + right)
+        if not (np.isfinite(out).all() and np.isfinite(face).all()):
+            bad = np.flatnonzero(~(np.isfinite(out) & np.isfinite(face).all(axis=1)))[0]
+            raise SparseGridError(f"linear solve failed: row {bad} has no finite solution "
+                                  f"(a face conductivity is 0 or not finite)")
         return out
 
     def many(self, draws: np.ndarray) -> np.ndarray:
@@ -266,7 +326,7 @@ class _PoissonGrid:
         if y.shape != (self.spec.n_random,):
             raise SparseGridError(f"expected {self.spec.n_random} random inputs, "
                                   f"got shape {y.shape}")
-        return float(self.many(y[None])[0])
+        return float(self.solve(_conductivity(y[None], self.modes, self.spec))[0])
 
 
 # ---------------------------------------------------------------------------

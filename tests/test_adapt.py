@@ -495,11 +495,12 @@ def test_level_records_carry_phase_timings():
                          min_line_points=5)
     for result in (run_csc(f, 2, 3), run_asgc(f, cfg), run_easgc(f, cfg)):
         for record in result.records:
-            assert list(record.phase_s) == ["evaluate", "surplus", "insert", "refine",
-                                            "after_level"]
+            assert list(record.phase_s) == ["evaluate", "model", "surplus", "insert",
+                                            "refine", "after_level"]
             assert all(t >= 0.0 for t in record.phase_s.values())
         first = result.records[0].phase_s
         assert first["refine"] == first["after_level"] == 0.0
+        assert first["model"] > 0.0  # the root's model call
         assert sum(r.phase_s["refine"] for r in result.records) > 0.0
     # only the spline-backed driver scans lines, after each adaptive level
     assert sum(r.phase_s["after_level"] for r in result.records) > 0.0

@@ -136,15 +136,15 @@ STUDY_DIGESTS = {  # (CSV digest, sidecar digest)
         "3204a784aa204e958029174766afcaacfc6e73c24a631a54ccca8395ba8ef532",
     ),
     ("poisson", "CSC"): (
-        "3f4a67c0bdb98b04c1f4929f4b550d8515c9f7275ad16c0356506e0866e0aa77",
+        "5470d5859022af8291cca5ef5bbe399f7368f4ed48b4ec7838da1dba4d447319",
         "1a5fd6816e625d2cb92c4d8b907b33277eb439606a0242fb5238feb014146532",
     ),
     ("poisson", "ASGC"): (
-        "570d924383e04c59403908550e9e3d77973b2d304b7addf522e7854a4a1045bc",
+        "8ae42aec9061a225a623c43986354428bbfa9c1520d1850f03b282b182e29719",
         "62055d369227522e5251edd664a18089eaa74bccd25df2afaedca0eb2ba824b7",
     ),
     ("poisson", "EASGC"): (
-        "248286c524e3b0e37e9df4c8b446f8eede8d454a8c48bac6e57b1825904bf854",
+        "e2e80f4ef70a0a86b621b39938193377a00a2825d791c6fa7c75075201f567b3",
         "d00c91b717c689d93c5829bc37a55c0b528a17fc2c426d39fdca33457738bcb1",
     ),
 }

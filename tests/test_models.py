@@ -1,14 +1,15 @@
 """Benchmark models: analytic identities, solver oracles, buckling behavior."""
 
+import bisect
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
 
 from sgsurrogate import ModelFunction, SparseGridError
 from sgsurrogate.models import (
@@ -18,6 +19,7 @@ from sgsurrogate.models import (
     TrussSpec,
     _conductivity,
     _PoissonGrid,
+    _row_sums,
     _weighted_modes,
     benchmark_names,
     genz_corner_peak,
@@ -46,20 +48,30 @@ def reference_field(x, y, spec):
     return 0.5 + np.exp(expo)
 
 
-def reference_poisson(y, spec):
-    """One draw's solve through scipy's banded solver (the scalar form)."""
-    n = spec.n_cells
-    x = np.linspace(0.0, 1.0, n + 1)
-    kappa = reference_field(x, y, spec)
+def exact_poisson(kappa, x, x_obs):
+    """u(x_obs) of the discrete system in exact rationals, for one row of kappa.
+
+    The system has the model's float faces and right-hand side, and is
+    solved by tridiagonal elimination; u(x_obs) is the exact linear
+    interpolation between the two nodes around x_obs.
+    """
+    n = len(x) - 1
     face = 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
     h = 1.0 / n
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = face[1:-1]
-    ab[1, :] = -(face[:-1] + face[1:])
-    ab[2, :-1] = face[1:-1]
-    u = np.zeros(n + 1)
-    u[1:-1] = solve_banded((1, 1), ab, -2.0 * x[1:-1] * h * h)
-    return float(np.interp(spec.x_obs, x, u))
+    rhs = [Fraction(v) for v in -2.0 * x[1:-1] * h * h]
+    f = [Fraction(v) for v in face]
+    # row k - 1 is interior node k: f[k-1] u[k-1] - (f[k-1] + f[k]) u[k] + f[k] u[k+1]
+    diag = [-(f[k - 1] + f[k]) for k in range(1, n)]
+    for r in range(1, n - 1):
+        ratio = f[r] / diag[r - 1]
+        diag[r] -= ratio * f[r]
+        rhs[r] -= ratio * rhs[r - 1]
+    u = [Fraction(0)] * (n + 1)
+    for r in range(n - 2, -1, -1):
+        u[r + 1] = (rhs[r] - f[r + 1] * u[r + 2]) / diag[r]
+    j = bisect.bisect_right(list(x), x_obs) - 1
+    left, right = Fraction(x[j]), Fraction(x[j + 1])
+    return u[j] + (Fraction(x_obs) - left) * (u[j + 1] - u[j]) / (right - left)
 
 
 class TestLineSingularity:
@@ -183,15 +195,23 @@ class TestPoisson:
         with pytest.raises(SparseGridError, match="linear solve failed"):
             grid.solve(np.where(grid.x > 0.5, np.nan, 1.0)[None])
 
+    @pytest.mark.parametrize("kappa0", [1e-310, 1e300])
+    def test_faces_out_of_range_rejected(self, kappa0):
+        # 1e-310 gives faces that underflow to 0, a singular system; 1e300
+        # gives faces that overflow to infinity
+        grid = _PoissonGrid(PoissonSpec(n_random=1, n_cells=32))
+        with pytest.raises(SparseGridError, match="linear solve failed: row 0"):
+            grid.solve(np.full((1, grid.x.size), kappa0))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n_random=st.integers(1, 12),
-        n_cells=st.integers(10, 200),
+        n_cells=st.integers(10, 64),
         correlation_length=st.floats(0.05, 2.0),
         x_obs=st.floats(1e-3, 1.0 - 1e-3),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_matches_banded_reference_bitwise(self, n_random, n_cells, correlation_length,
+    def test_within_4_ulps_of_the_exact_solve(self, n_random, n_cells, correlation_length,
                                               x_obs, seed):
         spec = PoissonSpec(n_random=n_random, n_cells=n_cells,
                            correlation_length=correlation_length, x_obs=x_obs)
@@ -206,9 +226,24 @@ class TestPoisson:
         for row, y in enumerate(draws):
             field = _conductivity(y[None], _weighted_modes(x, spec), spec)[0]
             assert field.tobytes() == reference_field(x, y, spec).tobytes()
-            want = reference_poisson(y, spec)
-            assert grid.one(y) == want
-            assert batch[row] == want
+            assert grid.one(y) == batch[row]
+            want = exact_poisson(field, x, x_obs)
+            assert abs(Fraction(batch[row]) - want) <= 4 * Fraction(math.ulp(float(want)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.booleans(), st.lists(st.floats(1e-100, 1e100),
+                                                            max_size=40)),
+                         min_size=1, max_size=4))
+    def test_row_sums_within_one_ulp_and_row_by_row(self, rows):
+        width = max(len(terms) for _, terms in rows)
+        stack = np.zeros((len(rows), width))
+        for r, (negative, terms) in enumerate(rows):
+            stack[r, :len(terms)] = np.negative(terms) if negative else terms
+        got = _row_sums(stack.copy())
+        for r, row in enumerate(stack):
+            exact = sum(map(Fraction, row), Fraction(0))
+            assert abs(Fraction(got[r]) - exact) <= Fraction(math.ulp(math.fsum(row)))
+            assert _row_sums(row[None].copy()).tobytes() == got[r:r + 1].tobytes()
 
     def test_batch_memory_stays_blocked(self):
         # an unblocked batch of 1,000 draws holds several (1000, 513) arrays
