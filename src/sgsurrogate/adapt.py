@@ -66,15 +66,13 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         # the comparisons are written so that NaN fails every one of them
-        for name, low in (("dimension", 1), ("max_level", 1), ("init_level", 0)):
-            _check_integer(name, getattr(self, name), low)
+        _check_integer("dimension", self.dimension, 1)
+        _check_level("max_level", self.max_level, 1)
+        _check_integer("init_level", self.init_level, 0)
         for name in ("epsilon", "slope_tol"):
             value = getattr(self, name)
             if not (_is_real(value) and value > 0):
                 raise ValueError(f"{name} must be a real number > 0, got {value!r}")
-        if self.max_level > MAX_LEVEL - 1:
-            raise ValueError(f"max_level must be <= MAX_LEVEL - 1 = {MAX_LEVEL - 1}, the "
-                             f"deepest level node codes hold, got {self.max_level}")
         if not self.init_level < self.max_level:
             raise ValueError(f"need init_level < max_level, got {self.init_level}, "
                              f"{self.max_level}")
@@ -93,6 +91,16 @@ def _check_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_level(name: str, value, low: int) -> None:
+    """_check_integer, and ValueError unless `value` <= MAX_LEVEL - 1: the
+    deepest build level node codes hold (a 1-D node of level L has a code of
+    level L + 1)."""
+    _check_integer(name, value, low)
+    if value > MAX_LEVEL - 1:
+        raise ValueError(f"{name} must be <= MAX_LEVEL - 1 = {MAX_LEVEL - 1}, the "
+                         f"deepest level node codes hold, got {value}")
 
 
 class ModelFunction:
@@ -342,11 +350,12 @@ def run_csc(f: ModelFunction, d: int, q_max: int, on_level=None) -> BuildResult:
     """Conventional sparse grid build: every point up to level `q_max`.
 
     Levels count from 0 at the root, so a 1-D build to level 5 evaluates all
-    33 nodes of the nested hierarchy.  ValueError unless `d` >= 1 and
-    `q_max` >= 0 are integers.
+    33 nodes of the nested hierarchy.  ValueError, before any model call,
+    unless `d` >= 1 and 0 <= `q_max` <= MAX_LEVEL - 1 are integers, the
+    cap AdaptiveConfig puts on `max_level`.
     """
     _check_integer("d", d, 1)
-    _check_integer("q_max", q_max, 0)
+    _check_level("q_max", q_max, 0)
     return _drive(f, d, epsilon=math.inf, init_level=q_max, max_level=q_max,
                   on_level=on_level)
 

@@ -46,7 +46,10 @@ level 50 or so in every dimension and visits every group.
 
 The group table is kept coarse to fine (total level, then level vector,
 ascending) and grows by appending each inserted level, which is deeper than
-every stored one; one kernel folds the groups' terms in either direction:
+every stored one.  Every field only grows: a group's hat columns are
+numbered level-major, (level - 1) * d + dimension, so a deeper level adds
+columns after every stored one, and no stored group's row is laid out
+again.  One kernel folds the groups' terms in either direction:
 
 - queries (interpolate, interpolate_many) add them coarse to fine.  A new,
   deeper level appends its groups at the table's end, so the fold's partial
@@ -358,11 +361,12 @@ class _Table(NamedTuple):
       code reads its per-dimension indices as a mixed-radix number; a
       sentinel KEY_LIMIT above every key ends the array;
     - coeffs (N + 1, 2): w and v in key order; the sentinel's are 0;
-    - levels (G, d): the groups' level vectors;
     - cols, strides (G, K): per group, its dimensions above level 1 in
-      ascending order as columns (dimension * n_levels + level - 1) of the
-      hat tables of `_hat_tables`, with their radix strides; short
-      rows are padded with column 0 (level 1: hat 1, index 0) and stride 0;
+      ascending order as columns ((level - 1) * d + dimension) of the hat
+      tables of `_hat_tables`, with their radix strides; short rows are
+      padded with column 0 (level 1: hat 1, index 0) and stride 0.  A
+      group's level vector is in its row: level col // d + 1 in dimension
+      col % d where the stride is > 0, and level 1 elsewhere;
     - full (G,): whether the group holds every one of its level vector's
       nodes, the product of the per-level counts; a level vector's nodes
       all arrive in one add_level, so this never changes;
@@ -371,8 +375,8 @@ class _Table(NamedTuple):
       and for a sparse one its key, the group's offset, so base + code is
       a node's key, found through `slots`.  A group's keys, and so its
       positions, never change once inserted;
-    - per_level: the `_per_level` constants of levels 1 .. n_levels, the
-      deepest level of any group;
+    - n_levels: the deepest level of any group in any dimension, so the
+      hat columns in use lie below n_levels * d;
     - slots: the open-addressing index of the sparse groups' keys
       (`_indexed`), at least _ROOM times their nodes in size, holding key
       positions and -1, the sentinel's, in empty slots; no slot at all
@@ -381,20 +385,19 @@ class _Table(NamedTuple):
 
     keys: np.ndarray
     coeffs: np.ndarray
-    levels: np.ndarray
     cols: np.ndarray
     strides: np.ndarray
     full: np.ndarray
     bases: np.ndarray
-    per_level: np.ndarray
+    n_levels: int
     slots: np.ndarray
 
 
-def _empty_table(d: int) -> _Table:
-    groups = np.empty((0, d), dtype=np.int64)
-    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), groups, groups[:, :1],
-                  groups[:, :1], np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
-                  _per_level(1), np.empty(0, dtype=np.int32))
+def _empty_table() -> _Table:
+    cols = np.empty((0, 1), dtype=np.int64)
+    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), cols, cols,
+                  np.empty(0, dtype=bool), np.empty(0, dtype=np.int64), 1,
+                  np.empty(0, dtype=np.int32))
 
 
 class SurrogateModel:
@@ -416,7 +419,7 @@ class SurrogateModel:
         self._depth: int | None = None  # level of the last insert
         self._key_span = 0  # node counts of the stored level vectors: the kernel keys in use
         self._frozen = False
-        self._table = _empty_table(dimension)  # grown by add_level
+        self._table = _empty_table()  # grown by add_level
 
     # -- container basics ----------------------------------------------------
 
@@ -533,8 +536,7 @@ class SurrogateModel:
             )
         offsets = np.array(ends[:-1], dtype=np.int64)
         _, w, v, _ = columns
-        self._table = _grown(self._table, _node_keys(distinct, member, offsets, indices),
-                             codes, w, v, distinct, offsets)
+        self._table = _grown(self._table, codes, indices, w, v, distinct, member, offsets)
         self._key_span = ends[-1]
         self._depth = level
         self._codes = _readonly(np.concatenate([self._codes, codes]))
@@ -555,7 +557,7 @@ class SurrogateModel:
     @property
     def _group_count(self) -> int:
         """Level-vector groups in the kernel's table."""
-        return len(self._table.levels)
+        return len(self._table.full)
 
     def _evaluate_sum(self, x_many: np.ndarray, columns, stops=None,
                       fine_first: bool = False) -> np.ndarray:
@@ -587,11 +589,11 @@ class SurrogateModel:
         straight to its rows' places in the result.
         """
         table = self._table
-        stops = np.array([len(table.levels)] if stops is None else stops)
+        stops = np.array([len(table.full)] if stops is None else stops)
         out = np.zeros((len(columns), len(stops), x_many.shape[0]))
-        if not len(table.levels) or not out.size:
+        if not len(table.full) or not out.size:
             return out
-        n_levels = table.per_level.shape[1]
+        n_levels = table.n_levels
         row_levels = _grid_levels(x_many, n_levels)
         order = np.lexsort(row_levels.T[::-1])
         row_levels = row_levels[order]
@@ -600,7 +602,7 @@ class SurrogateModel:
         bounds = np.concatenate(([0], bounds, [len(order)]))
         run_group, run_pairs = _dominated(row_levels[bounds[:-1]], n_levels, table.cols)
         width = self.dimension * n_levels  # hat columns per row
-        picked = np.zeros(len(table.levels), dtype=bool)
+        picked = np.zeros(len(table.full), dtype=bool)
         for lo, hi, a, b in _blocks(bounds, run_pairs, width):
             picked[:] = False
             picked[run_group[a:b]] = True
@@ -662,30 +664,27 @@ def _nodes_per_level(levels):
     return np.where(levels <= 2, levels, np.left_shift(1, np.maximum(levels - 2, 0)))
 
 
-def _node_keys(distinct, member, offsets, indices) -> np.ndarray:
-    """Kernel keys of nodes: their level vector's first key plus their
-    per-dimension indices read as a mixed-radix number.  `distinct` holds
-    the level vectors, `member` each node's row of it, `offsets` their first
-    keys."""
-    radix = _nodes_per_level(distinct)
-    strides = np.cumprod(radix, axis=1) // radix
-    return offsets[member] + (indices * strides[member]).sum(axis=1)
-
-
-def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
+def _grown(table: _Table, codes, indices, w, v, vectors, member, offsets) -> _Table:
     """`table` with one level appended, deeper than every level in it.
 
-    `node_keys` are the level's node keys and `codes` their rows, `vectors`
-    its level vectors and `offsets` their first keys, ascending.  The keys
-    lie above the table's and the vectors' total level above every group's,
-    so keys and coefficients go in key order before the sentinel, and new
-    groups after the old ones in level-vector order.  A vector's keys lie
-    below the next one's offset, so its nodes are one run of the sorted
-    keys; it is full when the run holds all of its nodes, and only the
-    sparse vectors' keys enter the slot index.  The per-group columns are
-    laid out anew, since a deeper level moves every column of the hat
-    tables.  A node twice among the new ones raises ContractViolationError.
+    `codes` are the level's rows and `indices` their per-dimension indices,
+    `vectors` its level vectors, `member` each row's vector and `offsets`
+    the vectors' first keys, ascending.  A node's key is its vector's
+    offset plus its indices read as a mixed-radix number, whose radices are
+    the vector's per-level node counts.  The keys lie above the table's and
+    the vectors' total level above every group's, so keys and coefficients
+    go in key order before the sentinel, and new groups after the old ones
+    in level-vector order.  A vector's keys lie below the next one's
+    offset, so its nodes are one run of the sorted keys; it is full when
+    the run holds all of its nodes, and only the sparse vectors' keys enter
+    the slot index.  Only the new groups' columns are laid out: stored rows
+    keep theirs, padded with column 0 and stride 0 when a new group refines
+    more dimensions.  A node twice among the new ones raises
+    ContractViolationError.
     """
+    radix = _nodes_per_level(vectors)
+    strides = np.cumprod(radix, axis=1) // radix
+    node_keys = offsets[member] + (indices * strides[member]).sum(axis=1)
     order = np.argsort(node_keys)
     node_keys = node_keys[order]
     repeat = node_keys[1:] == node_keys[:-1]
@@ -695,27 +694,27 @@ def _grown(table: _Table, node_keys, codes, w, v, vectors, offsets) -> _Table:
     known = len(table.keys) - 1  # the new keys' first position
     first = np.searchsorted(node_keys, offsets)
     count = np.diff(first, append=len(node_keys))
-    full = count == _nodes_per_level(vectors).prod(axis=1)
+    full = count == radix.prod(axis=1)
     bases = np.where(full, known + first, offsets)
     keys = np.concatenate([table.keys[:-1], node_keys, table.keys[-1:]])
     coeffs = np.concatenate([table.coeffs[:-1], np.stack([w[order], v[order]], axis=1),
                              table.coeffs[-1:]])
     slots = _indexed(table.slots, keys, known + np.flatnonzero(np.repeat(~full, count)))
     rank = np.lexsort(vectors.T[::-1])
-    groups = np.concatenate([table.levels, vectors[rank]])
-    radix = _nodes_per_level(groups)
-    strides = np.cumprod(radix, axis=1) // radix
-    n_levels = int(groups.max())
-    refined = groups > 1
-    width = max(1, int(refined.sum(axis=1).max()))
+    vectors, strides = vectors[rank], strides[rank]
+    refined = vectors > 1
+    width = max(table.cols.shape[1], int(refined.sum(axis=1).max()))
     dims = np.argsort(~refined, axis=1, kind="stable")[:, :width]
     used = np.take_along_axis(refined, dims, axis=1)
-    lv = np.take_along_axis(groups, dims, axis=1)
-    cols = np.where(used, dims * n_levels + lv - 1, 0)
+    lv = np.take_along_axis(vectors, dims, axis=1)
+    cols = np.where(used, (lv - 1) * vectors.shape[1] + dims, 0)
     strides = np.where(used, np.take_along_axis(strides, dims, axis=1), 0)
-    return _Table(keys, coeffs, groups, cols, strides,
+    pad = ((0, 0), (0, width - table.cols.shape[1]))
+    return _Table(keys, coeffs, np.concatenate([np.pad(table.cols, pad), cols]),
+                  np.concatenate([np.pad(table.strides, pad), strides]),
                   np.concatenate([table.full, full[rank]]),
-                  np.concatenate([table.bases, bases[rank]]), _per_level(n_levels), slots)
+                  np.concatenate([table.bases, bases[rank]]),
+                  max(table.n_levels, int(vectors.max())), slots)
 
 
 # the slot index's hash multiplier: 2**64 over the golden ratio, made odd,
@@ -814,14 +813,13 @@ def _block_sums(table: _Table, x: np.ndarray, group: np.ndarray, columns, stops,
     folds of the terms of the table's groups `group` (ascending) at the
     block's rows `x`, as _evaluate_sum describes.  Every scratch array is
     freed on return, before the next block's are made."""
-    keys, coeffs, levels, cols, strides, full, bases, per_level, slots = table
-    n_levels = per_level.shape[1]
+    keys, coeffs, cols, strides, full, bases, n_levels, slots = table
     # the hat columns the groups use, renumbered 0 .. used - 1
-    needed = np.zeros(levels.shape[1] * n_levels, dtype=bool)  # per hat column
+    needed = np.zeros(n_levels * x.shape[1], dtype=bool)  # per hat column
     needed[cols[group]] = True
     column = np.cumsum(needed) - 1
-    dim, level = np.divmod(np.flatnonzero(needed), n_levels)
-    hat, index = _hat_tables(x.T[dim], *per_level[:, level, None])
+    level, dim = np.divmod(np.flatnonzero(needed), x.shape[1])
+    hat, index = _hat_tables(x.T[dim], *_PER_LEVEL[:, level, None])
     c, s = column[cols[group]], strides[group, :, None]
     prod = hat[c[:, 0]]
     pos = index[c[:, 0]] * s[:, 0] + bases[group, None]
@@ -886,6 +884,10 @@ def _per_level(n_levels: int) -> np.ndarray:
     return np.stack([count, shift, scale, slope])
 
 
+# the _hat_tables constants of every level a model stores; column l - 1 is level l's
+_PER_LEVEL = _readonly(_per_level(MAX_LEVEL))
+
+
 def _hat_tables(x: np.ndarray, count, shift, scale, slope) -> tuple[np.ndarray, np.ndarray]:
     """Per hat column and query: the one node of the column's level whose support holds x.
 
@@ -934,7 +936,9 @@ def _dominated(vectors: np.ndarray, n_levels: int, cols: np.ndarray):
     this dimension" decides dominance; it runs in chunks of vectors to keep
     the gather near 8 * _BLOCK booleans.
     """
-    reach = (vectors[:, :, None] >= np.arange(1, n_levels + 1)).reshape(len(vectors), -1)
+    # reach[u, (l - 1) * d + k]: vector u reaches level l in dimension k,
+    # laid out as the hat columns are
+    reach = (vectors[:, None] >= np.arange(1, n_levels + 1)[:, None]).reshape(len(vectors), -1)
     chunk = max(1, 8 * _BLOCK // cols.size)
     group, counts = [], []
     for a in range(0, len(vectors), chunk):

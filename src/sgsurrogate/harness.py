@@ -234,7 +234,6 @@ def run_study(method: str, benchmark: str, cfg: AdaptiveConfig | None = None, *,
         )
     points = _study_test_points(benchmark, f.dimension, n_test_points, seed)
     true_values = f.many(points)
-    f.evaluations = 0
 
     report = StudyReport(method=method, benchmark=benchmark)
     start = time.perf_counter()

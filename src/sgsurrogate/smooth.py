@@ -264,14 +264,14 @@ class _Lines(NamedTuple):
     """The long lines along one dimension, laid end to end in scan order.
 
     Line i holds positions[bounds[i]:bounds[i + 1]] (ascending) and the
-    matching outputs; codes[i] is the code row of one of its nodes, which
-    holds its anchor.
+    matching outputs; anchors[i] is its anchor, the codes of its nodes in
+    every dimension but the line's.
     """
 
     positions: np.ndarray
     outputs: np.ndarray
     bounds: np.ndarray
-    codes: np.ndarray
+    anchors: np.ndarray
 
 
 def _long_lines(m: SurrogateModel, dim: int, min_points: float,
@@ -288,7 +288,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     rows = np.flatnonzero(size[member] >= min_points)
     if not len(rows):
         empty = np.zeros(0)
-        return _Lines(empty, empty, np.zeros(1, dtype=np.intp), codes[:0])
+        return _Lines(empty, empty, np.zeros(1, dtype=np.intp), codes[:0, 1:])
     codes = codes[rows]
     num, exp = dyadic_codes(codes)
     others = [k for k in range(m.dimension) if k != dim]
@@ -303,7 +303,7 @@ def _long_lines(m: SurrogateModel, dim: int, min_points: float,
     starts, stops = starts[long], stops[long]
     bounds = np.append(0, np.cumsum(stops - starts))
     take = order[np.repeat(starts - bounds[:-1], stops - starts) + np.arange(bounds[-1])]
-    return _Lines(positions[take], m.outputs[rows[take]], bounds, codes[order[starts]])
+    return _Lines(positions[take], m.outputs[rows[take]], bounds, anchors[starts])
 
 
 def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[LineGroup]:
@@ -328,8 +328,7 @@ def group_lines(m: SurrogateModel, dim: int, min_points: float = 1) -> list[Line
     return [
         LineGroup(dim=dim, anchor=tuple(anchor), positions=lines.positions[lo:hi],
                   outputs=lines.outputs[lo:hi])
-        for anchor, lo, hi in zip(np.delete(lines.codes, dim, axis=1).tolist(),
-                                  bounds[:-1], bounds[1:])
+        for anchor, lo, hi in zip(lines.anchors.tolist(), bounds[:-1], bounds[1:])
     ]
 
 
@@ -704,7 +703,7 @@ def _scan_and_store(db: RegionDatabase, model: SurrogateModel,
                                   f"must be strictly increasing")
         start, stop = _smooth_runs(lines.positions, lines.outputs, lines.bounds, slope_tol)
         line = np.searchsorted(lines.bounds, start, "right") - 1
-        anchors = np.delete(lines.codes[line], dim, axis=1).tolist()
+        anchors = lines.anchors[line].tolist()
         ends = zip(lines.positions[start].tolist(), lines.positions[stop - 1].tolist())
         for anchor, lo, hi, (first, last) in zip(anchors, start.tolist(), stop.tolist(), ends):
             anchor = tuple(anchor)

@@ -219,11 +219,18 @@ class TestRunCsc:
 
     @pytest.mark.parametrize("d, q_max, name", [
         (1, 2.5, "q_max"), (1, 3.0, "q_max"), (1, True, "q_max"), (1, -1, "q_max"),
+        (1, MAX_LEVEL, "q_max"), (1, 80, "q_max"),
         (1.0, 2, "d"), (True, 2, "d"), (0, 2, "d"),
     ])
     def test_levels_and_dimension_must_be_integers(self, d, q_max, name):
-        # q_max=2.5 built 9 nodes, to level 3, and q_max=True built level 1
-        f = ModelFunction(lambda x: float(x[0]), 1, "x")
+        # q_max=2.5 built 9 nodes, to level 3, and q_max=True built level 1;
+        # q_max=62 called the model, and q_max=80 would build about 2**61
+        # nodes, before refinement past level 62 raised: AdaptiveConfig's
+        # max_level cap holds for q_max too
+        def never(x):
+            raise AssertionError("model called")
+
+        f = ModelFunction(never, 1, "never")
         with pytest.raises(ValueError, match=name):
             run_csc(f, d, q_max)
         assert f.evaluations == 0

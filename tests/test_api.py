@@ -3,8 +3,8 @@
 Every name a module lists in __all__ exists in it; every name the package
 re-exports is in its module's __all__; no module imports a name it never
 uses, so a deleted API leaves no import behind; and every public name has a
-caller outside the tests, so no API lives on for its own tests alone.  A
-snapshot of the public names makes every addition or removal of API show in
+caller outside the tests, so no API lives on for its own tests alone, and
+so has every private function, constant and method.  A snapshot of the public names makes every addition or removal of API show in
 a diff of this file.
 """
 
@@ -183,6 +183,31 @@ def test_every_public_member_of_an_exported_class_has_a_caller():
     assert not uncalled, f"public members no code outside tests/ loads: {uncalled}"
 
 
+def private_names(tree) -> list:
+    """The module's private functions, classes and constants, and the private
+    methods of its classes, as `name` or `Class.name` (dunders are not
+    private)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    imported = {name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name, _ in bound_by_import(node)}
+    return sorted(name for name in defined(tree) - imported if private(name)) + [
+        f"{cls.name}.{item.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(item.name)]
+
+
+def test_every_private_name_has_a_caller():
+    # the public rule for private names: a helper, constant or method that
+    # nothing outside the tests loads is dead code, however private
+    called = callers()
+    uncalled = {module: names for module, tree in MODULES.items()
+                if (names := [name for name in private_names(tree)
+                              if name.split(".")[-1] not in called])}
+    assert not uncalled, f"private names no code outside tests/ loads: {uncalled}"
+
+
 def test_public_api_snapshot():
     got = {module: sorted(exported(tree)) for module, tree in MODULES.items()
            if module != "__init__"}
@@ -202,3 +227,10 @@ def test_the_checks_catch_what_they_look_for():
     caller = ast.parse("from m import gone\nimport m\nm.f()\nlabel = 'm.gone'\n")
     assert [n for n in exported(tree) if n not in loaded(caller)] == ["gone"]
     assert [n for n in exported(tree) if n not in loaded(caller, strings=True)] == []
+    # private names: helpers, constants and methods, bar imports and dunders
+    tree = ast.parse("from .core import _readonly\n_K = 2\n__all__ = []\n\n"
+                     "def _f():\n    return _K\n\nclass _C:\n    def __init__(self):\n"
+                     "        pass\n\n    def _m(self):\n        pass\n")
+    assert private_names(tree) == ["_C", "_K", "_f", "_C._m"]
+    assert [n for n in private_names(tree) if n.split(".")[-1] not in loaded(tree)] == [
+        "_C", "_f", "_C._m"]

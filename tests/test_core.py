@@ -512,6 +512,17 @@ def level_rows(dimension: int, level: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def table_groups(m) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel table's groups as an oracle finds them from the codes
+    alone: the model's distinct level vectors, by total level, then
+    lexicographically, and each node's group."""
+    vectors, member = np.unique(split_codes(m.codes)[0], axis=0, return_inverse=True)
+    rank = np.argsort(vectors.sum(axis=1), kind="stable")
+    group = np.empty_like(rank)
+    group[rank] = np.arange(len(rank))
+    return vectors[rank], group[member.ravel()]
+
+
 def node_positions(m, rows):
     """Positions in the kernel's table of the nodes of code `rows`, found as
     the kernel finds them, and where the slot index found them: by offset in
@@ -520,7 +531,7 @@ def node_positions(m, rows):
     levels, indices = split_codes(rows)
     radix = np.vectorize(ref.new_nodes_on_level)(levels)
     code = (indices * (np.cumprod(radix, axis=1) // radix)).sum(axis=1)
-    group = {v: g for g, v in enumerate(map(tuple, t.levels.tolist()))}
+    group = {v: g for g, v in enumerate(map(tuple, table_groups(m)[0].tolist()))}
     g = np.array([group[v] for v in map(tuple, levels.tolist())])
     at, hashed = t.bases[g] + code, ~t.full[g]
     if hashed.any():
@@ -757,9 +768,10 @@ class TestEvaluationKernel:
                 m.add_level(rows, plain.outputs[k - len(rows):k], plain.w[k - len(rows):k],
                             plain.v[k - len(rows):k])
                 t = m._table
-                stored = {tuple(v) for v in split_codes(m.codes)[0].tolist()}
-                assert {tuple(v) for v in t.levels[t.full].tolist()} == full & stored
-                assert {tuple(v) for v in t.levels[~t.full].tolist()} == sparse & stored
+                vectors = table_groups(m)[0]
+                stored = {tuple(v) for v in vectors.tolist()}
+                assert {tuple(v) for v in vectors[t.full].tolist()} == full & stored
+                assert {tuple(v) for v in vectors[~t.full].tolist()} == sparse & stored
                 # every node resolves to its own coefficients, by offset or
                 # through the index, which holds exactly the sparse groups' nodes
                 at, hashed = node_positions(m, m.codes)
@@ -769,7 +781,7 @@ class TestEvaluationKernel:
                 np.testing.assert_array_equal(np.sort(indexed), np.sort(at[hashed]))
                 # a full group's keys run on from its base, so base + code is
                 # the position of every code of the group
-                for base, vector in zip(t.bases[t.full].tolist(), t.levels[t.full].tolist()):
+                for base, vector in zip(t.bases[t.full].tolist(), vectors[t.full].tolist()):
                     count = math.prod(map(ref.new_nodes_on_level, vector))
                     np.testing.assert_array_equal(t.keys[base:base + count],
                                                   t.keys[base] + np.arange(count))
@@ -814,21 +826,56 @@ class TestEvaluationKernel:
                   "ASGC").model
         save_surrogate(tmp_path / "m.surrogate", m)
         for model in (m, load_surrogate(tmp_path / "m.surrogate")[0]):
-            levels = split_codes(model.codes)[0]
-            vectors, member, count = np.unique(levels, axis=0, return_inverse=True,
-                                               return_counts=True)
+            vectors, group = table_groups(model)
+            count = np.bincount(group, minlength=len(vectors))
             whole = count == [math.prod(map(ref.new_nodes_on_level, v)) for v in vectors.tolist()]
             assert 1 < whole.sum() < len(vectors)
             t = model._table
-            assert ({tuple(v) for v in t.levels[t.full].tolist()}
-                    == {tuple(v) for v in vectors[whole].tolist()})
-            hashed = ~whole[member.ravel()]
+            np.testing.assert_array_equal(t.full, whole)
+            hashed = ~whole[group]
             indexed = t.slots[t.slots >= 0]
             assert len(indexed) == hashed.sum()
             assert (sorted(map(tuple, t.coeffs[indexed].tolist()))
                     == sorted(zip(model.w[hashed].tolist(), model.v[hashed].tolist())))
             at, through_index = node_positions(model, model.codes)
             np.testing.assert_array_equal(through_index, hashed)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_stored_groups_keep_their_layout(self, method, dimension):
+        # every table field only grows: an add_level lays out its own groups
+        # and appends them, and a deeper level only adds hat columns after
+        # the stored ones, so no stored group's row changes but for padding
+        # (column 0, stride 0) when a new group refines more dimensions
+        f = ModelFunction(lambda x: abs(sum(x) / len(x) - 0.3) + math.sin(3 * x[0]),
+                          dimension, "kinked")
+        cfg = AdaptiveConfig(dimension=dimension, epsilon=1e-3, max_level=8 - dimension,
+                             init_level=1, min_line_points=5)
+        inserted = []  # per group, its cols, strides, full and base when inserted
+        deepest = []
+
+        def on_level(model, record):
+            t = model._table
+            for g, (cols, strides, full, base) in enumerate(inserted):
+                k = len(cols)
+                assert t.cols[g, :k].tolist() == cols and not t.cols[g, k:].any()
+                assert t.strides[g, :k].tolist() == strides and not t.strides[g, k:].any()
+                assert (bool(t.full[g]), int(t.bases[g])) == (full, base)
+            inserted.extend((t.cols[g].tolist(), t.strides[g].tolist(), bool(t.full[g]),
+                             int(t.bases[g])) for g in range(len(inserted), len(t.full)))
+            deepest.append(int(split_codes(model.codes)[0].max()))
+
+        model = (run_csc(f, dimension, 7 - dimension, on_level) if method == "CSC"
+                 else build(f, cfg, method, on_level)).model
+        # the deepest 1-D level grew after the first groups were stored
+        assert len(deepest) >= 3 and deepest[-1] > deepest[1] > 1
+        # each row still holds its group's level vector: level col // d + 1
+        # where the stride is > 0, level 1 elsewhere
+        t = model._table
+        vectors = np.ones((len(t.full), dimension), dtype=np.int64)
+        g, k = np.nonzero(t.strides)
+        vectors[g, t.cols[g, k] % dimension] = t.cols[g, k] // dimension + 1
+        np.testing.assert_array_equal(vectors, table_groups(model)[0])
 
     def test_surplus_terms_only_for_dominated_groups(self, monkeypatch):
         # count the (group, row) terms the kernel forms in a CSC build: it
