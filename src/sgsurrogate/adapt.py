@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVEL, SurrogateModel, _code_array, _is_integer, coordinates, split_codes
+from .core import MAX_LEVEL, SurrogateModel, _code_array, _coordinates, _is_integer, split_codes
 from .errors import DimensionMismatchError, EvaluationError, InvalidNodeError
 
 __all__ = [
@@ -218,17 +218,20 @@ class BuildResult:
     region_db: object | None = None  # populated by the spline-backed driver
 
 
-def refine_candidates(active) -> np.ndarray:
+def refine_candidates(active, *, _checked: bool = False) -> np.ndarray:
     """Deduplicated sons of the active nodes; in a build none is stored yet.
 
     `active` and the result are (n, d) arrays of per-dimension codes (see
     core).  Candidates are sorted lexicographically by code, which sorts
     them by their (level, index) tuples, so the construction order, and
     hence the persisted file, is deterministic.  A build refines its deepest
-    level k, and the sons of level-k nodes lie on level k + 1.
+    level k, and the sons of level-k nodes lie on level k + 1.  Codes of no
+    node raise InvalidNodeError, unless `_checked` says that they were split
+    already, as the level driver's rows are.
     """
     active = _code_array(active, (None, None))
-    split_codes(active)  # refuses codes of no node
+    if not _checked:
+        split_codes(active)  # refuses codes of no node
     parts = [active[:0]]
     for s in range(active.shape[1]):
         code = active[:, s]
@@ -266,14 +269,18 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     Levels 0..init_level are swept conventionally; from init_level on, only
     sons of nodes with |w| >= epsilon are generated.  Each level is one code
     array: evaluated, given its surpluses, inserted and refined as a whole.
-    `value_source(codes)` takes the level's (n, d) code array and returns
-    (values, hit mask): cheap values for the rows it can serve, which skip
-    the full evaluation, and a mask of those rows (the other values are
-    ignored and overwritten).  `after_level(model)` runs after each
-    adaptive level is inserted, before the next level's candidates are
-    evaluated, and returns counts for the next level's record (a dict of
-    LevelRecord fields); `on_level(model, record)` observes every level for
-    reporting.
+    It is split into levels and indices once, by the one split_codes call
+    that refuses codes of no node, and the split serves the rest of the
+    level: the coordinates, the region lookups, add_level and
+    refine_candidates take it, or trust it, instead of splitting again.
+    `value_source(codes, coords)` takes the level's (n, d) code array and
+    their coordinates and returns (values, hit mask): cheap values for the
+    rows it can serve, which skip the full evaluation, and a mask of those
+    rows (the other values are ignored and overwritten).
+    `after_level(model)` runs after each adaptive level is inserted, before
+    the next level's candidates are evaluated, and returns counts for the
+    next level's record (a dict of LevelRecord fields); `on_level(model,
+    record)` observes every level for reporting.
 
     When a full evaluation fails, or a level's w or v surplus is not finite
     (an output, or its square, overflows), the EvaluationError carries the
@@ -290,12 +297,13 @@ def _drive(f, dimension, epsilon, init_level, max_level,
     level = 0
     while len(candidates):
         start = clock()
-        coords = coordinates(candidates)
+        split = split_codes(candidates)
+        coords = _coordinates(*split)
         try:
             if value_source is None:
                 values, spline = np.empty(len(coords)), np.zeros(len(coords), dtype=bool)
             else:
-                values, spline = value_source(candidates)
+                values, spline = value_source(candidates, coords)
             called = clock()
             values[~spline] = f.many(coords[~spline])
             evaluated = clock()
@@ -307,7 +315,8 @@ def _drive(f, dimension, epsilon, init_level, max_level,
             exc.partial = result
             raise
         surplused = clock()
-        model.add_level(candidates, values, w, v, spline)
+        model.add_level(candidates, values, w, v, spline, _split=split)
+        del split  # two arrays the size of the codes, not held while refining
         inserted = clock()
         abs_w = np.abs(w)
         active = candidates if level < init_level else candidates[abs_w >= epsilon]
@@ -339,7 +348,7 @@ def _drive(f, dimension, epsilon, init_level, max_level,
         if after_level is not None and level > init_level:
             scan_counts = after_level(model)
         scanned = clock()
-        candidates = refine_candidates(active)
+        candidates = refine_candidates(active, _checked=True)
         prepared = {"refine": clock() - scanned, "after_level": scanned - start}
         level += 1
     model.freeze()

@@ -110,7 +110,13 @@ counts (the products over dimensions of the per-level counts 1, 2, then
 Code rows are the library's only node representation: the drivers evaluate,
 insert and refine whole levels as code arrays, and the smooth layer anchors
 its lines by them (Murarasu et al., "Compact data structure and scalable
-algorithms for the sparse grid technique", PPoPP 2011).  nodes() wraps each
+algorithms for the sparse grid technique", PPoPP 2011).  The level driver
+splits each level's codes once, with the split_codes call that refuses
+codes of no node, and hands the (levels, indices) split on: the
+coordinates are one np.ldexp of it, add_level takes it in place of a split
+of its own, and the region lookup and the refinement of the level's active
+rows trust its check; load_surrogate likewise hands add_level the levels
+and indices its node lines spell out.  nodes() wraps each
 row in a HierarchicalNode on request, for callers that want one record per
 node.
 
@@ -257,7 +263,11 @@ def dyadic_codes(codes) -> tuple[np.ndarray, np.ndarray]:
     1: (1, 1) on level 1, (index, 0) on level 2 and (2 * index + 1, level - 1)
     above, so equal coordinates give equal pairs.
     """
-    levels, indices = split_codes(codes)
+    return _dyadic(*split_codes(codes))
+
+
+def _dyadic(levels: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dyadic_codes' (numerator, exponent) pairs of split codes."""
     num = np.where(levels == 2, indices, 2 * indices + 1)
     exp = np.where(levels <= 2, 2 - levels, levels - 1)
     return num, exp
@@ -282,8 +292,20 @@ def _codes_of_dyadic(num: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.n
 def coordinates(codes) -> np.ndarray:
     """Coordinates of codes, elementwise: num / 2**exp of dyadic_codes, which
     is exact for levels up to 54 and correctly rounded above."""
-    num, exp = dyadic_codes(codes)
-    return np.ldexp(num, -exp)
+    return _coordinates(*split_codes(codes))
+
+
+def _coordinates(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """coordinates() of split codes, bitwise: one np.ldexp of their dyadic
+    pairs, taken _SPLIT entries at a time, so that beside the result only a
+    piece's scratch is held.  The level driver, which has split its
+    candidates already, takes their coordinates here."""
+    out = np.empty(levels.shape)
+    flat, levels, indices = out.reshape(-1), levels.reshape(-1), indices.reshape(-1)
+    for lo in range(0, len(flat), _SPLIT):
+        num, exp = _dyadic(levels[lo:lo + _SPLIT], indices[lo:lo + _SPLIT])
+        np.ldexp(num, -exp, out=flat[lo:lo + _SPLIT])
+    return out
 
 
 def _code_array(codes, shape: tuple) -> np.ndarray:
@@ -360,7 +382,9 @@ class _Table(NamedTuple):
     - keys (N + 1,): sorted node keys, group offset + code, where a node's
       code reads its per-dimension indices as a mixed-radix number; a
       sentinel KEY_LIMIT above every key ends the array;
-    - coeffs (N + 1, 2): w and v in key order; the sentinel's are 0;
+    - coeffs (2, N + 1): w and v in key order, each one contiguous row,
+      from which the kernel gathers a block's coefficients with one 1-D
+      take; the sentinel's are 0;
     - cols, strides (G, K): per group, its dimensions above level 1 in
       ascending order as columns ((level - 1) * d + dimension) of the hat
       tables of `_hat_tables`, with their radix strides; short rows are
@@ -395,7 +419,7 @@ class _Table(NamedTuple):
 
 def _empty_table() -> _Table:
     cols = np.empty((0, 1), dtype=np.int64)
-    return _Table(np.array([KEY_LIMIT]), np.zeros((1, 2)), cols, cols,
+    return _Table(np.array([KEY_LIMIT]), np.zeros((2, 1)), cols, cols,
                   np.empty(0, dtype=bool), np.empty(0, dtype=np.int64), 1,
                   np.empty(0, dtype=np.int32))
 
@@ -480,7 +504,7 @@ class SurrogateModel:
 
     # -- construction ---------------------------------------------------------
 
-    def add_level(self, codes, outputs, w, v, spline=None) -> None:
+    def add_level(self, codes, outputs, w, v, spline=None, *, _split=None) -> None:
         """Insert one level's nodes; row k of `codes` holds node k's codes.
 
         Every row must lie on one level, deeper than every stored one, and
@@ -490,6 +514,11 @@ class SurrogateModel:
         (ContractViolationError naming the first row otherwise).  `spline`
         marks the rows whose output came from a spline (default: none).
         When a check fails nothing is inserted.
+
+        `_split` is for callers that hold the rows split already, the level
+        driver and load_surrogate: the (levels, indices) int64 arrays that
+        split_codes(codes) returns, which the call then takes in place of
+        its own split, and so of its refusal of codes of no node.
         """
         if self._frozen:
             raise ContractViolationError("model is frozen")
@@ -508,7 +537,7 @@ class SurrogateModel:
                                          f"{[float(a[bad[0]]) for a in columns[:3]]}")
         if n == 0:
             return
-        levels, indices = split_codes(codes)
+        levels, indices = split_codes(codes) if _split is None else _split
         level = levels.sum(axis=1) - self.dimension
         if level.min() != level.max():
             raise ContractViolationError(
@@ -684,7 +713,8 @@ def _grown(table: _Table, codes, indices, w, v, vectors, member, offsets) -> _Ta
     """
     radix = _nodes_per_level(vectors)
     strides = np.cumprod(radix, axis=1) // radix
-    node_keys = offsets[member] + (indices * strides[member]).sum(axis=1)
+    # one sum of products per row, with no (rows, d) product array beside the indices
+    node_keys = offsets[member] + np.einsum("ij,ij->i", indices, strides[member])
     order = np.argsort(node_keys)
     node_keys = node_keys[order]
     repeat = node_keys[1:] == node_keys[:-1]
@@ -697,8 +727,8 @@ def _grown(table: _Table, codes, indices, w, v, vectors, member, offsets) -> _Ta
     full = count == radix.prod(axis=1)
     bases = np.where(full, known + first, offsets)
     keys = np.concatenate([table.keys[:-1], node_keys, table.keys[-1:]])
-    coeffs = np.concatenate([table.coeffs[:-1], np.stack([w[order], v[order]], axis=1),
-                             table.coeffs[-1:]])
+    coeffs = np.concatenate([table.coeffs[:, :-1], np.stack([w[order], v[order]]),
+                             table.coeffs[:, -1:]], axis=1)
     slots = _indexed(table.slots, keys, known + np.flatnonzero(np.repeat(~full, count)))
     rank = np.lexsort(vectors.T[::-1])
     vectors, strides = vectors[rank], strides[rank]
@@ -834,7 +864,7 @@ def _block_sums(table: _Table, x: np.ndarray, group: np.ndarray, columns, stops,
     cut = (group[:, None] < stops).sum(axis=0)  # the groups below each stop
     sums = np.zeros((len(columns), len(stops), len(x)))
     for j, col in enumerate(columns):
-        terms = coeffs[pos, col]
+        terms = coeffs[col].take(pos)
         terms *= prod
         folds = _left_folds(terms[::-1] if fine_first else terms)
         sums[j, cut > 0] = folds[cut[cut > 0] - 1]

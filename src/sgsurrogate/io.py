@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import SurrogateModel, _codes_of_dyadic, dyadic_codes, join_codes, split_codes
 from .errors import PersistenceError, SparseGridError
-from .smooth import RegionDatabase, SmoothRegion, StoreOutcome
+from .smooth import RegionDatabase, StoreOutcome, _loaded_region
 
 __all__ = ["save_surrogate", "load_surrogate"]
 
@@ -149,13 +149,14 @@ def _bad_node(path, row: int, line: str, why) -> PersistenceError:
 
 
 def _node_arrays(path, text: str, start: int, n: int, d: int):
-    """Codes, (output, w, v) rows, spline flags and total levels of the n
+    """Codes, levels (int8), (output, w, v) rows and spline flags of the n
     node lines of `text` from offset `start`, each ending in a newline.
 
     Each line must match _node_grammar.  The lines are then parsed _CHUNK
     at a time by one np.loadtxt call, and their pairs joined into codes; a
     line whose output, w or v is not finite, or whose pairs name no node, is
-    refused by its number.
+    refused by its number.  The parsed levels are kept, in int8, as they run
+    1 .. MAX_LEVEL, so that load need not split the codes again.
     """
     try:
         grammar = _node_grammar(d)
@@ -164,9 +165,9 @@ def _node_arrays(path, text: str, start: int, n: int, d: int):
     except (ValueError, OverflowError) as exc:  # a d past what re or numpy can size
         raise PersistenceError(f"{path}: no node line of d = {d} can be read") from exc
     codes = np.empty((n, d), dtype=np.int64)
+    levels = np.empty((n, d), dtype=np.int8)
     reals = np.empty((n, 3))
     spline = np.empty(n, dtype=bool)
-    depth = np.empty(n, dtype=np.int64)
     pos = start
     for lo in range(0, n, _CHUNK):
         hi, first = min(lo + _CHUNK, n), pos
@@ -185,20 +186,32 @@ def _node_arrays(path, text: str, start: int, n: int, d: int):
         if not finite.all():
             k = int(finite.argmin())
             raise _bad_node(path, lo + k, _line(text, first, k), "output, w and v must be finite")
-        levels, indices = parsed["pairs"][:, 0::2], parsed["pairs"][:, 1::2]
+        level, index = parsed["pairs"][:, 0::2], parsed["pairs"][:, 1::2]
         try:
-            codes[lo:hi] = join_codes(levels, indices)
+            codes[lo:hi] = join_codes(level, index)
         except SparseGridError:
             for k in range(hi - lo):  # the first line of no node
                 try:
-                    join_codes(levels[k], indices[k])
+                    join_codes(level[k], index[k])
                 except SparseGridError as exc:
                     raise _bad_node(path, lo + k, _line(text, first, k), exc) from exc
             raise
         reals[lo:hi] = parsed["reals"]
         spline[lo:hi] = parsed["flag"] == "S"
-        depth[lo:hi] = levels.sum(axis=1)
-    return codes, reals, spline, depth
+        levels[lo:hi] = level
+    return codes, levels, reals, spline
+
+
+def _split_of(codes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """split_codes(codes), bitwise, from the codes' known `levels`: the
+    levels in int64, and the indices codes - 2**(level - 1), formed in
+    place, so that the split is all the scratch."""
+    split = np.empty((2, *codes.shape), dtype=np.int64)  # one block, as split_codes'
+    split[0] = levels
+    np.subtract(levels, 1, out=split[1])
+    np.left_shift(1, split[1], out=split[1])
+    np.subtract(codes, split[1], out=split[1])
+    return split[0], split[1]
 
 
 def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
@@ -231,12 +244,14 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
     start = len(head) + 1
     stop = text.find("\nregions ", start - 1) + 1 or len(text)
     n = text.count("\n", start, stop)
-    codes, reals, spline, depth = _node_arrays(path, text, start, n, model.dimension)
-    # one add_level per run of lines on one level, in file order
-    bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), n]
+    codes, levels, reals, spline = _node_arrays(path, text, start, n, model.dimension)
+    # one add_level per run of lines on one level, in file order, with the
+    # run's split from its parsed levels
+    bounds = [0, *(np.flatnonzero(np.diff(levels.sum(axis=1))) + 1).tolist(), n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         try:
-            model.add_level(codes[lo:hi], *reals[lo:hi].T, spline[lo:hi])
+            model.add_level(codes[lo:hi], *reals[lo:hi].T, spline[lo:hi],
+                            _split=_split_of(codes[lo:hi], levels[lo:hi]))
         except SparseGridError as exc:
             raise _bad_node(path, lo, _line(text, start, lo), exc) from exc
     written = _header(model) if n else "none, as save refuses an empty model"
@@ -264,9 +279,8 @@ def load_surrogate(path) -> tuple[SurrogateModel, RegionDatabase | None]:
             anchor = list(itertools.islice(codes, len(dyadic)))
             if 0 in anchor:
                 raise ValueError("anchor pair names no node: not the canonical num:exp of one")
-            region = SmoothRegion(dim=dim, anchor=anchor,
-                                  knots=[float(k) for k in knots.split(",")],
-                                  outputs=[float(o) for o in outputs.split(",")])
+            region = _loaded_region(dim, tuple(anchor), [float(k) for k in knots.split(",")],
+                                    [float(o) for o in outputs.split(",")])
             if db.store(region) != StoreOutcome("created"):
                 raise ValueError("overlaps an earlier region line")
         # the regions are stored in file order, the order save writes them in

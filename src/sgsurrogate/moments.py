@@ -5,8 +5,11 @@ per-level 1-D weights (1 for the constant level, 1/4 for the boundary
 half-hats, 2**(1-i) for full hats), which `_weights` gives for a whole array
 of levels at once.  The mean is therefore the dot product of the w surpluses
 with these weights; the mean square uses the v surpluses, which track the
-squared output through the same hierarchy.  All operations here are
-read-only over a finished model.
+squared output through the same hierarchy.  Each product is a surplus
+times a power of two, exact but for underflow, and the products are added
+by NumPy's own sum, never by a BLAS dot, whose order of additions changes
+with its thread count: so the moments' bits depend on the model alone.  All
+operations here are read-only over a finished model.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def moments(m: SurrogateModel) -> MomentEstimate:
         raise EmptyModelError("cannot take moments of an empty model")
     levels, _ = split_codes(m.codes)
     weights = np.prod(_weights(levels), axis=1)  # each node's basis integral, exact
-    mean = float(m.w @ weights)
-    mean_square = float(m.v @ weights)
+    mean = float(np.sum(m.w * weights))
+    mean_square = float(np.sum(m.v * weights))
     variance = mean_square - mean * mean
     if variance < 0.0:
         if variance >= -_VARIANCE_TOL * abs(mean_square):

@@ -44,10 +44,13 @@ files of the same step taken one line or one region at a time:
 - A run is stored in its turn, and skipped before a SmoothRegion is built
   when a region of its line covers it then: `store`, which starts with the
   same cover test, would find it covered and change nothing.
-- The driver hands `value_source(codes)` a level's whole (n, d) code array,
-  and it answers with (values, hit mask) from one `RegionDatabase.lookup_many`.
-  That call checks the codes once, with one `split_codes` over the batch,
-  lays the regions out in creation order, and sorts each dimension's by the
+- The driver hands `value_source(codes, coords)` a level's whole (n, d)
+  code array and its coordinates, and it answers with (values, hit mask)
+  from one `RegionDatabase.lookup_many`.  The driver's one `split_codes`
+  of the level has checked the codes already, so that call splits nothing:
+  it reads the matched rows' positions from the coordinates (a caller's own
+  codes are checked by taking their coordinates).  It lays the regions
+  out in creation order, and sorts each dimension's by the
   same anchor key, inline and afresh on every call.  The hit regions not
   yet fitted (fits are lazy: superseded regions are never fitted) are
   fitted together: their end slopes come from divided differences over
@@ -72,7 +75,7 @@ import numpy as np
 from .adapt import AdaptiveConfig, BuildResult, ModelFunction, _drive
 from .core import (
     SurrogateModel, _check_dimension, _code_array, _is_code, _is_integer, _row_weights,
-    coordinates, dyadic_codes, split_codes,
+    coordinates, dyadic_codes,
 )
 from .errors import InvalidNodeError, SparseGridError
 
@@ -401,7 +404,9 @@ class SmoothRegion:
     Anchors that are not node codes, a `dim` that is not an integer in
     [0, len(anchor)], and malformed knots or outputs are refused at
     construction; the line scan, whose fields come from checked model
-    arrays, builds its regions with _scanned_region instead.
+    arrays, builds its regions with _scanned_region instead, and
+    load_surrogate, whose anchors are codes of nodes already, with
+    _loaded_region.
     """
 
     dim: int
@@ -419,6 +424,11 @@ class SmoothRegion:
             raise InvalidNodeError(f"region anchor {self.anchor!r} holds a non-integer") from exc
         if not all(map(_is_code, self.anchor)):
             raise InvalidNodeError(f"region anchor {self.anchor} holds a code of no node")
+        self._check_fields()
+
+    def _check_fields(self) -> None:
+        """The checks of everything but the anchor's codes: the dim, knots and
+        outputs; sets the knots and outputs as float arrays, and lo and hi."""
         if not _is_integer(self.dim):
             raise InvalidNodeError(f"region dim {self.dim!r} is not an integer")
         if not 0 <= self.dim <= len(self.anchor):
@@ -455,6 +465,17 @@ def _scanned_region(dim: int, anchor: tuple, knots: np.ndarray,
     region = SmoothRegion.__new__(SmoothRegion)
     region.dim, region.anchor, region.knots, region.outputs = dim, anchor, knots, outputs
     region.lo, region.hi = float(knots[0]), float(knots[-1])
+    return region
+
+
+def _loaded_region(dim, anchor: tuple, knots, outputs) -> SmoothRegion:
+    """The SmoothRegion of a file's region line, whose anchor is a tuple of
+    ints that core._codes_of_dyadic has just made codes of nodes: built with
+    every check of SmoothRegion.__post_init__ but the anchor's, which would
+    only find them codes again."""
+    region = SmoothRegion.__new__(SmoothRegion)
+    region.dim, region.anchor, region.knots, region.outputs = dim, anchor, knots, outputs
+    region._check_fields()
     return region
 
 
@@ -590,7 +611,8 @@ class RegionDatabase:
         self._lines[region.dim, region.anchor] = kept
         return StoreOutcome("created", len(gone) - displaced, displaced)
 
-    def lookup_many(self, codes) -> tuple[list[SmoothRegion], np.ndarray, np.ndarray]:
+    def lookup_many(self, codes, *,
+                    _coords=None) -> tuple[list[SmoothRegion], np.ndarray, np.ndarray]:
         """The region holding each row of an (n, d) array of node codes.
 
         Returns (regions, which, t): row i lies in regions[which[i]] at
@@ -601,10 +623,15 @@ class RegionDatabase:
         one dimension or several, the earliest-created region wins.  Codes
         of no node raise InvalidNodeError, and rows of other than d codes
         DimensionMismatchError.
+
+        `_coords` is for the level driver, whose rows are split and checked
+        already: their coordinates(codes), which the call otherwise takes
+        itself, and with them the refusal of codes of no node.
         """
         d = self.dimension
         codes = _code_array(codes, (None, d))
-        split_codes(codes)  # refuses codes of no node
+        if _coords is None:
+            _coords = coordinates(codes)  # refuses codes of no node
         n = len(codes)
         which = np.full(n, -1, dtype=np.intp)
         t = np.zeros(n)
@@ -637,7 +664,7 @@ class RegionDatabase:
             rows, cand = rows[same], ids[cand[same]]
             if not len(rows):
                 continue
-            at = coordinates(codes[rows, dim])
+            at = _coords[rows, dim]
             hit = (lo[cand] <= at) & (at <= hi[cand])
             found.append((rows[hit], cand[hit], at[hit]))
         if not found:
@@ -732,8 +759,8 @@ def run_easgc(f: ModelFunction, cfg: AdaptiveConfig, on_level=None) -> BuildResu
     """
     db = RegionDatabase(cfg.dimension)
 
-    def value_source(codes):
-        regions, which, t = db.lookup_many(codes)
+    def value_source(codes, coords):
+        regions, which, t = db.lookup_many(codes, _coords=coords)
         return _spline_values(regions, which, t), which >= 0
 
     def after_level(model: SurrogateModel) -> dict:

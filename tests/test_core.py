@@ -42,6 +42,7 @@ from sgsurrogate import (
 )
 from sgsurrogate import core
 from sgsurrogate.core import MAX_LEVEL, _codes_of_dyadic, dyadic_codes
+from sgsurrogate.io import _split_of
 
 
 def level_coords(level):
@@ -776,7 +777,7 @@ class TestEvaluationKernel:
                 # through the index, which holds exactly the sparse groups' nodes
                 at, hashed = node_positions(m, m.codes)
                 np.testing.assert_array_equal(np.sort(at), np.arange(len(m)))
-                assert t.coeffs[at].tobytes() == np.stack([m.w, m.v], axis=1).tobytes()
+                assert t.coeffs[:, at].tobytes() == np.stack([m.w, m.v]).tobytes()
                 indexed = t.slots[t.slots >= 0]
                 np.testing.assert_array_equal(np.sort(indexed), np.sort(at[hashed]))
                 # a full group's keys run on from its base, so base + code is
@@ -835,7 +836,7 @@ class TestEvaluationKernel:
             hashed = ~whole[group]
             indexed = t.slots[t.slots >= 0]
             assert len(indexed) == hashed.sum()
-            assert (sorted(map(tuple, t.coeffs[indexed].tolist()))
+            assert (sorted(map(tuple, t.coeffs[:, indexed].T.tolist()))
                     == sorted(zip(model.w[hashed].tolist(), model.v[hashed].tolist())))
             at, through_index = node_positions(model, model.codes)
             np.testing.assert_array_equal(through_index, hashed)
@@ -1380,3 +1381,65 @@ class TestArrayStore:
         assert len(m) == 1
         m.add_level(codes[:1], [0.0], [0.0], [0.0])
         assert len(m) == 2
+
+
+class TestSplitOnce:
+    """The level driver splits each level's codes once and hands the split
+    on.  What it feeds gives, bit for bit, what a split of its own gives, and
+    the public entry points still refuse codes of no node."""
+
+    @given(dimension=st.integers(1, 4), piece=st.integers(1, 9), data=st.data())
+    def test_coordinates_of_the_split_are_coordinates(self, dimension, piece, data):
+        # shallow and deep levels, taken in pieces of a few entries
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        shape = (data.draw(st.integers(0, 30)), dimension)
+        levels = np.where(rng.random(shape) < 0.5, rng.integers(1, 6, shape),
+                          rng.integers(1, MAX_LEVEL + 1, shape))
+        codes = join_codes(levels, rng.integers(0, core._nodes_per_level(levels)))
+        num, exp = dyadic_codes(codes)
+        want = np.ldexp(num, -exp)
+        with mock.patch.object(core, "_SPLIT", piece):
+            got = core._coordinates(*split_codes(codes))
+        assert got.shape == codes.shape and got.tobytes() == want.tobytes()
+        assert coordinates(codes).tobytes() == want.tobytes()
+        # a file's parsed levels give the split too, up to MAX_LEVEL
+        loaded = _split_of(codes, levels.astype(np.int8))
+        assert [a.tobytes() for a in loaded] == [a.tobytes() for a in split_codes(codes)]
+
+    @given(dimension=st.integers(1, 4), depth=st.integers(0, 4),
+           keep=st.floats(0.2, 1.0), data=st.data())
+    def test_add_level_with_the_split_lays_out_the_same_table(self, dimension, depth, keep,
+                                                              data):
+        # whole and thinned levels, rows in random order, inserted with and
+        # without the split that the driver, or load from a file's levels,
+        # hands on: every table field keeps its bits
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        plain, handed = SurrogateModel(dimension), SurrogateModel(dimension)
+        for level in range(depth + 1):
+            rows = level_rows(dimension, level)
+            rows = rng.permutation(rows[rng.random(len(rows)) < keep] if level else rows)
+            out, w, v = rng.standard_normal((3, len(rows)))
+            split = split_codes(rows)
+            loaded = _split_of(rows, split[0].astype(np.int8))
+            assert [a.tobytes() for a in loaded] == [a.tobytes() for a in split]
+            plain.add_level(rows, out, w, v)
+            handed.add_level(rows, out, w, v, _split=split)
+            for name, a, b in zip(core._Table._fields, plain._table, handed._table):
+                a, b = np.asarray(a), np.asarray(b)
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+        for name in ("codes", "outputs", "w", "v", "spline"):
+            assert getattr(plain, name).tobytes() == getattr(handed, name).tobytes(), name
+
+    @given(dimension=st.integers(1, 4), level=st.integers(0, 3),
+           bad=st.sampled_from([0, -1, -(1 << 40), 6, 7, 12, 3 << 40, 1 << 62, (1 << 63) - 1]),
+           data=st.data())
+    def test_public_entry_points_refuse_codes_of_no_node(self, dimension, level, bad, data):
+        # the driver's rows skip these refusals, which a caller's rows still meet
+        rows = level_rows(dimension, level)
+        rows.flat[data.draw(st.integers(0, rows.size - 1))] = bad
+        with pytest.raises(InvalidNodeError, match=r"invalid node \(level"):
+            SurrogateModel(dimension).add_level(rows, *np.zeros((3, len(rows))))
+        with pytest.raises(InvalidNodeError, match=r"invalid node \(level"):
+            RegionDatabase(dimension).lookup_many(rows)
+        with pytest.raises(InvalidNodeError, match=r"invalid node \(level"):
+            refine_candidates(rows)

@@ -1,5 +1,11 @@
 """Analytic moments against quadrature oracles and hand-derived values."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -122,3 +128,28 @@ class TestMoments:
         m.add_level([[1]], [1.0], [1.0], [0.9])
         with pytest.raises(ValueError):
             moments(m)
+
+
+# a build of 32,769 nodes, past the length (10,000 in OpenBLAS) from which a
+# BLAS dot splits its sum across threads
+MOMENT_BITS = textwrap.dedent("""
+    from sgsurrogate import get_benchmark, moments, run_csc
+
+    est = moments(run_csc(get_benchmark("line_singularity")[0], 2, 12).model)
+    print(*(float.hex(x) for x in (est.mean, est.mean_square, est.variance)))
+""")
+
+
+def test_moments_do_not_depend_on_blas_threads():
+    # each moment adds exact products in NumPy's own order, the same in a
+    # process of one BLAS thread as in one of two
+    src = Path(__file__).resolve().parent.parent / "src"
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", MOMENT_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        bits.append(done.stdout)
+    assert bits[0] == bits[1]

@@ -586,6 +586,17 @@ class TestRegionDatabase:
             np.testing.assert_array_equal(r._second_derivs, oracle.second_derivs)
         assert len(set(map(id, regions))) == len(regions)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lookup_from_the_driver_coordinates_is_the_same(self, data):
+        # the level driver hands lookup_many its rows' coordinates instead of
+        # letting it split them again: regions, rows and positions keep their bits
+        db, codes = data.draw(region_databases())
+        regions, which, t = db.lookup_many(codes)
+        handed, which_handed, t_handed = db.lookup_many(codes, _coords=coordinates(codes))
+        assert [id(r) for r in handed] == [id(r) for r in regions]
+        assert which_handed.tobytes() == which.tobytes() and t_handed.tobytes() == t.tobytes()
+
     def test_spline_value_contract(self):
         r = region([0.0, 0.25, 0.5, 0.75, 1.0])
         assert spline_value(r, 0.75) == pytest.approx(0.75 ** 2, abs=1e-14)
