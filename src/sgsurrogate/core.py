@@ -291,7 +291,9 @@ def _codes_of_dyadic(num: np.ndarray, exp: np.ndarray) -> tuple[np.ndarray, np.n
 
 def coordinates(codes) -> np.ndarray:
     """Coordinates of codes, elementwise: num / 2**exp of dyadic_codes, which
-    is exact for levels up to 54 and correctly rounded above."""
+    is exact for levels up to 54 and correctly rounded above.  The codes are
+    split once, and beside that split and the result only a piece's scratch
+    is held (_coordinates)."""
     return _coordinates(*split_codes(codes))
 
 
